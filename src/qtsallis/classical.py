@@ -62,7 +62,7 @@ def _clean_probabilities(p: np.ndarray) -> np.ndarray:
         raise ValidationError("probabilities must be finite")
     if np.any(p < 0.0) or np.any(p > 1.0 + PROB_SUM_TOL):
         raise ValidationError("probabilities must lie in [0, 1]")
-    total = float(p.sum())
+    total = math.fsum(p)
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValidationError(
             f"probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
@@ -131,7 +131,7 @@ def _entropy_of(p: np.ndarray, qi: EntropicIndex) -> float:
     live = p[p > 0.0]
     if qi.is_limit_point:
         return float(-np.dot(live, np.log(live)))
-    return float((np.sum(live ** qi.q) - 1.0) / (1.0 - qi.q))
+    return (math.fsum(live ** qi.q) - 1.0) / (1.0 - qi.q)
 
 
 def tsallis_entropy(p, q) -> float:

@@ -22,26 +22,29 @@ from .classical import ProbDist, tsallis_entropy
 from .errors import QTsallisError, ValidationError
 from .oracle import default_family_grid, default_order_grid, verify_family, \
     verify_separable_witness
-from .solver import MONOTONE_TOL, asymptotic_threshold, threshold_for_q
+from .solver import ROOT_RTOL, _rises, asymptotic_threshold, threshold_for_q
 from .werner import WernerParams, conditional_entropy_block
 
 
 def format_scalar(value: float, sci: bool = False) -> str:
     """Render with 15 significant digits.
 
-    Plain decimal notation is used even for small magnitudes unless
-    ``sci`` is set; the decimal separator is always '.'.
+    Plain decimal notation is used even for small and large magnitudes
+    unless ``sci`` is set; the decimal separator is always '.'.
     """
     if not math.isfinite(value):
         return str(value)
     if value == 0.0:
         return "0"
     text = f"{value:.15g}"
-    if ("e" in text or "E" in text) and not sci:
-        exponent = math.floor(math.log10(abs(value)))
-        decimals = max(0, 14 - exponent)
-        text = f"{value:.{decimals}f}".rstrip("0").rstrip(".")
-    return text
+    if "e" not in text or sci:
+        return text
+    # Exponent form means below 1e-4 or from 1e15 up: every significant
+    # digit lies on one side of the decimal point.
+    mantissa, exponent = f"{abs(value):.15g}".split("e")
+    digits, point = mantissa.replace(".", ""), int(exponent) + 1
+    text = digits.ljust(point, "0") if point > 0 else f"0.{'0' * -point}{digits}"
+    return "-" + text if value < 0 else text
 
 
 @dataclass(frozen=True)
@@ -120,19 +123,14 @@ def _cmd_sweep(args) -> int:
     points = [threshold_for_q(spec.levels, spec.parties, float(q))
               for q in spec.q_values()]
 
-    previous = None
-    for point in points:
-        if point.x_star is None:
-            continue
-        if previous is not None and point.x_star > previous.x_star + MONOTONE_TOL:
-            print(f"monotonicity violation: x_star rose from "
-                  f"{format_scalar(previous.x_star)} at q={format_scalar(previous.q)} "
-                  f"to {format_scalar(point.x_star)} at q={format_scalar(point.q)}",
-                  file=sys.stderr)
-        previous = point
+    for previous, point in _rises(points):
+        print(f"monotonicity violation: x_star rose from "
+              f"{format_scalar(previous.x_star)} at q={format_scalar(previous.q)} "
+              f"to {format_scalar(point.x_star)} at q={format_scalar(point.q)}",
+              file=sys.stderr)
 
     def converged(point) -> bool:
-        return point.x_star is not None and point.bracket_width <= 1e-12
+        return point.x_star is not None and point.bracket_width <= ROOT_RTOL * point.x_star
 
     if spec.output_format == "csv":
         lines = ["q,x_star,converged"]

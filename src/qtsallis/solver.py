@@ -14,19 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import _as_index
+from .classical import EntropicIndex, _as_index
 from .errors import MonotonicityError, ValidationError
-from .quantum import q_trace, von_neumann
-from .werner import WernerParams, joint_spectrum, marginal_spectrum
+from .werner import WernerParams
 
-#: Uniform scan grid over the mixing interval [0, 1].
-GRID_POINTS = 1024
-#: Bisection stops once the bracket is this narrow.
-BRACKET_WIDTH = 1e-12
-#: Log q-trace gaps smaller than this count as an exact zero.
-SIGN_TIE = 1e-14
+#: Root refinement stops once the bracket is this narrow relative to x.
+ROOT_RTOL = 1e-13
 #: Allowed slack when checking that the boundary never rises with q.
 MONOTONE_TOL = 1e-9
+#: 128 geometric points per scan or bracket cut: seven grids reach ROOT_RTOL.
+_STEPS = np.linspace(0.0, 1.0, 128)
 
 
 @dataclass(frozen=True)
@@ -54,75 +51,94 @@ class ThresholdCurve:
     points: tuple[ThresholdPoint, ...]
 
 
-def entropy_sign(params: WernerParams, q, conditioned_parties: int | None = None) -> int:
-    """Sign (-1, 0, +1) of the conditional entropy, computed in the log
-    domain so it is immune to overflow and underflow at any q.
+def _conditional_renyi(levels: int, parties: int, k: int, qi: EntropicIndex,
+                       x: np.ndarray) -> np.ndarray:
+    """Renyi conditional entropy H_q(rho) - H_q(rho_k) of the family at each
+    mixing weight in ``x``, given k parties (von Neumann at the limit point).
 
-    For q > 1 the entropy is positive exactly when the marginal log
-    q-trace exceeds the joint one; for q < 1 the comparison flips.  The
-    q -> 1 limit point compares von Neumann entropies.  Gaps below
-    ``SIGN_TIE`` report 0.
+    It has the sign of the order-q conditional entropy: both are 1 / (1 - q)
+    times an increasing function of ln Tr rho**q - ln Tr rho_k**q vanishing
+    at 0.  The two-level spectra give, with a, s, b = log1p((N**n - 1) x),
+    log1p((N**(k-1) - 1) x), log1p(-x), overflow-free forms for q to 1e6:
+        ln Tr rho**q   = -q n ln N + logaddexp(q a, ln(N**n - 1) + q b)
+        ln Tr rho_k**q = -q k ln N + logaddexp(ln N + q s, ln(N**k - N) + q b)
     """
-    qi = _as_index(q)
-    k = params.parties - 1 if conditioned_parties is None else int(conditioned_parties)
-    joint = joint_spectrum(params)
-    marginal = marginal_spectrum(params, k)
-    if qi.is_limit_point:
-        diff = von_neumann(joint) - von_neumann(marginal)
-    else:
-        gap = q_trace(marginal, qi) - q_trace(joint, qi)
-        diff = gap if qi.q > 1.0 else -gap
-    if abs(diff) < SIGN_TIE:
-        return 0
-    return 1 if diff > 0.0 else -1
+    dim, spike = levels**parties, levels ** (k - 1)
+    log_levels = math.log(levels)
+    log_rest = -math.inf if k == 1 else math.log(levels**k - levels)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.log1p((dim - 1) * x)
+        s = np.log1p((spike - 1) * x)
+        b = np.log1p(-x)
+        if qi.is_limit_point:
+            # -sum(m v ln v) on each side; the background terms share (1 - x) b.
+            return ((parties - k) * log_levels - (1.0 + (dim - 1) * x) * a / dim
+                    + (1.0 + (spike - 1) * x) * s / spike
+                    + (1.0 / dim - 1.0 / spike) * np.where(x < 1.0, (1.0 - x) * b, 0.0))
+        q = qi.q
+        joint = np.logaddexp(q * a, math.log(dim - 1) + q * b)
+        marginal = np.logaddexp(log_levels + q * s, log_rest + q * b)
+    return (joint - marginal - q * (parties - k) * log_levels) / (1.0 - q)
+
+
+def _conditioned(parties: int, conditioned_parties: int | None) -> int:
+    k = parties - 1 if conditioned_parties is None else int(conditioned_parties)
+    if not 1 <= k <= parties - 1:
+        raise ValidationError(f"conditioned party count must lie in [1, {parties - 1}], got {k}")
+    return k
+
+
+def entropy_sign(params: WernerParams, q, conditioned_parties: int | None = None) -> int:
+    """Sign (-1, 0, +1) of the conditional entropy given
+    ``conditioned_parties`` parties (default n - 1), from the log domain,
+    so it holds at any q; 0 means an exact zero."""
+    k = _conditioned(params.parties, conditioned_parties)
+    x = np.array([params.mixing])
+    return int(np.sign(_conditional_renyi(params.levels, params.parties, k, _as_index(q), x)[0]))
 
 
 def threshold_for_q(levels: int, parties: int, q,
                     conditioned_parties: int | None = None) -> ThresholdPoint:
     """Locate the first sign change of the conditional entropy in x.
 
-    Scans ``GRID_POINTS`` uniform points over [0, 1]; the first sign-change
-    interval is bisected down to ``BRACKET_WIDTH``.  An exact zero (grid
-    point or bisection midpoint) terminates immediately with a zero-width
-    bracket.  Returns x_star = None when the grid shows no sign change.
+    No root lies below the exact large-q bound, so a geometric grid over
+    [x_inf(k), 1] counts the sign changes and gives the first bracket; each
+    geometric cut keeps its first sign change, until the bracket is below
+    ``ROOT_RTOL`` relative to x.  An exact zero on a grid is returned with
+    a zero-width bracket, and x_star = None when the scan shows no change.
     """
     qi = _as_index(q)
-
-    def sign_at(x: float) -> int:
-        return entropy_sign(WernerParams(levels, parties, x), qi, conditioned_parties)
-
-    xs = np.linspace(0.0, 1.0, GRID_POINTS)
-    signs = [sign_at(float(x)) for x in xs]
-
-    events = []  # (kind, left grid index, right grid index)
-    previous = None  # index of the last nonzero sign
-    for i, sign in enumerate(signs):
-        if sign == 0:
-            events.append(("touch", i, i))
+    family = WernerParams(levels, parties, 0.0)  # validates N, n and N**n
+    N, n = family.levels, family.parties
+    k = _conditioned(n, conditioned_parties)
+    lo, hi = asymptotic_threshold_block(N, n, k), 1.0
+    ends = None  # signs at lo and hi once a bracket is known
+    while True:
+        xs = lo * np.exp(math.log1p((hi - lo) / lo) * _STEPS)
+        xs[-1] = hi
+        signs = np.sign(_conditional_renyi(N, n, k, qi, xs))
+        if ends is None:
+            nonzero = signs[signs != 0]
+            changes = int(np.count_nonzero(signs == 0)
+                          + np.count_nonzero(nonzero[1:] != nonzero[:-1]))
+            if not changes:
+                return ThresholdPoint(qi.q, None, math.nan, 0)
         else:
-            if previous is not None and sign != signs[previous]:
-                events.append(("flip", previous, i))
-            previous = i
+            signs[[0, -1]] = ends  # a re-evaluation must not round the bracket away
+        first = int(np.argmax(signs != signs[0])) if signs[0] else 0
+        if not signs[first]:
+            return ThresholdPoint(qi.q, float(xs[first]), 0.0, changes)
+        lo, hi = float(xs[first - 1]), float(xs[first])
+        ends = signs[first - 1], signs[first]
+        if hi - lo <= ROOT_RTOL * lo:
+            return ThresholdPoint(qi.q, 0.5 * (lo + hi), hi - lo, changes)
 
-    if not events:
-        return ThresholdPoint(qi.q, None, math.nan, 0)
 
-    kind, left, right = events[0]
-    if kind == "touch":
-        return ThresholdPoint(qi.q, float(xs[left]), 0.0, len(events))
-
-    lo, hi = float(xs[left]), float(xs[right])
-    sign_lo = signs[left]
-    while hi - lo > BRACKET_WIDTH:
-        mid = 0.5 * (lo + hi)
-        sign_mid = sign_at(mid)
-        if sign_mid == 0:
-            return ThresholdPoint(qi.q, mid, 0.0, len(events))
-        if sign_mid == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return ThresholdPoint(qi.q, 0.5 * (lo + hi), hi - lo, len(events))
+def _rises(points) -> list[tuple[ThresholdPoint, ThresholdPoint]]:
+    """Consecutive located points, in the given order, where the boundary
+    rises by more than ``MONOTONE_TOL``."""
+    located = [point for point in points if point.x_star is not None]
+    return [(a, b) for a, b in zip(located, located[1:]) if b.x_star > a.x_star + MONOTONE_TOL]
 
 
 def threshold_curve(levels: int, parties: int, q_grid) -> ThresholdCurve:
@@ -139,25 +155,13 @@ def threshold_curve(levels: int, parties: int, q_grid) -> ThresholdCurve:
     if any(b <= a for a, b in zip(orders, orders[1:])):
         raise ValidationError("q grid must be strictly increasing")
     points = tuple(threshold_for_q(levels, parties, q) for q in orders)
-    previous = None
-    for point in points:
-        if point.x_star is None:
-            continue
-        if previous is not None and point.x_star > previous.x_star + MONOTONE_TOL:
-            raise MonotonicityError(
-                f"boundary rose from x*={previous.x_star} at q={previous.q} "
-                f"to x*={point.x_star} at q={point.q}",
-                first=previous, second=point)
-        previous = point
+    rise = _rises(points)
+    if rise:
+        first, second = rise[0]
+        raise MonotonicityError(f"boundary rose from x*={first.x_star} at q={first.q} "
+                                f"to x*={second.x_star} at q={second.q}",
+                                first=first, second=second)
     return ThresholdCurve(int(levels), int(parties), points)
-
-
-def _check_family(levels: int, parties: int) -> tuple[int, int]:
-    levels = int(levels)
-    parties = int(parties)
-    if levels < 2 or parties < 2:
-        raise ValidationError("need at least two levels and two parties")
-    return levels, parties
 
 
 def asymptotic_threshold(levels: int, parties: int) -> float:
@@ -179,10 +183,7 @@ def asymptotic_threshold(levels: int, parties: int) -> float:
     linear form is evaluated in exact integer arithmetic up to the final
     division.
     """
-    N, n = _check_family(levels, parties)
-    numerator = N**n - N**(n - 1)
-    denominator = N**(n - 1) * (N**n - 1) - N**n * (N**(n - 2) - 1)
-    return numerator / denominator
+    return asymptotic_threshold_block(levels, parties, int(parties) - 1)
 
 
 def asymptotic_threshold_block(levels: int, parties: int, conditioned_parties: int) -> float:
@@ -197,10 +198,10 @@ def asymptotic_threshold_block(levels: int, parties: int, conditioned_parties: i
     value coincides with :func:`asymptotic_threshold` at k = n - 1, which
     is the strongest choice.
     """
-    N, n = _check_family(levels, parties)
-    k = int(conditioned_parties)
-    if not 1 <= k <= n - 1:
-        raise ValidationError(f"conditioned party count must lie in [1, {n - 1}], got {k}")
+    N, n = int(levels), int(parties)
+    if N < 2 or n < 2:
+        raise ValidationError("need at least two levels and two parties")
+    k = _conditioned(n, conditioned_parties)
     numerator = N**n - N**k
     denominator = N**k * (N**n - 1) - N**n * (N**(k - 1) - 1)
     return numerator / denominator

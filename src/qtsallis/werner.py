@@ -86,15 +86,15 @@ def joint_spectrum(params: WernerParams) -> Spectrum:
 
     The GHZ projector lifts a single eigenvalue to
     (1 + (N**n - 1) x) / N**n; the remaining N**n - 1 directions stay at
-    the background value (1 - x) / N**n.  At x = 0 the two levels merge
-    into the maximally mixed spectrum; at x = 1 the zero level is kept
-    with its full multiplicity.
+    the background value (1 - x) / N**n.  Only exact ties merge (x = 0,
+    the maximally mixed spectrum), however close the levels; at x = 1 the
+    zero level is kept with its full multiplicity.
     """
     dim = params.total_dim
     x = params.mixing
     top = (1.0 + (dim - 1) * x) / dim
     background = (1.0 - x) / dim
-    return Spectrum(tuple(merge_levels([(top, 1), (background, dim - 1)])))
+    return Spectrum(tuple(merge_levels([(top, 1), (background, dim - 1)], tol=0.0)))
 
 
 def marginal_spectrum(params: WernerParams, kept_parties: int) -> Spectrum:
@@ -105,8 +105,8 @@ def marginal_spectrum(params: WernerParams, kept_parties: int) -> Spectrum:
     eigenvalue (1 + (N**(m-1) - 1) x) / N**m with multiplicity N, and
     (1 - x) / N**m on the remaining N**m - N directions.  For m = 1 the
     spikes absorb everything and the marginal is maximally mixed at every
-    x.  The form for intermediate m is certified against the dense oracle
-    (see the verification module).
+    x.  Only exact ties merge.  The form for intermediate m is certified
+    against the dense oracle (see the verification module).
     """
     m = int(kept_parties)
     if not 1 <= m <= params.parties - 1:
@@ -117,7 +117,7 @@ def marginal_spectrum(params: WernerParams, kept_parties: int) -> Spectrum:
     spike = (1.0 + (params.levels ** (m - 1) - 1) * x) / reduced_dim
     background = (1.0 - x) / reduced_dim
     pairs = [(spike, params.levels), (background, reduced_dim - params.levels)]
-    return Spectrum(tuple(merge_levels(pairs)))
+    return Spectrum(tuple(merge_levels(pairs, tol=0.0)))
 
 
 def conditional_entropy_closed(params: WernerParams, q) -> float:

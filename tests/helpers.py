@@ -1,5 +1,6 @@
 """Shared random-object generators for the test suite."""
 
+import mpmath
 import numpy as np
 
 from qtsallis import DensityMatrix, JointDist, ProbDist, SeparableDecomposition
@@ -34,3 +35,45 @@ def shannon(p):
     p = np.asarray(p, dtype=float)
     live = p[p > 0]
     return float(-(live * np.log(live)).sum())
+
+
+def mp_spectra(levels, parties, k, x):
+    """The paper's two-level joint spectrum and that of the marginal on k
+    parties, as (eigenvalue, multiplicity) pairs in mpmath."""
+    x = mpmath.mpf(x)
+    dim, reduced, spike = levels ** parties, levels ** k, levels ** (k - 1)
+    joint = [((1 + (dim - 1) * x) / dim, 1), ((1 - x) / dim, dim - 1)]
+    marginal = [((1 + (spike - 1) * x) / reduced, levels),
+                ((1 - x) / reduced, reduced - levels)]
+    return joint, marginal
+
+
+def mp_log_trace(spectrum, q):
+    return mpmath.log(mpmath.fsum(m * mpmath.power(v, q) for v, m in spectrum if m and v > 0))
+
+
+def mp_von_neumann(spectrum):
+    return -mpmath.fsum(m * v * mpmath.log(v) for v, m in spectrum if m and v > 0)
+
+
+def mp_conditional_renyi(levels, parties, k, q, x):
+    """Order-q Renyi conditional entropy (q != 1) of the family member at
+    mixing weight x given k parties, at the working precision.  It has the
+    sign of the order-q conditional entropy."""
+    joint, marginal = mp_spectra(levels, parties, k, x)
+    return (mp_log_trace(joint, q) - mp_log_trace(marginal, q)) / (1 - mpmath.mpf(q))
+
+
+def mp_threshold(levels, parties, k, q, steps=80):
+    """Root of :func:`mp_conditional_renyi` in x, bisected in log x over
+    [x_inf(k), 1] at the working precision."""
+    dim, reduced, spike = levels ** parties, levels ** k, levels ** (k - 1)
+    x_inf = mpmath.mpf(dim - reduced) / (reduced * (dim - 1) - dim * (spike - 1))
+    lo, hi = mpmath.log(x_inf), mpmath.mpf(0)
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if mp_conditional_renyi(levels, parties, k, q, mpmath.exp(mid)) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return mpmath.exp((lo + hi) / 2)

@@ -120,6 +120,13 @@ def test_entropy_expansible(p, q):
     assert abs(tsallis_entropy(padded, q) - tsallis_entropy(p, q)) <= 1e-15
 
 
+def test_entropy_expansible_when_sum_rounds():
+    # numpy's pairwise sum of these rounds differently with one more zero
+    p = np.array([0.0] + [1 / 6] * 6)
+    padded = np.append(p, 0.0)
+    assert abs(tsallis_entropy(padded, 0.875) - tsallis_entropy(p, 0.875)) <= 1e-15
+
+
 # -- escort -------------------------------------------------------------
 
 def test_escort_uniform_fixed_point():

@@ -2,9 +2,11 @@
 
 import json
 
+import mpmath
 import pytest
 
 from qtsallis.cli import format_scalar, main
+from helpers import mp_threshold
 
 
 def run(capsys, argv):
@@ -22,6 +24,9 @@ def run(capsys, argv):
     (0.0, "0"),
     (-1.0, "-1"),
     (10000.0, "10000"),
+    (1e16, "10000000000000000"),
+    (1.5e15, "1500000000000000"),
+    (-5.16041443326932e15, "-5160414433269320"),
 ])
 def test_format_scalar(value, text):
     assert format_scalar(value) == text
@@ -132,6 +137,20 @@ def test_sweep_json_format(capsys):
     rows = json.loads(out)
     assert [set(row) for row in rows] == [{"q", "x_star", "converged"}] * 5
     assert rows[-1]["x_star"] == pytest.approx(1 / 3, abs=5e-3)
+
+
+def test_sweep_converged_below_dense_scale(capsys):
+    code, out, _ = run(capsys, ["sweep", "--N", "2", "--n", "40",
+                                "--q-min", "3", "--q-max", "1e6",
+                                "--q-points", "4", "--log-scale"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 4
+    assert all(row[2] == "true" for row in rows)
+    with mpmath.workdps(50):
+        for q, x_star, _ in rows:
+            expected = float(mp_threshold(2, 40, 39, float(q)))
+            assert float(x_star) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_sweep_to_file(tmp_path, capsys):

@@ -2,14 +2,36 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtsallis import (MonotonicityError, ValidationError, WernerParams,
                       asymptotic_threshold, asymptotic_threshold_block,
                       conditional_entropy_closed, entropy_sign, oracle_marginal,
                       spectrum_of, threshold_curve, threshold_for_q,
                       von_neumann, werner_density)
+from helpers import mp_threshold
+
+
+def _max_levels(parties):
+    """Largest N with N**parties < 2**63."""
+    levels = int(2 ** (63 / parties))
+    while levels ** parties >= 2**63:
+        levels -= 1
+    while (levels + 1) ** parties < 2**63:
+        levels += 1
+    return levels
+
+
+#: (N, n, k) over the whole domain N**n < 2**63, k in 1..n-1.
+families = st.integers(2, 62).flatmap(lambda parties: st.tuples(
+    st.integers(2, _max_levels(parties)), st.just(parties), st.integers(1, parties - 1)))
+#: Log-uniform q over [0.1, 1e6], away from the cancellation next to q = 1.
+orders = st.floats(math.log(0.1), math.log(1e6)).map(math.exp) \
+    .filter(lambda q: abs(q - 1.0) > 1e-6)
 
 
 # -- entropy_sign --------------------------------------------------------
@@ -91,6 +113,47 @@ def test_threshold_bracket_properties():
         below = entropy_sign(WernerParams(2, 3, point.x_star - 1e-9), q)
         above = entropy_sign(WernerParams(2, 3, point.x_star + 1e-9), q)
         assert below != above or 0 in (below, above)
+
+
+# -- roots beyond dense scale --------------------------------------------
+
+@pytest.mark.parametrize("q", [3.0, 1e4, 1e6])
+@pytest.mark.parametrize("parties", [30, 40, 62])
+def test_threshold_tiny_roots_match_arbitrary_precision(parties, q):
+    point = threshold_for_q(2, parties, q)
+    assert point.x_star >= asymptotic_threshold(2, parties)
+    with mpmath.workdps(50):
+        expected = float(mp_threshold(2, parties, parties - 1, q))
+    assert point.x_star == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@given(families, orders)
+@settings(deadline=None)
+def test_threshold_never_below_large_q_bound(family, q):
+    levels, parties, k = family
+    point = threshold_for_q(levels, parties, q, conditioned_parties=k)
+    assert point.x_star is not None
+    assert point.x_star >= asymptotic_threshold_block(levels, parties, k) * (1 - 1e-12)
+    assert point.bracket_width <= 1e-13 * point.x_star
+
+
+@given(families, orders.filter(lambda q: abs(q - 1.0) >= 0.1))
+@settings(deadline=None, max_examples=40)
+def test_threshold_matches_arbitrary_precision_root(family, q):
+    levels, parties, k = family
+    point = threshold_for_q(levels, parties, q, conditioned_parties=k)
+    with mpmath.workdps(50):
+        expected = float(mp_threshold(levels, parties, k, q))
+    assert point.x_star == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@given(families, st.lists(orders, min_size=2, max_size=6, unique=True))
+@settings(deadline=None)
+def test_curve_never_rises(family, qs):
+    levels, parties, _ = family
+    curve = threshold_curve(levels, parties, sorted(qs))  # raises if it rises
+    xs = [point.x_star for point in curve.points]
+    assert all(b <= a * (1 + 1e-8) for a, b in zip(xs, xs[1:]))
 
 
 # -- threshold_curve -----------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,6 +12,7 @@ from qtsallis import (CapacityError, ValidationError, WernerParams,
                       ghz_vector, joint_spectrum, marginal_spectrum,
                       quantum_conditional, spectrum_of, tsallis_entropy,
                       werner_density)
+from helpers import mp_log_trace, mp_spectra, mp_von_neumann
 
 X_GRID = tuple(t / 10 for t in range(11))
 Q_GRID = (0.5, 1.0, 2.0, 5.0, 20.0)
@@ -134,6 +136,23 @@ def test_joint_spectrum_normalized_beyond_dense_scale():
     spec = joint_spectrum(WernerParams(2, 40, 0.3))  # dim ~ 1e12
     weight = sum(v * m for v, m in spec.levels)
     assert weight == pytest.approx(1.0, abs=1e-12)
+
+
+def test_spectra_keep_close_levels_apart():
+    # the two levels differ by 5e-10, less than the dense merge tolerance
+    params = WernerParams(2, 30, 5e-10)
+    assert [m for _, m in joint_spectrum(params).levels] == [1, 2**30 - 1]
+    assert [m for _, m in marginal_spectrum(params, 29).levels] == [2, 2**29 - 2]
+    with mpmath.workdps(50):
+        joint, marginal = mp_spectra(2, 30, 29, 5e-10)
+        for q in (0.5, 1.0, 3.0):
+            if q == 1.0:
+                expected = mp_von_neumann(joint) - mp_von_neumann(marginal)
+            else:
+                ratio = mpmath.exp(mp_log_trace(joint, q) - mp_log_trace(marginal, q))
+                expected = (ratio - 1) / (1 - q)
+            assert conditional_entropy_block(params, 29, q) == pytest.approx(
+                float(expected), rel=1e-12, abs=0)
 
 
 # -- marginal_spectrum ---------------------------------------------------
