@@ -17,8 +17,7 @@ from .quantum import (DensityMatrix, SeparableDecomposition, Spectrum,
                       partial_trace, quantum_conditional,
                       separable_conditional_direct, separable_state,
                       spectrum_of)
-from .werner import (WernerParams, conditional_entropy_block,
-                     conditional_entropy_closed, joint_spectrum,
+from .werner import (WernerParams, conditional_entropy_block, joint_spectrum,
                      marginal_spectrum, werner_density)
 
 #: Per-level eigenvalue and per-entropy agreement bound for closed forms.
@@ -155,8 +154,9 @@ def verify_family(params_grid, q_grid) -> VerificationReport:
     For every family member: the joint spectrum and each marginal spectrum
     (all block sizes) are compared level by level; for every order q, each
     block conditional entropy is compared against the ratio form evaluated
-    on the oracle spectra.  All comparisons use ``AGREEMENT_TOL`` on the
-    magnitude-scaled deviation of :func:`_deviation`.
+    on the oracle spectra (k = n - 1 also certifies the identical
+    ``conditional_entropy_closed``).  All comparisons use ``AGREEMENT_TOL``
+    on the magnitude-scaled deviation of :func:`_deviation`.
     """
     rows: list[Comparison] = []
     for params in params_grid:
@@ -179,13 +179,6 @@ def verify_family(params_grid, q_grid) -> VerificationReport:
                 rows.append(Comparison(
                     case, f"conditional_entropy_block[k={k},q={q:g}]",
                     closed, oracle_value, dev, dev <= AGREEMENT_TOL))
-            closed = conditional_entropy_closed(params, q)
-            oracle_value = quantum_conditional(
-                oracle_joint, oracle_marginals[params.parties - 1], q)
-            dev = _deviation(closed, oracle_value)
-            rows.append(Comparison(
-                case, f"conditional_entropy_closed[q={q:g}]",
-                closed, oracle_value, dev, dev <= AGREEMENT_TOL))
     return VerificationReport(tuple(rows))
 
 

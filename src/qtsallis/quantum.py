@@ -9,7 +9,7 @@ spectra whose q-traces are evaluated in the log domain, so extreme orders
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,7 @@ TRACE_TOL = 1e-12
 
 def _eigenvalues(matrix: np.ndarray) -> np.ndarray:
     try:
-        return np.linalg.eigvalsh(matrix)
+        return np.linalg.eigvalsh(matrix if matrix.imag.any() else matrix.real)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
 
@@ -41,13 +41,16 @@ class DensityMatrix:
 
     Entries are stored complex even when real, so arbitrary test states
     are representable.  Construction validates every invariant, including
-    positivity via a full eigendecomposition; this type is meant for
-    cross-check scale (side up to ``DENSE_DIM_CAP``), not production
-    entropy queries.
+    positivity via the state's one eigendecomposition, whose ascending,
+    read-only result is kept as ``eigenvalues`` (from the real symmetric
+    solver when every imaginary part is exactly zero, else the complex
+    Hermitian one).  This type is meant for cross-check scale (side up to
+    ``DENSE_DIM_CAP``), not production entropy queries.
     """
 
     dims: tuple[int, ...]
     entries: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         dims = tuple(int(d) for d in self.dims)
@@ -66,13 +69,15 @@ class DensityMatrix:
         trace = complex(np.trace(entries))
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace is {trace!r}, expected 1")
-        smallest = float(_eigenvalues(entries)[0])
-        if smallest < PSD_FLOOR:
-            raise ValidationError(
-                f"smallest eigenvalue {smallest} violates positive semidefiniteness")
+        eigenvalues = _eigenvalues(entries)
+        if eigenvalues[0] < PSD_FLOOR:
+            raise ValidationError(f"smallest eigenvalue {float(eigenvalues[0])} "
+                                  "violates positive semidefiniteness")
         entries.flags.writeable = False
+        eigenvalues.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
     @property
     def side(self) -> int:
@@ -137,14 +142,14 @@ def merge_levels(pairs, tol: float = SPECTRUM_MERGE_TOL) -> list[tuple[float, in
 
 
 def spectrum_of(rho: DensityMatrix) -> Spectrum:
-    """Degeneracy-aware spectrum via self-adjoint eigendecomposition.
+    """Degeneracy-aware spectrum from the eigenvalues ``rho`` computed at
+    construction, with no second eigendecomposition.
 
     Eigenvalues within ``SPECTRUM_MERGE_TOL`` of each other are merged into
     one level with summed multiplicity, so numerically split degeneracies
     match analytic multiplicities.
     """
-    values = _eigenvalues(rho.entries)
-    return Spectrum(tuple(merge_levels((float(v), 1) for v in values)))
+    return Spectrum(tuple(merge_levels((float(v), 1) for v in rho.eigenvalues)))
 
 
 def q_trace(spectrum: Spectrum, q) -> float:

@@ -20,8 +20,8 @@ from .werner import WernerParams
 
 #: Root refinement stops once the bracket is this narrow relative to x.
 ROOT_RTOL = 1e-13
-#: Allowed slack when checking that the boundary never rises with q.
-MONOTONE_TOL = 1e-9
+#: Allowed slack, relative to x, when checking that the boundary never rises with q.
+MONOTONE_RTOL = 1e-9
 #: 128 geometric points per scan or bracket cut: seven grids reach ROOT_RTOL.
 _STEPS = np.linspace(0.0, 1.0, 128)
 
@@ -136,18 +136,19 @@ def threshold_for_q(levels: int, parties: int, q,
 
 def _rises(points) -> list[tuple[ThresholdPoint, ThresholdPoint]]:
     """Consecutive located points, in the given order, where the boundary
-    rises by more than ``MONOTONE_TOL``."""
+    rises by more than ``MONOTONE_RTOL`` relative to the earlier point."""
     located = [point for point in points if point.x_star is not None]
-    return [(a, b) for a, b in zip(located, located[1:]) if b.x_star > a.x_star + MONOTONE_TOL]
+    return [(a, b) for a, b in zip(located, located[1:])
+            if b.x_star > a.x_star * (1 + MONOTONE_RTOL)]
 
 
 def threshold_curve(levels: int, parties: int, q_grid) -> ThresholdCurve:
     """Boundary points across a strictly increasing grid of orders.
 
     The located boundary must be non-increasing in q within
-    ``MONOTONE_TOL``; a violation raises MonotonicityError carrying the
-    offending pair of points.  The check is performed, never silently
-    enforced.
+    ``MONOTONE_RTOL`` relative to x; a violation raises MonotonicityError
+    carrying the offending pair of points.  The check is performed, never
+    silently enforced.
     """
     orders = [_as_index(q).q for q in q_grid]
     if not orders:

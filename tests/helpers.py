@@ -24,6 +24,19 @@ def random_density(rng, dims):
     return DensityMatrix(tuple(dims), m / np.trace(m))
 
 
+def record_eigvalsh(monkeypatch):
+    """Route np.linalg.eigvalsh through a recorder of its input matrices."""
+    seen = []
+    solver = np.linalg.eigvalsh
+
+    def recording(matrix):
+        seen.append(matrix)
+        return solver(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return seen
+
+
 def random_decomposition(rng, dim_a, dim_b, terms):
     weights = rng.uniform(size=terms)
     local_a = tuple(random_prob(rng, dim_a) for _ in range(terms))

@@ -9,6 +9,7 @@ import pytest
 from qtsallis import (ValidationError, WernerParams, joint_spectrum,
                       oracle_marginal, spectrum_of, verify_family,
                       verify_separable_witness, werner_density)
+from helpers import record_eigvalsh
 
 
 def test_marginal_matches_literal_pair_form():
@@ -51,6 +52,23 @@ def test_verify_family_small_grid_passes():
     report = verify_family(grid, (0.5, 1.0, 2.0))
     assert report.passed
     assert report.max_abs_dev <= 1e-10
+
+
+def test_verify_family_one_eigendecomposition_per_state(monkeypatch):
+    seen = record_eigvalsh(monkeypatch)
+    report = verify_family([WernerParams(2, 3, 0.4)], (0.5, 1.0, 2.0))
+    assert report.passed
+    assert [m.shape[0] for m in seen] == [8, 2, 4]  # joint, then marginals m = 1, 2
+    assert not any(np.iscomplexobj(m) for m in seen)
+
+
+def test_verify_family_rows_without_closed_duplicates():
+    orders = (0.5, 1.0, 2.0)
+    report = verify_family([WernerParams(2, 3, 0.4)], orders)
+    quantities = {c.quantity for c in report.comparisons}
+    assert not any(q.startswith("conditional_entropy_closed") for q in quantities)
+    for q in orders:
+        assert f"conditional_entropy_block[k=2,q={q:g}]" in quantities
 
 
 def test_verify_family_empty_grids_trivially_pass():

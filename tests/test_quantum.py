@@ -13,7 +13,7 @@ from qtsallis import (CapacityError, DensityMatrix, ProbDist,
                       separable_conditional_direct, separable_state,
                       spectrum_of, tensor_product, tsallis_entropy,
                       von_neumann, werner_density, WernerParams, ghz_vector)
-from helpers import random_decomposition, random_density
+from helpers import random_decomposition, random_density, record_eigvalsh
 
 
 def basis_projector(dim, k):
@@ -139,6 +139,30 @@ def test_spectrum_werner_paper_values():
     assert (tm, bm) == (1, 7)
     assert top == pytest.approx(0.475, abs=1e-12)
     assert bulk == pytest.approx(0.075, abs=1e-12)
+
+
+def test_eigenvalues_kept_from_validation_of_real_state(monkeypatch):
+    seen = record_eigvalsh(monkeypatch)
+    rho = werner_density(WernerParams(3, 3, 0.37))
+    spec = spectrum_of(rho)
+    assert len(seen) == 1 and not np.iscomplexobj(seen[0])
+    monkeypatch.undo()
+    npt.assert_allclose(rho.eigenvalues, np.linalg.eigvalsh(rho.entries),
+                        rtol=0, atol=1e-14)
+    assert not rho.eigenvalues.flags.writeable
+    assert spec.total_multiplicity == 27
+
+
+def test_complex_state_takes_complex_solver(monkeypatch):
+    seen = record_eigvalsh(monkeypatch)
+    rho = random_density(np.random.default_rng(7), (4,))
+    spec = spectrum_of(rho)
+    assert len(seen) == 1 and np.iscomplexobj(seen[0]) and seen[0].imag.any()
+    monkeypatch.undo()
+    direct = np.linalg.eigvalsh(rho.entries)[::-1]
+    assert [mult for _, mult in spec.levels] == [1, 1, 1, 1]
+    npt.assert_allclose([value for value, _ in spec.levels], direct,
+                        rtol=0, atol=1e-14)
 
 
 def test_merge_levels_folds_degenerate_values():

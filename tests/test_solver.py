@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtsallis import (MonotonicityError, ValidationError, WernerParams,
-                      asymptotic_threshold, asymptotic_threshold_block,
+from qtsallis import (MonotonicityError, ThresholdPoint, ValidationError,
+                      WernerParams, asymptotic_threshold, asymptotic_threshold_block,
                       conditional_entropy_closed, entropy_sign, oracle_marginal,
                       spectrum_of, threshold_curve, threshold_for_q,
                       von_neumann, werner_density)
+from qtsallis.solver import _rises
 from helpers import mp_threshold
 
 
@@ -181,6 +182,14 @@ def test_curve_convergence_from_above():
                 for q in (10.0, 100.0, 1e3, 1e4)]
         assert all(g > 0 for g in gaps)
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+
+def test_rise_detected_below_absolute_tolerance():
+    # roots of families with N**n beyond about 2**30 sit below 1e-9
+    low = ThresholdPoint(2.0, 1e-12, 0.0, 1)
+    high = ThresholdPoint(3.0, 1e-10, 0.0, 1)
+    assert _rises([low, high]) == [(low, high)]
+    assert _rises([low, ThresholdPoint(3.0, 1e-12 * (1 + 1e-12), 0.0, 1)]) == []
 
 
 def test_monotonicity_error_carries_pair():
