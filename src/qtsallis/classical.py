@@ -216,8 +216,12 @@ def conditional_entropy_ratio(joint: JointDist, q) -> float:
     qi = _as_index(q)
     if joint.subsystems() != 2:
         raise ValidationError("joint distribution must have exactly two subsystems")
-    s_joint = _entropy_of(joint.p, qi)
-    s_first = _entropy_of(joint.array.sum(axis=1), qi)
+    return _ratio_form(_entropy_of(joint.p, qi), _entropy_of(joint.array.sum(axis=1), qi), qi)
+
+
+def _ratio_form(s_joint: float, s_first: float, qi: EntropicIndex) -> float:
+    """[s_joint - s_first] / [1 + (1 - q) s_first], the plain difference at
+    the limit point; a denominator below ``DENOM_FLOOR`` raises."""
     if qi.is_limit_point:
         return s_joint - s_first
     denom = 1.0 + (1.0 - qi.q) * s_first
@@ -283,15 +287,7 @@ def tripartite_chain(joint: JointDist, q) -> ChainDecomposition:
         compose_pseudoadditive(s_c, s_b_given_c, qi), s_a_given_bc, qi)
     residual = abs(s_abc - chained)
 
-    folded = compose_pseudoadditive(s_c, s_a_given_bc, qi)
-    if qi.is_limit_point:
-        recovered = s_abc - folded
-    else:
-        denom = 1.0 + (1.0 - qi.q) * folded
-        if abs(denom) < DENOM_FLOOR:
-            raise SingularityError(
-                "conditioning denominator 1 + (1 - q) S_q underflowed to zero")
-        recovered = (s_abc - folded) / denom
+    recovered = _ratio_form(s_abc, compose_pseudoadditive(s_c, s_a_given_bc, qi), qi)
     if abs(recovered - s_b_given_c) > CHAIN_TOL:
         raise NumericalError(
             f"chain inversion drifted: S_q(B|C) direct {s_b_given_c!r} "

@@ -102,8 +102,7 @@ def _cmd_entropy(args) -> int:
     else:
         raw_levels, raw_parties, mixing = _parse_floats(args.werner, 3)
         params = WernerParams(int(raw_levels), int(raw_parties), mixing)
-        conditioned = params.parties - 1 if args.condition_on is None else args.condition_on
-        value = conditional_entropy_block(params, conditioned, args.q)
+        value = conditional_entropy_block(params, args.condition_on, args.q)
     print(format_scalar(value, args.sci))
     return 0
 
@@ -150,12 +149,7 @@ def _cmd_verify(args) -> int:
     family = verify_family(default_family_grid(args.max_dim), default_order_grid())
     witness = verify_separable_witness(1000, args.seed)
     rows = family.to_json_obj() + witness.to_json_obj()
-    text = json.dumps(rows, indent=2) + "\n"
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(rows, indent=2) + "\n", args.json)
     return 0 if family.passed and witness.passed else 1
 
 

@@ -17,8 +17,8 @@ from .quantum import (DensityMatrix, SeparableDecomposition, Spectrum,
                       partial_trace, quantum_conditional,
                       separable_conditional_direct, separable_state,
                       spectrum_of)
-from .werner import (WernerParams, conditional_entropy_block, joint_spectrum,
-                     marginal_spectrum, werner_density)
+from .werner import (WernerParams, _ghz_indices, conditional_entropy_block,
+                     joint_spectrum, marginal_spectrum, werner_density)
 
 #: Per-level eigenvalue and per-entropy agreement bound for closed forms.
 AGREEMENT_TOL = 1e-10
@@ -92,10 +92,9 @@ class VerificationReport:
 def _ghz_projector_sum(levels: int, parties: int) -> np.ndarray:
     """sum_k |k...k><k...k| on ``parties`` subsystems, as a dense matrix."""
     dim = levels ** parties
-    step = (dim - 1) // (levels - 1)
     out = np.zeros((dim, dim), dtype=complex)
-    for k in range(levels):
-        out[k * step, k * step] = 1.0
+    indices = _ghz_indices(levels, parties)
+    out[indices, indices] = 1.0
     return out
 
 
@@ -153,10 +152,10 @@ def verify_family(params_grid, q_grid) -> VerificationReport:
 
     For every family member: the joint spectrum and each marginal spectrum
     (all block sizes) are compared level by level; for every order q, each
-    block conditional entropy is compared against the ratio form evaluated
-    on the oracle spectra (k = n - 1 also certifies the identical
-    ``conditional_entropy_closed``).  All comparisons use ``AGREEMENT_TOL``
-    on the magnitude-scaled deviation of :func:`_deviation`.
+    block conditional entropy (from the closed-form log q-traces) is
+    compared against the ratio form that ``quantum_conditional`` evaluates
+    on the oracle spectra.  All comparisons use ``AGREEMENT_TOL`` on the
+    magnitude-scaled deviation of :func:`_deviation`.
     """
     rows: list[Comparison] = []
     for params in params_grid:

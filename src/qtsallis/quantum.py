@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import ProbDist, _as_index, _as_prob, tsallis_entropy
-from .errors import (CapacityError, NumericalError, SingularityError,
-                     ValidationError)
+from .classical import ProbDist, _as_index, _as_prob, _conditional_from_matrix
+from .errors import CapacityError, NumericalError, ValidationError
 
 #: Dense objects larger than this total dimension are refused.
 DENSE_DIM_CAP = 4096
@@ -275,19 +274,23 @@ class SeparableDecomposition:
         return len(self.local_b[0])
 
 
-def separable_state(decomposition: SeparableDecomposition) -> DensityMatrix:
-    """Dense density matrix of the mixture (diagonal by construction)."""
-    w = decomposition.weights.p
+def _mixture_joint(decomposition: SeparableDecomposition) -> np.ndarray:
+    """Joint distribution sum_l w_l r_l(a) s_l(b) of the mixture, rows a."""
     first = np.array([r.p for r in decomposition.local_a])
     second = np.array([s.p for s in decomposition.local_b])
-    joint = np.einsum("l,la,lb->ab", w, first, second)
+    return np.einsum("l,la,lb->ab", decomposition.weights.p, first, second)
+
+
+def separable_state(decomposition: SeparableDecomposition) -> DensityMatrix:
+    """Dense density matrix of the mixture (diagonal by construction)."""
+    joint = _mixture_joint(decomposition)
     dims = (decomposition.dim_a, decomposition.dim_b)
     return DensityMatrix(dims, np.diag(joint.reshape(-1)).astype(complex))
 
 
 def separable_conditional_direct(decomposition: SeparableDecomposition, q) -> float:
     """Conditional entropy of the second subsystem given the first,
-    evaluated directly on the mixture weights.
+    evaluated directly on the mixture's joint distribution.
 
     The first-subsystem mass m(a) = sum_l w_l r_l(a) builds the escort
     weights; each slice pi(b|a) = sum_l w_l r_l(a) s_l(b) / m(a)
@@ -295,22 +298,4 @@ def separable_conditional_direct(decomposition: SeparableDecomposition, q) -> fl
     Nonnegative for every valid decomposition, matching the classical
     conditional entropy's behavior.
     """
-    qi = _as_index(q)
-    w = decomposition.weights.p
-    first = np.array([r.p for r in decomposition.local_a])
-    second = np.array([s.p for s in decomposition.local_b])
-    mass = w @ first
-    support = np.nonzero(mass > 0.0)[0]
-    if qi.is_limit_point:
-        weights = mass[support]
-    else:
-        powers = mass[support] ** qi.q
-        total = powers.sum()
-        if not total > 0.0:
-            raise SingularityError("escort weights underflowed to zero")
-        weights = powers / total
-    acc = 0.0
-    for weight, a in zip(weights, support):
-        slice_b = (w * first[:, a]) @ second / mass[a]
-        acc += weight * tsallis_entropy(slice_b, qi)
-    return float(acc)
+    return _conditional_from_matrix(_mixture_joint(decomposition), _as_index(q))

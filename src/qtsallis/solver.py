@@ -4,7 +4,9 @@ Finds where the conditional entropy of one party given the rest changes
 sign as a function of the mixing weight, tracks that boundary across the
 entropy order q, and evaluates its exact large-q limit.  A vanishing
 conditional entropy marks the edge of the classically correlated regime;
-below the large-q limit the state is separable.
+below the large-q limit the state is separable.  Signs come from the
+family's closed-form log q-traces in :mod:`qtsallis.werner`, the same
+arrays that give its conditional entropy values.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .classical import EntropicIndex, _as_index
 from .errors import MonotonicityError, ValidationError
-from .werner import WernerParams
+from .werner import WernerParams, _conditioned, _log_trace_gap
 
 #: Root refinement stops once the bracket is this narrow relative to x.
 ROOT_RTOL = 1e-13
@@ -51,41 +53,11 @@ class ThresholdCurve:
     points: tuple[ThresholdPoint, ...]
 
 
-def _conditional_renyi(levels: int, parties: int, k: int, qi: EntropicIndex,
-                       x: np.ndarray) -> np.ndarray:
-    """Renyi conditional entropy H_q(rho) - H_q(rho_k) of the family at each
-    mixing weight in ``x``, given k parties (von Neumann at the limit point).
-
-    It has the sign of the order-q conditional entropy: both are 1 / (1 - q)
-    times an increasing function of ln Tr rho**q - ln Tr rho_k**q vanishing
-    at 0.  The two-level spectra give, with a, s, b = log1p((N**n - 1) x),
-    log1p((N**(k-1) - 1) x), log1p(-x), overflow-free forms for q to 1e6:
-        ln Tr rho**q   = -q n ln N + logaddexp(q a, ln(N**n - 1) + q b)
-        ln Tr rho_k**q = -q k ln N + logaddexp(ln N + q s, ln(N**k - N) + q b)
-    """
-    dim, spike = levels**parties, levels ** (k - 1)
-    log_levels = math.log(levels)
-    log_rest = -math.inf if k == 1 else math.log(levels**k - levels)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.log1p((dim - 1) * x)
-        s = np.log1p((spike - 1) * x)
-        b = np.log1p(-x)
-        if qi.is_limit_point:
-            # -sum(m v ln v) on each side; the background terms share (1 - x) b.
-            return ((parties - k) * log_levels - (1.0 + (dim - 1) * x) * a / dim
-                    + (1.0 + (spike - 1) * x) * s / spike
-                    + (1.0 / dim - 1.0 / spike) * np.where(x < 1.0, (1.0 - x) * b, 0.0))
-        q = qi.q
-        joint = np.logaddexp(q * a, math.log(dim - 1) + q * b)
-        marginal = np.logaddexp(log_levels + q * s, log_rest + q * b)
-    return (joint - marginal - q * (parties - k) * log_levels) / (1.0 - q)
-
-
-def _conditioned(parties: int, conditioned_parties: int | None) -> int:
-    k = parties - 1 if conditioned_parties is None else int(conditioned_parties)
-    if not 1 <= k <= parties - 1:
-        raise ValidationError(f"conditioned party count must lie in [1, {parties - 1}], got {k}")
-    return k
+def _signs(levels: int, parties: int, k: int, qi: EntropicIndex, x: np.ndarray) -> np.ndarray:
+    """Signs of the conditional entropy at each mixing weight in ``x``:
+    expm1(gap) / (1 - q) has the sign of the gap times that of 1 - q."""
+    signs = np.sign(_log_trace_gap(levels, parties, k, qi, x))
+    return -signs if qi.q > 1.0 and not qi.is_limit_point else signs
 
 
 def entropy_sign(params: WernerParams, q, conditioned_parties: int | None = None) -> int:
@@ -94,7 +66,7 @@ def entropy_sign(params: WernerParams, q, conditioned_parties: int | None = None
     so it holds at any q; 0 means an exact zero."""
     k = _conditioned(params.parties, conditioned_parties)
     x = np.array([params.mixing])
-    return int(np.sign(_conditional_renyi(params.levels, params.parties, k, _as_index(q), x)[0]))
+    return int(_signs(params.levels, params.parties, k, _as_index(q), x)[0])
 
 
 def threshold_for_q(levels: int, parties: int, q,
@@ -111,12 +83,12 @@ def threshold_for_q(levels: int, parties: int, q,
     family = WernerParams(levels, parties, 0.0)  # validates N, n and N**n
     N, n = family.levels, family.parties
     k = _conditioned(n, conditioned_parties)
-    lo, hi = asymptotic_threshold_block(N, n, k), 1.0
+    lo, hi = asymptotic_threshold(N, n, k), 1.0
     ends = None  # signs at lo and hi once a bracket is known
     while True:
         xs = lo * np.exp(math.log1p((hi - lo) / lo) * _STEPS)
         xs[-1] = hi
-        signs = np.sign(_conditional_renyi(N, n, k, qi, xs))
+        signs = _signs(N, n, k, qi, xs)
         if ends is None:
             nonzero = signs[signs != 0]
             changes = int(np.count_nonzero(signs == 0)
@@ -165,39 +137,27 @@ def threshold_curve(levels: int, parties: int, q_grid) -> ThresholdCurve:
     return ThresholdCurve(int(levels), int(parties), points)
 
 
-def asymptotic_threshold(levels: int, parties: int) -> float:
-    """Exact large-q limit of the boundary.
+def asymptotic_threshold(levels: int, parties: int,
+                         conditioned_parties: int | None = None) -> float:
+    """Exact large-q limit of the boundary when conditioning on
+    k = ``conditioned_parties`` parties (None means n - 1).
 
     For q -> infinity each log q-trace is dominated by its largest
-    eigenvalue, so the conditional entropy (conditioning on n - 1 parties)
-    vanishes where the dominant joint and marginal eigenvalues coincide:
-
-        (1 + (N**n - 1) x) / N**n  =  (1 + (N**(n-2) - 1) x) / N**(n-1)
-
-    Cross-multiplying gives a linear equation in x,
-
-        x * [N**(n-1) (N**n - 1) - N**n (N**(n-2) - 1)] = N**n - N**(n-1),
-
-    whose solution simplifies to 1 / (1 + N**(n-1)): the denominator
-    factors as N**(n-1) (N - 1) (N**(n-1) + 1) against the numerator
-    N**(n-1) (N - 1).  Below this value the state is separable.  The
-    linear form is evaluated in exact integer arithmetic up to the final
-    division.
-    """
-    return asymptotic_threshold_block(levels, parties, int(parties) - 1)
-
-
-def asymptotic_threshold_block(levels: int, parties: int, conditioned_parties: int) -> float:
-    """Large-q boundary when conditioning on only ``conditioned_parties``.
-
-    Same dominant-eigenvalue equality as :func:`asymptotic_threshold`, with
-    the marginal over k = conditioned_parties parties:
+    eigenvalue, so the conditional entropy vanishes where the dominant
+    joint and marginal eigenvalues coincide:
 
         (1 + (N**n - 1) x) / N**n  =  (1 + (N**(k-1) - 1) x) / N**k
 
-    Conditioning on fewer parties yields a weaker (larger) bound; the
-    value coincides with :func:`asymptotic_threshold` at k = n - 1, which
-    is the strongest choice.
+    Cross-multiplying gives a linear equation in x,
+
+        x * [N**k (N**n - 1) - N**n (N**(k-1) - 1)] = N**n - N**k,
+
+    evaluated in exact integer arithmetic up to the final division.  At
+    k = n - 1, the strongest choice, the solution simplifies to
+    1 / (1 + N**(n-1)): the denominator factors as
+    N**(n-1) (N - 1) (N**(n-1) + 1) against the numerator N**(n-1) (N - 1).
+    Below this value the state is separable.  Conditioning on fewer parties
+    yields a weaker (larger) bound.
     """
     N, n = int(levels), int(parties)
     if N < 2 or n < 2:

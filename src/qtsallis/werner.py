@@ -3,7 +3,9 @@
 States interpolate between the maximally mixed state and the projector
 onto the n-party GHZ vector.  Joint and marginal spectra are available in
 closed form with exact integer multiplicities, which keeps every entropy
-query tractable far beyond dense-matrix scale.
+query tractable far beyond dense-matrix scale.  Every family entropy, its
+value as well as its sign, comes from one log-domain form of the two-level
+q-traces (``_log_trace_gap``), evaluated by numpy on arrays of x.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import _as_index
+from .classical import EntropicIndex, _as_index
 from .errors import CapacityError, ValidationError
-from .quantum import (DENSE_DIM_CAP, DensityMatrix, Spectrum, merge_levels,
-                      quantum_conditional)
+from .quantum import DENSE_DIM_CAP, DensityMatrix, Spectrum, merge_levels
 
 #: Exact multiplicity bookkeeping requires N**n to fit a signed 64-bit int.
 MULTIPLICITY_CAP = 2**63 - 1
@@ -64,9 +65,14 @@ def ghz_vector(levels: int, parties: int) -> np.ndarray:
     if dim > DENSE_DIM_CAP:
         raise CapacityError(f"dense dimension {dim} exceeds the cap of {DENSE_DIM_CAP}")
     vec = np.zeros(dim)
-    step = (dim - 1) // (levels - 1)  # 1 + N + ... + N**(parties-1)
-    vec[np.arange(levels) * step] = 1.0 / math.sqrt(levels)
+    vec[_ghz_indices(levels, parties)] = 1.0 / math.sqrt(levels)
     return vec
+
+
+def _ghz_indices(levels: int, parties: int) -> np.ndarray:
+    """Flat indices of the all-equal multi-indices (k, k, ..., k)."""
+    step = (levels ** parties - 1) // (levels - 1)  # 1 + N + ... + N**(parties-1)
+    return np.arange(levels) * step
 
 
 def werner_density(params: WernerParams) -> DensityMatrix:
@@ -120,20 +126,81 @@ def marginal_spectrum(params: WernerParams, kept_parties: int) -> Spectrum:
     return Spectrum(tuple(merge_levels(pairs, tol=0.0)))
 
 
-def conditional_entropy_closed(params: WernerParams, q) -> float:
-    """Conditional entropy of one party given the other n - 1, from the
-    closed-form spectra.  Log-domain evaluation keeps this stable for
-    extreme q; see :func:`qtsallis.quantum.quantum_conditional` for the
-    overflow behavior far from the entropy zero."""
-    return conditional_entropy_block(params, params.parties - 1, q)
+def _conditioned(parties: int, conditioned_parties: int | None) -> int:
+    k = parties - 1 if conditioned_parties is None else int(conditioned_parties)
+    if not 1 <= k <= parties - 1:
+        raise ValidationError(f"conditioned party count must lie in [1, {parties - 1}], got {k}")
+    return k
 
 
-def conditional_entropy_block(params: WernerParams, conditioned_parties: int, q) -> float:
+def _log_trace_gap(levels: int, parties: int, k: int, qi: EntropicIndex,
+                   x: np.ndarray) -> np.ndarray:
+    """ln Tr rho**q - ln Tr rho_k**q of the family at each mixing weight in
+    ``x``, given k parties; at the limit point, the von Neumann difference
+    S(rho) - S(rho_k).  The conditional entropy is expm1(gap) / (1 - q).
+
+    The spectra are those of :func:`joint_spectrum` and
+    :func:`marginal_spectrum`.  Far from q = 1 each trace is a logaddexp
+    over levels of ln(multiplicity) + q ln(eigenvalue), which never
+    exponentiates.  Where |q - 1| ln N**n <= 1 those terms, of size
+    q ln N**n, would cancel down to |q - 1| ln N**n; there each trace is
+    log1p(sum w expm1((q - 1) ln(eigenvalue))) over the weights
+    w = multiplicity * eigenvalue, which sum to 1: every term has the sign
+    of 1 - q, so nothing cancels.  The form depends on q and N**n alone.
+    """
+    dim, spike = levels ** parties, levels ** (k - 1)
+    log_levels = math.log(levels)
+    q = qi.q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # top = (1 + (N**n - 1) x) / N**n, peak = N times the spike of rho_k
+        top, peak = x * (1.0 - 1.0 / dim) + 1.0 / dim, x * (1.0 - 1.0 / spike) + 1.0 / spike
+        log_top, log_peak, log_rest = np.log(top), np.log(peak), np.log1p(-x)  # rest: 1 - x
+        if not qi.is_limit_point and abs(q - 1.0) * parties * log_levels > 1.0:
+            q_rest = q * log_rest
+            log_rest_count = -math.inf if k == 1 else math.log(levels ** k - levels)
+            joint = np.logaddexp(q * log_top,
+                                 q_rest + (math.log(dim - 1) - q * parties * log_levels))
+            marginal = np.logaddexp(q * log_peak + (1.0 - q) * log_levels,
+                                    q_rest + (log_rest_count - q * k * log_levels))
+            return joint - marginal
+        # (weight, ln eigenvalue) of the raised level and of the background;
+        # at x = 1 the background weight is 0 and a finite ln keeps it so
+        log_rest = np.where(x < 1.0, log_rest, 0.0)
+        rest = 1.0 - x
+        spectra = (((top, log_top),
+                    ((1.0 - 1.0 / dim) * rest, log_rest - parties * log_levels)),
+                   ((peak, log_peak - log_levels),
+                    ((1.0 - 1.0 / spike) * rest, log_rest - k * log_levels)))
+        if qi.is_limit_point:  # entropies -sum w ln(eigenvalue)
+            joint, marginal = (w_raised * log_raised + w_bg * log_bg
+                               for (w_raised, log_raised), (w_bg, log_bg) in spectra)
+            return marginal - joint
+        joint, marginal = (np.log1p(w_raised * np.expm1((q - 1.0) * log_raised)
+                                    + w_bg * np.expm1((q - 1.0) * log_bg))
+                           for (w_raised, log_raised), (w_bg, log_bg) in spectra)
+        return joint - marginal
+
+
+def conditional_entropy_block(params: WernerParams, conditioned_parties: int | None,
+                              q) -> float:
     """Conditional entropy of the leading block of parties given the
-    trailing ``conditioned_parties`` of them."""
-    k = int(conditioned_parties)
-    if not 1 <= k <= params.parties - 1:
-        raise ValidationError(
-            f"conditioned party count must lie in [1, {params.parties - 1}], got {k}")
+    trailing ``conditioned_parties`` of them (None means n - 1), in ratio
+    form from the closed-form spectra:
+
+        (1 / (1 - q)) * [Tr rho**q / Tr rho_k**q - 1],
+
+    the von Neumann difference at the q -> 1 limit point.  Returns +/-inf
+    if the trace ratio overflows the exponential range (extreme q far from
+    the entropy zero); :func:`qtsallis.solver.entropy_sign` holds there.
+    """
+    k = _conditioned(params.parties, conditioned_parties)
     qi = _as_index(q)
-    return quantum_conditional(joint_spectrum(params), marginal_spectrum(params, k), qi)
+    gap = float(_log_trace_gap(params.levels, params.parties, k, qi,
+                               np.array([params.mixing]))[0])
+    if qi.is_limit_point:
+        return gap
+    try:
+        grown = math.expm1(gap)
+    except OverflowError:
+        grown = math.inf
+    return grown / (1.0 - qi.q)

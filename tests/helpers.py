@@ -5,6 +5,12 @@ import numpy as np
 
 from qtsallis import DensityMatrix, JointDist, ProbDist, SeparableDecomposition
 
+#: Orders next to the limit point, on both sides, and the limit point itself.
+NEAR_ONE = (1.0,) + tuple(1.0 + sign * gap for gap in (1.5e-9, 1e-6, 1e-3, 1e-2)
+                          for sign in (-1, 1))
+#: (N, n, k) from dense scale up to N**n near 2**62.
+WIDE_FAMILIES = ((2, 3, 2), (5, 7, 3), (1000, 6, 5), (3, 39, 38), (2, 62, 61), (2, 62, 1))
+
 
 def random_prob(rng, size):
     v = rng.uniform(0.1, 1.0, size=size)
@@ -70,11 +76,23 @@ def mp_von_neumann(spectrum):
 
 
 def mp_conditional_renyi(levels, parties, k, q, x):
-    """Order-q Renyi conditional entropy (q != 1) of the family member at
-    mixing weight x given k parties, at the working precision.  It has the
-    sign of the order-q conditional entropy."""
+    """Order-q Renyi conditional entropy of the family member at mixing
+    weight x given k parties (von Neumann at q = 1), at the working
+    precision.  It has the sign of the order-q conditional entropy."""
     joint, marginal = mp_spectra(levels, parties, k, x)
+    if q == 1:
+        return mp_von_neumann(joint) - mp_von_neumann(marginal)
     return (mp_log_trace(joint, q) - mp_log_trace(marginal, q)) / (1 - mpmath.mpf(q))
+
+
+def mp_conditional(levels, parties, k, q, x):
+    """Order-q conditional entropy of the family member in ratio form,
+    (Tr rho**q / Tr rho_k**q - 1) / (1 - q) (von Neumann at q = 1), at the
+    working precision."""
+    joint, marginal = mp_spectra(levels, parties, k, x)
+    if q == 1:
+        return mp_von_neumann(joint) - mp_von_neumann(marginal)
+    return mpmath.expm1(mp_log_trace(joint, q) - mp_log_trace(marginal, q)) / (1 - mpmath.mpf(q))
 
 
 def mp_threshold(levels, parties, k, q, steps=80):

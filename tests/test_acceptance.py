@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from qtsallis import (JointDist, WernerParams, asymptotic_threshold,
-                      asymptotic_threshold_block, compose_pseudoadditive,
-                      conditional_entropy_closed, conditional_entropy_def,
-                      conditional_entropy_ratio, default_family_grid,
-                      default_order_grid, quantum_tsallis, spectrum_of,
+                      compose_pseudoadditive, conditional_entropy_block,
+                      conditional_entropy_def, conditional_entropy_ratio,
+                      default_family_grid, default_order_grid,
+                      quantum_tsallis, spectrum_of,
                       tensor_product, threshold_curve, threshold_for_q,
                       tripartite_chain, verify_family,
                       verify_separable_witness)
@@ -113,8 +113,8 @@ def test_criterion_6_classical_identities():
 
 def test_criterion_7_block_conditioning_dominance():
     with criterion("7 block conditioning dominance", 10.0):
-        assert asymptotic_threshold_block(2, 3, 1) == 3 / 7
-        assert asymptotic_threshold_block(2, 3, 1) > asymptotic_threshold(2, 3)
+        assert asymptotic_threshold(2, 3, 1) == 3 / 7
+        assert asymptotic_threshold(2, 3, 1) > asymptotic_threshold(2, 3)
         assert asymptotic_threshold(2, 3) == 0.2
         point = threshold_for_q(2, 3, 1e4, conditioned_parties=1)
         assert point.x_star == pytest.approx(3 / 7, abs=1e-3)
@@ -123,7 +123,7 @@ def test_criterion_7_block_conditioning_dominance():
 def test_criterion_8_limit_point_continuity():
     with criterion("8 q->1 continuity", 30.0):
         for params in default_family_grid():
-            at_one = conditional_entropy_closed(params, 1.0)
-            nearby = 0.5 * (conditional_entropy_closed(params, 1 - 1e-6)
-                            + conditional_entropy_closed(params, 1 + 1e-6))
+            at_one = conditional_entropy_block(params, None, 1.0)
+            nearby = 0.5 * (conditional_entropy_block(params, None, 1 - 1e-6)
+                            + conditional_entropy_block(params, None, 1 + 1e-6))
             assert at_one == pytest.approx(nearby, abs=1e-5)

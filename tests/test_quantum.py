@@ -13,6 +13,7 @@ from qtsallis import (CapacityError, DensityMatrix, ProbDist,
                       separable_conditional_direct, separable_state,
                       spectrum_of, tensor_product, tsallis_entropy,
                       von_neumann, werner_density, WernerParams, ghz_vector)
+from qtsallis import quantum
 from helpers import random_decomposition, random_density, record_eigvalsh
 
 
@@ -68,11 +69,17 @@ def test_tensor_product_random_invariants():
     assert prod.dims == (2, 3)  # constructor revalidates trace/PSD/hermiticity
 
 
-def test_tensor_product_capacity():
-    rng = np.random.default_rng(2)
-    big = random_density(rng, (64,))
+def test_tensor_product_capacity(monkeypatch):
+    # refused before the 8192-sided product is built
     with pytest.raises(CapacityError):
-        tensor_product(tensor_product(big, big), DensityMatrix((2,), np.eye(2) / 2))
+        tensor_product(DensityMatrix((64,), np.eye(64) / 64),
+                       DensityMatrix((128,), np.eye(128) / 128))
+    monkeypatch.setattr(quantum, "DENSE_DIM_CAP", 8)
+    rng = np.random.default_rng(2)
+    at_cap = tensor_product(random_density(rng, (2,)), random_density(rng, (4,)))
+    assert at_cap.dims == (2, 4)
+    with pytest.raises(CapacityError):
+        tensor_product(at_cap, DensityMatrix((2,), np.eye(2) / 2))
 
 
 # -- partial_trace -------------------------------------------------------

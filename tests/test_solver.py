@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtsallis import (MonotonicityError, ThresholdPoint, ValidationError,
-                      WernerParams, asymptotic_threshold, asymptotic_threshold_block,
-                      conditional_entropy_closed, entropy_sign, oracle_marginal,
+                      WernerParams, asymptotic_threshold, conditional_entropy_block,
+                      entropy_sign, oracle_marginal,
                       spectrum_of, threshold_curve, threshold_for_q,
                       von_neumann, werner_density)
+from qtsallis.classical import LIMIT_WINDOW
 from qtsallis.solver import _rises
-from helpers import mp_threshold
+from helpers import NEAR_ONE, WIDE_FAMILIES, mp_conditional_renyi, mp_threshold
 
 
 def _max_levels(parties):
@@ -30,9 +31,10 @@ def _max_levels(parties):
 #: (N, n, k) over the whole domain N**n < 2**63, k in 1..n-1.
 families = st.integers(2, 62).flatmap(lambda parties: st.tuples(
     st.integers(2, _max_levels(parties)), st.just(parties), st.integers(1, parties - 1)))
-#: Log-uniform q over [0.1, 1e6], away from the cancellation next to q = 1.
+#: Log-uniform q over [0.1, 1e6], outside the q -> 1 limit-point window,
+#: where the order-q root gives way to the von Neumann one.
 orders = st.floats(math.log(0.1), math.log(1e6)).map(math.exp) \
-    .filter(lambda q: abs(q - 1.0) > 1e-6)
+    .filter(lambda q: abs(q - 1.0) > LIMIT_WINDOW)
 
 
 # -- entropy_sign --------------------------------------------------------
@@ -50,7 +52,7 @@ def test_sign_matches_direct_value(q):
     for x in np.linspace(0.0, 1.0, 21):
         params = WernerParams(2, 3, float(x))
         sign = entropy_sign(params, q)
-        value = conditional_entropy_closed(params, q)
+        value = conditional_entropy_block(params, None, q)
         if sign == 0:
             assert abs(value) < 1e-12
         else:
@@ -134,11 +136,23 @@ def test_threshold_never_below_large_q_bound(family, q):
     levels, parties, k = family
     point = threshold_for_q(levels, parties, q, conditioned_parties=k)
     assert point.x_star is not None
-    assert point.x_star >= asymptotic_threshold_block(levels, parties, k) * (1 - 1e-12)
+    assert point.x_star >= asymptotic_threshold(levels, parties, k) * (1 - 1e-12)
     assert point.bracket_width <= 1e-13 * point.x_star
 
 
-@given(families, orders.filter(lambda q: abs(q - 1.0) >= 0.1))
+@pytest.mark.parametrize("q", NEAR_ONE)
+@pytest.mark.parametrize("levels,parties,k", WIDE_FAMILIES)
+def test_threshold_matches_arbitrary_precision_next_to_one(levels, parties, k, q):
+    # both log q-traces are of size |q - 1| ln N**n here; the exact root
+    # lies within 1e-12 relative of x* when the entropy changes sign there
+    x_star = threshold_for_q(levels, parties, q, conditioned_parties=k).x_star
+    with mpmath.workdps(50):
+        below, above = (mp_conditional_renyi(levels, parties, k, q, x_star * (1 + side * 1e-12))
+                        for side in (-1, 1))
+    assert below > 0 > above
+
+
+@given(families, orders)
 @settings(deadline=None, max_examples=40)
 def test_threshold_matches_arbitrary_precision_root(family, q):
     levels, parties, k = family
@@ -215,21 +229,32 @@ def test_asymptote_simplifies(levels, parties):
 
 
 def test_asymptote_block_values():
-    assert asymptotic_threshold_block(2, 3, 1) == 3 / 7
-    assert asymptotic_threshold_block(2, 3, 2) == 0.2
+    assert asymptotic_threshold(2, 3, 1) == 3 / 7
+    assert asymptotic_threshold(2, 3, 2) == 0.2
 
 
 @pytest.mark.parametrize("levels,parties", [(2, 3), (2, 4), (3, 3), (2, 6)])
 def test_asymptote_block_dominance(levels, parties):
     full = asymptotic_threshold(levels, parties)
     for k in range(1, parties):
-        block = asymptotic_threshold_block(levels, parties, k)
+        block = asymptotic_threshold(levels, parties, k)
         assert block >= full
-    assert asymptotic_threshold_block(levels, parties, parties - 1) == full
+    assert asymptotic_threshold(levels, parties, parties - 1) == full
+
+
+def test_none_conditions_on_all_but_one():
+    for levels, parties in ((2, 2), (2, 3), (3, 4)):
+        assert asymptotic_threshold(levels, parties, None) \
+            == asymptotic_threshold(levels, parties, parties - 1)
+        for q in (0.5, 1.0, 2.0, 1e3):
+            assert threshold_for_q(levels, parties, q, None) \
+                == threshold_for_q(levels, parties, q, parties - 1)
+            params = WernerParams(levels, parties, 0.3)
+            assert entropy_sign(params, q, None) == entropy_sign(params, q, parties - 1)
 
 
 def test_asymptote_block_range_validation():
     with pytest.raises(ValidationError):
-        asymptotic_threshold_block(2, 3, 0)
+        asymptotic_threshold(2, 3, 0)
     with pytest.raises(ValidationError):
-        asymptotic_threshold_block(2, 3, 3)
+        asymptotic_threshold(2, 3, 3)

@@ -8,11 +8,11 @@ import numpy.testing as npt
 import pytest
 
 from qtsallis import (CapacityError, ValidationError, WernerParams,
-                      conditional_entropy_block, conditional_entropy_closed,
-                      ghz_vector, joint_spectrum, marginal_spectrum,
-                      quantum_conditional, spectrum_of, tsallis_entropy,
-                      werner_density)
-from helpers import mp_log_trace, mp_spectra, mp_von_neumann
+                      conditional_entropy_block, ghz_vector, joint_spectrum,
+                      marginal_spectrum, quantum_conditional, spectrum_of,
+                      tsallis_entropy, werner_density)
+from helpers import (NEAR_ONE, WIDE_FAMILIES, mp_conditional, mp_log_trace, mp_spectra,
+                     mp_von_neumann)
 
 X_GRID = tuple(t / 10 for t in range(11))
 Q_GRID = (0.5, 1.0, 2.0, 5.0, 20.0)
@@ -216,7 +216,7 @@ def test_spectra_normalization_grid():
 def test_conditional_maximally_mixed_slice():
     for levels, parties in ((2, 3), (3, 2), (4, 3)):
         for q in Q_GRID:
-            value = conditional_entropy_closed(WernerParams(levels, parties, 0.0), q)
+            value = conditional_entropy_block(WernerParams(levels, parties, 0.0), None, q)
             if q == 1.0:
                 expected = math.log(levels)
             else:
@@ -228,7 +228,7 @@ def test_conditional_matches_literal_tripartite_form():
     for x in X_GRID:
         for q in (0.5, 2.0, 5.0, 20.0):
             params = WernerParams(2, 3, x)
-            assert conditional_entropy_closed(params, q) == pytest.approx(
+            assert conditional_entropy_block(params, None, q) == pytest.approx(
                 tripartite_qubit_conditional(x, q, conditioned=2), rel=1e-11, abs=1e-11)
             assert conditional_entropy_block(params, 1, q) == pytest.approx(
                 tripartite_qubit_conditional(x, q, conditioned=1), rel=1e-11, abs=1e-11)
@@ -239,7 +239,7 @@ def test_conditional_matches_general_literal_form():
         for x in (0.1, 0.5, 0.9):
             for q in (0.5, 2.0, 5.0):
                 params = WernerParams(levels, parties, x)
-                assert conditional_entropy_closed(params, q) == pytest.approx(
+                assert conditional_entropy_block(params, None, q) == pytest.approx(
                     general_conditional(levels, parties, x, q), rel=1e-11, abs=1e-11)
 
 
@@ -247,7 +247,7 @@ def test_conditional_block_equals_closed_at_full_conditioning():
     params = WernerParams(2, 3, 0.7)
     for q in Q_GRID:
         assert conditional_entropy_block(params, 2, q) \
-            == conditional_entropy_closed(params, q)
+            == conditional_entropy_block(params, None, q)
 
 
 def test_conditional_block_against_dense_oracle():
@@ -270,21 +270,42 @@ def test_conditional_block_range_validation():
 
 def test_conditional_near_zero_at_asymptotic_boundary():
     # at the large-q boundary point the log trace ratio nearly vanishes
-    value = conditional_entropy_closed(WernerParams(2, 2, 1 / 3), 1e4)
+    value = conditional_entropy_block(WernerParams(2, 2, 1 / 3), None, 1e4)
     assert abs(value) < 1e-3
+
+
+@pytest.mark.parametrize("q", NEAR_ONE)
+def test_conditional_matches_arbitrary_precision_next_to_one(q):
+    # each log q-trace is of size |q - 1| ln N**n here; forms that subtract
+    # terms of size q ln N**n lose the digits of the gap
+    for levels, parties, k in WIDE_FAMILIES:
+        for x in (0.0, 1e-18, 1e-9, 0.3, 1 - 1e-12, 1.0):
+            value = conditional_entropy_block(WernerParams(levels, parties, x), k, q)
+            with mpmath.workdps(50):
+                expected = float(mp_conditional(levels, parties, k, q, x))
+            assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_conditional_none_conditions_on_all_but_one():
+    for levels, parties in ((2, 2), (2, 3), (3, 4)):
+        for x in (0.0, 0.3, 1.0):
+            params = WernerParams(levels, parties, x)
+            for q in (0.5, 1.0, 1 + 1e-6, 2.0, 1e3):
+                assert conditional_entropy_block(params, None, q) \
+                    == conditional_entropy_block(params, parties - 1, q)
 
 
 def test_conditional_continuous_through_limit_point():
     for x in (0.0, 0.3, 0.8, 1.0):
         params = WernerParams(3, 3, x)
-        at_one = conditional_entropy_closed(params, 1.0)
-        nearby = 0.5 * (conditional_entropy_closed(params, 1 - 1e-6)
-                        + conditional_entropy_closed(params, 1 + 1e-6))
+        at_one = conditional_entropy_block(params, None, 1.0)
+        nearby = 0.5 * (conditional_entropy_block(params, None, 1 - 1e-6)
+                        + conditional_entropy_block(params, None, 1 + 1e-6))
         assert at_one == pytest.approx(nearby, abs=1e-5)
 
 
 def test_x_zero_slice_equals_uniform_entropy():
     for q in Q_GRID:
         for levels, parties in ((2, 3), (3, 2)):
-            assert conditional_entropy_closed(WernerParams(levels, parties, 0.0), q) \
+            assert conditional_entropy_block(WernerParams(levels, parties, 0.0), None, q) \
                 == pytest.approx(tsallis_entropy([1 / levels] * levels, q), abs=1e-12)
