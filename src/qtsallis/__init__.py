@@ -9,17 +9,17 @@ from .classical import (ChainDecomposition, EntropicIndex, JointDist,
 from .errors import (CapacityError, MonotonicityError, NumericalError,
                      QTsallisError, SingularityError, ValidationError)
 from .oracle import (Comparison, VerificationReport, default_family_grid,
-                     default_order_grid, oracle_marginal, verify_family,
-                     verify_separable_witness)
+                     default_order_grid, ghz_vector, verify_family,
+                     verify_separable_witness, werner_density)
 from .quantum import (DensityMatrix, SeparableDecomposition, Spectrum,
-                      merge_levels, partial_trace, q_trace,
+                      partial_trace, q_trace,
                       quantum_conditional, quantum_tsallis,
                       separable_conditional_direct, separable_state,
                       spectrum_of, tensor_product, von_neumann)
 from .solver import (ThresholdCurve, ThresholdPoint, asymptotic_threshold,
                      entropy_sign, threshold_curve, threshold_for_q)
-from .werner import (WernerParams, conditional_entropy_block, ghz_vector,
-                     joint_spectrum, marginal_spectrum, werner_density)
+from .werner import (WernerParams, conditional_entropy_block, joint_spectrum,
+                     marginal_spectrum)
 
 __version__ = "0.1.0"
 
@@ -54,8 +54,6 @@ __all__ = [
     "ghz_vector",
     "joint_spectrum",
     "marginal_spectrum",
-    "merge_levels",
-    "oracle_marginal",
     "partial_trace",
     "q_expectation",
     "q_trace",

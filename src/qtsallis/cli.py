@@ -14,11 +14,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ProbDist, tsallis_entropy
+from .classical import ProbDist, _as_index, tsallis_entropy
 from .errors import QTsallisError, ValidationError
 from .oracle import default_family_grid, default_order_grid, verify_family, \
     verify_separable_witness
@@ -45,34 +44,6 @@ def format_scalar(value: float, sci: bool = False) -> str:
     digits, point = mantissa.replace(".", ""), int(exponent) + 1
     text = digits.ljust(point, "0") if point > 0 else f"0.{'0' * -point}{digits}"
     return "-" + text if value < 0 else text
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Parameters of a boundary sweep over entropy orders."""
-
-    levels: int
-    parties: int
-    q_min: float
-    q_max: float
-    q_points: int
-    log_scale: bool
-    output_format: str
-
-    def __post_init__(self) -> None:
-        if self.q_min <= 0.0:
-            raise ValidationError("q_min must be positive")
-        if not self.q_min < self.q_max:
-            raise ValidationError("q_min must be smaller than q_max")
-        if self.q_points < 2:
-            raise ValidationError("need at least two grid points")
-        if self.output_format not in ("csv", "json"):
-            raise ValidationError(f"unknown output format {self.output_format!r}")
-
-    def q_values(self) -> np.ndarray:
-        if self.log_scale:
-            return np.geomspace(self.q_min, self.q_max, self.q_points)
-        return np.linspace(self.q_min, self.q_max, self.q_points)
 
 
 def _parse_floats(text: str, count: int | None = None) -> list[float]:
@@ -117,10 +88,14 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = SweepSpec(args.N, args.n, args.q_min, args.q_max, args.q_points,
-                     args.log_scale, args.format)
-    points = [threshold_for_q(spec.levels, spec.parties, float(q))
-              for q in spec.q_values()]
+    q_min = _as_index(args.q_min).q  # positive and finite
+    if not q_min < args.q_max:
+        raise ValidationError("q_min must be smaller than q_max")
+    if args.q_points < 2:
+        raise ValidationError("need at least two grid points")
+    grid = np.geomspace if args.log_scale else np.linspace
+    points = [threshold_for_q(args.N, args.n, float(q))
+              for q in grid(q_min, args.q_max, args.q_points)]
 
     for previous, point in _rises(points):
         print(f"monotonicity violation: x_star rose from "
@@ -131,7 +106,7 @@ def _cmd_sweep(args) -> int:
     def converged(point) -> bool:
         return point.x_star is not None and point.bracket_width <= ROOT_RTOL * point.x_star
 
-    if spec.output_format == "csv":
+    if args.format == "csv":
         lines = ["q,x_star,converged"]
         for point in points:
             x_text = "" if point.x_star is None else format_scalar(point.x_star, args.sci)

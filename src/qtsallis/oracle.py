@@ -1,6 +1,7 @@
 """Dense-matrix brute-force verification.
 
-Builds the mixing-family states and their marginals explicitly, computes
+Builds the mixing-family states (GHZ vectors and dense family members are
+made here, and only here) and their marginals explicitly, computes
 spectra and entropies numerically, and certifies every closed form at
 small scale.  Verification results are data, not exceptions: each
 comparison becomes a row in a report that serializes to JSON.
@@ -8,17 +9,18 @@ comparison becomes a row in a report that serializes to JSON.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .quantum import (DensityMatrix, SeparableDecomposition, Spectrum,
-                      partial_trace, quantum_conditional,
+from .errors import CapacityError, ValidationError
+from .quantum import (DENSE_DIM_CAP, DensityMatrix, SeparableDecomposition,
+                      Spectrum, partial_trace, quantum_conditional,
                       separable_conditional_direct, separable_state,
                       spectrum_of)
-from .werner import (WernerParams, _ghz_indices, conditional_entropy_block,
-                     joint_spectrum, marginal_spectrum, werner_density)
+from .werner import (WernerParams, conditional_entropy_block, joint_spectrum,
+                     marginal_spectrum)
 
 #: Per-level eigenvalue and per-entropy agreement bound for closed forms.
 AGREEMENT_TOL = 1e-10
@@ -89,6 +91,39 @@ class VerificationReport:
         return [c.to_dict() for c in self.comparisons]
 
 
+def ghz_vector(levels: int, parties: int) -> np.ndarray:
+    """Unit vector with amplitude 1/sqrt(levels) on every all-equal
+    multi-index (k, k, ..., k), zero elsewhere."""
+    levels = int(levels)
+    parties = int(parties)
+    if levels < 2 or parties < 1:
+        raise ValidationError("need at least two levels and one party")
+    dim = levels ** parties
+    if dim > DENSE_DIM_CAP:
+        raise CapacityError(f"dense dimension {dim} exceeds the cap of {DENSE_DIM_CAP}")
+    vec = np.zeros(dim)
+    vec[_ghz_indices(levels, parties)] = 1.0 / math.sqrt(levels)
+    return vec
+
+
+def _ghz_indices(levels: int, parties: int) -> np.ndarray:
+    """Flat indices of the all-equal multi-indices (k, k, ..., k)."""
+    step = (levels ** parties - 1) // (levels - 1)  # 1 + N + ... + N**(parties-1)
+    return np.arange(levels) * step
+
+
+def werner_density(params: WernerParams) -> DensityMatrix:
+    """Dense matrix of the family member: uniform background of weight
+    (1 - x) plus the GHZ projector of weight x.  Cross-check scale only."""
+    dim = params.total_dim
+    if dim > DENSE_DIM_CAP:
+        raise CapacityError(f"dense dimension {dim} exceeds the cap of {DENSE_DIM_CAP}")
+    psi = ghz_vector(params.levels, params.parties)
+    entries = ((1.0 - params.mixing) / dim) * np.eye(dim, dtype=complex)
+    entries += params.mixing * np.outer(psi, psi)
+    return DensityMatrix((params.levels,) * params.parties, entries)
+
+
 def _ghz_projector_sum(levels: int, parties: int) -> np.ndarray:
     """sum_k |k...k><k...k| on ``parties`` subsystems, as a dense matrix."""
     dim = levels ** parties
@@ -111,20 +146,6 @@ def _marginal_of(dense: DensityMatrix, params: WernerParams, kept: int) -> Densi
         raise ValidationError(
             f"partial trace deviates from the explicit marginal form by {drift}")
     return marginal
-
-
-def oracle_marginal(params: WernerParams, kept_parties: int) -> DensityMatrix:
-    """Dense marginal over the last ``kept_parties`` parties.
-
-    Computed by partial trace of the dense state and checked entrywise
-    against the explicit form (uniform background plus N diagonal spikes
-    of weight x/N); a mismatch beyond ``STRUCTURE_TOL`` raises.
-    """
-    m = int(kept_parties)
-    if not 1 <= m <= params.parties - 1:
-        raise ValidationError(
-            f"kept party count must lie in [1, {params.parties - 1}], got {m}")
-    return _marginal_of(werner_density(params), params, m)
 
 
 def _spectrum_rows(case: str, label: str, closed: Spectrum, oracle: Spectrum,

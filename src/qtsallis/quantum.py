@@ -119,7 +119,7 @@ class Spectrum:
         return sum(mult for _, mult in self.levels)
 
 
-def merge_levels(pairs, tol: float = SPECTRUM_MERGE_TOL) -> list[tuple[float, int]]:
+def _merge_levels(pairs, tol: float = SPECTRUM_MERGE_TOL) -> list[tuple[float, int]]:
     """Fold levels whose eigenvalues lie within ``tol`` of each other into a
     single level at their multiplicity-weighted mean.
 
@@ -148,7 +148,7 @@ def spectrum_of(rho: DensityMatrix) -> Spectrum:
     one level with summed multiplicity, so numerically split degeneracies
     match analytic multiplicities.
     """
-    return Spectrum(tuple(merge_levels((float(v), 1) for v in rho.eigenvalues)))
+    return Spectrum(tuple(_merge_levels((float(v), 1) for v in rho.eigenvalues)))
 
 
 def q_trace(spectrum: Spectrum, q) -> float:

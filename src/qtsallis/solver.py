@@ -4,9 +4,9 @@ Finds where the conditional entropy of one party given the rest changes
 sign as a function of the mixing weight, tracks that boundary across the
 entropy order q, and evaluates its exact large-q limit.  A vanishing
 conditional entropy marks the edge of the classically correlated regime;
-below the large-q limit the state is separable.  Signs come from the
-family's closed-form log q-traces in :mod:`qtsallis.werner`, the same
-arrays that give its conditional entropy values.
+below the large-q limit the state is separable.  Signs and roots come
+from the family's closed-form log q-trace gap in :mod:`qtsallis.werner`,
+the same scalar form that gives its conditional entropy values.
 """
 
 from __future__ import annotations
@@ -14,18 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .classical import EntropicIndex, _as_index
+from .classical import _as_index
 from .errors import MonotonicityError, ValidationError
 from .werner import WernerParams, _conditioned, _log_trace_gap
 
-#: Root refinement stops once the bracket is this narrow relative to x.
+#: Root refinement stops once the bracket is this narrow in ln x.
 ROOT_RTOL = 1e-13
 #: Allowed slack, relative to x, when checking that the boundary never rises with q.
 MONOTONE_RTOL = 1e-9
-#: 128 geometric points per scan or bracket cut: seven grids reach ROOT_RTOL.
-_STEPS = np.linspace(0.0, 1.0, 128)
 
 
 @dataclass(frozen=True)
@@ -33,15 +29,13 @@ class ThresholdPoint:
     """Sign-change location of the conditional entropy at one order q.
 
     ``x_star`` is None when the entropy keeps one sign across the whole
-    mixing interval.  ``sign_changes`` counts the sign-change events seen
-    on the scan grid, so callers can tell whether the reported root (the
-    first one) is also the only one.
+    mixing interval; ``bracket_width`` is the width in x of the final
+    bracket (0 on an exact zero, nan without a root).
     """
 
     q: float
     x_star: float | None
     bracket_width: float
-    sign_changes: int
 
 
 @dataclass(frozen=True)
@@ -53,57 +47,66 @@ class ThresholdCurve:
     points: tuple[ThresholdPoint, ...]
 
 
-def _signs(levels: int, parties: int, k: int, qi: EntropicIndex, x: np.ndarray) -> np.ndarray:
-    """Signs of the conditional entropy at each mixing weight in ``x``:
-    expm1(gap) / (1 - q) has the sign of the gap times that of 1 - q."""
-    signs = np.sign(_log_trace_gap(levels, parties, k, qi, x))
-    return -signs if qi.q > 1.0 and not qi.is_limit_point else signs
-
-
 def entropy_sign(params: WernerParams, q, conditioned_parties: int | None = None) -> int:
     """Sign (-1, 0, +1) of the conditional entropy given
     ``conditioned_parties`` parties (default n - 1), from the log domain,
-    so it holds at any q; 0 means an exact zero."""
+    so it holds at any q; 0 means an exact zero.  expm1(gap) / (1 - q) has
+    the sign of the gap times that of 1 - q."""
     k = _conditioned(params.parties, conditioned_parties)
-    x = np.array([params.mixing])
-    return int(_signs(params.levels, params.parties, k, _as_index(q), x)[0])
+    qi = _as_index(q)
+    gap = _log_trace_gap(params.levels, params.parties, k, qi, params.mixing)
+    sign = (gap > 0.0) - (gap < 0.0)
+    return -sign if qi.q > 1.0 and not qi.is_limit_point else sign
 
 
 def threshold_for_q(levels: int, parties: int, q,
                     conditioned_parties: int | None = None) -> ThresholdPoint:
-    """Locate the first sign change of the conditional entropy in x.
+    """Locate the sign change of the conditional entropy in x.
 
-    No root lies below the exact large-q bound, so a geometric grid over
-    [x_inf(k), 1] counts the sign changes and gives the first bracket; each
-    geometric cut keeps its first sign change, until the bracket is below
-    ``ROOT_RTOL`` relative to x.  An exact zero on a grid is returned with
-    a zero-width bracket, and x_star = None when the scan shows no change.
+    No root lies below the exact large-q bound, and on [x_inf(k), 1] the
+    entropy changes sign at most once, so that interval is the one
+    bracket.  Illinois regula falsi on the log-trace gap, in t = ln x,
+    shrinks it, falling back to bisection when a secant step leaves the
+    bracket, until it is at most ``ROOT_RTOL`` wide in ln x; x_star is its
+    geometric midpoint.  An exact zero is returned with a zero-width
+    bracket, and x_star = None when the gap has one sign at both ends.
     """
     qi = _as_index(q)
     family = WernerParams(levels, parties, 0.0)  # validates N, n and N**n
     N, n = family.levels, family.parties
     k = _conditioned(n, conditioned_parties)
-    lo, hi = asymptotic_threshold(N, n, k), 1.0
-    ends = None  # signs at lo and hi once a bracket is known
-    while True:
-        xs = lo * np.exp(math.log1p((hi - lo) / lo) * _STEPS)
-        xs[-1] = hi
-        signs = _signs(N, n, k, qi, xs)
-        if ends is None:
-            nonzero = signs[signs != 0]
-            changes = int(np.count_nonzero(signs == 0)
-                          + np.count_nonzero(nonzero[1:] != nonzero[:-1]))
-            if not changes:
-                return ThresholdPoint(qi.q, None, math.nan, 0)
+
+    def gap(x: float) -> float:
+        return _log_trace_gap(N, n, k, qi, x)
+
+    x_inf = asymptotic_threshold(N, n, k)
+    lo, hi = math.log(x_inf), 0.0
+    g_lo, g_hi = gap(x_inf), gap(1.0)
+    for x, g in ((x_inf, g_lo), (1.0, g_hi)):
+        if g == 0.0:
+            return ThresholdPoint(qi.q, x, 0.0)
+    if (g_lo > 0.0) == (g_hi > 0.0):
+        return ThresholdPoint(qi.q, None, math.nan)
+    kept = 0  # the end the last step kept: +1 the lower, -1 the upper
+    while hi - lo > ROOT_RTOL:
+        t = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        g = gap(math.exp(t))
+        if g == 0.0:
+            return ThresholdPoint(qi.q, math.exp(t), 0.0)
+        if (g > 0.0) == (g_lo > 0.0):
+            lo, g_lo = t, g
+            if kept < 0:  # the upper end stayed twice: halve its gap (Illinois)
+                g_hi *= 0.5
+            kept = -1
         else:
-            signs[[0, -1]] = ends  # a re-evaluation must not round the bracket away
-        first = int(np.argmax(signs != signs[0])) if signs[0] else 0
-        if not signs[first]:
-            return ThresholdPoint(qi.q, float(xs[first]), 0.0, changes)
-        lo, hi = float(xs[first - 1]), float(xs[first])
-        ends = signs[first - 1], signs[first]
-        if hi - lo <= ROOT_RTOL * lo:
-            return ThresholdPoint(qi.q, 0.5 * (lo + hi), hi - lo, changes)
+            hi, g_hi = t, g
+            if kept > 0:
+                g_lo *= 0.5
+            kept = 1
+    x_star = math.exp(0.5 * (lo + hi))  # the width in x is x_star (hi - lo) (1 + O(1e-27))
+    return ThresholdPoint(qi.q, x_star, x_star * (hi - lo))
 
 
 def _rises(points) -> list[tuple[ThresholdPoint, ThresholdPoint]]:

@@ -5,7 +5,8 @@ onto the n-party GHZ vector.  Joint and marginal spectra are available in
 closed form with exact integer multiplicities, which keeps every entropy
 query tractable far beyond dense-matrix scale.  Every family entropy, its
 value as well as its sign, comes from one log-domain form of the two-level
-q-traces (``_log_trace_gap``), evaluated by numpy on arrays of x.
+q-traces (``_log_trace_gap``), plain float arithmetic at one mixing weight.
+The dense family states live in :mod:`qtsallis.oracle`.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .classical import EntropicIndex, _as_index
 from .errors import CapacityError, ValidationError
-from .quantum import DENSE_DIM_CAP, DensityMatrix, Spectrum, merge_levels
+from .quantum import Spectrum, _merge_levels
 
 #: Exact multiplicity bookkeeping requires N**n to fit a signed 64-bit int.
 MULTIPLICITY_CAP = 2**63 - 1
@@ -54,39 +53,6 @@ class WernerParams:
         return self.levels ** self.parties
 
 
-def ghz_vector(levels: int, parties: int) -> np.ndarray:
-    """Unit vector with amplitude 1/sqrt(levels) on every all-equal
-    multi-index (k, k, ..., k), zero elsewhere."""
-    levels = int(levels)
-    parties = int(parties)
-    if levels < 2 or parties < 1:
-        raise ValidationError("need at least two levels and one party")
-    dim = levels ** parties
-    if dim > DENSE_DIM_CAP:
-        raise CapacityError(f"dense dimension {dim} exceeds the cap of {DENSE_DIM_CAP}")
-    vec = np.zeros(dim)
-    vec[_ghz_indices(levels, parties)] = 1.0 / math.sqrt(levels)
-    return vec
-
-
-def _ghz_indices(levels: int, parties: int) -> np.ndarray:
-    """Flat indices of the all-equal multi-indices (k, k, ..., k)."""
-    step = (levels ** parties - 1) // (levels - 1)  # 1 + N + ... + N**(parties-1)
-    return np.arange(levels) * step
-
-
-def werner_density(params: WernerParams) -> DensityMatrix:
-    """Dense matrix of the family member: uniform background of weight
-    (1 - x) plus the GHZ projector of weight x.  Cross-check scale only."""
-    dim = params.total_dim
-    if dim > DENSE_DIM_CAP:
-        raise CapacityError(f"dense dimension {dim} exceeds the cap of {DENSE_DIM_CAP}")
-    psi = ghz_vector(params.levels, params.parties)
-    entries = ((1.0 - params.mixing) / dim) * np.eye(dim, dtype=complex)
-    entries += params.mixing * np.outer(psi, psi)
-    return DensityMatrix((params.levels,) * params.parties, entries)
-
-
 def joint_spectrum(params: WernerParams) -> Spectrum:
     """Closed-form spectrum of the full state.
 
@@ -100,7 +66,7 @@ def joint_spectrum(params: WernerParams) -> Spectrum:
     x = params.mixing
     top = (1.0 + (dim - 1) * x) / dim
     background = (1.0 - x) / dim
-    return Spectrum(tuple(merge_levels([(top, 1), (background, dim - 1)], tol=0.0)))
+    return Spectrum(tuple(_merge_levels([(top, 1), (background, dim - 1)], tol=0.0)))
 
 
 def marginal_spectrum(params: WernerParams, kept_parties: int) -> Spectrum:
@@ -123,7 +89,7 @@ def marginal_spectrum(params: WernerParams, kept_parties: int) -> Spectrum:
     spike = (1.0 + (params.levels ** (m - 1) - 1) * x) / reduced_dim
     background = (1.0 - x) / reduced_dim
     pairs = [(spike, params.levels), (background, reduced_dim - params.levels)]
-    return Spectrum(tuple(merge_levels(pairs, tol=0.0)))
+    return Spectrum(tuple(_merge_levels(pairs, tol=0.0)))
 
 
 def _conditioned(parties: int, conditioned_parties: int | None) -> int:
@@ -133,10 +99,15 @@ def _conditioned(parties: int, conditioned_parties: int | None) -> int:
     return k
 
 
-def _log_trace_gap(levels: int, parties: int, k: int, qi: EntropicIndex,
-                   x: np.ndarray) -> np.ndarray:
-    """ln Tr rho**q - ln Tr rho_k**q of the family at each mixing weight in
-    ``x``, given k parties; at the limit point, the von Neumann difference
+def _logaddexp(a: float, b: float) -> float:
+    """ln(e**a + e**b) without exponentiating either term; -inf drops out."""
+    hi, lo = max(a, b), min(a, b)
+    return hi if lo == -math.inf else hi + math.log1p(math.exp(lo - hi))
+
+
+def _log_trace_gap(levels: int, parties: int, k: int, qi: EntropicIndex, x: float) -> float:
+    """ln Tr rho**q - ln Tr rho_k**q of the family at mixing weight x,
+    given k parties; at the limit point, the von Neumann difference
     S(rho) - S(rho_k).  The conditional entropy is expm1(gap) / (1 - q).
 
     The spectra are those of :func:`joint_spectrum` and
@@ -147,38 +118,42 @@ def _log_trace_gap(levels: int, parties: int, k: int, qi: EntropicIndex,
     log1p(sum w expm1((q - 1) ln(eigenvalue))) over the weights
     w = multiplicity * eigenvalue, which sum to 1: every term has the sign
     of 1 - q, so nothing cancels.  The form depends on q and N**n alone.
+    On [x_inf(k), 1] the gap changes sign exactly once (a property test
+    checks this over the whole domain), so one bracket holds the root.
     """
     dim, spike = levels ** parties, levels ** (k - 1)
     log_levels = math.log(levels)
     q = qi.q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # top = (1 + (N**n - 1) x) / N**n, peak = N times the spike of rho_k
-        top, peak = x * (1.0 - 1.0 / dim) + 1.0 / dim, x * (1.0 - 1.0 / spike) + 1.0 / spike
-        log_top, log_peak, log_rest = np.log(top), np.log(peak), np.log1p(-x)  # rest: 1 - x
-        if not qi.is_limit_point and abs(q - 1.0) * parties * log_levels > 1.0:
-            q_rest = q * log_rest
-            log_rest_count = -math.inf if k == 1 else math.log(levels ** k - levels)
-            joint = np.logaddexp(q * log_top,
-                                 q_rest + (math.log(dim - 1) - q * parties * log_levels))
-            marginal = np.logaddexp(q * log_peak + (1.0 - q) * log_levels,
-                                    q_rest + (log_rest_count - q * k * log_levels))
-            return joint - marginal
-        # (weight, ln eigenvalue) of the raised level and of the background;
-        # at x = 1 the background weight is 0 and a finite ln keeps it so
-        log_rest = np.where(x < 1.0, log_rest, 0.0)
-        rest = 1.0 - x
-        spectra = (((top, log_top),
-                    ((1.0 - 1.0 / dim) * rest, log_rest - parties * log_levels)),
-                   ((peak, log_peak - log_levels),
-                    ((1.0 - 1.0 / spike) * rest, log_rest - k * log_levels)))
-        if qi.is_limit_point:  # entropies -sum w ln(eigenvalue)
-            joint, marginal = (w_raised * log_raised + w_bg * log_bg
-                               for (w_raised, log_raised), (w_bg, log_bg) in spectra)
-            return marginal - joint
-        joint, marginal = (np.log1p(w_raised * np.expm1((q - 1.0) * log_raised)
-                                    + w_bg * np.expm1((q - 1.0) * log_bg))
-                           for (w_raised, log_raised), (w_bg, log_bg) in spectra)
+    far = not qi.is_limit_point and abs(q - 1.0) * parties * log_levels > 1.0
+    # top = (1 + (N**n - 1) x) / N**n, peak = N times the spike of rho_k
+    top, peak = x * (1.0 - 1.0 / dim) + 1.0 / dim, x * (1.0 - 1.0 / spike) + 1.0 / spike
+    log_top, log_peak = math.log(top), math.log(peak)
+    if x < 1.0:
+        log_rest = math.log1p(-x)
+    else:  # the background has weight 0: no term in a logaddexp, any finite ln beside w = 0
+        log_rest = -math.inf if far else 0.0
+    if far:
+        q_rest = q * log_rest
+        log_rest_count = -math.inf if k == 1 else math.log(levels ** k - levels)
+        joint = _logaddexp(q * log_top,
+                           q_rest + (math.log(dim - 1) - q * parties * log_levels))
+        marginal = _logaddexp(q * log_peak + (1.0 - q) * log_levels,
+                              q_rest + (log_rest_count - q * k * log_levels))
         return joint - marginal
+    # (weight, ln eigenvalue) of the raised level and of the background
+    rest = 1.0 - x
+    spectra = (((top, log_top),
+                ((1.0 - 1.0 / dim) * rest, log_rest - parties * log_levels)),
+               ((peak, log_peak - log_levels),
+                ((1.0 - 1.0 / spike) * rest, log_rest - k * log_levels)))
+    if qi.is_limit_point:  # entropies -sum w ln(eigenvalue)
+        joint, marginal = (w_raised * log_raised + w_bg * log_bg
+                           for (w_raised, log_raised), (w_bg, log_bg) in spectra)
+        return marginal - joint
+    joint, marginal = (math.log1p(w_raised * math.expm1((q - 1.0) * log_raised)
+                                  + w_bg * math.expm1((q - 1.0) * log_bg))
+                       for (w_raised, log_raised), (w_bg, log_bg) in spectra)
+    return joint - marginal
 
 
 def conditional_entropy_block(params: WernerParams, conditioned_parties: int | None,
@@ -195,8 +170,7 @@ def conditional_entropy_block(params: WernerParams, conditioned_parties: int | N
     """
     k = _conditioned(params.parties, conditioned_parties)
     qi = _as_index(q)
-    gap = float(_log_trace_gap(params.levels, params.parties, k, qi,
-                               np.array([params.mixing]))[0])
+    gap = _log_trace_gap(params.levels, params.parties, k, qi, params.mixing)
     if qi.is_limit_point:
         return gap
     try:

@@ -73,6 +73,15 @@ def test_entropy_domain_error_exits_one(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("extra", [["--q-min", "0", "--log-scale", "--q-points", "3"],
+                                   ["--q-min", "1", "--q-points", "1"]])
+def test_sweep_bad_grid_exits_one(capsys, extra):
+    code, out, err = run(capsys, ["sweep", "--N", "2", "--n", "3", "--q-max", "4", *extra])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_entropy_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["entropy", "--q", "2"])  # neither --dist nor --werner
@@ -169,6 +178,15 @@ def test_sweep_invalid_spec_exits_one(capsys):
                                 "--q-points", "3"])
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("extra", [["--q-min", "0", "--log-scale", "--q-points", "3"],
+                                   ["--q-min", "1", "--q-points", "1"]])
+def test_sweep_bad_grid_exits_one(capsys, extra):
+    code, out, err = run(capsys, ["sweep", "--N", "2", "--n", "3", "--q-max", "4", *extra])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # -- verify command ------------------------------------------------------

@@ -7,15 +7,17 @@ import numpy.testing as npt
 import pytest
 
 from qtsallis import (ValidationError, WernerParams, joint_spectrum,
-                      oracle_marginal, spectrum_of, verify_family,
-                      verify_separable_witness, werner_density)
+                      spectrum_of, verify_family, verify_separable_witness,
+                      werner_density)
+from qtsallis.oracle import _marginal_of
 from helpers import record_eigvalsh
 
 
 def test_marginal_matches_literal_pair_form():
     # two qubits kept out of three: uniform background plus x/2 spikes
     x = 0.35
-    marginal = oracle_marginal(WernerParams(2, 3, x), 2)
+    params = WernerParams(2, 3, x)
+    marginal = _marginal_of(werner_density(params), params, 2)
     expected = (1 - x) / 4 * np.eye(4, dtype=complex)
     expected[0, 0] += x / 2
     expected[3, 3] += x / 2
@@ -24,15 +26,12 @@ def test_marginal_matches_literal_pair_form():
 
 def test_marginal_single_party_is_maximally_mixed():
     for x in (0.0, 0.4, 1.0):
-        marginal = oracle_marginal(WernerParams(2, 3, x), 1)
+        params = WernerParams(2, 3, x)
+        marginal = _marginal_of(werner_density(params), params, 1)
         npt.assert_allclose(marginal.entries, np.eye(2) / 2, atol=1e-14)
-    marginal = oracle_marginal(WernerParams(3, 2, 0.7), 1)
+    params = WernerParams(3, 2, 0.7)
+    marginal = _marginal_of(werner_density(params), params, 1)
     npt.assert_allclose(marginal.entries, np.eye(3) / 3, atol=1e-14)
-
-
-def test_marginal_range_validation():
-    with pytest.raises(ValidationError):
-        oracle_marginal(WernerParams(2, 3, 0.5), 3)
 
 
 def test_oracle_self_consistency():

@@ -43,8 +43,9 @@ def test_density_rejects_negative_eigenvalue():
 
 
 def test_density_rejects_oversized():
+    # the cap is checked before the entries are read, so any array will do
     with pytest.raises(CapacityError):
-        DensityMatrix((2,) * 13, np.eye(2 ** 13) / 2 ** 13)
+        DensityMatrix((2,) * 13, np.eye(2) / 2)
 
 
 # -- tensor_product ------------------------------------------------------
@@ -173,16 +174,16 @@ def test_complex_state_takes_complex_solver(monkeypatch):
 
 
 def test_merge_levels_folds_degenerate_values():
-    from qtsallis import merge_levels
-    merged = merge_levels([(0.5, 1), (0.5 - 5e-10, 1), (0.3, 2)])
+    from qtsallis.quantum import _merge_levels
+    merged = _merge_levels([(0.5, 1), (0.5 - 5e-10, 1), (0.3, 2)])
     assert merged == [(pytest.approx(0.5, abs=1e-9), 2), (0.3, 2)]
     # weighted mean keeps the total weight exact
     assert merged[0][0] == pytest.approx(0.5 - 2.5e-10, abs=1e-16)
 
 
 def test_merge_levels_drops_zero_multiplicity():
-    from qtsallis import merge_levels
-    assert merge_levels([(0.5, 2), (0.25, 0)]) == [(0.5, 2)]
+    from qtsallis.quantum import _merge_levels
+    assert _merge_levels([(0.5, 2), (0.25, 0)]) == [(0.5, 2)]
 
 
 def test_spectrum_validation():

@@ -1,6 +1,7 @@
 """Boundary location, monotone curves, and large-q limits."""
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 
 from qtsallis import (MonotonicityError, ThresholdPoint, ValidationError,
                       WernerParams, asymptotic_threshold, conditional_entropy_block,
-                      entropy_sign, oracle_marginal,
-                      spectrum_of, threshold_curve, threshold_for_q,
-                      von_neumann, werner_density)
+                      entropy_sign, spectrum_of, threshold_curve,
+                      threshold_for_q, von_neumann, werner_density)
+from qtsallis import solver
 from qtsallis.classical import LIMIT_WINDOW
+from qtsallis.oracle import _marginal_of
 from qtsallis.solver import _rises
 from helpers import NEAR_ONE, WIDE_FAMILIES, mp_conditional_renyi, mp_threshold
 
@@ -35,6 +37,8 @@ families = st.integers(2, 62).flatmap(lambda parties: st.tuples(
 #: where the order-q root gives way to the von Neumann one.
 orders = st.floats(math.log(0.1), math.log(1e6)).map(math.exp) \
     .filter(lambda q: abs(q - 1.0) > LIMIT_WINDOW)
+#: The same orders, and the limit point with the orders right next to it.
+all_orders = st.one_of(orders, st.sampled_from(NEAR_ONE))
 
 
 # -- entropy_sign --------------------------------------------------------
@@ -77,7 +81,6 @@ def test_threshold_large_q_tripartite():
     point = threshold_for_q(2, 3, 1e4)
     assert point.x_star == pytest.approx(0.2, abs=1e-3)
     assert point.bracket_width <= 1e-12
-    assert point.sign_changes == 1
 
 
 def test_threshold_large_q_two_party():
@@ -89,7 +92,7 @@ def test_threshold_von_neumann_against_dense_bisection():
     def dense_conditional(x):
         params = WernerParams(2, 3, x)
         joint = spectrum_of(werner_density(params))
-        marginal = spectrum_of(oracle_marginal(params, 2))
+        marginal = spectrum_of(_marginal_of(werner_density(params), params, 2))
         return von_neumann(joint) - von_neumann(marginal)
 
     lo, hi = 0.0, 1.0
@@ -116,6 +119,38 @@ def test_threshold_bracket_properties():
         below = entropy_sign(WernerParams(2, 3, point.x_star - 1e-9), q)
         above = entropy_sign(WernerParams(2, 3, point.x_star + 1e-9), q)
         assert below != above or 0 in (below, above)
+
+
+# -- one bracket ----------------------------------------------------------
+
+@given(families, all_orders)
+@settings(deadline=None)
+def test_sign_changes_once_above_large_q_bound(family, q):
+    # the solver's single bracket [x_inf(k), 1] rests on this
+    levels, parties, k = family
+    x_inf = asymptotic_threshold(levels, parties, k)
+    xs = [x_inf * x_inf ** -(i / 1023) for i in range(1, 1023)]
+    signs = [entropy_sign(WernerParams(levels, parties, x), q, k)
+             for x in [x_inf, *xs, 1.0]]
+    assert signs[0] == 1 and signs[-1] == -1
+    assert signs == sorted(signs, reverse=True) and signs.count(0) <= 1
+
+
+@given(families, all_orders)
+@settings(deadline=None)
+def test_root_takes_few_gap_evaluations(family, q):
+    levels, parties, k = family
+    weights = []
+    gap = solver._log_trace_gap
+
+    def counted(levels, parties, k, qi, x):
+        weights.append(np.size(x))
+        return gap(levels, parties, k, qi, x)
+
+    with mock.patch.object(solver, "_log_trace_gap", counted):
+        point = threshold_for_q(levels, parties, q, conditioned_parties=k)
+    assert point.x_star is not None
+    assert sum(weights) <= 64
 
 
 # -- roots beyond dense scale --------------------------------------------
@@ -200,10 +235,10 @@ def test_curve_convergence_from_above():
 
 def test_rise_detected_below_absolute_tolerance():
     # roots of families with N**n beyond about 2**30 sit below 1e-9
-    low = ThresholdPoint(2.0, 1e-12, 0.0, 1)
-    high = ThresholdPoint(3.0, 1e-10, 0.0, 1)
+    low = ThresholdPoint(2.0, 1e-12, 0.0)
+    high = ThresholdPoint(3.0, 1e-10, 0.0)
     assert _rises([low, high]) == [(low, high)]
-    assert _rises([low, ThresholdPoint(3.0, 1e-12 * (1 + 1e-12), 0.0, 1)]) == []
+    assert _rises([low, ThresholdPoint(3.0, 1e-12 * (1 + 1e-12), 0.0)]) == []
 
 
 def test_monotonicity_error_carries_pair():

@@ -11,6 +11,7 @@ from qtsallis import (CapacityError, ValidationError, WernerParams,
                       conditional_entropy_block, ghz_vector, joint_spectrum,
                       marginal_spectrum, quantum_conditional, spectrum_of,
                       tsallis_entropy, werner_density)
+from qtsallis.oracle import _marginal_of
 from helpers import (NEAR_ONE, WIDE_FAMILIES, mp_conditional, mp_log_trace, mp_spectra,
                      mp_von_neumann)
 
@@ -172,13 +173,12 @@ def test_marginal_single_party_maximally_mixed():
 
 
 def test_marginal_against_dense_oracle():
-    from qtsallis import oracle_marginal
     params = WernerParams(3, 3, 0.3)
     closed = marginal_spectrum(params, 2)
     assert closed.levels == (
         (pytest.approx(1.6 / 9, abs=1e-15), 3),
         (pytest.approx(0.7 / 9, abs=1e-15), 6))
-    oracle = spectrum_of(oracle_marginal(params, 2))
+    oracle = spectrum_of(_marginal_of(werner_density(params), params, 2))
     for (cv, cm), (ov, om) in zip(closed.levels, oracle.levels):
         assert cm == om
         assert cv == pytest.approx(ov, abs=1e-10)
@@ -251,10 +251,9 @@ def test_conditional_block_equals_closed_at_full_conditioning():
 
 
 def test_conditional_block_against_dense_oracle():
-    from qtsallis import oracle_marginal
     params = WernerParams(2, 3, 0.3)
     dense_joint = spectrum_of(werner_density(params))
-    dense_marginal = spectrum_of(oracle_marginal(params, 1))
+    dense_marginal = spectrum_of(_marginal_of(werner_density(params), params, 1))
     value = conditional_entropy_block(params, 1, 2.0)
     assert value == pytest.approx(
         quantum_conditional(dense_joint, dense_marginal, 2.0), abs=1e-10)
