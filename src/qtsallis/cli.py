@@ -21,7 +21,7 @@ from .classical import ProbDist, _as_index, tsallis_entropy
 from .errors import QTsallisError, ValidationError
 from .oracle import default_family_grid, default_order_grid, verify_family, \
     verify_separable_witness
-from .solver import ROOT_RTOL, _rises, asymptotic_threshold, threshold_for_q
+from .solver import asymptotic_threshold, threshold_curve, threshold_for_q
 from .werner import WernerParams, conditional_entropy_block
 
 
@@ -88,34 +88,27 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    q_min = _as_index(args.q_min).q  # positive and finite
-    if not q_min < args.q_max:
-        raise ValidationError("q_min must be smaller than q_max")
+    # Positive finite ends and two or more points keep numpy's grid
+    # construction safe; threshold_curve checks the rest.
+    q_min, q_max = (_as_index(q).q for q in (args.q_min, args.q_max))
     if args.q_points < 2:
         raise ValidationError("need at least two grid points")
     grid = np.geomspace if args.log_scale else np.linspace
-    points = [threshold_for_q(args.N, args.n, float(q))
-              for q in grid(q_min, args.q_max, args.q_points)]
+    points = threshold_curve(args.N, args.n, grid(q_min, q_max, args.q_points)).points
 
-    for previous, point in _rises(points):
-        print(f"monotonicity violation: x_star rose from "
-              f"{format_scalar(previous.x_star)} at q={format_scalar(previous.q)} "
-              f"to {format_scalar(point.x_star)} at q={format_scalar(point.q)}",
-              file=sys.stderr)
-
-    def converged(point) -> bool:
-        return point.x_star is not None and point.bracket_width <= ROOT_RTOL * point.x_star
-
+    # The solver returns a root only once its bracket is at most ROOT_RTOL
+    # wide, so every located point has converged.
     if args.format == "csv":
         lines = ["q,x_star,converged"]
         for point in points:
-            x_text = "" if point.x_star is None else format_scalar(point.x_star, args.sci)
+            located = point.x_star is not None
+            x_text = format_scalar(point.x_star, args.sci) if located else ""
             lines.append(f"{format_scalar(point.q, args.sci)},{x_text},"
-                         f"{'true' if converged(point) else 'false'}")
+                         f"{'true' if located else 'false'}")
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        payload = [{"q": point.q, "x_star": point.x_star, "converged": converged(point)}
-                   for point in points]
+        payload = [{"q": point.q, "x_star": point.x_star,
+                    "converged": point.x_star is not None} for point in points]
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 

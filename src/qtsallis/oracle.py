@@ -114,33 +114,26 @@ def _ghz_indices(levels: int, parties: int) -> np.ndarray:
 
 def werner_density(params: WernerParams) -> DensityMatrix:
     """Dense matrix of the family member: uniform background of weight
-    (1 - x) plus the GHZ projector of weight x.  Cross-check scale only."""
-    dim = params.total_dim
-    if dim > DENSE_DIM_CAP:
-        raise CapacityError(f"dense dimension {dim} exceeds the cap of {DENSE_DIM_CAP}")
+    (1 - x) plus the GHZ projector of weight x.  Cross-check scale only:
+    ``ghz_vector`` refuses a member above ``DENSE_DIM_CAP`` before anything
+    is allocated."""
     psi = ghz_vector(params.levels, params.parties)
-    entries = ((1.0 - params.mixing) / dim) * np.eye(dim, dtype=complex)
+    dim = params.total_dim
+    entries = ((1.0 - params.mixing) / dim) * np.eye(dim)
     entries += params.mixing * np.outer(psi, psi)
     return DensityMatrix((params.levels,) * params.parties, entries)
 
 
-def _ghz_projector_sum(levels: int, parties: int) -> np.ndarray:
-    """sum_k |k...k><k...k| on ``parties`` subsystems, as a dense matrix."""
-    dim = levels ** parties
-    out = np.zeros((dim, dim), dtype=complex)
-    indices = _ghz_indices(levels, parties)
-    out[indices, indices] = 1.0
-    return out
-
-
 def _marginal_of(dense: DensityMatrix, params: WernerParams, kept: int) -> DensityMatrix:
     """Partial trace over the leading parties, cross-checked against the
-    explicit decohered form of the marginal."""
+    explicit decohered form of the marginal: the uniform background plus
+    x/N on each all-equal diagonal entry."""
     n = params.parties
     marginal = partial_trace(dense, range(n - kept, n))
     reduced_dim = params.levels ** kept
-    direct = ((1.0 - params.mixing) / reduced_dim) * np.eye(reduced_dim, dtype=complex)
-    direct += (params.mixing / params.levels) * _ghz_projector_sum(params.levels, kept)
+    direct = ((1.0 - params.mixing) / reduced_dim) * np.eye(reduced_dim)
+    spikes = _ghz_indices(params.levels, kept)
+    direct[spikes, spikes] += params.mixing / params.levels
     drift = float(np.max(np.abs(marginal.entries - direct)))
     if drift > STRUCTURE_TOL:
         raise ValidationError(

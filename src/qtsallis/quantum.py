@@ -1,9 +1,11 @@
 """Density-matrix algebra and quantum nonadditive entropies.
 
-Dense matrices are the small-scale, brute-force representation used for
-cross-checking.  Production entropy queries go through degeneracy-aware
-spectra whose q-traces are evaluated in the log domain, so extreme orders
-(q up to about 1e6) neither underflow nor overflow.
+Dense matrices are the small-scale, brute-force representation that the
+oracle certifies closed forms against.  Entropies of a state are taken
+from its degeneracy-aware spectrum, whose q-traces are evaluated in the
+log domain, so extreme orders (q up to about 1e6) neither underflow nor
+overflow.  The family's own entropies and thresholds do not come through
+here: :mod:`qtsallis.werner` evaluates them in closed form.
 """
 
 from __future__ import annotations
@@ -26,25 +28,19 @@ HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 
 
-def _eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.eigvalsh(matrix if matrix.imag.any() else matrix.real)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Dense Hermitian, unit-trace, positive-semidefinite matrix carrying a
     subsystem-dimension signature.
 
-    Entries are stored complex even when real, so arbitrary test states
-    are representable.  Construction validates every invariant, including
-    positivity via the state's one eigendecomposition, whose ascending,
-    read-only result is kept as ``eigenvalues`` (from the real symmetric
-    solver when every imaginary part is exactly zero, else the complex
-    Hermitian one).  This type is meant for cross-check scale (side up to
-    ``DENSE_DIM_CAP``), not production entropy queries.
+    Entries are stored as float64 unless some imaginary part is nonzero,
+    in which case they stay complex128, so ``np.linalg.eigvalsh`` takes the
+    real symmetric solver for every real state (complex-typed input with
+    zero imaginary parts included) and the complex Hermitian one otherwise.
+    Construction validates every invariant, including positivity via the
+    state's one eigendecomposition, whose ascending, read-only result is
+    kept as ``eigenvalues``.  This type is meant for cross-check scale
+    (side up to ``DENSE_DIM_CAP``), not production entropy queries.
     """
 
     dims: tuple[int, ...]
@@ -59,7 +55,10 @@ class DensityMatrix:
         if side > DENSE_DIM_CAP:
             raise CapacityError(
                 f"dense dimension {side} exceeds the cap of {DENSE_DIM_CAP}")
-        entries = np.array(self.entries, dtype=complex)
+        entries = np.asarray(self.entries)
+        if np.iscomplexobj(entries) and not entries.imag.any():
+            entries = entries.real
+        entries = np.array(entries, dtype=np.result_type(entries, float))
         if entries.shape != (side, side):
             raise ValidationError(
                 f"expected a {side}x{side} matrix, got shape {entries.shape}")
@@ -68,7 +67,10 @@ class DensityMatrix:
         trace = complex(np.trace(entries))
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace is {trace!r}, expected 1")
-        eigenvalues = _eigenvalues(entries)
+        try:
+            eigenvalues = np.linalg.eigvalsh(entries)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigendecomposition failed: {exc}") from exc
         if eigenvalues[0] < PSD_FLOOR:
             raise ValidationError(f"smallest eigenvalue {float(eigenvalues[0])} "
                                   "violates positive semidefiniteness")
@@ -247,11 +249,15 @@ class SeparableDecomposition:
 
     One local distribution pair (first subsystem, second subsystem) per
     mixture term, weighted by a probability vector over terms.
+    Construction forms the mixture's joint distribution
+    sum_l w_l r_l(a) s_l(b) once and keeps it, rows a, as the read-only
+    ``joint``.
     """
 
     weights: ProbDist
     local_a: tuple[ProbDist, ...]
     local_b: tuple[ProbDist, ...]
+    joint: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         weights = _as_prob(self.weights)
@@ -261,9 +267,13 @@ class SeparableDecomposition:
             raise ValidationError("need one local distribution pair per mixture term")
         if len({len(r) for r in local_a}) != 1 or len({len(s) for s in local_b}) != 1:
             raise ValidationError("local distributions must share a common length per side")
+        joint = np.einsum("l,la,lb->ab", weights.p, np.array([r.p for r in local_a]),
+                          np.array([s.p for s in local_b]))
+        joint.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "local_a", local_a)
         object.__setattr__(self, "local_b", local_b)
+        object.__setattr__(self, "joint", joint)
 
     @property
     def dim_a(self) -> int:
@@ -274,23 +284,16 @@ class SeparableDecomposition:
         return len(self.local_b[0])
 
 
-def _mixture_joint(decomposition: SeparableDecomposition) -> np.ndarray:
-    """Joint distribution sum_l w_l r_l(a) s_l(b) of the mixture, rows a."""
-    first = np.array([r.p for r in decomposition.local_a])
-    second = np.array([s.p for s in decomposition.local_b])
-    return np.einsum("l,la,lb->ab", decomposition.weights.p, first, second)
-
-
 def separable_state(decomposition: SeparableDecomposition) -> DensityMatrix:
-    """Dense density matrix of the mixture (diagonal by construction)."""
-    joint = _mixture_joint(decomposition)
+    """Dense density matrix of the mixture: the decomposition's ``joint``
+    on the diagonal, real by construction."""
     dims = (decomposition.dim_a, decomposition.dim_b)
-    return DensityMatrix(dims, np.diag(joint.reshape(-1)).astype(complex))
+    return DensityMatrix(dims, np.diag(decomposition.joint.reshape(-1)))
 
 
 def separable_conditional_direct(decomposition: SeparableDecomposition, q) -> float:
     """Conditional entropy of the second subsystem given the first,
-    evaluated directly on the mixture's joint distribution.
+    evaluated directly on the mixture's ``joint`` distribution.
 
     The first-subsystem mass m(a) = sum_l w_l r_l(a) builds the escort
     weights; each slice pi(b|a) = sum_l w_l r_l(a) s_l(b) / m(a)
@@ -298,4 +301,4 @@ def separable_conditional_direct(decomposition: SeparableDecomposition, q) -> fl
     Nonnegative for every valid decomposition, matching the classical
     conditional entropy's behavior.
     """
-    return _conditional_from_matrix(_mixture_joint(decomposition), _as_index(q))
+    return _conditional_from_matrix(decomposition.joint, _as_index(q))

@@ -5,6 +5,7 @@ import json
 import mpmath
 import pytest
 
+from qtsallis import solver
 from qtsallis.cli import format_scalar, main
 from helpers import mp_threshold
 
@@ -71,15 +72,6 @@ def test_entropy_domain_error_exits_one(capsys):
     code, _, err = run(capsys, ["entropy", "--dist", "0.5,0.6", "--q", "2"])
     assert code == 1
     assert "error" in err
-
-
-@pytest.mark.parametrize("extra", [["--q-min", "0", "--log-scale", "--q-points", "3"],
-                                   ["--q-min", "1", "--q-points", "1"]])
-def test_sweep_bad_grid_exits_one(capsys, extra):
-    code, out, err = run(capsys, ["sweep", "--N", "2", "--n", "3", "--q-max", "4", *extra])
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_entropy_usage_error_exits_two():
@@ -181,12 +173,27 @@ def test_sweep_invalid_spec_exits_one(capsys):
 
 
 @pytest.mark.parametrize("extra", [["--q-min", "0", "--log-scale", "--q-points", "3"],
-                                   ["--q-min", "1", "--q-points", "1"]])
+                                   ["--q-min", "1", "--q-points", "1"],
+                                   ["--q-min", "5", "--q-points", "3"],
+                                   ["--q-min", "1", "--q-max", "0", "--log-scale",
+                                    "--q-points", "3"]])
 def test_sweep_bad_grid_exits_one(capsys, extra):
     code, out, err = run(capsys, ["sweep", "--N", "2", "--n", "3", "--q-max", "4", *extra])
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_sweep_rise_exits_one(capsys, monkeypatch):
+    def rising(levels, parties, q):  # a boundary that grows with q
+        return solver.ThresholdPoint(q, 0.01 * q, 0.0)
+
+    monkeypatch.setattr(solver, "threshold_for_q", rising)
+    code, out, err = run(capsys, ["sweep", "--N", "2", "--n", "3", "--q-min", "1",
+                                  "--q-max", "4", "--q-points", "3"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: boundary rose") and "Traceback" not in err
 
 
 # -- verify command ------------------------------------------------------

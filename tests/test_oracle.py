@@ -98,6 +98,19 @@ def test_witness_small_run_passes():
     assert report.max_abs_dev <= 1e-10
 
 
+def test_witness_forms_one_joint_per_trial(monkeypatch):
+    calls = []
+    einsum = np.einsum
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    assert verify_separable_witness(10, 7).passed
+    assert len(calls) == 10
+
+
 def test_witness_deterministic():
     first = verify_separable_witness(10, 42)
     second = verify_separable_witness(10, 42)

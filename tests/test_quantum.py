@@ -173,6 +173,15 @@ def test_complex_state_takes_complex_solver(monkeypatch):
                         rtol=0, atol=1e-14)
 
 
+def test_entries_real_unless_some_imaginary_part_is_nonzero(monkeypatch):
+    seen = record_eigvalsh(monkeypatch)
+    half = DensityMatrix((2,), np.eye(2, dtype=complex) / 2)
+    assert half.entries.dtype == np.float64 and half.entries.nbytes == 2 * 2 * 8
+    assert len(seen) == 1 and seen[0].dtype == np.float64
+    rho = random_density(np.random.default_rng(7), (4,))
+    assert rho.entries.dtype == np.complex128
+
+
 def test_merge_levels_folds_degenerate_values():
     from qtsallis.quantum import _merge_levels
     merged = _merge_levels([(0.5, 1), (0.5 - 5e-10, 1), (0.3, 2)])
@@ -354,6 +363,16 @@ def test_separable_conditional_matches_spectrum_route():
             assert direct == pytest.approx(
                 quantum_conditional(joint, marginal, q), abs=1e-10)
             assert direct >= -1e-12
+
+
+def test_decomposition_joint_formed_once_read_only():
+    d = random_decomposition(np.random.default_rng(13), 3, 4, 5)
+    expected = sum(w * np.outer(r.p, s.p)
+                   for w, r, s in zip(d.weights.p, d.local_a, d.local_b))
+    npt.assert_allclose(d.joint, expected, rtol=0, atol=1e-15)
+    assert not d.joint.flags.writeable
+    with pytest.raises(ValueError):
+        d.joint[0, 0] = 1.0
 
 
 def test_decomposition_validation():

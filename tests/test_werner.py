@@ -94,6 +94,17 @@ def test_density_projector_at_one():
     npt.assert_allclose(rho.entries, np.outer(psi, psi), atol=1e-15)
 
 
+def test_density_capacity():
+    with pytest.raises(CapacityError):
+        werner_density(WernerParams(2, 13, 0.5))
+
+
+def test_density_stored_real():
+    rho = werner_density(WernerParams(3, 3, 0.37))
+    assert rho.entries.dtype == np.float64
+    assert rho.entries.nbytes == 27 * 27 * 8
+
+
 def test_density_spectrum_paper_point():
     spec = spectrum_of(werner_density(WernerParams(2, 3, 0.4)))
     assert spec.levels[0] == (pytest.approx(0.475, abs=1e-12), 1)
