@@ -17,43 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._index import LIMIT_WINDOW, EntropicIndex, _as_index  # noqa: F401 (re-exported)
 from .errors import NumericalError, SingularityError, ValidationError
 
-#: |q - 1| at or below this is treated as the q -> 1 limit.
-LIMIT_WINDOW = 1e-9
 #: Probability vectors must sum to 1 within this before renormalization.
 PROB_SUM_TOL = 1e-12
 #: Internal agreement bound for the tripartite composition identities.
 CHAIN_TOL = 1e-10
 #: Conditioning denominators smaller than this are reported as singular.
 DENOM_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class EntropicIndex:
-    """Positive order parameter of the entropy family.
-
-    ``is_limit_point`` flags values numerically indistinguishable from 1,
-    where the defining expressions degenerate to 0/0 and the Shannon
-    formulas take over.
-    """
-
-    q: float
-
-    def __post_init__(self) -> None:
-        q = float(self.q)
-        if not math.isfinite(q) or q <= 0.0:
-            raise ValidationError(
-                f"entropic index must be a positive finite real, got {self.q!r}")
-        object.__setattr__(self, "q", q)
-
-    @property
-    def is_limit_point(self) -> bool:
-        return abs(self.q - 1.0) <= LIMIT_WINDOW
-
-
-def _as_index(q) -> EntropicIndex:
-    return q if isinstance(q, EntropicIndex) else EntropicIndex(float(q))
 
 
 def _clean_probabilities(p: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ Subcommands: ``entropy`` (classical or family conditional entropy),
 (boundary curve over a grid of orders, CSV or JSON), and ``verify``
 (dense-oracle certification suite).  Data goes to stdout, errors and
 diagnostics to stderr; exit codes are 0 on success, 1 on domain errors or
-failed verification, 2 on usage errors.
+failed verification, 2 on usage errors.  Only ``entropy --dist``,
+``sweep`` and ``verify`` import numpy; ``threshold`` and ``entropy
+--werner`` run on the numpy-free closed-form path.
 """
 
 from __future__ import annotations
@@ -15,12 +17,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from .classical import ProbDist, _as_index, tsallis_entropy
+from ._index import _as_index
 from .errors import QTsallisError, ValidationError
-from .oracle import default_family_grid, default_order_grid, verify_family, \
-    verify_separable_witness
 from .solver import asymptotic_threshold, threshold_curve, threshold_for_q
 from .werner import WernerParams, conditional_entropy_block
 
@@ -69,10 +67,10 @@ def _cmd_entropy(args) -> int:
         print("error: --condition-on requires --werner", file=sys.stderr)
         return 2
     if args.dist is not None:
-        value = tsallis_entropy(ProbDist(np.array(_parse_floats(args.dist))), args.q)
+        from .classical import ProbDist, tsallis_entropy
+        value = tsallis_entropy(ProbDist(_parse_floats(args.dist)), args.q)
     else:
-        raw_levels, raw_parties, mixing = _parse_floats(args.werner, 3)
-        params = WernerParams(int(raw_levels), int(raw_parties), mixing)
+        params = WernerParams(*_parse_floats(args.werner, 3))
         value = conditional_entropy_block(params, args.condition_on, args.q)
     print(format_scalar(value, args.sci))
     return 0
@@ -88,6 +86,8 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    import numpy as np
+
     # Positive finite ends and two or more points keep numpy's grid
     # construction safe; threshold_curve checks the rest.
     q_min, q_max = (_as_index(q).q for q in (args.q_min, args.q_max))
@@ -114,6 +114,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import (default_family_grid, default_order_grid, verify_family,
+                         verify_separable_witness)
     family = verify_family(default_family_grid(args.max_dim), default_order_grid())
     witness = verify_separable_witness(1000, args.seed)
     rows = family.to_json_obj() + witness.to_json_obj()
@@ -176,7 +178,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except QTsallisError as exc:
+    except (QTsallisError, OSError) as exc:  # OSError: an unwritable --out or --json
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

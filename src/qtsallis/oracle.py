@@ -19,7 +19,7 @@ from .quantum import (DENSE_DIM_CAP, DensityMatrix, SeparableDecomposition,
                       Spectrum, partial_trace, quantum_conditional,
                       separable_conditional_direct, separable_state,
                       spectrum_of)
-from .werner import (WernerParams, conditional_entropy_block, joint_spectrum,
+from .werner import (WernerParams, _count, conditional_entropy_block, joint_spectrum,
                      marginal_spectrum)
 
 #: Per-level eigenvalue and per-entropy agreement bound for closed forms.
@@ -94,8 +94,8 @@ class VerificationReport:
 def ghz_vector(levels: int, parties: int) -> np.ndarray:
     """Unit vector with amplitude 1/sqrt(levels) on every all-equal
     multi-index (k, k, ..., k), zero elsewhere."""
-    levels = int(levels)
-    parties = int(parties)
+    levels = _count(levels, "levels per party")
+    parties = _count(parties, "number of parties")
     if levels < 2 or parties < 1:
         raise ValidationError("need at least two levels and one party")
     dim = levels ** parties

@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .classical import _as_index
+from ._index import _as_index
 from .errors import MonotonicityError, ValidationError
-from .werner import WernerParams, _conditioned, _log_trace_gap
+from .werner import WernerParams, _conditioned, _count, _log_trace_gap
 
 #: Root refinement stops once the bracket is this narrow in ln x.
 ROOT_RTOL = 1e-13
@@ -137,7 +137,8 @@ def threshold_curve(levels: int, parties: int, q_grid) -> ThresholdCurve:
         raise MonotonicityError(f"boundary rose from x*={first.x_star} at q={first.q} "
                                 f"to x*={second.x_star} at q={second.q}",
                                 first=first, second=second)
-    return ThresholdCurve(int(levels), int(parties), points)
+    return ThresholdCurve(_count(levels, "levels per party"),
+                          _count(parties, "number of parties"), points)
 
 
 def asymptotic_threshold(levels: int, parties: int,
@@ -162,7 +163,7 @@ def asymptotic_threshold(levels: int, parties: int,
     Below this value the state is separable.  Conditioning on fewer parties
     yields a weaker (larger) bound.
     """
-    N, n = int(levels), int(parties)
+    N, n = _count(levels, "levels per party"), _count(parties, "number of parties")
     if N < 2 or n < 2:
         raise ValidationError("need at least two levels and two parties")
     k = _conditioned(n, conditioned_parties)

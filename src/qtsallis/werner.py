@@ -14,12 +14,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .classical import EntropicIndex, _as_index
+from ._index import EntropicIndex, _as_index
 from .errors import CapacityError, ValidationError
-from .quantum import Spectrum, _merge_levels
 
 #: Exact multiplicity bookkeeping requires N**n to fit a signed 64-bit int.
 MULTIPLICITY_CAP = 2**63 - 1
+
+
+def _count(value, what: str) -> int:
+    """A level or party count as an int; a non-integral value (2.9, nan) is
+    refused, never truncated.  Integral floats and numpy integers pass."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # nan, inf, non-numbers
+        pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -32,8 +42,8 @@ class WernerParams:
     mixing: float
 
     def __post_init__(self) -> None:
-        levels = int(self.levels)
-        parties = int(self.parties)
+        levels = _count(self.levels, "levels per party")
+        parties = _count(self.parties, "number of parties")
         mixing = float(self.mixing)
         if levels < 2:
             raise ValidationError("need at least two levels per party")
@@ -62,6 +72,7 @@ def joint_spectrum(params: WernerParams) -> Spectrum:
     the maximally mixed spectrum), however close the levels; at x = 1 the
     zero level is kept with its full multiplicity.
     """
+    from .quantum import Spectrum, _merge_levels  # numpy, so only when asked for
     dim = params.total_dim
     x = params.mixing
     top = (1.0 + (dim - 1) * x) / dim
@@ -80,7 +91,8 @@ def marginal_spectrum(params: WernerParams, kept_parties: int) -> Spectrum:
     x.  Only exact ties merge.  The form for intermediate m is certified
     against the dense oracle (see the verification module).
     """
-    m = int(kept_parties)
+    from .quantum import Spectrum, _merge_levels  # numpy, so only when asked for
+    m = _count(kept_parties, "kept party count")
     if not 1 <= m <= params.parties - 1:
         raise ValidationError(
             f"kept party count must lie in [1, {params.parties - 1}], got {m}")
@@ -93,7 +105,8 @@ def marginal_spectrum(params: WernerParams, kept_parties: int) -> Spectrum:
 
 
 def _conditioned(parties: int, conditioned_parties: int | None) -> int:
-    k = parties - 1 if conditioned_parties is None else int(conditioned_parties)
+    k = parties - 1 if conditioned_parties is None else _count(
+        conditioned_parties, "conditioned party count")
     if not 1 <= k <= parties - 1:
         raise ValidationError(f"conditioned party count must lie in [1, {parties - 1}], got {k}")
     return k

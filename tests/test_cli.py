@@ -74,6 +74,21 @@ def test_entropy_domain_error_exits_one(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("coordinates", ["2.9,3.7,0.4", "2,3.5,0.4", "nan,3,0.4"])
+def test_entropy_non_integral_counts_exit_one(capsys, coordinates):
+    code, out, err = run(capsys, ["entropy", "--werner", coordinates, "--q", "2"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "must be an integer" in err
+
+
+def test_entropy_integral_float_counts_accepted(capsys):
+    _, plain, _ = run(capsys, ["entropy", "--werner", "2,3,0.4", "--q", "2"])
+    code, out, _ = run(capsys, ["entropy", "--werner", "2.0,3.0,0.4", "--q", "2"])
+    assert code == 0
+    assert out == plain
+
+
 def test_entropy_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["entropy", "--q", "2"])  # neither --dist nor --werner
@@ -164,6 +179,15 @@ def test_sweep_to_file(tmp_path, capsys):
     assert target.read_text().startswith("q,x_star,converged\n")
 
 
+def test_sweep_unwritable_out_exits_one(tmp_path, capsys):
+    target = tmp_path / "missing" / "curve.csv"
+    code, out, err = run(capsys, ["sweep", "--N", "2", "--n", "3", "--q-min", "1",
+                                  "--q-max", "4", "--q-points", "3", "--out", str(target)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and str(target) in err and "Traceback" not in err
+
+
 def test_sweep_invalid_spec_exits_one(capsys):
     code, _, err = run(capsys, ["sweep", "--N", "2", "--n", "3",
                                 "--q-min", "5", "--q-max", "1",
@@ -208,3 +232,12 @@ def test_verify_restricted_grid(tmp_path, capsys):
     assert all(set(row) == {"case", "quantity", "closed_form", "oracle",
                             "abs_dev", "pass"} for row in rows)
     assert all(row["pass"] for row in rows)
+
+
+def test_verify_unwritable_json_exits_one(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, ["verify", "--seed", "42", "--max-dim", "8",
+                                  "--json", str(target)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and str(target) in err and "Traceback" not in err

@@ -7,10 +7,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qtsallis import (CapacityError, ValidationError, WernerParams,
+from qtsallis import (CapacityError, ValidationError, WernerParams, asymptotic_threshold,
                       conditional_entropy_block, ghz_vector, joint_spectrum,
                       marginal_spectrum, quantum_conditional, spectrum_of,
-                      tsallis_entropy, werner_density)
+                      threshold_for_q, tsallis_entropy, werner_density)
 from qtsallis.oracle import _marginal_of
 from helpers import (NEAR_ONE, WIDE_FAMILIES, mp_conditional, mp_log_trace, mp_spectra,
                      mp_von_neumann)
@@ -52,6 +52,37 @@ def test_params_validation(levels, parties, mixing):
 def test_params_multiplicity_cap():
     with pytest.raises(CapacityError):
         WernerParams(2, 64, 0.5)
+
+
+@pytest.mark.parametrize("levels,parties", [(2.9, 3), (2, 3.5), (math.nan, 3), (2, math.inf),
+                                            ("2", 3)])
+def test_params_reject_non_integral_counts(levels, parties):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        WernerParams(levels, parties, 0.4)
+
+
+def test_params_accept_integral_floats_and_numpy_integers():
+    params = WernerParams(3.0, np.int64(3), 0.4)
+    assert (params.levels, params.parties) == (3, 3)
+    assert type(params.levels) is int and type(params.parties) is int
+
+
+def test_counts_refused_across_the_closed_forms():
+    params = WernerParams(2, 3, 0.4)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        asymptotic_threshold(2.9, 3.5)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        asymptotic_threshold(2, 3, conditioned_parties=1.5)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        conditional_entropy_block(params, 1.5, 2.0)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        marginal_spectrum(params, 1.5)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        threshold_for_q(2.5, 3, 2.0)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        ghz_vector(2, 2.5)
+    assert asymptotic_threshold(2.0, np.int64(3), 2.0) == 0.2
+    assert conditional_entropy_block(params, 1.0, 2.0) == conditional_entropy_block(params, 1, 2.0)
 
 
 # -- ghz_vector ----------------------------------------------------------
