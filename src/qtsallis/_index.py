@@ -1,5 +1,5 @@
-"""The entropic index q, shared by the classical, quantum and closed-form
-layers.  Plain Python, so the closed-form path loads no numpy."""
+"""The entropic index q and the integral-count rule, shared by every layer.
+Plain Python, so the closed-form path loads no numpy."""
 
 from __future__ import annotations
 
@@ -37,3 +37,14 @@ class EntropicIndex:
 
 def _as_index(q) -> EntropicIndex:
     return q if isinstance(q, EntropicIndex) else EntropicIndex(float(q))
+
+
+def _count(value, what: str) -> int:
+    """A count or index as an int: 3.0 and numpy integers pass, and a
+    non-integral value (2.9, nan) is refused, never truncated."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # nan, inf, non-numbers
+        pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")

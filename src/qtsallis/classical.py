@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._index import LIMIT_WINDOW, EntropicIndex, _as_index  # noqa: F401 (re-exported)
+from ._index import LIMIT_WINDOW, EntropicIndex, _as_index, _count  # noqa: F401 (re-exported)
 from .errors import NumericalError, SingularityError, ValidationError
 
 #: Probability vectors must sum to 1 within this before renormalization.
@@ -75,7 +75,7 @@ class JointDist:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_count(d, "subsystem dimension") for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ValidationError("subsystem outcome counts must be positive integers")
         p = np.asarray(self.p, dtype=float)

@@ -13,6 +13,7 @@ failed verification, 2 on usage errors.  Only ``entropy --dist``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -54,12 +55,10 @@ def _parse_floats(text: str, count: int | None = None) -> list[float]:
     return values
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(path: str | None):
+    """The file at ``path``, opened for writing, or stdout when no path is
+    given; an unwritable path fails here."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _cmd_entropy(args) -> int:
@@ -94,7 +93,7 @@ def _cmd_sweep(args) -> int:
     if args.q_points < 2:
         raise ValidationError("need at least two grid points")
     grid = np.geomspace if args.log_scale else np.linspace
-    points = threshold_curve(args.N, args.n, grid(q_min, q_max, args.q_points)).points
+    points = threshold_curve(args.N, args.n, grid(q_min, q_max, args.q_points))
 
     # The solver returns a root only once its bracket is at most ROOT_RTOL
     # wide, so every located point has converged.
@@ -105,21 +104,26 @@ def _cmd_sweep(args) -> int:
             x_text = format_scalar(point.x_star, args.sci) if located else ""
             lines.append(f"{format_scalar(point.q, args.sci)},{x_text},"
                          f"{'true' if located else 'false'}")
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
     else:
         payload = [{"q": point.q, "x_star": point.x_star,
                     "converged": point.x_star is not None} for point in points]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        text = json.dumps(payload, indent=2) + "\n"
+    with _output(args.out) as handle:
+        handle.write(text)
     return 0
 
 
 def _cmd_verify(args) -> int:
     from .oracle import (default_family_grid, default_order_grid, verify_family,
                          verify_separable_witness)
-    family = verify_family(default_family_grid(args.max_dim), default_order_grid())
-    witness = verify_separable_witness(1000, args.seed)
-    rows = family.to_json_obj() + witness.to_json_obj()
-    _emit(json.dumps(rows, indent=2) + "\n", args.json)
+    grid = default_family_grid(args.max_dim)
+    if not grid:
+        raise ValidationError(f"no family member has total dimension at most {args.max_dim}")
+    with _output(args.json) as handle:  # opened first: a bad path costs no verification
+        family = verify_family(grid, default_order_grid())
+        witness = verify_separable_witness(1000, args.seed)
+        handle.write(json.dumps(family.to_json_obj() + witness.to_json_obj(), indent=2) + "\n")
     return 0 if family.passed and witness.passed else 1
 
 

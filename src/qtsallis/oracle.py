@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._index import _count
 from .errors import CapacityError, ValidationError
 from .quantum import (DENSE_DIM_CAP, DensityMatrix, SeparableDecomposition,
                       Spectrum, partial_trace, quantum_conditional,
                       separable_conditional_direct, separable_state,
                       spectrum_of)
-from .werner import (WernerParams, _count, conditional_entropy_block, joint_spectrum,
+from .werner import (WernerParams, conditional_entropy_block, joint_spectrum,
                      marginal_spectrum)
 
 #: Per-level eigenvalue and per-entropy agreement bound for closed forms.
@@ -205,7 +206,7 @@ def verify_separable_witness(trials: int, seed: int) -> VerificationReport:
     entropy is nonnegative (floor ``NONNEG_FLOOR``) and agrees with the
     ratio form on the constructed state's spectra within ``AGREEMENT_TOL``.
     """
-    trials = int(trials)
+    trials = _count(trials, "trial count")
     if trials < 1:
         raise ValidationError("need at least one trial")
     rng = np.random.default_rng(int(seed))

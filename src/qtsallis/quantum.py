@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import ProbDist, _as_index, _as_prob, _conditional_from_matrix
+from ._index import _as_index, _count
+from .classical import ProbDist, _as_prob, _conditional_from_matrix
 from .errors import CapacityError, NumericalError, ValidationError
 
 #: Dense objects larger than this total dimension are refused.
@@ -48,7 +49,7 @@ class DensityMatrix:
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_count(d, "subsystem dimension") for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ValidationError("subsystem dimensions must be positive integers")
         side = math.prod(dims)
@@ -121,9 +122,9 @@ class Spectrum:
         return sum(mult for _, mult in self.levels)
 
 
-def _merge_levels(pairs, tol: float = SPECTRUM_MERGE_TOL) -> list[tuple[float, int]]:
-    """Fold levels whose eigenvalues lie within ``tol`` of each other into a
-    single level at their multiplicity-weighted mean.
+def _merge_levels(pairs) -> list[tuple[float, int]]:
+    """Fold levels whose eigenvalues lie within ``SPECTRUM_MERGE_TOL`` of
+    each other into a single level at their multiplicity-weighted mean.
 
     Zero-multiplicity entries are dropped.  The weighted mean keeps the
     trace exact and the folding error second order, so q-traces built from
@@ -133,7 +134,7 @@ def _merge_levels(pairs, tol: float = SPECTRUM_MERGE_TOL) -> list[tuple[float, i
                   key=lambda vm: -vm[0])
     merged: list[tuple[float, int]] = []
     for value, mult in live:
-        if merged and merged[-1][0] - value <= tol:
+        if merged and merged[-1][0] - value <= SPECTRUM_MERGE_TOL:
             prev_value, prev_mult = merged[-1]
             total = prev_mult + mult
             merged[-1] = ((prev_value * prev_mult + value * mult) / total, total)
@@ -224,7 +225,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     Kept subsystems appear in their original order regardless of the order
     given in ``keep``.
     """
-    kept = sorted({int(i) for i in keep})
+    kept = sorted({_count(i, "subsystem index") for i in keep})
     n = len(rho.dims)
     if not kept:
         raise ValidationError("must keep at least one subsystem")

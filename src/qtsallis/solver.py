@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ._index import _as_index
 from .errors import MonotonicityError, ValidationError
-from .werner import WernerParams, _conditioned, _count, _log_trace_gap
+from .werner import WernerParams, _conditioned, _family, _log_trace_gap
 
 #: Root refinement stops once the bracket is this narrow in ln x.
 ROOT_RTOL = 1e-13
@@ -36,15 +36,6 @@ class ThresholdPoint:
     q: float
     x_star: float | None
     bracket_width: float
-
-
-@dataclass(frozen=True)
-class ThresholdCurve:
-    """Boundary points for one family, ordered by increasing q."""
-
-    levels: int
-    parties: int
-    points: tuple[ThresholdPoint, ...]
 
 
 def entropy_sign(params: WernerParams, q, conditioned_parties: int | None = None) -> int:
@@ -72,14 +63,12 @@ def threshold_for_q(levels: int, parties: int, q,
     bracket, and x_star = None when the gap has one sign at both ends.
     """
     qi = _as_index(q)
-    family = WernerParams(levels, parties, 0.0)  # validates N, n and N**n
-    N, n = family.levels, family.parties
-    k = _conditioned(n, conditioned_parties)
+    N, n, k = _family(levels, parties, conditioned_parties)
 
     def gap(x: float) -> float:
         return _log_trace_gap(N, n, k, qi, x)
 
-    x_inf = asymptotic_threshold(N, n, k)
+    x_inf = _x_inf(N, n, k)
     lo, hi = math.log(x_inf), 0.0
     g_lo, g_hi = gap(x_inf), gap(1.0)
     for x, g in ((x_inf, g_lo), (1.0, g_hi)):
@@ -117,8 +106,8 @@ def _rises(points) -> list[tuple[ThresholdPoint, ThresholdPoint]]:
             if b.x_star > a.x_star * (1 + MONOTONE_RTOL)]
 
 
-def threshold_curve(levels: int, parties: int, q_grid) -> ThresholdCurve:
-    """Boundary points across a strictly increasing grid of orders.
+def threshold_curve(levels: int, parties: int, q_grid) -> tuple[ThresholdPoint, ...]:
+    """The boundary point at each order of a strictly increasing grid.
 
     The located boundary must be non-increasing in q within
     ``MONOTONE_RTOL`` relative to x; a violation raises MonotonicityError
@@ -137,8 +126,7 @@ def threshold_curve(levels: int, parties: int, q_grid) -> ThresholdCurve:
         raise MonotonicityError(f"boundary rose from x*={first.x_star} at q={first.q} "
                                 f"to x*={second.x_star} at q={second.q}",
                                 first=first, second=second)
-    return ThresholdCurve(_count(levels, "levels per party"),
-                          _count(parties, "number of parties"), points)
+    return points
 
 
 def asymptotic_threshold(levels: int, parties: int,
@@ -161,12 +149,10 @@ def asymptotic_threshold(levels: int, parties: int,
     1 / (1 + N**(n-1)): the denominator factors as
     N**(n-1) (N - 1) (N**(n-1) + 1) against the numerator N**(n-1) (N - 1).
     Below this value the state is separable.  Conditioning on fewer parties
-    yields a weaker (larger) bound.
+    yields a weaker (larger) bound.  N**n must lie below 2**63.
     """
-    N, n = _count(levels, "levels per party"), _count(parties, "number of parties")
-    if N < 2 or n < 2:
-        raise ValidationError("need at least two levels and two parties")
-    k = _conditioned(n, conditioned_parties)
-    numerator = N**n - N**k
-    denominator = N**k * (N**n - 1) - N**n * (N**(k - 1) - 1)
-    return numerator / denominator
+    return _x_inf(*_family(levels, parties, conditioned_parties))
+
+
+def _x_inf(N: int, n: int, k: int) -> float:
+    return (N**n - N**k) / (N**k * (N**n - 1) - N**n * (N**(k - 1) - 1))

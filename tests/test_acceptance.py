@@ -72,7 +72,7 @@ def test_criterion_5_monotone_boundary():
         grid = np.geomspace(0.1, 1e4, 50)
         for levels, parties in ((2, 3), (3, 2)):
             curve = threshold_curve(levels, parties, grid)  # raises if it rises
-            xs = [p.x_star for p in curve.points]
+            xs = [p.x_star for p in curve]
             assert all(x is not None for x in xs)
             assert all(b <= a + 1e-9 for a, b in zip(xs, xs[1:]))
             limit = asymptotic_threshold(levels, parties)

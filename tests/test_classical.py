@@ -67,6 +67,16 @@ def test_joint_dist_shape_checks():
         JointDist((0, 3), np.full(3, 1 / 3))
 
 
+@pytest.mark.parametrize("dims", [(2.9, 2), (2, math.nan), (2, math.inf)])
+def test_joint_dist_refuses_non_integral_dims(dims):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        JointDist(dims, np.full(4, 0.25))
+
+
+def test_joint_dist_accepts_integral_float_dims():
+    assert JointDist((2.0, np.int64(2)), np.full(4, 0.25)).dims == (2, 2)
+
+
 def test_frozen_arrays_are_read_only():
     d = ProbDist(np.array([0.5, 0.5]))
     with pytest.raises(ValueError):

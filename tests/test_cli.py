@@ -5,7 +5,7 @@ import json
 import mpmath
 import pytest
 
-from qtsallis import solver
+from qtsallis import oracle, solver
 from qtsallis.cli import format_scalar, main
 from helpers import mp_threshold
 
@@ -114,6 +114,13 @@ def test_threshold_asymptotic_two_party(capsys):
     code, out, _ = run(capsys, ["threshold", "--N", "2", "--n", "2", "--asymptotic"])
     assert code == 0
     assert out == "0.333333333333333\n"
+
+
+def test_threshold_asymptotic_beyond_capacity_exits_one(capsys):
+    code, out, err = run(capsys, ["threshold", "--N", "2", "--n", "100", "--asymptotic"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_threshold_large_q(capsys):
@@ -234,10 +241,23 @@ def test_verify_restricted_grid(tmp_path, capsys):
     assert all(row["pass"] for row in rows)
 
 
-def test_verify_unwritable_json_exits_one(tmp_path, capsys):
+def test_verify_unwritable_json_exits_one(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the suite ran before the report path was opened")
+
+    monkeypatch.setattr(oracle, "verify_family", never)
+    monkeypatch.setattr(oracle, "verify_separable_witness", never)
     target = tmp_path / "missing" / "report.json"
     code, out, err = run(capsys, ["verify", "--seed", "42", "--max-dim", "8",
                                   "--json", str(target)])
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and str(target) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("max_dim", ["3", "0", "-5"])
+def test_verify_empty_grid_exits_one(capsys, max_dim):
+    code, out, err = run(capsys, ["verify", "--max-dim", max_dim])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err

@@ -36,8 +36,8 @@ def cli_loads_numpy(argv: list[str]) -> bool:
 # -- lazy-export contract -------------------------------------------------
 
 def test_all_keeps_its_names():
-    assert len(qtsallis.__all__) == 47
-    assert len(set(qtsallis.__all__)) == 47
+    assert len(qtsallis.__all__) == 46
+    assert len(set(qtsallis.__all__)) == 46
 
 
 @pytest.mark.parametrize("name", qtsallis.__all__)

@@ -92,6 +92,11 @@ def test_witness_rejects_zero_trials():
         verify_separable_witness(0, 42)
 
 
+def test_witness_refuses_non_integral_trials():
+    with pytest.raises(ValidationError, match="must be an integer"):
+        verify_separable_witness(2.5, 1)
+
+
 def test_witness_small_run_passes():
     report = verify_separable_witness(25, 7)
     assert report.passed

@@ -118,6 +118,19 @@ def test_partial_trace_middle_subsystem():
     npt.assert_allclose(partial_trace(prod, {1}).entries, sigma.entries, atol=1e-12)
 
 
+@pytest.mark.parametrize("dims", [(2.5, 2), (2, math.nan)])
+def test_density_refuses_non_integral_dims(dims):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        DensityMatrix(dims, np.eye(4) / 4)
+
+
+def test_partial_trace_refuses_non_integral_index():
+    rho = DensityMatrix((2, 2), np.eye(4) / 4)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        partial_trace(rho, {0.7})
+    assert partial_trace(rho, {1.0}).dims == (2,)
+
+
 def test_partial_trace_empty_keep():
     rng = np.random.default_rng(6)
     with pytest.raises(ValidationError):

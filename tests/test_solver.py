@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtsallis import (MonotonicityError, ThresholdPoint, ValidationError,
+from qtsallis import (CapacityError, MonotonicityError, ThresholdPoint, ValidationError,
                       WernerParams, asymptotic_threshold, conditional_entropy_block,
                       entropy_sign, spectrum_of, threshold_curve,
                       threshold_for_q, von_neumann, werner_density)
@@ -202,7 +202,7 @@ def test_threshold_matches_arbitrary_precision_root(family, q):
 def test_curve_never_rises(family, qs):
     levels, parties, _ = family
     curve = threshold_curve(levels, parties, sorted(qs))  # raises if it rises
-    xs = [point.x_star for point in curve.points]
+    xs = [point.x_star for point in curve]
     assert all(b <= a * (1 + 1e-8) for a, b in zip(xs, xs[1:]))
 
 
@@ -211,7 +211,7 @@ def test_curve_never_rises(family, qs):
 def test_curve_monotone_and_convergent():
     grid = np.geomspace(0.5, 1e4, 20)
     curve = threshold_curve(2, 3, grid)
-    xs = [p.x_star for p in curve.points]
+    xs = [p.x_star for p in curve]
     assert all(x is not None for x in xs)
     assert all(b <= a + 1e-9 for a, b in zip(xs, xs[1:]))
     assert xs[-1] == pytest.approx(0.2, abs=1e-3)
@@ -261,6 +261,16 @@ def test_asymptote_simplifies(levels, parties):
     # the linear dominant-eigenvalue solve must reduce to the closed form
     assert asymptotic_threshold(levels, parties) \
         == 1 / (1 + levels ** (parties - 1))
+
+
+def test_asymptote_refuses_what_the_family_refuses():
+    with pytest.raises(CapacityError):
+        asymptotic_threshold(2, 100)  # N**n beyond 2**63, as in threshold_for_q
+    with pytest.raises(CapacityError):
+        threshold_for_q(2, 100, 2.0)
+    for levels, parties in ((1, 3), (2, 1)):
+        with pytest.raises(ValidationError):
+            asymptotic_threshold(levels, parties)
 
 
 def test_asymptote_block_values():

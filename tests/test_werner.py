@@ -198,6 +198,15 @@ def test_spectra_keep_close_levels_apart():
                 float(expected), rel=1e-12, abs=0)
 
 
+def test_spectra_merge_levels_that_round_alike():
+    # at x = 1e-300 the raised and background levels are the same float
+    for levels, parties in ((2, 3), (3, 4), (31, 4)):
+        params = WernerParams(levels, parties, 1e-300)
+        assert joint_spectrum(params).levels == ((1.0 / levels ** parties, levels ** parties),)
+        for m in range(1, parties):
+            assert marginal_spectrum(params, m).levels == ((1.0 / levels ** m, levels ** m),)
+
+
 # -- marginal_spectrum ---------------------------------------------------
 
 def test_marginal_pair_of_qubits():
