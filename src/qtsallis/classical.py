@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._index import LIMIT_WINDOW, EntropicIndex, _as_index, _count  # noqa: F401 (re-exported)
+from ._index import (LIMIT_WINDOW, PROB_SUM_TOL, EntropicIndex,  # noqa: F401 (re-exported)
+                     _as_index, _count, _entropy_of, _probabilities)
 from .errors import NumericalError, SingularityError, ValidationError
 
-#: Probability vectors must sum to 1 within this before renormalization.
-PROB_SUM_TOL = 1e-12
 #: Internal agreement bound for the tripartite composition identities.
 CHAIN_TOL = 1e-10
 #: Conditioning denominators smaller than this are reported as singular.
@@ -29,16 +28,8 @@ DENOM_FLOOR = 1e-300
 
 
 def _clean_probabilities(p: np.ndarray) -> np.ndarray:
-    """Validate entries and normalization; return a frozen, renormalized copy."""
-    if not np.all(np.isfinite(p)):
-        raise ValidationError("probabilities must be finite")
-    if np.any(p < 0.0) or np.any(p > 1.0 + PROB_SUM_TOL):
-        raise ValidationError("probabilities must lie in [0, 1]")
-    total = math.fsum(p)
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValidationError(
-            f"probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
-    out = p / total
+    """``p`` validated and renormalized by ``_index._probabilities``, frozen."""
+    out = np.array(_probabilities(p.tolist()))
     out.flags.writeable = False
     return out
 
@@ -98,21 +89,13 @@ def _as_prob(p) -> ProbDist:
     return p if isinstance(p, ProbDist) else ProbDist(np.asarray(p, dtype=float))
 
 
-def _entropy_of(p: np.ndarray, qi: EntropicIndex) -> float:
-    """Order-q entropy of a bare probability vector (zeros contribute 0)."""
-    live = p[p > 0.0]
-    if qi.is_limit_point:
-        return float(-np.dot(live, np.log(live)))
-    return (math.fsum(live ** qi.q) - 1.0) / (1.0 - qi.q)
-
-
 def tsallis_entropy(p, q) -> float:
     """Entropy of order q: (sum_i p_i**q - 1) / (1 - q).
 
     Zero-probability outcomes contribute nothing (0**q := 0 for q > 0).
     At the q -> 1 limit point this is the Shannon entropy -sum p ln p.
     """
-    return _entropy_of(_as_prob(p).p, _as_index(q))
+    return _entropy_of(_as_prob(p).p.tolist(), _as_index(q))
 
 
 def escort(p, q) -> ProbDist:
@@ -160,7 +143,7 @@ def _conditional_from_matrix(mat: np.ndarray, qi: EntropicIndex) -> float:
         weights = powers / total
     acc = 0.0
     for weight, i in zip(weights, rows):
-        acc += weight * _entropy_of(mat[i] / row_mass[i], qi)
+        acc += weight * _entropy_of((mat[i] / row_mass[i]).tolist(), qi)
     return float(acc)
 
 
@@ -188,7 +171,8 @@ def conditional_entropy_ratio(joint: JointDist, q) -> float:
     qi = _as_index(q)
     if joint.subsystems() != 2:
         raise ValidationError("joint distribution must have exactly two subsystems")
-    return _ratio_form(_entropy_of(joint.p, qi), _entropy_of(joint.array.sum(axis=1), qi), qi)
+    return _ratio_form(_entropy_of(joint.p.tolist(), qi),
+                       _entropy_of(joint.array.sum(axis=1).tolist(), qi), qi)
 
 
 def _ratio_form(s_joint: float, s_first: float, qi: EntropicIndex) -> float:
@@ -246,10 +230,10 @@ def tripartite_chain(joint: JointDist, q) -> ChainDecomposition:
     arr = joint.array
     d_a, d_b, d_c = arr.shape
 
-    s_abc = _entropy_of(joint.p, qi)
+    s_abc = _entropy_of(joint.p.tolist(), qi)
     pair_bc = arr.sum(axis=0)
-    s_bc = _entropy_of(pair_bc.reshape(-1), qi)
-    s_c = _entropy_of(pair_bc.sum(axis=0), qi)
+    s_bc = _entropy_of(pair_bc.reshape(-1).tolist(), qi)
+    s_c = _entropy_of(pair_bc.sum(axis=0).tolist(), qi)
 
     s_a_given_bc = _conditional_from_matrix(
         arr.transpose(1, 2, 0).reshape(d_b * d_c, d_a), qi)

@@ -5,9 +5,9 @@ Subcommands: ``entropy`` (classical or family conditional entropy),
 (boundary curve over a grid of orders, CSV or JSON), and ``verify``
 (dense-oracle certification suite).  Data goes to stdout, errors and
 diagnostics to stderr; exit codes are 0 on success, 1 on domain errors or
-failed verification, 2 on usage errors.  Only ``entropy --dist``,
-``sweep`` and ``verify`` import numpy; ``threshold`` and ``entropy
---werner`` run on the numpy-free closed-form path.
+failed verification, 2 on usage errors.  Only ``verify`` imports numpy:
+``threshold``, ``entropy`` and ``sweep`` run on plain floats, through the
+closed-form path and the probability rule of ``_index``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import math
 import sys
 
-from ._index import _as_index
+from ._index import _as_index, _entropy_of, _probabilities
 from .errors import QTsallisError, ValidationError
 from .solver import asymptotic_threshold, threshold_curve, threshold_for_q
 from .werner import WernerParams, conditional_entropy_block
@@ -66,8 +66,7 @@ def _cmd_entropy(args) -> int:
         print("error: --condition-on requires --werner", file=sys.stderr)
         return 2
     if args.dist is not None:
-        from .classical import ProbDist, tsallis_entropy
-        value = tsallis_entropy(ProbDist(_parse_floats(args.dist)), args.q)
+        value = _entropy_of(_probabilities(_parse_floats(args.dist)), _as_index(args.q))
     else:
         params = WernerParams(*_parse_floats(args.werner, 3))
         value = conditional_entropy_block(params, args.condition_on, args.q)
@@ -84,16 +83,22 @@ def _cmd_threshold(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    import numpy as np
+def _q_grid(q_min: float, q_max: float, count: int, log_scale: bool) -> list[float]:
+    """``count`` orders from ``q_min`` to ``q_max``, ends exact, by the formula
+    of numpy's ``linspace`` in q, or of its ``geomspace`` in log10 q."""
+    low, high = (math.log10(q_min), math.log10(q_max)) if log_scale else (q_min, q_max)
+    step = (high - low) / (count - 1)
+    inner = (i * step + low for i in range(1, count - 1))
+    return [q_min, *(10.0 ** y if log_scale else y for y in inner), q_max]
 
-    # Positive finite ends and two or more points keep numpy's grid
-    # construction safe; threshold_curve checks the rest.
+
+def _cmd_sweep(args) -> int:
+    # Positive ends and two or more points define the grid; threshold_curve checks the rest.
     q_min, q_max = (_as_index(q).q for q in (args.q_min, args.q_max))
     if args.q_points < 2:
         raise ValidationError("need at least two grid points")
-    grid = np.geomspace if args.log_scale else np.linspace
-    points = threshold_curve(args.N, args.n, grid(q_min, q_max, args.q_points))
+    grid = _q_grid(q_min, q_max, args.q_points, args.log_scale)
+    points = threshold_curve(args.N, args.n, grid)
 
     # The solver returns a root only once its bracket is at most ROOT_RTOL
     # wide, so every located point has converged.
@@ -115,14 +120,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .oracle import (default_family_grid, default_order_grid, verify_family,
-                         verify_separable_witness)
-    grid = default_family_grid(args.max_dim)
+    from . import oracle
+    grid = oracle.default_family_grid(args.max_dim)
     if not grid:
         raise ValidationError(f"no family member has total dimension at most {args.max_dim}")
     with _output(args.json) as handle:  # opened first: a bad path costs no verification
-        family = verify_family(grid, default_order_grid())
-        witness = verify_separable_witness(1000, args.seed)
+        witness = oracle.verify_separable_witness(1000, args.seed)  # a bad seed fails first
+        family = oracle.verify_family(grid, oracle.default_order_grid())
         handle.write(json.dumps(family.to_json_obj() + witness.to_json_obj(), indent=2) + "\n")
     return 0 if family.passed and witness.passed else 1
 

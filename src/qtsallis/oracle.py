@@ -95,8 +95,7 @@ class VerificationReport:
 def ghz_vector(levels: int, parties: int) -> np.ndarray:
     """Unit vector with amplitude 1/sqrt(levels) on every all-equal
     multi-index (k, k, ..., k), zero elsewhere."""
-    levels = _count(levels, "levels per party")
-    parties = _count(parties, "number of parties")
+    levels, parties = _count(levels, "levels per party"), _count(parties, "number of parties")
     if levels < 2 or parties < 1:
         raise ValidationError("need at least two levels and one party")
     dim = levels ** parties
@@ -142,19 +141,17 @@ def _marginal_of(dense: DensityMatrix, params: WernerParams, kept: int) -> Densi
     return marginal
 
 
-def _spectrum_rows(case: str, label: str, closed: Spectrum, oracle: Spectrum,
-                   tol: float = AGREEMENT_TOL) -> list[Comparison]:
-    rows = []
+def _spectrum_rows(case: str, label: str, closed: Spectrum,
+                   oracle: Spectrum) -> list[Comparison]:
     if len(closed.levels) != len(oracle.levels):
-        rows.append(Comparison(
-            case, f"{label}.level_count",
-            float(len(closed.levels)), float(len(oracle.levels)),
-            float(abs(len(closed.levels) - len(oracle.levels))), False))
-        return rows
+        return [Comparison(case, f"{label}.level_count",
+                           float(len(closed.levels)), float(len(oracle.levels)),
+                           float(abs(len(closed.levels) - len(oracle.levels))), False)]
+    rows = []
     for idx, ((cv, cm), (ov, om)) in enumerate(zip(closed.levels, oracle.levels)):
         dev = _deviation(cv, ov)
         rows.append(Comparison(
-            case, f"{label}[level={idx}].eigenvalue", cv, ov, dev, dev <= tol))
+            case, f"{label}[level={idx}].eigenvalue", cv, ov, dev, dev <= AGREEMENT_TOL))
         rows.append(Comparison(
             case, f"{label}[level={idx}].multiplicity",
             float(cm), float(om), float(abs(cm - om)), cm == om))
@@ -206,10 +203,12 @@ def verify_separable_witness(trials: int, seed: int) -> VerificationReport:
     entropy is nonnegative (floor ``NONNEG_FLOOR``) and agrees with the
     ratio form on the constructed state's spectra within ``AGREEMENT_TOL``.
     """
-    trials = _count(trials, "trial count")
+    trials, seed = _count(trials, "trial count"), _count(seed, "seed")
     if trials < 1:
         raise ValidationError("need at least one trial")
-    rng = np.random.default_rng(int(seed))
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    rng = np.random.default_rng(seed)
     rows: list[Comparison] = []
     for trial in range(trials):
         dim_a = int(rng.integers(2, 5))
@@ -217,14 +216,9 @@ def verify_separable_witness(trials: int, seed: int) -> VerificationReport:
         terms = int(rng.integers(1, 7))
         weights = rng.uniform(size=terms)
         weights /= weights.sum()
-        local_a = []
-        local_b = []
-        for _ in range(terms):
-            r = rng.uniform(size=dim_a)
-            local_a.append(r / r.sum())
-            s = rng.uniform(size=dim_b)
-            local_b.append(s / s.sum())
-        decomposition = SeparableDecomposition(weights, tuple(local_a), tuple(local_b))
+        draws = [(rng.uniform(size=dim_a), rng.uniform(size=dim_b)) for _ in range(terms)]
+        decomposition = SeparableDecomposition(weights, tuple(r / r.sum() for r, _ in draws),
+                                               tuple(s / s.sum() for _, s in draws))
         state = separable_state(decomposition)
         joint_spec = spectrum_of(state)
         marginal_spec = spectrum_of(partial_trace(state, {0}))

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,7 +13,8 @@ from qtsallis import (EntropicIndex, JointDist, ProbDist, SingularityError,
                       ValidationError, compose_pseudoadditive,
                       conditional_entropy_def, conditional_entropy_ratio,
                       escort, q_expectation, tripartite_chain, tsallis_entropy)
-from helpers import random_joint, shannon
+from qtsallis.cli import main
+from helpers import random_joint, random_prob, shannon
 
 Q_GRID = (0.3, 0.7, 1.0, 1.5, 3.0, 10.0)
 
@@ -48,6 +50,26 @@ def test_index_limit_point_window(q, expected):
 def test_prob_dist_renormalizes_within_tolerance():
     d = ProbDist(np.array([0.5, 0.5 + 5e-13]))
     npt.assert_allclose(d.p.sum(), 1.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("bad,fragment", [
+    ([0.5, float("nan")], "must be finite"),
+    ([0.5, float("inf")], "must be finite"),
+    ([-0.1, 0.5], "must lie in [0, 1]"),
+    ([1.1, 0.5], "must lie in [0, 1]"),
+    ([0.5, 0.5 + 1e-9], "expected 1 within 1e-12"),
+])
+def test_one_probability_rule_everywhere(capsys, bad, fragment):
+    messages = []
+    for build in (ProbDist, lambda p: JointDist((2,), p), lambda p: tsallis_entropy(p, 2.0)):
+        with pytest.raises(ValidationError) as caught:
+            build(bad)
+        messages.append(str(caught.value))
+    assert main(["entropy", f"--dist={','.join(map(repr, bad))}", "--q", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {messages[0]}\n"
+    assert messages == [messages[0]] * 3 and fragment in messages[0]
 
 
 @pytest.mark.parametrize("bad", [
@@ -103,6 +125,26 @@ def test_entropy_limit_matches_shannon():
     p = [0.8, 0.2]
     assert tsallis_entropy(p, 1.0) == pytest.approx(shannon(p), abs=1e-15)
     assert tsallis_entropy(p, 1.0 + 1e-10) == pytest.approx(shannon(p), abs=1e-15)
+
+
+def mp_tsallis(p, q):
+    """Order-q entropy of the floats ``p``, normalized exactly, to 50 digits."""
+    with mpmath.workdps(50):
+        total = mpmath.fsum(p)
+        x = [mpmath.mpf(v) / total for v in p if v > 0]
+        if q == 1.0:
+            return -mpmath.fsum(v * mpmath.log(v) for v in x)
+        q = mpmath.mpf(q)
+        return (mpmath.fsum(v ** q for v in x) - 1) / (1 - q)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.0 - 1e-6, 1.0 + 1e-6])
+def test_entropy_next_to_one_matches_mpmath(q):
+    rng = np.random.default_rng(5)
+    for size in rng.integers(2, 17, size=200):
+        dist = random_prob(rng, int(size))
+        reference = mp_tsallis(dist.p.tolist(), q)
+        assert abs(tsallis_entropy(dist, q) - reference) <= 1e-15 * abs(reference)
 
 
 def test_entropy_rejects_bad_order():

@@ -1,9 +1,15 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import math
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtsallis import oracle, solver
 from qtsallis.cli import format_scalar, main
@@ -215,6 +221,53 @@ def test_sweep_bad_grid_exits_one(capsys, extra):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def sweep_orders(q_min, q_max, count, log_scale):
+    """The orders ``qtsallis sweep --format json`` prints for this grid."""
+    argv = ["sweep", "--N", "2", "--n", "3", "--q-min", repr(q_min), "--q-max", repr(q_max),
+            "--q-points", str(count), "--format", "json", *(["--log-scale"] if log_scale else [])]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    return [row["q"] for row in json.loads(out.getvalue())]
+
+
+# Ends in (0, 1e6] at least 0.1 % apart, so even 50 points stay distinct floats.
+grid_ends = st.tuples(st.floats(1e-3, 1e6), st.floats(1e-3, 1e6)).map(sorted).filter(
+    lambda ends: ends[1] >= ends[0] * 1.001)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_ends, st.integers(2, 50), st.booleans())
+def test_sweep_grid_ends_exact_and_increasing(ends, count, log_scale):
+    qs = sweep_orders(*ends, count, log_scale)
+    assert len(qs) == count
+    assert (qs[0], qs[-1]) == tuple(ends)
+    assert all(b > a for a, b in zip(qs, qs[1:]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_ends, st.integers(2, 50))
+def test_sweep_linear_grid_is_numpy_linspace(ends, count):
+    assert sweep_orders(*ends, count, False) == np.linspace(*ends, count).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_ends, st.integers(2, 50))
+def test_sweep_log_grid_is_numpy_geomspace_to_its_exponent(ends, count):
+    """Each inner order is 10**y, with y off by a few ulps of the largest
+    |log10 q| (numpy's log10 and libm's may round an ulp apart), which
+    10**y scales by ln 10; so the grid matches np.geomspace and the exact
+    geometric points to that many ulps of y, not of q."""
+    y_ulp = math.log(10) * math.ulp(max(abs(math.log10(end)) for end in ends)) + 2**-52
+    qs = sweep_orders(*ends, count, True)
+    for q, reference in zip(qs, np.geomspace(*ends, count).tolist()):
+        assert abs(q - reference) <= 8 * y_ulp * reference
+    with mpmath.workdps(30):
+        ratio = mpmath.mpf(ends[1]) / ends[0]
+        for i, q in enumerate(qs):
+            exact = ends[0] * ratio ** (mpmath.mpf(i) / (count - 1))
+            assert abs(q - exact) <= 4 * y_ulp * exact
+
+
 def test_sweep_rise_exits_one(capsys, monkeypatch):
     def rising(levels, parties, q):  # a boundary that grows with q
         return solver.ThresholdPoint(q, 0.01 * q, 0.0)
@@ -253,6 +306,17 @@ def test_verify_unwritable_json_exits_one(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and str(target) in err and "Traceback" not in err
+
+
+def test_verify_negative_seed_exits_one_before_the_suite(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the family suite ran before the seed was checked")
+
+    monkeypatch.setattr(oracle, "verify_family", never)
+    code, out, err = run(capsys, ["verify", "--seed", "-1", "--max-dim", "8"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: seed must be nonnegative, got -1\n"
 
 
 @pytest.mark.parametrize("max_dim", ["3", "0", "-5"])

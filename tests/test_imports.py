@@ -97,12 +97,25 @@ def test_closed_form_commands_load_no_numpy(argv):
     assert not cli_loads_numpy(argv)
 
 
+SWEEP = ["sweep", "--N", "2", "--n", "3", "--q-min", "1", "--q-max", "4", "--q-points", "3"]
+
+
 @pytest.mark.parametrize("argv", [
     ["entropy", "--dist", "0.25,0.75", "--q", "2"],
-    ["sweep", "--N", "2", "--n", "3", "--q-min", "1", "--q-max", "4", "--q-points", "3"],
-])
-def test_array_commands_work_and_load_numpy(argv):
-    assert cli_loads_numpy(argv)
+    ["entropy", "--dist", "0.2,0.3,0.5", "--q", "1"],
+    [*SWEEP, "--format", "csv"],
+    [*SWEEP, "--format", "json"],
+    [*SWEEP, "--format", "csv", "--log-scale"],
+    [*SWEEP, "--format", "json", "--log-scale"],
+], ids=["entropy-dist", "entropy-dist-limit", "sweep-csv", "sweep-json", "sweep-csv-log",
+        "sweep-json-log"])
+def test_dist_and_sweep_commands_load_no_numpy(argv):
+    assert not cli_loads_numpy(argv)
+
+
+def test_verify_works_and_loads_numpy():
+    """``verify`` is the one command that builds dense states."""
+    assert cli_loads_numpy(["verify", "--max-dim", "4"])
 
 
 @pytest.mark.parametrize("use", ["qtsallis.ProbDist([0.5, 0.5])",

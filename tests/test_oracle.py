@@ -97,6 +97,19 @@ def test_witness_refuses_non_integral_trials():
         verify_separable_witness(2.5, 1)
 
 
+@pytest.mark.parametrize("seed,message", [(2.5, "must be an integer"),
+                                          (float("nan"), "must be an integer"),
+                                          (-1, "must be nonnegative")])
+def test_witness_refuses_bad_seed(seed, message):
+    with pytest.raises(ValidationError, match=message):
+        verify_separable_witness(1, seed)
+
+
+def test_witness_accepts_integral_float_seed():
+    assert verify_separable_witness(3, 2.0).to_json_obj() == \
+        verify_separable_witness(3, 2).to_json_obj()
+
+
 def test_witness_small_run_passes():
     report = verify_separable_witness(25, 7)
     assert report.passed
