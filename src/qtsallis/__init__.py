@@ -18,11 +18,9 @@ _LAZY = {
                      "compose_pseudoadditive", "conditional_entropy_def",
                      "conditional_entropy_ratio", "escort", "q_expectation",
                      "tripartite_chain", "tsallis_entropy"), "classical"),
-    **dict.fromkeys(("DensityMatrix", "SeparableDecomposition", "Spectrum",
-                     "partial_trace", "q_trace", "quantum_conditional",
-                     "quantum_tsallis", "separable_conditional_direct",
-                     "separable_state", "spectrum_of", "tensor_product",
-                     "von_neumann"), "quantum"),
+    **dict.fromkeys(("DensityMatrix", "Spectrum", "partial_trace", "q_trace",
+                     "quantum_conditional", "quantum_tsallis", "spectrum_of",
+                     "tensor_product", "von_neumann"), "quantum"),
     **dict.fromkeys(("Comparison", "VerificationReport", "default_family_grid",
                      "default_order_grid", "ghz_vector", "verify_family",
                      "verify_separable_witness", "werner_density"), "oracle"),

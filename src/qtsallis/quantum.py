@@ -5,7 +5,8 @@ oracle certifies closed forms against.  Entropies of a state are taken
 from its degeneracy-aware spectrum, whose q-traces are evaluated in the
 log domain, so extreme orders (q up to about 1e6) neither underflow nor
 overflow.  The family's own entropies and thresholds do not come through
-here: :mod:`qtsallis.werner` evaluates them in closed form.
+here: :mod:`qtsallis.werner` evaluates them in closed form.  Separable
+mixtures are plain states too, built by :mod:`qtsallis.oracle`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._index import _as_index, _count
-from .classical import ProbDist, _as_prob, _conditional_from_matrix
 from .errors import CapacityError, NumericalError, ValidationError
 
 #: Dense objects larger than this total dimension are refused.
@@ -241,65 +241,3 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     dims = tuple(rho.dims[i] for i in kept)
     side = math.prod(dims)
     return DensityMatrix(dims, arr.reshape(side, side))
-
-
-@dataclass(frozen=True, eq=False)
-class SeparableDecomposition:
-    """Mixture of product states whose local factors are diagonal in the
-    computational basis.
-
-    One local distribution pair (first subsystem, second subsystem) per
-    mixture term, weighted by a probability vector over terms.
-    Construction forms the mixture's joint distribution
-    sum_l w_l r_l(a) s_l(b) once and keeps it, rows a, as the read-only
-    ``joint``.
-    """
-
-    weights: ProbDist
-    local_a: tuple[ProbDist, ...]
-    local_b: tuple[ProbDist, ...]
-    joint: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        weights = _as_prob(self.weights)
-        local_a = tuple(_as_prob(r) for r in self.local_a)
-        local_b = tuple(_as_prob(s) for s in self.local_b)
-        if len(local_a) != len(weights) or len(local_b) != len(weights):
-            raise ValidationError("need one local distribution pair per mixture term")
-        if len({len(r) for r in local_a}) != 1 or len({len(s) for s in local_b}) != 1:
-            raise ValidationError("local distributions must share a common length per side")
-        joint = np.einsum("l,la,lb->ab", weights.p, np.array([r.p for r in local_a]),
-                          np.array([s.p for s in local_b]))
-        joint.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "local_a", local_a)
-        object.__setattr__(self, "local_b", local_b)
-        object.__setattr__(self, "joint", joint)
-
-    @property
-    def dim_a(self) -> int:
-        return len(self.local_a[0])
-
-    @property
-    def dim_b(self) -> int:
-        return len(self.local_b[0])
-
-
-def separable_state(decomposition: SeparableDecomposition) -> DensityMatrix:
-    """Dense density matrix of the mixture: the decomposition's ``joint``
-    on the diagonal, real by construction."""
-    dims = (decomposition.dim_a, decomposition.dim_b)
-    return DensityMatrix(dims, np.diag(decomposition.joint.reshape(-1)))
-
-
-def separable_conditional_direct(decomposition: SeparableDecomposition, q) -> float:
-    """Conditional entropy of the second subsystem given the first,
-    evaluated directly on the mixture's ``joint`` distribution.
-
-    The first-subsystem mass m(a) = sum_l w_l r_l(a) builds the escort
-    weights; each slice pi(b|a) = sum_l w_l r_l(a) s_l(b) / m(a)
-    contributes its order-q entropy.  Rows with zero mass are skipped.
-    Nonnegative for every valid decomposition, matching the classical
-    conditional entropy's behavior.
-    """
-    return _conditional_from_matrix(decomposition.joint, _as_index(q))

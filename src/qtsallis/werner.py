@@ -47,15 +47,15 @@ class WernerParams:
 def _spectrum(levels: int, m: int, r: int, x: float) -> Spectrum:
     """The two-level spectrum on m parties with the GHZ weight on r
     directions (r = 1 for the state, r = N for a marginal): multiplicity r
-    at (1 + (N**m / r - 1) x) / N**m and N**m - r at (1 - x) / N**m.  An
-    exact tie is one level and an empty background none; at x = 1 the zero
-    level stays."""
+    at :func:`_peak` over r and N**m - r at (1 - x) / N**m; one level
+    1 / N**m where x rounds away (x = 0, or no background).  At x = 1 the
+    zero level stays."""
     from .quantum import Spectrum  # numpy, so only when asked for
     dim = levels ** m
-    raised, background = (1.0 + (dim // r - 1) * x) / dim, (1.0 - x) / dim
-    if raised == background:
-        return Spectrum(((raised, dim),))
-    return Spectrum(((raised, r), (background, dim - r)) if dim > r else ((raised, r),))
+    inv, peak = _peak(dim, r, x)
+    if peak == inv:
+        return Spectrum(((1.0 / dim, dim),))
+    return Spectrum(((peak / r, r), ((1.0 - x) / dim, dim - r)))
 
 
 def joint_spectrum(params: WernerParams) -> Spectrum:
@@ -109,6 +109,12 @@ def _family(levels, parties, conditioned_parties: int | None) -> tuple[int, int,
     return levels, parties, _conditioned(parties, conditioned_parties)
 
 
+def _peak(dim: int, r: int, x: float) -> tuple[float, float]:
+    """r / N**m and r times the raised level, x (1 - r / N**m) + r / N**m."""
+    inv = 1.0 / (dim // r)
+    return inv, x * (1.0 - inv) + inv
+
+
 def _log_q_trace(levels: int, m: int, r: int, q: float | None, far: bool, x: float) -> float:
     """ln Tr sigma**q of the spectrum of :func:`_spectrum`, or, for q None
     (the limit point), the von Neumann entropy of sigma.
@@ -120,8 +126,7 @@ def _log_q_trace(levels: int, m: int, r: int, q: float | None, far: bool, x: flo
     of 1 - q, so nothing cancels next to q = 1.
     """
     dim, log_levels = levels ** m, math.log(levels)
-    inv = 1.0 / (dim // r)
-    peak = x * (1.0 - inv) + inv  # r times the raised eigenvalue
+    inv, peak = _peak(dim, r, x)
     log_peak = math.log(peak)
     log_rest = math.log1p(-x) if x < 1.0 else 0.0  # any finite ln beside weight 0
     if far:

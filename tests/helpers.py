@@ -3,7 +3,7 @@
 import mpmath
 import numpy as np
 
-from qtsallis import DensityMatrix, JointDist, ProbDist, SeparableDecomposition
+from qtsallis import DensityMatrix, JointDist, ProbDist, tensor_product
 
 #: Orders next to the limit point, on both sides, and the limit point itself.
 NEAR_ONE = (1.0,) + tuple(1.0 + sign * gap for gap in (1.5e-9, 1e-6, 1e-3, 1e-2)
@@ -43,11 +43,16 @@ def record_eigvalsh(monkeypatch):
     return seen
 
 
-def random_decomposition(rng, dim_a, dim_b, terms):
+def random_separable(rng, dim_a, dim_b, terms):
+    """Mixture sum_l w_l rho_A^l (x) rho_B^l of random complex local states,
+    and its first-subsystem marginal sum_l w_l rho_A^l."""
     weights = rng.uniform(size=terms)
-    local_a = tuple(random_prob(rng, dim_a) for _ in range(terms))
-    local_b = tuple(random_prob(rng, dim_b) for _ in range(terms))
-    return SeparableDecomposition(ProbDist(weights / weights.sum()), local_a, local_b)
+    weights /= weights.sum()
+    local = [(random_density(rng, (dim_a,)), random_density(rng, (dim_b,)))
+             for _ in range(terms)]
+    joint = sum(w * tensor_product(a, b).entries for w, (a, b) in zip(weights, local))
+    marginal = sum(w * a.entries for w, (a, _) in zip(weights, local))
+    return DensityMatrix((dim_a, dim_b), joint), DensityMatrix((dim_a,), marginal)
 
 
 def shannon(p):

@@ -36,8 +36,8 @@ def cli_loads_numpy(argv: list[str]) -> bool:
 # -- lazy-export contract -------------------------------------------------
 
 def test_all_keeps_its_names():
-    assert len(qtsallis.__all__) == 46
-    assert len(set(qtsallis.__all__)) == 46
+    assert len(qtsallis.__all__) == 43
+    assert len(set(qtsallis.__all__)) == 43
 
 
 @pytest.mark.parametrize("name", qtsallis.__all__)
@@ -111,6 +111,12 @@ SWEEP = ["sweep", "--N", "2", "--n", "3", "--q-min", "1", "--q-max", "4", "--q-p
         "sweep-json-log"])
 def test_dist_and_sweep_commands_load_no_numpy(argv):
     assert not cli_loads_numpy(argv)
+
+
+@pytest.mark.parametrize("module", ["qtsallis.quantum", "qtsallis.oracle"])
+def test_dense_layers_load_no_classical_layer(module):
+    assert fresh_python(f"import sys, {module}\n"
+                        "print('qtsallis.classical' in sys.modules)")[-1] == "False"
 
 
 def test_verify_works_and_loads_numpy():

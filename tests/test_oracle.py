@@ -1,15 +1,16 @@
 """Dense-oracle construction and the verification report machinery."""
 
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from qtsallis import (ValidationError, WernerParams, joint_spectrum,
-                      spectrum_of, verify_family, verify_separable_witness,
-                      werner_density)
-from qtsallis.oracle import _marginal_of
+                      partial_trace, spectrum_of, verify_family,
+                      verify_separable_witness, werner_density)
+from qtsallis.oracle import WITNESS_ORDERS, _marginal_of, _witness_rows
 from helpers import record_eigvalsh
 
 
@@ -127,6 +128,39 @@ def test_witness_forms_one_joint_per_trial(monkeypatch):
     monkeypatch.setattr(np, "einsum", counting)
     assert verify_separable_witness(10, 7).passed
     assert len(calls) == 10
+
+
+def test_witness_states_have_coherences(monkeypatch):
+    seen = record_eigvalsh(monkeypatch)
+    assert verify_separable_witness(10, 7).passed
+    assert len(seen) == 30  # per trial: the joint, its closed and its traced marginal
+
+    def coherent(matrices):
+        return [m for m in matrices if (m - np.diag(np.diag(m))).any()]
+
+    assert coherent(seen[0::3]) and coherent(seen[2::3])
+
+
+@pytest.mark.parametrize("q", [2, 10, 100])
+def test_witness_rows_fail_on_an_entangled_member(q):
+    rho = werner_density(WernerParams(2, 2, 0.9))
+    rows = {c.quantity: c for c in _witness_rows("x=0.9", rho, partial_trace(rho, {0}))}
+    assert rows[f"separable_conditional[q={q}]"].passed
+    assert rows[f"nonnegative[q={q}]"].closed_form < 0.0
+    assert not rows[f"nonnegative[q={q}]"].passed
+    assert rows["nonnegative[q=0.5]"].passed  # order 0.5 does not see this member
+
+
+def test_witness_reports_eight_rows_per_trial():
+    report = verify_separable_witness(3, 5)
+    by_case = {}
+    for c in report.comparisons:
+        by_case.setdefault(c.case, []).append(c.quantity)
+    assert [case.split(",")[0] for case in by_case] == ["trial=0", "trial=1", "trial=2"]
+    for case, quantities in by_case.items():
+        assert re.fullmatch(r"trial=\d,dims=[2-4]x[2-4],terms=[1-6]", case)
+        assert quantities == sorted(f"{kind}[q={q:g}]" for q in WITNESS_ORDERS
+                                    for kind in ("nonnegative", "separable_conditional"))
 
 
 def test_witness_deterministic():

@@ -6,15 +6,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qtsallis import (CapacityError, DensityMatrix, ProbDist,
-                      SeparableDecomposition, Spectrum, ValidationError,
+from qtsallis import (CapacityError, DensityMatrix, Spectrum, ValidationError,
                       compose_pseudoadditive, partial_trace, q_trace,
-                      quantum_conditional, quantum_tsallis,
-                      separable_conditional_direct, separable_state,
-                      spectrum_of, tensor_product, tsallis_entropy,
-                      von_neumann, werner_density, WernerParams, ghz_vector)
+                      quantum_conditional, quantum_tsallis, spectrum_of,
+                      tensor_product, von_neumann, werner_density, WernerParams,
+                      ghz_vector)
 from qtsallis import quantum
-from helpers import random_decomposition, random_density, record_eigvalsh
+from helpers import random_density, random_separable, record_eigvalsh
 
 
 def basis_projector(dim, k):
@@ -317,80 +315,33 @@ def test_pseudoadditivity_matches_composition():
 
 # -- separable states ----------------------------------------------------
 
-def test_separable_state_single_point_mass():
-    d = SeparableDecomposition(
-        ProbDist(np.array([1.0])),
-        (ProbDist(np.array([1.0, 0.0])),),
-        (ProbDist(np.array([1.0, 0.0])),))
-    state = separable_state(d)
-    expected = np.zeros((4, 4))
-    expected[0, 0] = 1.0  # |00><00|
-    npt.assert_allclose(state.entries, expected, atol=1e-15)
-
-
-def bell_diagonal_mixture():
-    return SeparableDecomposition(
-        ProbDist(np.array([0.5, 0.5])),
-        (ProbDist(np.array([1.0, 0.0])), ProbDist(np.array([0.0, 1.0]))),
-        (ProbDist(np.array([1.0, 0.0])), ProbDist(np.array([0.0, 1.0]))))
-
-
-def test_separable_state_classical_mixture():
-    state = separable_state(bell_diagonal_mixture())
-    npt.assert_allclose(np.diag(state.entries).real, [0.5, 0.0, 0.0, 0.5], atol=1e-15)
-
-
-def test_separable_state_random_is_valid():
-    rng = np.random.default_rng(11)
-    state = separable_state(random_decomposition(rng, 2, 3, 3))
-    assert state.dims == (2, 3)
+def conditional_given_first(rho, q):
+    """S_q(B|A) of a two-subsystem state, marginal by partial trace."""
+    return quantum_conditional(spectrum_of(rho), spectrum_of(partial_trace(rho, {0})), q)
 
 
 def test_separable_conditional_product_term():
-    s = np.array([0.2, 0.3, 0.5])
-    d = SeparableDecomposition(
-        ProbDist(np.array([1.0])),
-        (ProbDist(np.array([0.4, 0.6])),),
-        (ProbDist(s),))
+    rng = np.random.default_rng(11)
+    rho, sigma = random_density(rng, (3,)), random_density(rng, (2,))
+    product = tensor_product(rho, sigma)
     for q in (0.5, 1.0, 2.0, 10.0):
-        assert separable_conditional_direct(d, q) == pytest.approx(
-            tsallis_entropy(s, q), abs=1e-12)
+        assert conditional_given_first(product, q) == pytest.approx(
+            quantum_tsallis(spectrum_of(sigma), q), abs=1e-12)
 
 
 def test_separable_conditional_classical_mixture_is_zero():
-    d = bell_diagonal_mixture()
+    # (|00><00| + |11><11|) / 2
+    rho = DensityMatrix((2, 2), np.diag([0.5, 0.0, 0.0, 0.5]))
     for q in (0.5, 1.0, 2.0, 100.0):
-        assert separable_conditional_direct(d, q) == pytest.approx(0.0, abs=1e-15)
+        assert conditional_given_first(rho, q) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_separable_conditional_matches_spectrum_route():
+def test_separable_mixtures_have_nonnegative_conditional():
     rng = np.random.default_rng(12)
     for _ in range(25):
-        d = random_decomposition(rng, int(rng.integers(2, 5)),
-                                 int(rng.integers(2, 5)), int(rng.integers(1, 7)))
-        state = separable_state(d)
-        joint = spectrum_of(state)
-        marginal = spectrum_of(partial_trace(state, {0}))
+        state, marginal = random_separable(rng, int(rng.integers(2, 5)),
+                                           int(rng.integers(2, 5)), int(rng.integers(1, 7)))
+        npt.assert_allclose(partial_trace(state, {0}).entries, marginal.entries,
+                            rtol=0, atol=1e-15)
         for q in (0.5, 1.0, 3.0, 10.0, 100.0):
-            direct = separable_conditional_direct(d, q)
-            assert direct == pytest.approx(
-                quantum_conditional(joint, marginal, q), abs=1e-10)
-            assert direct >= -1e-12
-
-
-def test_decomposition_joint_formed_once_read_only():
-    d = random_decomposition(np.random.default_rng(13), 3, 4, 5)
-    expected = sum(w * np.outer(r.p, s.p)
-                   for w, r, s in zip(d.weights.p, d.local_a, d.local_b))
-    npt.assert_allclose(d.joint, expected, rtol=0, atol=1e-15)
-    assert not d.joint.flags.writeable
-    with pytest.raises(ValueError):
-        d.joint[0, 0] = 1.0
-
-
-def test_decomposition_validation():
-    with pytest.raises(ValidationError):
-        SeparableDecomposition(
-            ProbDist(np.array([0.5, 0.5])),
-            (ProbDist(np.array([1.0, 0.0])),),  # one local dist for two weights
-            (ProbDist(np.array([1.0, 0.0])), ProbDist(np.array([0.0, 1.0]))))
+            assert conditional_given_first(state, q) >= -1e-12

@@ -198,6 +198,21 @@ def test_spectra_keep_close_levels_apart():
                 float(expected), rel=1e-12, abs=0)
 
 
+def test_spectra_raise_the_level_that_the_log_traces_use():
+    # _log_q_trace takes ln of x (1 - r/N**m) + r/N**m, r times the raised
+    # level; the spectra hold that float over r, for r = 1 and r = N
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        levels, parties = int(rng.integers(2, 41)), int(rng.integers(2, 9))
+        x = float(rng.uniform(0.01, 0.99))
+        params = WernerParams(levels, parties, x)
+        pairs = [(parties, 1, joint_spectrum(params))] + [
+            (m, levels, marginal_spectrum(params, m)) for m in range(2, parties)]
+        for m, r, spec in pairs:
+            inv = 1.0 / (levels ** m // r)
+            assert spec.levels[0] == ((x * (1.0 - inv) + inv) / r, r)
+
+
 def test_spectra_merge_levels_that_round_alike():
     # at x = 1e-300 the raised and background levels are the same float
     for levels, parties in ((2, 3), (3, 4), (31, 4)):
