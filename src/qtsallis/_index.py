@@ -1,6 +1,8 @@
-"""The entropic index q, the integral-count rule and the probability
-rule, shared by every layer.  Plain Python on floats, so the closed-form
-path and every command but ``verify`` load no numpy."""
+"""The entropic index q and the rules shared by every layer: integral
+counts, probabilities, and the one q-trace rule (near/far predicate, log
+q-trace kernel, gap -> entropy step) of every classical, dense and
+closed-form entropy.  Plain Python on floats, so the closed-form path and
+every command but ``verify`` load no numpy."""
 
 from __future__ import annotations
 
@@ -66,13 +68,48 @@ def _probabilities(values: list[float]) -> list[float]:
     return [v / total for v in values]
 
 
-def _entropy_of(p: list[float], qi: EntropicIndex) -> float:
-    """Order-q entropy of a probability vector (zeros contribute 0).  Within
-    1/2 of q = 1, sum p**q - 1 is summed as sum p expm1((q - 1) ln p), where
-    nothing cancels: all its terms have the sign of 1 - q."""
-    live = [v for v in p if v > 0.0]
+def _far(q: float, log_count: float) -> bool:
+    """Whether a q-trace over total multiplicity exp(``log_count``) takes the
+    logaddexp of :func:`_log_trace`; nearer q = 1 its terms would cancel."""
+    return abs(q - 1.0) * log_count > 1.0
+
+
+def _log_trace(levels, q: float | None, far: bool) -> float:
+    """ln sum m v**q over (eigenvalue v, multiplicity m) levels with
+    sum m v = 1, zeros skipped; for q None (the limit point), -sum m v ln v.
+    ``far`` takes a max-shifted logaddexp of ln m + q ln v.  Otherwise this
+    is log1p(sum m v expm1((q - 1) ln v)), whose terms all have the sign of
+    1 - q, so nothing cancels next to q = 1; a term whose expm1 overflows (a
+    subnormal v at small q) is exp(ln m + q ln v) - m v instead."""
+    live = [(v, m, math.log(v)) for v, m in levels if v > 0.0]
+    if q is None:
+        return -math.fsum(m * v * log_v for v, m, log_v in live)
+    if far:
+        terms = [math.log(m) + q * log_v for _, m, log_v in live]
+        peak = max(terms)
+        return peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
+    excess = []
+    for v, m, log_v in live:
+        grown = (q - 1.0) * log_v
+        excess.append(m * v * math.expm1(grown) if grown < 709.0
+                      else math.exp(math.log(m) + q * log_v) - m * v)
+    return math.log1p(math.fsum(excess))
+
+
+def _entropy_from_gap(gap: float, qi: EntropicIndex) -> float:
+    """expm1(gap) / (1 - q) for a gap of log q-traces, +/-inf where expm1
+    overflows; at the limit point the gap is the von Neumann value itself."""
     if qi.is_limit_point:
-        return -math.fsum(v * math.log(v) for v in live)
-    if abs(qi.q - 1.0) < 0.5:
-        return math.fsum(v * math.expm1((qi.q - 1.0) * math.log(v)) for v in live) / (1.0 - qi.q)
-    return (math.fsum(v ** qi.q for v in live) - 1.0) / (1.0 - qi.q)
+        return gap
+    try:
+        return math.expm1(gap) / (1.0 - qi.q)
+    except OverflowError:
+        return math.copysign(math.inf, 1.0 - qi.q)
+
+
+def _entropy_of(p: list[float], qi: EntropicIndex) -> float:
+    """Order-q entropy of a probability vector, from multiplicity-1 levels in
+    the branch that the count of nonzero entries picks (zeros change nothing)."""
+    live = [(v, 1) for v in p if v > 0.0]
+    order = None if qi.is_limit_point else qi.q
+    return _entropy_from_gap(_log_trace(live, order, _far(qi.q, math.log(len(live)))), qi)

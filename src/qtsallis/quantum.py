@@ -2,11 +2,12 @@
 
 Dense matrices are the small-scale, brute-force representation that the
 oracle certifies closed forms against.  Entropies of a state are taken
-from its degeneracy-aware spectrum, whose q-traces are evaluated in the
-log domain, so extreme orders (q up to about 1e6) neither underflow nor
-overflow.  The family's own entropies and thresholds do not come through
-here: :mod:`qtsallis.werner` evaluates them in closed form.  Separable
-mixtures are plain states too, built by :mod:`qtsallis.oracle`.
+from its degeneracy-aware spectrum by the q-trace rule of
+:mod:`qtsallis._index`, which this module only applies: log q-traces
+neither underflow nor overflow for q up to about 1e6, and lose nothing
+next to q = 1.  The family's own entropies and thresholds do not come
+through here: :mod:`qtsallis.werner` evaluates them in closed form.
+Separable mixtures are plain states too, built by :mod:`qtsallis.oracle`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._index import _as_index, _count
+from ._index import _as_index, _count, _entropy_from_gap, _far, _log_trace
 from .errors import CapacityError, NumericalError, ValidationError
 
 #: Dense objects larger than this total dimension are refused.
@@ -122,6 +123,10 @@ class Spectrum:
         return sum(mult for _, mult in self.levels)
 
 
+#: The one-level spectrum of a trivial system; conditioning on it is a no-op.
+_TRIVIAL = Spectrum(((1.0, 1),))
+
+
 def _merge_levels(pairs) -> list[tuple[float, int]]:
     """Fold levels whose eigenvalues lie within ``SPECTRUM_MERGE_TOL`` of
     each other into a single level at their multiplicity-weighted mean.
@@ -155,59 +160,33 @@ def spectrum_of(rho: DensityMatrix) -> Spectrum:
 
 
 def q_trace(spectrum: Spectrum, q) -> float:
-    """ln of the q-trace: the log of sum(mult * eigenvalue**q).
-
-    Computed as a max-shifted exponential sum over ln(mult) + q ln(value),
-    skipping zero eigenvalues, so it is exact to double precision for q up
-    to at least 1e6 without underflow.
-    """
-    qi = _as_index(q)
-    terms = [math.log(mult) + qi.q * math.log(value)
-             for value, mult in spectrum.levels if value > 0.0]
-    if not terms:
-        raise ValidationError("spectrum carries no positive eigenvalue")
-    peak = max(terms)
-    return peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
+    """ln of the q-trace, ln sum(mult * eigenvalue**q), zeros skipped."""
+    q = _as_index(q).q
+    return _log_trace(spectrum.levels, q, _far(q, math.log(spectrum.total_multiplicity)))
 
 
 def von_neumann(spectrum: Spectrum) -> float:
     """Entropy -sum(mult * v ln v) over positive levels (natural log)."""
-    return -math.fsum(mult * value * math.log(value)
-                      for value, mult in spectrum.levels if value > 0.0)
+    return _log_trace(spectrum.levels, None, False)
 
 
 def quantum_tsallis(spectrum: Spectrum, q) -> float:
-    """Order-q entropy of a state given by its spectrum.
-
-    (exp(ln q-trace) - 1) / (1 - q); the q -> 1 limit point routes to the
-    von Neumann entropy.
-    """
-    qi = _as_index(q)
-    if qi.is_limit_point:
-        return von_neumann(spectrum)
-    return math.expm1(q_trace(spectrum, qi)) / (1.0 - qi.q)
+    """Order-q entropy of a state given by its spectrum: its conditional
+    entropy given a trivial system, expm1(ln q-trace) / (1 - q)."""
+    return quantum_conditional(spectrum, _TRIVIAL, q)
 
 
 def quantum_conditional(joint: Spectrum, marginal: Spectrum, q) -> float:
-    """Conditional entropy from joint and marginal spectra, in ratio form:
-
-        (1 / (1 - q)) * [q-trace(joint) / q-trace(marginal) - 1]
-
-    evaluated through log q-traces.  Negative values signal nonclassical
-    correlation.  At the q -> 1 limit point this is the von Neumann
-    difference.  May return +/-inf if the trace ratio overflows the
-    exponential range (extreme q far from the entropy zero); sign queries
-    should compare log q-traces directly instead.
-    """
+    """Conditional entropy from joint and marginal spectra, in ratio form
+    (1 / (1 - q)) * [q-trace(joint) / q-trace(marginal) - 1], from log
+    q-traces in the branch that the joint's multiplicity picks; the von
+    Neumann difference at the q -> 1 limit point.  Negative values signal
+    nonclassical correlation; +/-inf where the trace ratio overflows."""
     qi = _as_index(q)
-    if qi.is_limit_point:
-        return von_neumann(joint) - von_neumann(marginal)
-    delta = q_trace(joint, qi) - q_trace(marginal, qi)
-    try:
-        grown = math.expm1(delta)
-    except OverflowError:
-        grown = math.inf
-    return grown / (1.0 - qi.q)
+    order = None if qi.is_limit_point else qi.q
+    far = _far(qi.q, math.log(joint.total_multiplicity))
+    return _entropy_from_gap(_log_trace(joint.levels, order, far)
+                             - _log_trace(marginal.levels, order, far), qi)
 
 
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:

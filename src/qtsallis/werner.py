@@ -5,8 +5,10 @@ onto the n-party GHZ vector.  Joint and marginal spectra are available in
 closed form with exact integer multiplicities, which keeps every entropy
 query tractable far beyond dense-matrix scale.  Every family entropy, its
 value as well as its sign, comes from one log-domain form of the two-level
-q-traces (``_log_trace_gap``), plain float arithmetic at one mixing weight.
-The dense family states live in :mod:`qtsallis.oracle`.
+q-traces (``_log_trace_gap``), plain float arithmetic at one mixing weight:
+the two-level case of the q-trace rule of :mod:`qtsallis._index`, whose
+near/far predicate and entropy step it shares.  The dense family states
+live in :mod:`qtsallis.oracle`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._index import EntropicIndex, _as_index, _count
+from ._index import EntropicIndex, _as_index, _count, _entropy_from_gap, _far
 from .errors import CapacityError, ValidationError
 
 #: Exact multiplicity bookkeeping requires N**n to fit a signed 64-bit int.
@@ -116,15 +118,11 @@ def _peak(dim: int, r: int, x: float) -> tuple[float, float]:
 
 
 def _log_q_trace(levels: int, m: int, r: int, q: float | None, far: bool, x: float) -> float:
-    """ln Tr sigma**q of the spectrum of :func:`_spectrum`, or, for q None
-    (the limit point), the von Neumann entropy of sigma.
-
-    ``far`` takes a logaddexp over the levels of ln(multiplicity) +
-    q ln(eigenvalue), which never exponentiates.  Otherwise this is
-    log1p(sum w expm1((q - 1) ln(eigenvalue))) over the weights
-    w = multiplicity * eigenvalue, which sum to 1: every term has the sign
-    of 1 - q, so nothing cancels next to q = 1.
-    """
+    """:func:`qtsallis._index._log_trace` of the spectrum of :func:`_spectrum`,
+    specialised to its two levels: ln Tr sigma**q, or for q None (the limit
+    point) the von Neumann entropy.  The weights of the log1p form are
+    multiplicity * eigenvalue; at x = 1 the weightless background gets a
+    finite stand-in for its log."""
     dim, log_levels = levels ** m, math.log(levels)
     inv, peak = _peak(dim, r, x)
     log_peak = math.log(peak)
@@ -145,17 +143,12 @@ def _log_q_trace(levels: int, m: int, r: int, q: float | None, far: bool, x: flo
 
 def _log_trace_gap(levels: int, parties: int, k: int, qi: EntropicIndex, x: float) -> float:
     """ln Tr rho**q - ln Tr rho_k**q of the family at mixing weight x,
-    given k parties; at the limit point, the von Neumann difference
-    S(rho) - S(rho_k).  The conditional entropy is expm1(gap) / (1 - q).
-
-    Both traces take the logaddexp of :func:`_log_q_trace` where
-    |q - 1| ln N**n > 1, and its log1p elsewhere, where logaddexp terms of
-    size q ln N**n would cancel down to |q - 1| ln N**n.  On [x_inf(k), 1]
-    the gap changes sign exactly once (a property test checks this over
-    the whole domain), so one bracket holds the root.
-    """
+    given k parties, both in the branch that :func:`qtsallis._index._far`
+    picks for N**n; at the limit point, S(rho) - S(rho_k).  On [x_inf(k), 1]
+    it changes sign exactly once (a property test checks this over the
+    whole domain), so one bracket holds the root."""
     q = None if qi.is_limit_point else qi.q
-    far = q is not None and abs(q - 1.0) * parties * math.log(levels) > 1.0
+    far = _far(qi.q, parties * math.log(levels))
     return (_log_q_trace(levels, parties, 1, q, far, x)
             - _log_q_trace(levels, k, levels, q, far, x))
 
@@ -164,21 +157,11 @@ def conditional_entropy_block(params: WernerParams, conditioned_parties: int | N
                               q) -> float:
     """Conditional entropy of the leading block of parties given the
     trailing ``conditioned_parties`` of them (None means n - 1), in ratio
-    form from the closed-form spectra:
-
-        (1 / (1 - q)) * [Tr rho**q / Tr rho_k**q - 1],
-
-    the von Neumann difference at the q -> 1 limit point.  Returns +/-inf
-    if the trace ratio overflows the exponential range (extreme q far from
-    the entropy zero); :func:`qtsallis.solver.entropy_sign` holds there.
-    """
+    form (1 / (1 - q)) * [Tr rho**q / Tr rho_k**q - 1] from the closed-form
+    spectra; the von Neumann difference at the q -> 1 limit point.  +/-inf
+    where the trace ratio overflows (extreme q far from the entropy zero);
+    :func:`qtsallis.solver.entropy_sign` holds there."""
     k = _conditioned(params.parties, conditioned_parties)
     qi = _as_index(q)
-    gap = _log_trace_gap(params.levels, params.parties, k, qi, params.mixing)
-    if qi.is_limit_point:
-        return gap
-    try:
-        grown = math.expm1(gap)
-    except OverflowError:
-        grown = math.inf
-    return grown / (1.0 - qi.q)
+    return _entropy_from_gap(
+        _log_trace_gap(params.levels, params.parties, k, qi, params.mixing), qi)

@@ -7,8 +7,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qtsallis import (ValidationError, WernerParams, joint_spectrum,
-                      partial_trace, spectrum_of, verify_family,
+from qtsallis import (ValidationError, WernerParams, default_family_grid,
+                      joint_spectrum, partial_trace, spectrum_of, verify_family,
                       verify_separable_witness, werner_density)
 from qtsallis.oracle import WITNESS_ORDERS, _marginal_of, _witness_rows
 from helpers import record_eigvalsh
@@ -52,6 +52,14 @@ def test_verify_family_small_grid_passes():
     report = verify_family(grid, (0.5, 1.0, 2.0))
     assert report.passed
     assert report.max_abs_dev <= 1e-10
+
+
+@pytest.mark.parametrize("q", [1.0 - 1e-6, 1.0 + 1e-6, 1.0 + 1e-8])
+def test_verify_family_passes_next_to_one(q):
+    # one order per call: the row labels print 1 + 1e-6 and 1 + 1e-8 alike, as q=1
+    failing = [c for c in verify_family(default_family_grid(), (q,)).comparisons
+               if not c.passed]
+    assert not failing, failing[:3]
 
 
 def test_verify_family_one_eigendecomposition_per_state(monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,10 +10,11 @@ import pytest
 from qtsallis import (CapacityError, DensityMatrix, Spectrum, ValidationError,
                       compose_pseudoadditive, partial_trace, q_trace,
                       quantum_conditional, quantum_tsallis, spectrum_of,
-                      tensor_product, von_neumann, werner_density, WernerParams,
-                      ghz_vector)
+                      tensor_product, tsallis_entropy, von_neumann,
+                      werner_density, WernerParams, ghz_vector)
 from qtsallis import quantum
-from helpers import random_density, random_separable, record_eigvalsh
+from helpers import (mp_log_trace, mp_tsallis, random_density, random_separable,
+                     record_eigvalsh)
 
 
 def basis_projector(dim, k):
@@ -268,6 +270,34 @@ def test_quantum_tsallis_von_neumann_limit():
     expected = -(0.7 * math.log(0.7) + 0.3 * math.log(0.3))
     assert quantum_tsallis(spec, 1.0) == pytest.approx(expected, abs=1e-15)
     assert von_neumann(spec) == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("q", [1.0 - 1e-6, 1.0 + 1e-6, 1.0 - 1e-8, 1.0 + 1e-8])
+def test_dense_entropies_next_to_one_match_mpmath(q):
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        spec = spectrum_of(random_density(rng, (int(rng.integers(2, 17)),)))
+        reference = mp_tsallis(spec.levels, q)
+        assert abs(quantum_tsallis(spec, q) - reference) <= 1e-12 * abs(reference)
+        rho = random_density(rng, (int(rng.integers(2, 5)), int(rng.integers(2, 5))))
+        joint, marginal = spectrum_of(rho), spectrum_of(partial_trace(rho, {0}))
+        with mpmath.workdps(50):
+            s_marginal = mp_tsallis(marginal.levels, q)
+            reference = ((mp_tsallis(joint.levels, q) - s_marginal)
+                         / (1 + (1 - mpmath.mpf(q)) * s_marginal))
+        value = quantum_conditional(joint, marginal, q)
+        assert abs(value - reference) <= 1e-12 * abs(reference)
+
+
+def test_subnormal_level_at_small_order_matches_mpmath():
+    # next to q = 1 in |q - 1| ln 2, but expm1((q - 1) ln 5e-324) overflows
+    spec = Spectrum(((1.0, 1), (5e-324, 1)))
+    reference = mp_tsallis(spec.levels, 0.01)
+    with mpmath.workdps(50):
+        log_trace = mp_log_trace(spec.levels, 0.01)
+    assert abs(quantum_tsallis(spec, 0.01) - reference) <= 1e-15 * reference
+    assert abs(tsallis_entropy([1.0, 5e-324], 0.01) - reference) <= 1e-15 * reference
+    assert abs(q_trace(spec, 0.01) - log_trace) <= 1e-15 * log_trace
 
 
 # -- quantum_conditional -------------------------------------------------
