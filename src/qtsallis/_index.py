@@ -77,22 +77,29 @@ def _far(q: float, log_count: float) -> bool:
 def _log_trace(levels, q: float | None, far: bool) -> float:
     """ln sum m v**q over (eigenvalue v, multiplicity m) levels with
     sum m v = 1, zeros skipped; for q None (the limit point), -sum m v ln v.
-    ``far`` takes a max-shifted logaddexp of ln m + q ln v.  Otherwise this
-    is log1p(sum m v expm1((q - 1) ln v)), whose terms all have the sign of
-    1 - q, so nothing cancels next to q = 1; a term whose expm1 overflows (a
-    subnormal v at small q) is exp(ln m + q ln v) - m v instead."""
-    live = [(v, m, math.log(v)) for v, m in levels if v > 0.0]
+    ``far`` takes a running max-shifted logaddexp of ln m + q ln v.
+    Otherwise this is log1p(sum m v expm1((q - 1) ln v)), whose terms all
+    have the sign of 1 - q, so nothing cancels next to q = 1; a term whose
+    expm1 overflows (a subnormal v at small q) is exp(ln m + q ln v) - m v
+    instead."""
     if q is None:
-        return -math.fsum(m * v * log_v for v, m, log_v in live)
+        return -math.fsum(m * v * math.log(v) for v, m in levels if v > 0.0)
     if far:
-        terms = [math.log(m) + q * log_v for _, m, log_v in live]
-        peak = max(terms)
-        return peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
+        peak, total = -math.inf, 0.0  # total: sum of exp(term - peak)
+        for v, m in levels:
+            if v > 0.0:
+                term = math.log(m) + q * math.log(v)
+                if term > peak:
+                    peak, total = term, total * math.exp(peak - term) + 1.0
+                else:
+                    total += math.exp(term - peak)
+        return peak + math.log(total)
     excess = []
-    for v, m, log_v in live:
-        grown = (q - 1.0) * log_v
-        excess.append(m * v * math.expm1(grown) if grown < 709.0
-                      else math.exp(math.log(m) + q * log_v) - m * v)
+    for v, m in levels:
+        if v > 0.0:
+            grown = (q - 1.0) * math.log(v)
+            excess.append(m * v * math.expm1(grown) if grown < 709.0
+                          else math.exp(math.log(m) + q * math.log(v)) - m * v)
     return math.log1p(math.fsum(excess))
 
 

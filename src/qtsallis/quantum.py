@@ -160,7 +160,15 @@ def spectrum_of(rho: DensityMatrix) -> Spectrum:
 
 
 def q_trace(spectrum: Spectrum, q) -> float:
-    """ln of the q-trace, ln sum(mult * eigenvalue**q), zeros skipped."""
+    """ln of the q-trace: the log of sum(mult * eigenvalue**q).
+
+    Computed by :func:`qtsallis._index._log_trace`, skipping zero
+    eigenvalues, in the branch that the total multiplicity picks: a
+    max-shifted exponential sum far from q = 1, a log1p of same-signed
+    terms next to it.  It is exact to double precision for q up to at
+    least 1e6 without underflow or overflow, and loses nothing to
+    cancellation next to q = 1.
+    """
     q = _as_index(q).q
     return _log_trace(spectrum.levels, q, _far(q, math.log(spectrum.total_multiplicity)))
 
@@ -171,17 +179,26 @@ def von_neumann(spectrum: Spectrum) -> float:
 
 
 def quantum_tsallis(spectrum: Spectrum, q) -> float:
-    """Order-q entropy of a state given by its spectrum: its conditional
-    entropy given a trivial system, expm1(ln q-trace) / (1 - q)."""
+    """Order-q entropy of a state given by its spectrum.
+
+    expm1(ln q-trace) / (1 - q), the conditional entropy given a trivial
+    system; the q -> 1 limit point routes to the von Neumann entropy.
+    """
     return quantum_conditional(spectrum, _TRIVIAL, q)
 
 
 def quantum_conditional(joint: Spectrum, marginal: Spectrum, q) -> float:
-    """Conditional entropy from joint and marginal spectra, in ratio form
-    (1 / (1 - q)) * [q-trace(joint) / q-trace(marginal) - 1], from log
-    q-traces in the branch that the joint's multiplicity picks; the von
-    Neumann difference at the q -> 1 limit point.  Negative values signal
-    nonclassical correlation; +/-inf where the trace ratio overflows."""
+    """Conditional entropy from joint and marginal spectra, in ratio form:
+
+        (1 / (1 - q)) * [q-trace(joint) / q-trace(marginal) - 1]
+
+    evaluated through log q-traces, both in the branch that the joint's
+    total multiplicity picks.  Negative values signal nonclassical
+    correlation.  At the q -> 1 limit point this is the von Neumann
+    difference.  May return +/-inf if the trace ratio overflows the
+    exponential range (extreme q far from the entropy zero); sign queries
+    should compare log q-traces directly instead.
+    """
     qi = _as_index(q)
     order = None if qi.is_limit_point else qi.q
     far = _far(qi.q, math.log(joint.total_multiplicity))

@@ -4,11 +4,10 @@ States interpolate between the maximally mixed state and the projector
 onto the n-party GHZ vector.  Joint and marginal spectra are available in
 closed form with exact integer multiplicities, which keeps every entropy
 query tractable far beyond dense-matrix scale.  Every family entropy, its
-value as well as its sign, comes from one log-domain form of the two-level
-q-traces (``_log_trace_gap``), plain float arithmetic at one mixing weight:
-the two-level case of the q-trace rule of :mod:`qtsallis._index`, whose
-near/far predicate and entropy step it shares.  The dense family states
-live in :mod:`qtsallis.oracle`.
+value as well as its sign, comes from the q-trace rule of
+:mod:`qtsallis._index` applied to the two closed-form levels
+(``_log_trace_gap``), plain float arithmetic at one mixing weight with no
+numpy loaded.  The dense family states live in :mod:`qtsallis.oracle`.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._index import EntropicIndex, _as_index, _count, _entropy_from_gap, _far
+from ._index import EntropicIndex, _as_index, _count, _entropy_from_gap, _far, _log_trace
 from .errors import CapacityError, ValidationError
 
 #: Exact multiplicity bookkeeping requires N**n to fit a signed 64-bit int.
@@ -46,18 +45,24 @@ class WernerParams:
         return self.levels ** self.parties
 
 
-def _spectrum(levels: int, m: int, r: int, x: float) -> Spectrum:
-    """The two-level spectrum on m parties with the GHZ weight on r
-    directions (r = 1 for the state, r = N for a marginal): multiplicity r
-    at :func:`_peak` over r and N**m - r at (1 - x) / N**m; one level
-    1 / N**m where x rounds away (x = 0, or no background).  At x = 1 the
-    zero level stays."""
-    from .quantum import Spectrum  # numpy, so only when asked for
+def _levels(levels: int, m: int, r: int, x: float) -> tuple:
+    """The two (eigenvalue, multiplicity) levels on m parties with the GHZ
+    weight on r directions (r = 1 for the state, r = N for a marginal):
+    multiplicity r at x (1 / r - 1 / N**m) + 1 / N**m and N**m - r at
+    (1 - x) / N**m; one level 1 / N**m where x rounds away (x = 0, or no
+    background).  At x = 1 the zero level stays."""
     dim = levels ** m
-    inv, peak = _peak(dim, r, x)
+    inv = 1.0 / (dim // r)
+    peak = x * (1.0 - inv) + inv  # r times the raised level
     if peak == inv:
-        return Spectrum(((1.0 / dim, dim),))
-    return Spectrum(((peak / r, r), ((1.0 - x) / dim, dim - r)))
+        return ((1.0 / dim, dim),)
+    return ((peak / r, r), ((1.0 - x) / dim, dim - r))
+
+
+def _spectrum(levels: int, m: int, r: int, x: float) -> Spectrum:
+    """:func:`_levels` as a :class:`qtsallis.quantum.Spectrum`."""
+    from .quantum import Spectrum  # numpy, so only when asked for
+    return Spectrum(_levels(levels, m, r, x))
 
 
 def joint_spectrum(params: WernerParams) -> Spectrum:
@@ -111,56 +116,35 @@ def _family(levels, parties, conditioned_parties: int | None) -> tuple[int, int,
     return levels, parties, _conditioned(parties, conditioned_parties)
 
 
-def _peak(dim: int, r: int, x: float) -> tuple[float, float]:
-    """r / N**m and r times the raised level, x (1 - r / N**m) + r / N**m."""
-    inv = 1.0 / (dim // r)
-    return inv, x * (1.0 - inv) + inv
-
-
-def _log_q_trace(levels: int, m: int, r: int, q: float | None, far: bool, x: float) -> float:
-    """:func:`qtsallis._index._log_trace` of the spectrum of :func:`_spectrum`,
-    specialised to its two levels: ln Tr sigma**q, or for q None (the limit
-    point) the von Neumann entropy.  The weights of the log1p form are
-    multiplicity * eigenvalue; at x = 1 the weightless background gets a
-    finite stand-in for its log."""
-    dim, log_levels = levels ** m, math.log(levels)
-    inv, peak = _peak(dim, r, x)
-    log_peak = math.log(peak)
-    log_rest = math.log1p(-x) if x < 1.0 else 0.0  # any finite ln beside weight 0
-    if far:
-        raised = q * log_peak + (1.0 - q) * math.log(r)
-        if dim == r or x == 1.0:  # an empty or weightless background
-            return raised
-        rest = q * log_rest + (math.log(dim - r) - q * m * log_levels)
-        return max(raised, rest) + math.log1p(math.exp(-abs(raised - rest)))
-    log_raised, log_background = log_peak - math.log(r), log_rest - m * log_levels
-    w_background = (1.0 - inv) * (1.0 - x)
-    if q is None:
-        return -(peak * log_raised + w_background * log_background)
-    return math.log1p(peak * math.expm1((q - 1.0) * log_raised)
-                      + w_background * math.expm1((q - 1.0) * log_background))
-
-
 def _log_trace_gap(levels: int, parties: int, k: int, qi: EntropicIndex, x: float) -> float:
     """ln Tr rho**q - ln Tr rho_k**q of the family at mixing weight x,
-    given k parties, both in the branch that :func:`qtsallis._index._far`
-    picks for N**n; at the limit point, S(rho) - S(rho_k).  On [x_inf(k), 1]
-    it changes sign exactly once (a property test checks this over the
-    whole domain), so one bracket holds the root."""
+    given k parties; at the limit point, the von Neumann difference
+    S(rho) - S(rho_k).  The conditional entropy is expm1(gap) / (1 - q).
+
+    Both traces take the branch of :func:`qtsallis._index._log_trace` that
+    :func:`qtsallis._index._far` picks for the joint multiplicity N**n, so
+    the gap never mixes the two forms.  On [x_inf(k), 1] the gap changes
+    sign exactly once (a property test checks this over the whole domain),
+    so one bracket holds the root.
+    """
     q = None if qi.is_limit_point else qi.q
-    far = _far(qi.q, parties * math.log(levels))
-    return (_log_q_trace(levels, parties, 1, q, far, x)
-            - _log_q_trace(levels, k, levels, q, far, x))
+    far = _far(qi.q, math.log(levels ** parties))
+    return (_log_trace(_levels(levels, parties, 1, x), q, far)
+            - _log_trace(_levels(levels, k, levels, x), q, far))
 
 
 def conditional_entropy_block(params: WernerParams, conditioned_parties: int | None,
                               q) -> float:
     """Conditional entropy of the leading block of parties given the
     trailing ``conditioned_parties`` of them (None means n - 1), in ratio
-    form (1 / (1 - q)) * [Tr rho**q / Tr rho_k**q - 1] from the closed-form
-    spectra; the von Neumann difference at the q -> 1 limit point.  +/-inf
-    where the trace ratio overflows (extreme q far from the entropy zero);
-    :func:`qtsallis.solver.entropy_sign` holds there."""
+    form from the closed-form spectra:
+
+        (1 / (1 - q)) * [Tr rho**q / Tr rho_k**q - 1],
+
+    the von Neumann difference at the q -> 1 limit point.  Returns +/-inf
+    if the trace ratio overflows the exponential range (extreme q far from
+    the entropy zero); :func:`qtsallis.solver.entropy_sign` holds there.
+    """
     k = _conditioned(params.parties, conditioned_parties)
     qi = _as_index(q)
     return _entropy_from_gap(

@@ -1,40 +1,15 @@
 """Shared random-object generators for the test suite."""
 
-import math
-
 import mpmath
 import numpy as np
-from hypothesis import strategies as st
 
 from qtsallis import DensityMatrix, JointDist, ProbDist, tensor_product
-from qtsallis._index import LIMIT_WINDOW
 
 #: Orders next to the limit point, on both sides, and the limit point itself.
 NEAR_ONE = (1.0,) + tuple(1.0 + sign * gap for gap in (1.5e-9, 1e-6, 1e-3, 1e-2)
                           for sign in (-1, 1))
 #: (N, n, k) from dense scale up to N**n near 2**62.
 WIDE_FAMILIES = ((2, 3, 2), (5, 7, 3), (1000, 6, 5), (3, 39, 38), (2, 62, 61), (2, 62, 1))
-
-
-def max_levels(parties):
-    """Largest N with N**parties < 2**63."""
-    levels = int(2 ** (63 / parties))
-    while levels ** parties >= 2**63:
-        levels -= 1
-    while (levels + 1) ** parties < 2**63:
-        levels += 1
-    return levels
-
-
-#: (N, n, k) over the whole domain N**n < 2**63, k in 1..n-1.
-families = st.integers(2, 62).flatmap(lambda parties: st.tuples(
-    st.integers(2, max_levels(parties)), st.just(parties), st.integers(1, parties - 1)))
-#: Log-uniform q over [0.1, 1e6], outside the q -> 1 limit-point window,
-#: where the order-q root gives way to the von Neumann one.
-orders = st.floats(math.log(0.1), math.log(1e6)).map(math.exp) \
-    .filter(lambda q: abs(q - 1.0) > LIMIT_WINDOW)
-#: The same orders, and the limit point with the orders right next to it.
-all_orders = st.one_of(orders, st.sampled_from(NEAR_ONE))
 
 
 def random_prob(rng, size):

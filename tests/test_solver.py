@@ -14,10 +14,31 @@ from qtsallis import (CapacityError, MonotonicityError, ThresholdPoint, Validati
                       entropy_sign, spectrum_of, threshold_curve,
                       threshold_for_q, von_neumann, werner_density)
 from qtsallis import solver
+from qtsallis.classical import LIMIT_WINDOW
 from qtsallis.oracle import _marginal_of
 from qtsallis.solver import _rises
-from helpers import (NEAR_ONE, WIDE_FAMILIES, all_orders, families, mp_conditional_renyi,
-                     mp_threshold, orders)
+from helpers import NEAR_ONE, WIDE_FAMILIES, mp_conditional_renyi, mp_threshold
+
+
+def _max_levels(parties):
+    """Largest N with N**parties < 2**63."""
+    levels = int(2 ** (63 / parties))
+    while levels ** parties >= 2**63:
+        levels -= 1
+    while (levels + 1) ** parties < 2**63:
+        levels += 1
+    return levels
+
+
+#: (N, n, k) over the whole domain N**n < 2**63, k in 1..n-1.
+families = st.integers(2, 62).flatmap(lambda parties: st.tuples(
+    st.integers(2, _max_levels(parties)), st.just(parties), st.integers(1, parties - 1)))
+#: Log-uniform q over [0.1, 1e6], outside the q -> 1 limit-point window,
+#: where the order-q root gives way to the von Neumann one.
+orders = st.floats(math.log(0.1), math.log(1e6)).map(math.exp) \
+    .filter(lambda q: abs(q - 1.0) > LIMIT_WINDOW)
+#: The same orders, and the limit point with the orders right next to it.
+all_orders = st.one_of(orders, st.sampled_from(NEAR_ONE))
 
 
 # -- entropy_sign --------------------------------------------------------

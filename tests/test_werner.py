@@ -6,18 +6,14 @@ import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qtsallis import (CapacityError, ValidationError, WernerParams, asymptotic_threshold,
                       conditional_entropy_block, ghz_vector, joint_spectrum,
                       marginal_spectrum, quantum_conditional, spectrum_of,
                       threshold_for_q, tsallis_entropy, werner_density)
-from qtsallis._index import LIMIT_WINDOW, _far, _log_trace
 from qtsallis.oracle import _marginal_of
-from qtsallis.werner import _log_q_trace, _spectrum
-from helpers import (NEAR_ONE, WIDE_FAMILIES, all_orders, families, mp_conditional,
-                     mp_log_trace, mp_spectra, mp_von_neumann)
+from helpers import (NEAR_ONE, WIDE_FAMILIES, mp_conditional, mp_log_trace, mp_spectra,
+                     mp_von_neumann)
 
 X_GRID = tuple(t / 10 for t in range(11))
 Q_GRID = (0.5, 1.0, 2.0, 5.0, 20.0)
@@ -203,8 +199,8 @@ def test_spectra_keep_close_levels_apart():
 
 
 def test_spectra_raise_the_level_that_the_log_traces_use():
-    # _log_q_trace takes ln of x (1 - r/N**m) + r/N**m, r times the raised
-    # level; the spectra hold that float over r, for r = 1 and r = N
+    # the log traces and the spectra take the same levels: r times the
+    # raised level is x (1 - r/N**m) + r/N**m, for r = 1 and r = N
     rng = np.random.default_rng(17)
     for _ in range(300):
         levels, parties = int(rng.integers(2, 41)), int(rng.integers(2, 9))
@@ -282,22 +278,6 @@ def test_spectra_normalization_grid():
 
 
 # -- conditional entropies -----------------------------------------------
-
-@given(families, all_orders, st.floats(0.0, 1.0))
-@settings(deadline=None)
-def test_log_q_trace_specialises_the_shared_kernel(family, q, x):
-    levels, parties, k = family
-    order = None if abs(q - 1.0) <= LIMIT_WINDOW else q
-    far = _far(q, parties * math.log(levels))
-    assert far == _far(q, math.log(levels ** parties))
-    for m, r in ((parties, 1), (k, levels)):
-        spectrum = _spectrum(levels, m, r, x)
-        # |ln m| + q |ln v| bounds the size of the largest term ln m + q ln v
-        scale = max(abs(math.log(mult)) + (order or 1.0) * -math.log(value)
-                    for value, mult in spectrum.levels if value > 0.0)
-        assert abs(_log_q_trace(levels, m, r, order, far, x)
-                   - _log_trace(spectrum.levels, order, far)) <= 4 * 2**-52 * max(1.0, scale)
-
 
 def test_conditional_maximally_mixed_slice():
     for levels, parties in ((2, 3), (3, 2), (4, 3)):
