@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._index import _count
-from .errors import CapacityError, ValidationError
-from .quantum import (DENSE_DIM_CAP, DensityMatrix, Spectrum, partial_trace,
+from .errors import ValidationError
+from .quantum import (DensityMatrix, Spectrum, _refuse_above_cap, partial_trace,
                       quantum_conditional, spectrum_of)
 from .werner import (WernerParams, conditional_entropy_block, joint_spectrum,
                      marginal_spectrum)
@@ -97,8 +97,7 @@ def ghz_vector(levels: int, parties: int) -> np.ndarray:
     if levels < 2 or parties < 1:
         raise ValidationError("need at least two levels and one party")
     dim = levels ** parties
-    if dim > DENSE_DIM_CAP:
-        raise CapacityError(f"dense dimension {dim} exceeds the cap of {DENSE_DIM_CAP}")
+    _refuse_above_cap(dim)
     vec = np.zeros(dim)
     vec[_ghz_indices(levels, parties)] = 1.0 / math.sqrt(levels)
     return vec
@@ -112,13 +111,15 @@ def _ghz_indices(levels: int, parties: int) -> np.ndarray:
 
 def werner_density(params: WernerParams) -> DensityMatrix:
     """Dense matrix of the family member: uniform background of weight
-    (1 - x) plus the GHZ projector of weight x.  Cross-check scale only:
-    ``ghz_vector`` refuses a member above ``DENSE_DIM_CAP`` before anything
-    is allocated."""
-    psi = ghz_vector(params.levels, params.parties)
+    (1 - x) plus the GHZ projector of weight x, which is x/N on every entry
+    of the all-equal block.  Cross-check scale only: a member above
+    ``DENSE_DIM_CAP`` is refused before anything is allocated."""
     dim = params.total_dim
-    entries = ((1.0 - params.mixing) / dim) * np.eye(dim)
-    entries += params.mixing * np.outer(psi, psi)
+    _refuse_above_cap(dim)
+    entries = np.zeros((dim, dim))
+    np.fill_diagonal(entries, (1.0 - params.mixing) / dim)
+    ghz = _ghz_indices(params.levels, params.parties)
+    entries[np.ix_(ghz, ghz)] += params.mixing / params.levels
     return DensityMatrix((params.levels,) * params.parties, entries)
 
 

@@ -13,6 +13,7 @@ Separable mixtures are plain states too, built by :mod:`qtsallis.oracle`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,12 +23,20 @@ from .errors import CapacityError, NumericalError, ValidationError
 
 #: Dense objects larger than this total dimension are refused.
 DENSE_DIM_CAP = 4096
-#: Eigenvalues closer than this are folded into one degenerate level.
-SPECTRUM_MERGE_TOL = 1e-9
+#: Eigenvalues closer than this many times side * eps * (largest
+#: eigenvalue), the eigensolver's own error bound, fold into one level.
+SPECTRUM_MERGE_SCALE = 8
 #: Most negative eigenvalue tolerated before positivity is rejected.
 PSD_FLOOR = -1e-10
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
+
+
+def _refuse_above_cap(side: int) -> None:
+    """Raise ``CapacityError`` for a dense side above ``DENSE_DIM_CAP``,
+    before anything of that size is allocated."""
+    if side > DENSE_DIM_CAP:
+        raise CapacityError(f"dense dimension {side} exceeds the cap of {DENSE_DIM_CAP}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,10 +48,15 @@ class DensityMatrix:
     in which case they stay complex128, so ``np.linalg.eigvalsh`` takes the
     real symmetric solver for every real state (complex-typed input with
     zero imaginary parts included) and the complex Hermitian one otherwise.
-    Construction validates every invariant, including positivity via the
-    state's one eigendecomposition, whose ascending, read-only result is
-    kept as ``eigenvalues``.  This type is meant for cross-check scale
-    (side up to ``DENSE_DIM_CAP``), not production entropy queries.
+    Construction validates every invariant, positivity included, from the
+    state's eigenvalues, which it keeps ascending and read-only as
+    ``eigenvalues``.  Only the coupled block is eigendecomposed (see
+    :func:`_eigenvalues`): indices with no nonzero off-diagonal entry give
+    their diagonal entries exactly, and the rest take one ``eigvalsh``.  So
+    a family member needs one N x N call and a decohered marginal none,
+    while a state with coherences everywhere is decomposed whole.  This
+    type is meant for cross-check scale (side up to ``DENSE_DIM_CAP``), not
+    production entropy queries.
     """
 
     dims: tuple[int, ...]
@@ -54,9 +68,7 @@ class DensityMatrix:
         if not dims or any(d < 1 for d in dims):
             raise ValidationError("subsystem dimensions must be positive integers")
         side = math.prod(dims)
-        if side > DENSE_DIM_CAP:
-            raise CapacityError(
-                f"dense dimension {side} exceeds the cap of {DENSE_DIM_CAP}")
+        _refuse_above_cap(side)
         entries = np.asarray(self.entries)
         if np.iscomplexobj(entries) and not entries.imag.any():
             entries = entries.real
@@ -70,7 +82,7 @@ class DensityMatrix:
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace is {trace!r}, expected 1")
         try:
-            eigenvalues = np.linalg.eigvalsh(entries)
+            eigenvalues = _eigenvalues(entries)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition failed: {exc}") from exc
         if eigenvalues[0] < PSD_FLOOR:
@@ -85,6 +97,32 @@ class DensityMatrix:
     @property
     def side(self) -> int:
         return self.entries.shape[0]
+
+
+def _eigenvalues(entries: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, split by its exact zero
+    pattern.
+
+    An index is coupled if its row or column holds a nonzero off-diagonal
+    entry in either triangle.  Up to a permutation the matrix is then
+    diag(coupled block, isolated diagonal), so its spectrum is the isolated
+    diagonal entries, exactly, together with one ``eigvalsh`` of the
+    coupled block (none if that block is empty).  A matrix whose first
+    column is nonzero below the diagonal couples every index and goes to
+    ``eigvalsh`` whole, without building the pattern.
+    """
+    if np.count_nonzero(entries[1:, 0]) == len(entries) - 1:
+        return np.linalg.eigvalsh(entries)
+    pattern = entries != 0
+    np.fill_diagonal(pattern, False)
+    coupled = pattern.any(axis=0) | pattern.any(axis=1)
+    eigenvalues = entries.diagonal().real[~coupled]
+    if coupled.any():
+        block = np.flatnonzero(coupled)
+        eigenvalues = np.concatenate(
+            (eigenvalues, np.linalg.eigvalsh(entries[np.ix_(block, block)])))
+    eigenvalues.sort()
+    return eigenvalues
 
 
 @dataclass(frozen=True)
@@ -128,18 +166,23 @@ _TRIVIAL = Spectrum(((1.0, 1),))
 
 
 def _merge_levels(pairs) -> list[tuple[float, int]]:
-    """Fold levels whose eigenvalues lie within ``SPECTRUM_MERGE_TOL`` of
+    """Fold levels whose eigenvalues lie within the eigensolver's error of
     each other into a single level at their multiplicity-weighted mean.
 
+    That error is ``SPECTRUM_MERGE_SCALE`` times side * eps * the largest
+    eigenvalue, with side the total multiplicity: the backward-error bound
+    of a symmetric eigensolver on a matrix of that side and norm.
     Zero-multiplicity entries are dropped.  The weighted mean keeps the
     trace exact and the folding error second order, so q-traces built from
     merged levels stay accurate even at large q.
     """
     live = sorted(((float(v), int(m)) for v, m in pairs if int(m) > 0),
                   key=lambda vm: -vm[0])
+    norm = live[0][0] if live else 0.0
+    tol = SPECTRUM_MERGE_SCALE * sum(m for _, m in live) * sys.float_info.epsilon * norm
     merged: list[tuple[float, int]] = []
     for value, mult in live:
-        if merged and merged[-1][0] - value <= SPECTRUM_MERGE_TOL:
+        if merged and merged[-1][0] - value <= tol:
             prev_value, prev_mult = merged[-1]
             total = prev_mult + mult
             merged[-1] = ((prev_value * prev_mult + value * mult) / total, total)
@@ -152,11 +195,12 @@ def spectrum_of(rho: DensityMatrix) -> Spectrum:
     """Degeneracy-aware spectrum from the eigenvalues ``rho`` computed at
     construction, with no second eigendecomposition.
 
-    Eigenvalues within ``SPECTRUM_MERGE_TOL`` of each other are merged into
-    one level with summed multiplicity, so numerically split degeneracies
-    match analytic multiplicities.
+    Eigenvalues within the eigensolver's error of each other (see
+    :func:`_merge_levels`) are merged into one level with summed
+    multiplicity, so numerically split degeneracies match analytic
+    multiplicities.
     """
-    return Spectrum(tuple(_merge_levels((float(v), 1) for v in rho.eigenvalues)))
+    return Spectrum(tuple(_merge_levels((v, 1) for v in rho.eigenvalues.tolist())))
 
 
 def q_trace(spectrum: Spectrum, q) -> float:
@@ -208,10 +252,7 @@ def quantum_conditional(joint: Spectrum, marginal: Spectrum, q) -> float:
 
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product state with concatenated subsystem signature."""
-    side = a.side * b.side
-    if side > DENSE_DIM_CAP:
-        raise CapacityError(
-            f"dense dimension {side} exceeds the cap of {DENSE_DIM_CAP}")
+    _refuse_above_cap(a.side * b.side)
     return DensityMatrix(a.dims + b.dims, np.kron(a.entries, b.entries))
 
 

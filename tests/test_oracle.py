@@ -66,8 +66,17 @@ def test_verify_family_one_eigendecomposition_per_state(monkeypatch):
     seen = record_eigvalsh(monkeypatch)
     report = verify_family([WernerParams(2, 3, 0.4)], (0.5, 1.0, 2.0))
     assert report.passed
-    assert [m.shape[0] for m in seen] == [8, 2, 4]  # joint, then marginals m = 1, 2
+    # the joint's 2 x 2 GHZ block only; the decohered marginals m = 1, 2 are diagonal
+    assert [m.shape for m in seen] == [(2, 2)]
+    npt.assert_array_equal(seen[0], [[0.075 + 0.2, 0.2], [0.2, 0.075 + 0.2]])
     assert not any(np.iscomplexobj(m) for m in seen)
+
+
+@pytest.mark.parametrize("x", [1e-10, 1e-12])
+def test_verify_family_separates_levels_a_tiny_weight_apart(x):
+    # the raised and background levels lie about x apart, far above the eigensolver's error
+    report = verify_family([WernerParams(3, 4, x)], (2.0,))
+    assert report.passed, [c for c in report.comparisons if not c.passed][:3]
 
 
 def test_verify_family_rows_without_closed_duplicates():

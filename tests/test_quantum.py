@@ -6,6 +6,8 @@ import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qtsallis import (CapacityError, DensityMatrix, Spectrum, ValidationError,
                       compose_pseudoadditive, partial_trace, q_trace,
@@ -40,6 +42,66 @@ def test_density_rejects_negative_eigenvalue():
     m = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(ValidationError):
         DensityMatrix((2,), m)
+
+
+def _pair_beside_one_index(where, shift):
+    """Unit-trace 3 x 3 matrix, a coupled pair beside an isolated index,
+    whose smallest eigenvalue is -shift, in the part named by ``where``."""
+    if where == "isolated":
+        return np.array([[0.5 + shift, 0.1, 0], [0.1, 0.5, 0], [0, 0, -shift]])
+    # the pair's eigenvalues are 1 + shift and -shift
+    return np.array([[0.5, 0.5 + shift, 0], [0.5 + shift, 0.5, 0], [0, 0, 0]])
+
+
+@pytest.mark.parametrize("where", ["isolated", "coupled"])
+def test_density_rejects_negative_eigenvalue_in_either_part(monkeypatch, where):
+    seen = record_eigvalsh(monkeypatch)
+    kept = DensityMatrix((3,), _pair_beside_one_index(where, 1e-11))
+    assert kept.eigenvalues[0] == pytest.approx(-1e-11, abs=1e-15)
+    with pytest.raises(ValidationError, match="positive semidefinite"):
+        DensityMatrix((3,), _pair_beside_one_index(where, 1e-9))
+    assert [m.shape for m in seen] == [(2, 2), (2, 2)]  # the pair only, never 3 x 3
+
+
+def _permuted_block_state(rng, sizes, zeros, complex_entries):
+    """Random PSD blocks of the given sizes and ``zeros`` zero singletons,
+    placed on the diagonal, permuted at random and scaled to unit trace."""
+    side = sum(sizes) + zeros
+    m = np.zeros((side, side), dtype=complex if complex_entries else float)
+    start = 0
+    for size in sizes:
+        g = rng.standard_normal((size, size))
+        if complex_entries:
+            g = g + 1j * rng.standard_normal((size, size))
+        m[start:start + size, start:start + size] = g @ g.conj().T
+        start += size
+    order = rng.permutation(side)
+    m = m[np.ix_(order, order)]
+    return m / np.trace(m).real
+
+
+@given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=5),
+       zeros=st.integers(0, 3), complex_entries=st.booleans(),
+       tiny=st.sampled_from([None, "upper", "lower"]), seed=st.integers(0, 2**32 - 1))
+@example(sizes=[1, 1, 1, 1], zeros=0, complex_entries=False, tiny=None, seed=0)
+@example(sizes=[6], zeros=0, complex_entries=True, tiny=None, seed=1)
+@example(sizes=[3, 2, 4], zeros=0, complex_entries=False, tiny="upper", seed=2)
+@example(sizes=[2, 1], zeros=3, complex_entries=True, tiny="upper", seed=3)
+@example(sizes=[2, 1], zeros=2, complex_entries=False, tiny="lower", seed=4)
+@settings(deadline=None)
+def test_split_eigenvalues_match_the_whole_matrix(sizes, zeros, complex_entries, tiny, seed):
+    rng = np.random.default_rng(seed)
+    m = _permuted_block_state(rng, sizes, zeros, complex_entries)
+    # one entry of 1e-13, within the Hermitian tolerance, whose mirror stays 0: eigvalsh
+    # reads it from the lower triangle only.  It goes between the two closest diagonal
+    # entries (two zeros if there are), where it moves the eigenvalues most.
+    pairs = [(i, j) for i in range(len(m)) for j in range(i + 1, len(m)) if m[i, j] == 0]
+    if tiny and pairs:
+        i, j = min(pairs, key=lambda p: abs(m[p[0], p[0]] - m[p[1], p[1]]))
+        m[(i, j) if tiny == "upper" else (j, i)] = 1e-13
+    rho = DensityMatrix((len(m),), m)
+    whole = np.linalg.eigvalsh(rho.entries)
+    npt.assert_allclose(rho.eigenvalues, whole, rtol=0, atol=1e-14 * whole[-1])
 
 
 def test_density_rejects_oversized():
@@ -188,19 +250,25 @@ def test_complex_state_takes_complex_solver(monkeypatch):
 
 def test_entries_real_unless_some_imaginary_part_is_nonzero(monkeypatch):
     seen = record_eigvalsh(monkeypatch)
-    half = DensityMatrix((2,), np.eye(2, dtype=complex) / 2)
-    assert half.entries.dtype == np.float64 and half.entries.nbytes == 2 * 2 * 8
+    # a coherence, so that the state reaches the solver
+    coherent = DensityMatrix((2,), np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex))
+    assert coherent.entries.dtype == np.float64 and coherent.entries.nbytes == 2 * 2 * 8
     assert len(seen) == 1 and seen[0].dtype == np.float64
     rho = random_density(np.random.default_rng(7), (4,))
     assert rho.entries.dtype == np.complex128
 
 
 def test_merge_levels_folds_degenerate_values():
-    from qtsallis.quantum import _merge_levels
-    merged = _merge_levels([(0.5, 1), (0.5 - 5e-10, 1), (0.3, 2)])
-    assert merged == [(pytest.approx(0.5, abs=1e-9), 2), (0.3, 2)]
+    from qtsallis.quantum import SPECTRUM_MERGE_SCALE, _merge_levels
+    # side 4, largest eigenvalue 0.5: levels up to this far apart are one level
+    tol = SPECTRUM_MERGE_SCALE * 4 * np.finfo(float).eps * 0.5
+    merged = _merge_levels([(0.5, 1), (0.5 - tol, 1), (0.3, 2)])
+    assert merged == [(pytest.approx(0.5, abs=tol), 2), (0.3, 2)]
     # weighted mean keeps the total weight exact
-    assert merged[0][0] == pytest.approx(0.5 - 2.5e-10, abs=1e-16)
+    assert merged[0][0] == 0.5 - tol / 2
+    assert len(_merge_levels([(0.5, 1), (0.5 - 2 * tol, 1), (0.3, 2)])) == 3
+    # the rule scales with the side: the same spacing folds among more levels
+    assert len(_merge_levels([(0.5, 1), (0.5 - 2 * tol, 1), (0.0, 6)])) == 2
 
 
 def test_merge_levels_drops_zero_multiplicity():
