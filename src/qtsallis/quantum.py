@@ -109,7 +109,9 @@ def _eigenvalues(entries: np.ndarray) -> np.ndarray:
     diagonal entries, exactly, together with one ``eigvalsh`` of the
     coupled block (none if that block is empty).  A matrix whose first
     column is nonzero below the diagonal couples every index and goes to
-    ``eigvalsh`` whole, without building the pattern.
+    ``eigvalsh`` whole, without building the pattern: for a small dense
+    state, such as a separable-witness mixture, the pattern would cost
+    as much as ``eigvalsh`` itself or more.
     """
     if np.count_nonzero(entries[1:, 0]) == len(entries) - 1:
         return np.linalg.eigvalsh(entries)
