@@ -4,8 +4,8 @@ entanglement thresholds they locate in GHZ-diluted mixed states."""
 import importlib
 
 from ._index import EntropicIndex
-from .errors import (CapacityError, MonotonicityError, NumericalError,
-                     QTsallisError, SingularityError, ValidationError)
+from .errors import (CapacityError, MonotonicityError, NumericalError, QTsallisError,
+                     ValidationError)
 from .solver import (ThresholdPoint, asymptotic_threshold, entropy_sign, threshold_curve,
                      threshold_for_q)
 from .werner import (WernerParams, conditional_entropy_block, joint_spectrum,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 #: The eager names, by module as imported above, and every lazy one.
 __all__ = sorted([
     "EntropicIndex", "CapacityError", "MonotonicityError", "NumericalError", "QTsallisError",
-    "SingularityError", "ValidationError", "ThresholdPoint",
+    "ValidationError", "ThresholdPoint",
     "asymptotic_threshold", "entropy_sign", "threshold_curve", "threshold_for_q",
     "WernerParams", "conditional_entropy_block", "joint_spectrum", "marginal_spectrum",
     *_LAZY,

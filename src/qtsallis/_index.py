@@ -1,8 +1,10 @@
 """The entropic index q and the rules shared by every layer: integral
 counts, probabilities, and the one q-trace rule (near/far predicate, log
 q-trace kernel, gap -> entropy step) of every classical, dense and
-closed-form entropy.  Plain Python on floats, so the closed-form path and
-every command but ``verify`` load no numpy."""
+closed-form entropy and conditional entropy.  Only this module picks the
+order and the branch of a conditional (:func:`_log_gap`).  Plain Python
+on floats, so the closed-form path and every command but ``verify`` load
+no numpy."""
 
 from __future__ import annotations
 
@@ -101,6 +103,20 @@ def _log_trace(levels, q: float | None, far: bool) -> float:
             excess.append(m * v * math.expm1(grown) if grown < 709.0
                           else math.exp(math.log(m) + q * math.log(v)) - m * v)
     return math.log1p(math.fsum(excess))
+
+
+def _log_gap(joint, marginal, qi: EntropicIndex, log_count: float) -> float:
+    """ln Tr joint**q - ln Tr marginal**q over levels, both in the branch of
+    the joint's total multiplicity exp(``log_count``); at the limit point,
+    the von Neumann difference."""
+    order = None if qi.is_limit_point else qi.q
+    far = _far(qi.q, log_count)
+    return _log_trace(joint, order, far) - _log_trace(marginal, order, far)
+
+
+def _conditional(joint, marginal, qi: EntropicIndex, log_count: float) -> float:
+    """Ratio form [Tr joint**q / Tr marginal**q - 1] / (1 - q) of :func:`_log_gap`."""
+    return _entropy_from_gap(_log_gap(joint, marginal, qi, log_count), qi)
 
 
 def _entropy_from_gap(gap: float, qi: EntropicIndex) -> float:

@@ -4,7 +4,9 @@ Order-q entropies of discrete distributions, escort distributions,
 normalized q-expectations, the two equivalent forms of the conditional
 entropy, and the pseudoadditive composition law that replaces additivity
 away from q = 1.  At q = 1 every quantity reduces to its Shannon
-counterpart (natural logarithm throughout).
+counterpart (natural logarithm throughout).  Entropies and the ratio
+form take the log q-traces of :mod:`qtsallis._index`, and escort
+weights are scaled by the largest one, so values hold up to q = 1e6.
 
 All operations are pure functions of immutable values and are safe to
 call concurrently.
@@ -18,13 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._index import (LIMIT_WINDOW, PROB_SUM_TOL, EntropicIndex,  # noqa: F401 (re-exported)
-                     _as_index, _count, _entropy_of, _probabilities)
-from .errors import NumericalError, SingularityError, ValidationError
+                     _as_index, _conditional, _count, _entropy_of, _probabilities)
+from .errors import NumericalError, ValidationError
 
-#: Internal agreement bound for the tripartite composition identities.
+#: Absolute bound between each chain link's definition and ratio forms.
 CHAIN_TOL = 1e-10
-#: Conditioning denominators smaller than this are reported as singular.
-DENOM_FLOOR = 1e-300
 
 
 def _clean_probabilities(p: np.ndarray) -> np.ndarray:
@@ -106,13 +106,14 @@ def escort(p, q) -> ProbDist:
     """
     dist = _as_prob(p)
     qi = _as_index(q)
-    if qi.is_limit_point:
-        return dist
-    powers = dist.p ** qi.q
-    total = powers.sum()
-    if not total > 0.0:
-        raise SingularityError("escort weights underflowed to zero")
-    return ProbDist(powers / total)
+    return dist if qi.is_limit_point else ProbDist(_escort_weights(dist.p, qi.q))
+
+
+def _escort_weights(mass: np.ndarray, q: float) -> np.ndarray:
+    """(mass / max)**q normalized: the largest term is exactly 1, so the
+    sum never underflows, whatever q and the width of ``mass``."""
+    powers = (mass / mass.max()) ** q
+    return powers / powers.sum()
 
 
 def q_expectation(values, p, q) -> float:
@@ -133,14 +134,7 @@ def _conditional_from_matrix(mat: np.ndarray, qi: EntropicIndex) -> float:
     """
     row_mass = mat.sum(axis=1)
     rows = np.nonzero(row_mass > 0.0)[0]
-    if qi.is_limit_point:
-        weights = row_mass[rows]
-    else:
-        powers = row_mass[rows] ** qi.q
-        total = powers.sum()
-        if not total > 0.0:
-            raise SingularityError("escort weights underflowed to zero")
-        weights = powers / total
+    weights = row_mass[rows] if qi.is_limit_point else _escort_weights(row_mass[rows], qi.q)
     acc = 0.0
     for weight, i in zip(weights, rows):
         acc += weight * _entropy_of((mat[i] / row_mass[i]).tolist(), qi)
@@ -164,27 +158,22 @@ def conditional_entropy_ratio(joint: JointDist, q) -> float:
     ratio form: [S_q(joint) - S_q(first)] / [1 + (1 - q) S_q(first)].
 
     Equivalent to :func:`conditional_entropy_def`; at the q -> 1 limit the
-    denominator is 1 and the value is the Shannon difference.  Raises
-    SingularityError if the denominator underflows below ``DENOM_FLOOR``
-    (possible for large q on wide, near-uniform marginals).
+    denominator is 1 and the value is the Shannon difference.  Taken as
+    [Tr p**q / Tr p_first**q - 1] / (1 - q) from log q-traces, as the
+    denominator Tr p_first**q underflows at large q.
     """
     qi = _as_index(q)
     if joint.subsystems() != 2:
         raise ValidationError("joint distribution must have exactly two subsystems")
-    return _ratio_form(_entropy_of(joint.p.tolist(), qi),
-                       _entropy_of(joint.array.sum(axis=1).tolist(), qi), qi)
+    return _given(joint.p, joint.array.sum(axis=1), qi)
 
 
-def _ratio_form(s_joint: float, s_first: float, qi: EntropicIndex) -> float:
-    """[s_joint - s_first] / [1 + (1 - q) s_first], the plain difference at
-    the limit point; a denominator below ``DENOM_FLOOR`` raises."""
-    if qi.is_limit_point:
-        return s_joint - s_first
-    denom = 1.0 + (1.0 - qi.q) * s_first
-    if abs(denom) < DENOM_FLOOR:
-        raise SingularityError(
-            "conditioning denominator 1 + (1 - q) S_q underflowed to zero")
-    return (s_joint - s_first) / denom
+def _given(joint: np.ndarray, marginal: np.ndarray, qi: EntropicIndex) -> float:
+    """Ratio form of the flat ``joint`` given its ``marginal``, in the branch
+    that the joint's count of nonzero entries picks."""
+    live = joint[joint > 0.0].tolist()
+    return _conditional([(v, 1) for v in live], [(v, 1) for v in marginal.tolist()], qi,
+                        math.log(len(live)))
 
 
 def compose_pseudoadditive(entropy_first, entropy_second_given_first, q) -> float:
@@ -218,11 +207,12 @@ class ChainDecomposition:
 def tripartite_chain(joint: JointDist, q) -> ChainDecomposition:
     """Decompose S_q(A, B, C) along the chain C -> B|C -> A|B,C.
 
-    Besides the chain entropies and the reassembly residual, the middle
-    conditional S_q(B|C) is re-derived by inverting the composition law
-    (the composition is commutative, so the C and A|B,C terms may be
-    folded first); a disagreement beyond ``CHAIN_TOL`` raises
-    NumericalError.
+    Besides the chain entropies and the reassembly residual, each link's
+    definition value is checked against its ratio form; a disagreement
+    beyond ``CHAIN_TOL`` raises NumericalError.  The ratio forms
+    telescope, Tr p_ABC**q = Tr p_C**q (Tr p_BC**q / Tr p_C**q)
+    (Tr p_ABC**q / Tr p_BC**q), so the chain rule holds exactly when both
+    links agree.
     """
     qi = _as_index(q)
     if joint.subsystems() != 3:
@@ -243,10 +233,11 @@ def tripartite_chain(joint: JointDist, q) -> ChainDecomposition:
         compose_pseudoadditive(s_c, s_b_given_c, qi), s_a_given_bc, qi)
     residual = abs(s_abc - chained)
 
-    recovered = _ratio_form(s_abc, compose_pseudoadditive(s_c, s_a_given_bc, qi), qi)
-    if abs(recovered - s_b_given_c) > CHAIN_TOL:
-        raise NumericalError(
-            f"chain inversion drifted: S_q(B|C) direct {s_b_given_c!r} "
-            f"vs recovered {recovered!r}")
+    for name, direct, ratio in (
+            ("S_q(A|B,C)", s_a_given_bc, _given(joint.p, pair_bc.reshape(-1), qi)),
+            ("S_q(B|C)", s_b_given_c, _given(pair_bc.reshape(-1), pair_bc.sum(axis=0), qi))):
+        if abs(direct - ratio) > CHAIN_TOL:
+            raise NumericalError(
+                f"chain link drifted: {name} by definition {direct!r} vs ratio form {ratio!r}")
 
     return ChainDecomposition(s_abc, s_bc, s_c, s_a_given_bc, s_b_given_c, residual)

@@ -9,10 +9,6 @@ class ValidationError(QTsallisError, ValueError):
     """An input violates a documented precondition or invariant."""
 
 
-class SingularityError(QTsallisError, ArithmeticError):
-    """A conditioning denominator collapsed below the representable floor."""
-
-
 class CapacityError(QTsallisError, ValueError):
     """A requested object exceeds the supported dimension cap."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._index import _as_index, _count, _entropy_from_gap, _far, _log_trace
+from ._index import _as_index, _conditional, _count, _far, _log_trace
 from .errors import CapacityError, NumericalError, ValidationError
 
 #: Dense objects larger than this total dimension are refused.
@@ -245,11 +245,8 @@ def quantum_conditional(joint: Spectrum, marginal: Spectrum, q) -> float:
     exponential range (extreme q far from the entropy zero); sign queries
     should compare log q-traces directly instead.
     """
-    qi = _as_index(q)
-    order = None if qi.is_limit_point else qi.q
-    far = _far(qi.q, math.log(joint.total_multiplicity))
-    return _entropy_from_gap(_log_trace(joint.levels, order, far)
-                             - _log_trace(marginal.levels, order, far), qi)
+    return _conditional(joint.levels, marginal.levels, _as_index(q),
+                        math.log(joint.total_multiplicity))
 
 
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:

@@ -6,8 +6,9 @@ closed form with exact integer multiplicities, which keeps every entropy
 query tractable far beyond dense-matrix scale.  Every family entropy, its
 value as well as its sign, comes from the q-trace rule of
 :mod:`qtsallis._index` applied to the two closed-form levels
-(``_log_trace_gap``), plain float arithmetic at one mixing weight with no
-numpy loaded.  The dense family states live in :mod:`qtsallis.oracle`.
+(``_log_trace_gap``, one call of its ``_log_gap``), plain float
+arithmetic at one mixing weight with no numpy loaded.  The dense family
+states live in :mod:`qtsallis.oracle`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._index import EntropicIndex, _as_index, _count, _entropy_from_gap, _far, _log_trace
+from ._index import EntropicIndex, _as_index, _count, _entropy_from_gap, _log_gap
 from .errors import CapacityError, ValidationError
 
 #: Exact multiplicity bookkeeping requires N**n to fit a signed 64-bit int.
@@ -86,19 +87,21 @@ def marginal_spectrum(params: WernerParams, kept_parties: int) -> Spectrum:
     x.  The form for intermediate m is certified against the dense oracle
     (see the verification module).
     """
-    m = _count(kept_parties, "kept party count")
-    if not 1 <= m <= params.parties - 1:
-        raise ValidationError(
-            f"kept party count must lie in [1, {params.parties - 1}], got {m}")
+    m = _party_count(kept_parties, params.parties, "kept party count")
     return _spectrum(params.levels, m, params.levels, params.mixing)
 
 
-def _conditioned(parties: int, conditioned_parties: int | None) -> int:
-    k = parties - 1 if conditioned_parties is None else _count(
-        conditioned_parties, "conditioned party count")
+def _party_count(value, parties: int, what: str) -> int:
+    """``value`` as an int in [1, ``parties`` - 1], refused as ``what``."""
+    k = _count(value, what)
     if not 1 <= k <= parties - 1:
-        raise ValidationError(f"conditioned party count must lie in [1, {parties - 1}], got {k}")
+        raise ValidationError(f"{what} must lie in [1, {parties - 1}], got {k}")
     return k
+
+
+def _conditioned(parties: int, conditioned_parties: int | None) -> int:
+    return _party_count(parties - 1 if conditioned_parties is None else conditioned_parties,
+                        parties, "conditioned party count")
 
 
 def _family(levels, parties, conditioned_parties: int | None) -> tuple[int, int, int]:
@@ -121,16 +124,13 @@ def _log_trace_gap(levels: int, parties: int, k: int, qi: EntropicIndex, x: floa
     given k parties; at the limit point, the von Neumann difference
     S(rho) - S(rho_k).  The conditional entropy is expm1(gap) / (1 - q).
 
-    Both traces take the branch of :func:`qtsallis._index._log_trace` that
-    :func:`qtsallis._index._far` picks for the joint multiplicity N**n, so
-    the gap never mixes the two forms.  On [x_inf(k), 1] the gap changes
-    sign exactly once (a property test checks this over the whole domain),
-    so one bracket holds the root.
+    It is :func:`qtsallis._index._log_gap` of the two closed-form level
+    pairs, both traces in the branch that the joint multiplicity N**n
+    picks.  On [x_inf(k), 1] the gap changes sign exactly once (a property
+    test checks this over the whole domain), so one bracket holds the root.
     """
-    q = None if qi.is_limit_point else qi.q
-    far = _far(qi.q, math.log(levels ** parties))
-    return (_log_trace(_levels(levels, parties, 1, x), q, far)
-            - _log_trace(_levels(levels, k, levels, x), q, far))
+    return _log_gap(_levels(levels, parties, 1, x), _levels(levels, k, levels, x), qi,
+                    math.log(levels ** parties))
 
 
 def conditional_entropy_block(params: WernerParams, conditioned_parties: int | None,

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 
 from qtsallis import DensityMatrix, JointDist, ProbDist, tensor_product
+from qtsallis._index import LIMIT_WINDOW
 
 #: Orders next to the limit point, on both sides, and the limit point itself.
 NEAR_ONE = (1.0,) + tuple(1.0 + sign * gap for gap in (1.5e-9, 1e-6, 1e-3, 1e-2)
@@ -89,6 +90,30 @@ def mp_tsallis(levels, q):
         if q == 1.0:
             return mp_von_neumann(exact)
         return mpmath.expm1(mp_log_trace(exact, q)) / (1 - mpmath.mpf(q))
+
+
+def mp_classical_conditional(mat, q):
+    """Conditional entropy of the second subsystem of the joint array ``mat``
+    given the first, in ratio form [Tr p_AB**q / Tr p_A**q - 1] / (1 - q)
+    (the Shannon difference within ``LIMIT_WINDOW`` of q = 1), to 50 digits
+    on its float entries normalized exactly.  Returned with the size of its
+    terms: (Tr p_AB**q / Tr p_A**q + 1) / |1 - q| where |q - 1| >= 0.1,
+    and S_AB + S_A + 1 (Shannon) nearer q = 1.  The 1 is there because float
+    entries sum to 1 only within an ulp: an entry next to 1 fixes the value
+    only to about eps, however small it is."""
+    with mpmath.workdps(50):
+        rows = [[mpmath.mpf(v) for v in row] for row in np.asarray(mat, dtype=float).tolist()]
+        total = mpmath.fsum(mpmath.fsum(row) for row in rows)
+        joint = [(v / total, 1) for row in rows for v in row]
+        marginal = [(mpmath.fsum(row) / total, 1) for row in rows]
+        near_size = mp_von_neumann(joint) + mp_von_neumann(marginal) + 1
+        if abs(q - 1.0) <= LIMIT_WINDOW:
+            return mp_von_neumann(joint) - mp_von_neumann(marginal), near_size
+        gap = mp_log_trace(joint, q) - mp_log_trace(marginal, q)
+        value = mpmath.expm1(gap) / (1 - mpmath.mpf(q))
+        if abs(q - 1.0) < 0.1:
+            return value, near_size
+        return value, (mpmath.exp(gap) + 1) / abs(1 - mpmath.mpf(q))
 
 
 def mp_conditional_renyi(levels, parties, k, q, x):

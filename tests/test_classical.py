@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtsallis import (EntropicIndex, JointDist, ProbDist, SingularityError,
-                      ValidationError, compose_pseudoadditive,
+from qtsallis import (EntropicIndex, JointDist, NumericalError, ProbDist,
+                      ValidationError, classical, compose_pseudoadditive,
                       conditional_entropy_def, conditional_entropy_ratio,
                       escort, q_expectation, tripartite_chain, tsallis_entropy)
 from qtsallis.cli import main
-from helpers import mp_tsallis, random_joint, random_prob, shannon
+from helpers import (NEAR_ONE, mp_classical_conditional, mp_tsallis, random_joint,
+                     random_prob, shannon)
 
 Q_GRID = (0.3, 0.7, 1.0, 1.5, 3.0, 10.0)
 
@@ -26,6 +27,17 @@ probability_vectors = st.lists(
 ).filter(lambda v: sum(v) > 0.1).map(lambda v: np.array(v) / sum(v))
 
 orders = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
+
+#: Joint arrays of 2-40 x 2-5 outcomes, some entries zero.
+joint_arrays = st.tuples(st.integers(2, 40), st.integers(2, 5)).flatmap(
+    lambda shape: st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
+                           min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+    .filter(any).map(lambda v: np.reshape(v, shape) / math.fsum(v)))
+
+#: Orders log-uniform over the whole domain (0.05, 1e6], and next to q = 1.
+wide_orders = st.one_of(
+    st.floats(min_value=math.log(0.05), max_value=math.log(1e6)).map(math.exp),
+    st.sampled_from(NEAR_ONE))
 
 
 # -- EntropicIndex ------------------------------------------------------
@@ -188,10 +200,10 @@ def test_escort_normalized(p, q):
     assert escort(p, q).p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_escort_underflow_is_singular():
+def test_escort_wide_uniform_at_large_q():
+    # every 1e-3 ** 200 underflows; the scaled weights do not
     wide = np.full(1000, 1e-3)
-    with pytest.raises(SingularityError):
-        escort(wide, 200.0)
+    npt.assert_allclose(escort(wide, 200.0).p, wide, rtol=1e-15, atol=0)
 
 
 # -- q_expectation ------------------------------------------------------
@@ -259,7 +271,7 @@ def test_conditional_def_equals_ratio(dims):
     rng = np.random.default_rng(11)
     for _ in range(20):
         joint = random_joint(rng, dims)
-        for q in Q_GRID:
+        for q in Q_GRID + (50.0, 1e3, 1e6):
             assert conditional_entropy_def(joint, q) == pytest.approx(
                 conditional_entropy_ratio(joint, q), abs=1e-10)
 
@@ -282,12 +294,23 @@ def test_conditional_requires_two_subsystems():
 
 
 def test_conditional_ratio_denominator_underflow():
-    # wide near-uniform marginal at huge q: sum p^q underflows to zero
-    d_a = 1000
-    flat = np.full(d_a * 2, 1.0 / (d_a * 2))
-    joint = JointDist((d_a, 2), flat)
-    with pytest.raises(SingularityError):
-        conditional_entropy_ratio(joint, 200.0)
+    # uniform joints at large q: the marginal's sum p**q = 1 + (1 - q) S_q
+    # underflows or cancels, while the conditional is (1 - d_b**(1 - q)) / (q - 1)
+    for d_a, d_b, q in ((1000, 2, 200.0), (20, 5, 50.0)):
+        joint = JointDist((d_a, d_b), np.full(d_a * d_b, 1.0 / (d_a * d_b)))
+        exact = (1.0 - float(d_b) ** (1.0 - q)) / (q - 1.0)
+        for form in (conditional_entropy_def, conditional_entropy_ratio):
+            assert abs(form(joint, q) - exact) <= 1e-14 * exact
+
+
+@given(joint_arrays, wide_orders)
+@settings(deadline=None, max_examples=200)
+def test_conditional_forms_match_mpmath_over_the_domain(mat, q):
+    joint = JointDist(mat.shape, mat.reshape(-1))
+    reference, scale = mp_classical_conditional(joint.array, q)
+    bound = 1e-14 * max(1.0, q) * float(scale)
+    for form in (conditional_entropy_def, conditional_entropy_ratio):
+        assert abs(form(joint, q) - float(reference)) <= bound
 
 
 def test_bayes_correspondence():
@@ -352,11 +375,22 @@ def test_chain_classically_correlated():
 
 def test_chain_random_residual():
     rng = np.random.default_rng(23)
-    for _ in range(20):
-        joint = random_joint(rng, (2, 3, 2))
-        for q in Q_GRID + (2.5,):
+    joints = [random_joint(rng, (2, 3, 2)) for _ in range(20)] + [random_joint(rng, (6, 6, 6))]
+    for joint in joints:
+        for q in Q_GRID + (2.5, 50.0, 1e3, 1e6):
             rec = tripartite_chain(joint, q)
             assert rec.residual <= 1e-10
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 10.0])
+def test_chain_refuses_a_drifted_link(monkeypatch, q):
+    # a definition form 1e-8 off its ratio form must not pass the check
+    joint = random_joint(np.random.default_rng(31), (2, 3, 2))
+    exact = classical._conditional_from_matrix
+    monkeypatch.setattr(classical, "_conditional_from_matrix",
+                        lambda mat, qi: exact(mat, qi) * (1.0 + 1e-8))
+    with pytest.raises(NumericalError):
+        tripartite_chain(joint, q)
 
 
 def test_chain_both_orders_agree():

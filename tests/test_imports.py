@@ -36,8 +36,8 @@ def cli_loads_numpy(argv: list[str]) -> bool:
 # -- lazy-export contract -------------------------------------------------
 
 def test_all_keeps_its_names():
-    assert len(qtsallis.__all__) == 43
-    assert len(set(qtsallis.__all__)) == 43
+    assert len(qtsallis.__all__) == 42
+    assert len(set(qtsallis.__all__)) == 42
 
 
 @pytest.mark.parametrize("name", qtsallis.__all__)
