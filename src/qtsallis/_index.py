@@ -1,10 +1,12 @@
-"""The entropic index q and the rules shared by every layer: integral
-counts, probabilities, and the one q-trace rule (near/far predicate, log
-q-trace kernel, gap -> entropy step) of every classical, dense and
-closed-form entropy and conditional entropy.  Only this module picks the
-order and the branch of a conditional (:func:`_log_gap`).  Plain Python
-on floats, so the closed-form path and every command but ``verify`` load
-no numpy."""
+"""The entropic index q, the spectrum type and the rules shared by every
+layer: integral counts, probabilities, (eigenvalue, multiplicity) levels
+(:class:`Spectrum`, for closed forms and dense states alike), and the one
+q-trace rule (near/far predicate, log q-trace kernel, gap -> entropy
+step) of every classical, dense and closed-form entropy and conditional
+entropy.  Only this module picks the order and the branch of a
+conditional (:func:`_log_gap`).  Plain Python on floats, so the
+closed-form path, its spectra included, and every command but ``verify``
+load no numpy."""
 
 from __future__ import annotations
 
@@ -17,6 +19,11 @@ from .errors import ValidationError
 LIMIT_WINDOW = 1e-9
 #: Probability vectors must sum to 1 within this before renormalization.
 PROB_SUM_TOL = 1e-12
+#: Most negative eigenvalue tolerated before positivity is rejected.
+PSD_FLOOR = -1e-10
+#: A state's trace, or a spectrum's multiplicity-weighted sum, must be 1
+#: within this.
+TRACE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,42 @@ class EntropicIndex:
     @property
     def is_limit_point(self) -> bool:
         return abs(self.q - 1.0) <= LIMIT_WINDOW
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Multiset of (eigenvalue, multiplicity) levels, eigenvalues descending.
+
+    Tiny negative eigenvalues (down to ``PSD_FLOOR``) are clamped to zero.
+    Zero levels are kept so multiplicity bookkeeping stays exact.
+    """
+
+    levels: tuple[tuple[float, int], ...]
+
+    def __post_init__(self) -> None:
+        cleaned = []
+        for eigenvalue, multiplicity in self.levels:
+            mult = int(multiplicity)
+            value = float(eigenvalue)
+            if mult < 1:
+                raise ValidationError("multiplicities must be positive integers")
+            if value < PSD_FLOOR:
+                raise ValidationError(f"eigenvalue {value} is negative beyond tolerance")
+            if value > 1.0 + 1e-10:
+                raise ValidationError(f"eigenvalue {value} exceeds 1")
+            cleaned.append((min(max(value, 0.0), 1.0), mult))
+        if not cleaned:
+            raise ValidationError("spectrum must carry at least one level")
+        cleaned.sort(key=lambda level: -level[0])
+        weight = math.fsum(value * mult for value, mult in cleaned)
+        if abs(weight - 1.0) > TRACE_TOL:
+            raise ValidationError(
+                f"eigenvalues weighted by multiplicity sum to {weight!r}, expected 1")
+        object.__setattr__(self, "levels", tuple(cleaned))
+
+    @property
+    def total_multiplicity(self) -> int:
+        return sum(mult for _, mult in self.levels)
 
 
 def _as_index(q) -> EntropicIndex:

@@ -15,6 +15,7 @@ call concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,10 @@ from ._index import (LIMIT_WINDOW, PROB_SUM_TOL, EntropicIndex,  # noqa: F401 (r
                      _as_index, _conditional, _count, _entropy_of, _probabilities)
 from .errors import NumericalError, ValidationError
 
-#: Absolute bound between each chain link's definition and ratio forms.
+#: Bound between each chain link's definition and ratio forms, relative to
+#: the size of the link's terms once that size falls below 1 (large q).
+#: Beyond q of about 5.6e4 it widens to 8 q eps: rounding an entry by eps
+#: moves its q-th power by q eps, so the forms can honestly differ by that.
 CHAIN_TOL = 1e-10
 
 
@@ -209,10 +213,11 @@ def tripartite_chain(joint: JointDist, q) -> ChainDecomposition:
 
     Besides the chain entropies and the reassembly residual, each link's
     definition value is checked against its ratio form; a disagreement
-    beyond ``CHAIN_TOL`` raises NumericalError.  The ratio forms
-    telescope, Tr p_ABC**q = Tr p_C**q (Tr p_BC**q / Tr p_C**q)
-    (Tr p_ABC**q / Tr p_BC**q), so the chain rule holds exactly when both
-    links agree.
+    beyond max(``CHAIN_TOL``, 8 q eps) times the size of the link's
+    terms, min(1, 2 / |1 - q| + |ratio form|), raises NumericalError.
+    The ratio forms telescope, Tr p_ABC**q = Tr p_C**q
+    (Tr p_BC**q / Tr p_C**q) (Tr p_ABC**q / Tr p_BC**q), so the chain rule
+    holds exactly when both links agree.
     """
     qi = _as_index(q)
     if joint.subsystems() != 3:
@@ -233,10 +238,12 @@ def tripartite_chain(joint: JointDist, q) -> ChainDecomposition:
         compose_pseudoadditive(s_c, s_b_given_c, qi), s_a_given_bc, qi)
     residual = abs(s_abc - chained)
 
+    rel = max(CHAIN_TOL, 8.0 * qi.q * sys.float_info.epsilon)
     for name, direct, ratio in (
             ("S_q(A|B,C)", s_a_given_bc, _given(joint.p, pair_bc.reshape(-1), qi)),
             ("S_q(B|C)", s_b_given_c, _given(pair_bc.reshape(-1), pair_bc.sum(axis=0), qi))):
-        if abs(direct - ratio) > CHAIN_TOL:
+        size = 1.0 if qi.is_limit_point else min(1.0, 2.0 / abs(1.0 - qi.q) + abs(ratio))
+        if abs(direct - ratio) > rel * size:
             raise NumericalError(
                 f"chain link drifted: {name} by definition {direct!r} vs ratio form {ratio!r}")
 

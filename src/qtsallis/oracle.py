@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._index import _count
+from ._index import Spectrum, _count
 from .errors import ValidationError
-from .quantum import (DensityMatrix, Spectrum, _refuse_above_cap, partial_trace,
-                      quantum_conditional, spectrum_of)
+from .quantum import (DensityMatrix, _refuse_above_cap, partial_trace, quantum_conditional,
+                      spectrum_of)
 from .werner import (WernerParams, conditional_entropy_block, joint_spectrum,
                      marginal_spectrum)
 

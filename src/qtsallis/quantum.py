@@ -2,7 +2,8 @@
 
 Dense matrices are the small-scale, brute-force representation that the
 oracle certifies closed forms against.  Entropies of a state are taken
-from its degeneracy-aware spectrum by the q-trace rule of
+from its degeneracy-aware spectrum, a :class:`qtsallis._index.Spectrum`
+as the closed forms give, by the q-trace rule of
 :mod:`qtsallis._index`, which this module only applies: log q-traces
 neither underflow nor overflow for q up to about 1e6, and lose nothing
 next to q = 1.  The family's own entropies and thresholds do not come
@@ -18,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._index import _as_index, _conditional, _count, _far, _log_trace
+from ._index import (PSD_FLOOR, TRACE_TOL, Spectrum, _as_index, _conditional, _count, _far,
+                     _log_trace)
 from .errors import CapacityError, NumericalError, ValidationError
 
 #: Dense objects larger than this total dimension are refused.
@@ -26,10 +28,7 @@ DENSE_DIM_CAP = 4096
 #: Eigenvalues closer than this many times side * eps * (largest
 #: eigenvalue), the eigensolver's own error bound, fold into one level.
 SPECTRUM_MERGE_SCALE = 8
-#: Most negative eigenvalue tolerated before positivity is rejected.
-PSD_FLOOR = -1e-10
 HERMITIAN_TOL = 1e-12
-TRACE_TOL = 1e-12
 
 
 def _refuse_above_cap(side: int) -> None:
@@ -127,82 +126,33 @@ def _eigenvalues(entries: np.ndarray) -> np.ndarray:
     return eigenvalues
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Multiset of (eigenvalue, multiplicity) levels, eigenvalues descending.
-
-    Tiny negative eigenvalues (down to ``PSD_FLOOR``) are clamped to zero.
-    Zero levels are kept so multiplicity bookkeeping stays exact.
-    """
-
-    levels: tuple[tuple[float, int], ...]
-
-    def __post_init__(self) -> None:
-        cleaned = []
-        for eigenvalue, multiplicity in self.levels:
-            mult = int(multiplicity)
-            value = float(eigenvalue)
-            if mult < 1:
-                raise ValidationError("multiplicities must be positive integers")
-            if value < PSD_FLOOR:
-                raise ValidationError(f"eigenvalue {value} is negative beyond tolerance")
-            if value > 1.0 + 1e-10:
-                raise ValidationError(f"eigenvalue {value} exceeds 1")
-            cleaned.append((min(max(value, 0.0), 1.0), mult))
-        if not cleaned:
-            raise ValidationError("spectrum must carry at least one level")
-        cleaned.sort(key=lambda level: -level[0])
-        weight = math.fsum(value * mult for value, mult in cleaned)
-        if abs(weight - 1.0) > TRACE_TOL:
-            raise ValidationError(
-                f"eigenvalues weighted by multiplicity sum to {weight!r}, expected 1")
-        object.__setattr__(self, "levels", tuple(cleaned))
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(mult for _, mult in self.levels)
-
-
 #: The one-level spectrum of a trivial system; conditioning on it is a no-op.
 _TRIVIAL = Spectrum(((1.0, 1),))
-
-
-def _merge_levels(pairs) -> list[tuple[float, int]]:
-    """Fold levels whose eigenvalues lie within the eigensolver's error of
-    each other into a single level at their multiplicity-weighted mean.
-
-    That error is ``SPECTRUM_MERGE_SCALE`` times side * eps * the largest
-    eigenvalue, with side the total multiplicity: the backward-error bound
-    of a symmetric eigensolver on a matrix of that side and norm.
-    Zero-multiplicity entries are dropped.  The weighted mean keeps the
-    trace exact and the folding error second order, so q-traces built from
-    merged levels stay accurate even at large q.
-    """
-    live = sorted(((float(v), int(m)) for v, m in pairs if int(m) > 0),
-                  key=lambda vm: -vm[0])
-    norm = live[0][0] if live else 0.0
-    tol = SPECTRUM_MERGE_SCALE * sum(m for _, m in live) * sys.float_info.epsilon * norm
-    merged: list[tuple[float, int]] = []
-    for value, mult in live:
-        if merged and merged[-1][0] - value <= tol:
-            prev_value, prev_mult = merged[-1]
-            total = prev_mult + mult
-            merged[-1] = ((prev_value * prev_mult + value * mult) / total, total)
-        else:
-            merged.append((value, mult))
-    return merged
 
 
 def spectrum_of(rho: DensityMatrix) -> Spectrum:
     """Degeneracy-aware spectrum from the eigenvalues ``rho`` computed at
     construction, with no second eigendecomposition.
 
-    Eigenvalues within the eigensolver's error of each other (see
-    :func:`_merge_levels`) are merged into one level with summed
-    multiplicity, so numerically split degeneracies match analytic
-    multiplicities.
+    One pass from the largest eigenvalue down folds each eigenvalue into
+    the level before it when it lies within the eigensolver's error of
+    that level: ``SPECTRUM_MERGE_SCALE`` times side * eps * the largest
+    eigenvalue, the backward-error bound of a symmetric eigensolver on a
+    matrix of that side and norm.  So numerically split degeneracies match
+    analytic multiplicities.  A level sits at the multiplicity-weighted
+    mean of its eigenvalues, which keeps the trace exact and the folding
+    error second order, so q-traces stay accurate even at large q.
     """
-    return Spectrum(tuple(_merge_levels((v, 1) for v in rho.eigenvalues.tolist())))
+    values = rho.eigenvalues.tolist()
+    tol = SPECTRUM_MERGE_SCALE * len(values) * sys.float_info.epsilon * values[-1]
+    levels: list[tuple[float, int]] = []
+    for value in reversed(values):
+        if levels and levels[-1][0] - value <= tol:
+            mean, mult = levels[-1]
+            levels[-1] = ((mean * mult + value) / (mult + 1), mult + 1)
+        else:
+            levels.append((value, 1))
+    return Spectrum(tuple(levels))
 
 
 def q_trace(spectrum: Spectrum, q) -> float:

@@ -3,10 +3,11 @@
 States interpolate between the maximally mixed state and the projector
 onto the n-party GHZ vector.  Joint and marginal spectra are available in
 closed form with exact integer multiplicities, which keeps every entropy
-query tractable far beyond dense-matrix scale.  Every family entropy, its
+query tractable far beyond dense-matrix scale.  The spectra are
+:class:`qtsallis._index.Spectrum` values, and every family entropy, its
 value as well as its sign, comes from the q-trace rule of
 :mod:`qtsallis._index` applied to the two closed-form levels
-(``_log_trace_gap``, one call of its ``_log_gap``), plain float
+(``_log_trace_gap``, one call of its ``_log_gap``): plain float
 arithmetic at one mixing weight with no numpy loaded.  The dense family
 states live in :mod:`qtsallis.oracle`.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._index import EntropicIndex, _as_index, _count, _entropy_from_gap, _log_gap
+from ._index import EntropicIndex, Spectrum, _as_index, _count, _entropy_from_gap, _log_gap
 from .errors import CapacityError, ValidationError
 
 #: Exact multiplicity bookkeeping requires N**n to fit a signed 64-bit int.
@@ -60,12 +61,6 @@ def _levels(levels: int, m: int, r: int, x: float) -> tuple:
     return ((peak / r, r), ((1.0 - x) / dim, dim - r))
 
 
-def _spectrum(levels: int, m: int, r: int, x: float) -> Spectrum:
-    """:func:`_levels` as a :class:`qtsallis.quantum.Spectrum`."""
-    from .quantum import Spectrum  # numpy, so only when asked for
-    return Spectrum(_levels(levels, m, r, x))
-
-
 def joint_spectrum(params: WernerParams) -> Spectrum:
     """Closed-form spectrum of the full state.
 
@@ -73,7 +68,7 @@ def joint_spectrum(params: WernerParams) -> Spectrum:
     (1 + (N**n - 1) x) / N**n; the remaining N**n - 1 directions stay at
     the background value (1 - x) / N**n.  At x = 0 the two levels are one.
     """
-    return _spectrum(params.levels, params.parties, 1, params.mixing)
+    return Spectrum(_levels(params.levels, params.parties, 1, params.mixing))
 
 
 def marginal_spectrum(params: WernerParams, kept_parties: int) -> Spectrum:
@@ -88,7 +83,7 @@ def marginal_spectrum(params: WernerParams, kept_parties: int) -> Spectrum:
     (see the verification module).
     """
     m = _party_count(kept_parties, params.parties, "kept party count")
-    return _spectrum(params.levels, m, params.levels, params.mixing)
+    return Spectrum(_levels(params.levels, m, params.levels, params.mixing))
 
 
 def _party_count(value, parties: int, what: str) -> int:

@@ -382,7 +382,7 @@ def test_chain_random_residual():
             assert rec.residual <= 1e-10
 
 
-@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 10.0])
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 10.0, 50.0, 1e3, 1e6])
 def test_chain_refuses_a_drifted_link(monkeypatch, q):
     # a definition form 1e-8 off its ratio form must not pass the check
     joint = random_joint(np.random.default_rng(31), (2, 3, 2))
@@ -391,6 +391,20 @@ def test_chain_refuses_a_drifted_link(monkeypatch, q):
                         lambda mat, qi: exact(mat, qi) * (1.0 + 1e-8))
     with pytest.raises(NumericalError):
         tripartite_chain(joint, q)
+
+
+def test_chain_accepts_near_deterministic_joints_at_large_q():
+    # each (b, c) has one dominant a and entries e^-15..e^-40 elsewhere, so
+    # p(a|b,c) lies next to 1 and its q-th power carries q eps of rounding,
+    # about 1e-10 of the link's size at q = 1e6: honest, not a drift
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        flat = np.exp(-rng.uniform(15.0, 40.0, size=(2, 6, 3)))
+        for b, c in np.ndindex(6, 3):
+            flat[rng.integers(2), b, c] = rng.uniform(0.1, 1.0)
+        joint = JointDist((2, 6, 3), flat.reshape(-1) / flat.sum())
+        for q in (1e5, 1e6):
+            tripartite_chain(joint, q)
 
 
 def test_chain_both_orders_agree():

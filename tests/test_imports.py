@@ -83,7 +83,11 @@ def test_classical_keeps_index_names():
     "import qtsallis\nassert qtsallis.asymptotic_threshold(2, 3) == 0.2",
     "import qtsallis\n"
     "qtsallis.conditional_entropy_block(qtsallis.WernerParams(2, 3, 0.4), 1, 2.0)",
-], ids=["import", "threshold_for_q", "asymptotic_threshold", "conditional_entropy_block"])
+    "import qtsallis\nqtsallis.joint_spectrum(qtsallis.WernerParams(2, 3, 0.4))",
+    "import qtsallis\nqtsallis.marginal_spectrum(qtsallis.WernerParams(2, 3, 0.4), 2)",
+    "import qtsallis\nqtsallis.Spectrum(((0.5, 2),))",
+], ids=["import", "threshold_for_q", "asymptotic_threshold", "conditional_entropy_block",
+        "joint_spectrum", "marginal_spectrum", "Spectrum"])
 def test_closed_form_library_loads_no_numpy(call):
     assert not loads_numpy(call)
 

@@ -258,22 +258,23 @@ def test_entries_real_unless_some_imaginary_part_is_nonzero(monkeypatch):
     assert rho.entries.dtype == np.complex128
 
 
+def diagonal_levels(values):
+    """Levels of the diagonal state ``values``, whose eigenvalues are its
+    diagonal entries exactly."""
+    return spectrum_of(DensityMatrix((len(values),), np.diag(values))).levels
+
+
 def test_merge_levels_folds_degenerate_values():
-    from qtsallis.quantum import SPECTRUM_MERGE_SCALE, _merge_levels
+    from qtsallis.quantum import SPECTRUM_MERGE_SCALE
     # side 4, largest eigenvalue 0.5: levels up to this far apart are one level
     tol = SPECTRUM_MERGE_SCALE * 4 * np.finfo(float).eps * 0.5
-    merged = _merge_levels([(0.5, 1), (0.5 - tol, 1), (0.3, 2)])
-    assert merged == [(pytest.approx(0.5, abs=tol), 2), (0.3, 2)]
+    merged = diagonal_levels([0.5, 0.5 - tol, 0.0, 0.0])
+    assert merged == ((pytest.approx(0.5, abs=tol), 2), (0.0, 2))
     # weighted mean keeps the total weight exact
     assert merged[0][0] == 0.5 - tol / 2
-    assert len(_merge_levels([(0.5, 1), (0.5 - 2 * tol, 1), (0.3, 2)])) == 3
+    assert len(diagonal_levels([0.5, 0.5 - 2 * tol, 0.0, 0.0])) == 3
     # the rule scales with the side: the same spacing folds among more levels
-    assert len(_merge_levels([(0.5, 1), (0.5 - 2 * tol, 1), (0.0, 6)])) == 2
-
-
-def test_merge_levels_drops_zero_multiplicity():
-    from qtsallis.quantum import _merge_levels
-    assert _merge_levels([(0.5, 2), (0.25, 0)]) == [(0.5, 2)]
+    assert len(diagonal_levels([0.5, 0.5 - 2 * tol] + [0.0] * 6)) == 2
 
 
 def test_spectrum_validation():
