@@ -19,11 +19,10 @@ _LAZY = {
                      "conditional_entropy_ratio", "escort", "q_expectation",
                      "tripartite_chain", "tsallis_entropy"), "classical"),
     **dict.fromkeys(("DensityMatrix", "partial_trace", "q_trace", "quantum_conditional",
-                     "quantum_tsallis", "spectrum_of", "tensor_product", "von_neumann"),
-                    "quantum"),
+                     "quantum_tsallis", "spectrum_of", "tensor_product"), "quantum"),
     **dict.fromkeys(("Comparison", "VerificationReport", "default_family_grid",
-                     "default_order_grid", "ghz_vector", "verify_family",
-                     "verify_separable_witness", "werner_density"), "oracle"),
+                     "default_order_grid", "verify_family", "verify_separable_witness",
+                     "werner_density"), "oracle"),
 }
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ layer: integral counts, probabilities, (eigenvalue, multiplicity) levels
 q-trace rule (near/far predicate, log q-trace kernel, gap -> entropy
 step) of every classical, dense and closed-form entropy and conditional
 entropy.  Only this module picks the order and the branch of a
-conditional (:func:`_log_gap`).  Plain Python on floats, so the
+conditional (:func:`_log_gap`, and :func:`_conditionals` for one joint
+against several marginals).  Plain Python on floats, so the
 closed-form path, its spectra included, and every command but ``verify``
 load no numpy."""
 
@@ -160,6 +161,16 @@ def _log_gap(joint, marginal, qi: EntropicIndex, log_count: float) -> float:
 def _conditional(joint, marginal, qi: EntropicIndex, log_count: float) -> float:
     """Ratio form [Tr joint**q / Tr marginal**q - 1] / (1 - q) of :func:`_log_gap`."""
     return _entropy_from_gap(_log_gap(joint, marginal, qi, log_count), qi)
+
+
+def _conditionals(joint, marginals, qi: EntropicIndex, log_count: float) -> list[float]:
+    """:func:`_conditional` of one joint given each of ``marginals``, in the
+    order and branch that :func:`_log_gap` takes, with the joint's log
+    q-trace taken once for all of them."""
+    order = None if qi.is_limit_point else qi.q
+    far = _far(qi.q, log_count)
+    joint_trace = _log_trace(joint, order, far)
+    return [_entropy_from_gap(joint_trace - _log_trace(m, order, far), qi) for m in marginals]
 
 
 def _entropy_from_gap(gap: float, qi: EntropicIndex) -> float:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._index import (LIMIT_WINDOW, PROB_SUM_TOL, EntropicIndex,  # noqa: F401 (re-exported)
-                     _as_index, _conditional, _count, _entropy_of, _probabilities)
+from ._index import (EntropicIndex, _as_index, _conditional, _count, _entropy_of,
+                     _probabilities)
 from .errors import NumericalError, ValidationError
 
 #: Bound between each chain link's definition and ratio forms, relative to
@@ -42,7 +42,7 @@ def _clean_probabilities(p: np.ndarray) -> np.ndarray:
 class ProbDist:
     """Probability vector with entries in [0, 1] summing to 1.
 
-    Inputs whose sum drifts from 1 by no more than ``PROB_SUM_TOL`` are
+    Inputs whose sum drifts from 1 by no more than ``_index.PROB_SUM_TOL`` are
     renormalized; anything further off is rejected.
     """
 

@@ -8,7 +8,10 @@ as the closed forms give, by the q-trace rule of
 neither underflow nor overflow for q up to about 1e6, and lose nothing
 next to q = 1.  The family's own entropies and thresholds do not come
 through here: :mod:`qtsallis.werner` evaluates them in closed form.
-Separable mixtures are plain states too, built by :mod:`qtsallis.oracle`.
+The state checks and the partial trace also take stacks of same-shaped
+matrices, so the separable witness of :mod:`qtsallis.oracle` checks and
+decomposes its mixtures one stack per shape, through the checks of
+:class:`DensityMatrix`.
 """
 
 from __future__ import annotations
@@ -48,12 +51,13 @@ class DensityMatrix:
     real symmetric solver for every real state (complex-typed input with
     zero imaginary parts included) and the complex Hermitian one otherwise.
     Construction validates every invariant, positivity included, from the
-    state's eigenvalues, which it keeps ascending and read-only as
-    ``eigenvalues``.  Only the coupled block is eigendecomposed (see
-    :func:`_eigenvalues`): indices with no nonzero off-diagonal entry give
-    their diagonal entries exactly, and the rest take one ``eigvalsh``.  So
-    a family member needs one N x N call and a decohered marginal none,
-    while a state with coherences everywhere is decomposed whole.  This
+    state's eigenvalues (:func:`_checked_eigenvalues`), which it keeps
+    ascending and read-only as ``eigenvalues``.  Only the coupled block is
+    eigendecomposed (see :func:`_eigenvalues`): indices with no nonzero
+    off-diagonal entry give their diagonal entries exactly, and the rest
+    take one ``eigvalsh``.  So a family member needs one N x N call and a
+    decohered marginal none, while a state with coherences everywhere is
+    decomposed whole.  This
     type is meant for cross-check scale (side up to ``DENSE_DIM_CAP``), not
     production entropy queries.
     """
@@ -75,18 +79,7 @@ class DensityMatrix:
         if entries.shape != (side, side):
             raise ValidationError(
                 f"expected a {side}x{side} matrix, got shape {entries.shape}")
-        if np.max(np.abs(entries - entries.conj().T)) > HERMITIAN_TOL:
-            raise ValidationError("matrix is not Hermitian within tolerance")
-        trace = complex(np.trace(entries))
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise ValidationError(f"trace is {trace!r}, expected 1")
-        try:
-            eigenvalues = _eigenvalues(entries)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-        if eigenvalues[0] < PSD_FLOOR:
-            raise ValidationError(f"smallest eigenvalue {float(eigenvalues[0])} "
-                                  "violates positive semidefiniteness")
+        eigenvalues = _checked_eigenvalues(entries)
         entries.flags.writeable = False
         eigenvalues.flags.writeable = False
         object.__setattr__(self, "dims", dims)
@@ -96,6 +89,31 @@ class DensityMatrix:
     @property
     def side(self) -> int:
         return self.entries.shape[0]
+
+
+def _checked_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a matrix, or of each matrix of a stack
+    (..., s, s), once every member has passed the checks of a state:
+    Hermitian within ``HERMITIAN_TOL``, trace within ``TRACE_TOL`` of 1 and
+    smallest eigenvalue at least ``PSD_FLOOR``.  A failing trace is quoted
+    from the first member that fails, a failing eigenvalue is the smallest
+    of all.  A single matrix is split by :func:`_eigenvalues`; a stack
+    takes one ``eigvalsh`` whole.
+    """
+    if np.max(np.abs(stack - stack.conj().swapaxes(-1, -2))) > HERMITIAN_TOL:
+        raise ValidationError("matrix is not Hermitian within tolerance")
+    for trace in np.trace(stack, axis1=-2, axis2=-1).reshape(-1).tolist():
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise ValidationError(f"trace is {complex(trace)!r}, expected 1")
+    try:
+        eigenvalues = _eigenvalues(stack) if stack.ndim == 2 else np.linalg.eigvalsh(stack)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    lowest = min(eigenvalues[..., 0].reshape(-1).tolist())
+    if lowest < PSD_FLOOR:
+        raise ValidationError(f"smallest eigenvalue {lowest} "
+                              "violates positive semidefiniteness")
+    return eigenvalues
 
 
 def _eigenvalues(entries: np.ndarray) -> np.ndarray:
@@ -143,7 +161,11 @@ def spectrum_of(rho: DensityMatrix) -> Spectrum:
     mean of its eigenvalues, which keeps the trace exact and the folding
     error second order, so q-traces stay accurate even at large q.
     """
-    values = rho.eigenvalues.tolist()
+    return _fold(rho.eigenvalues.tolist())
+
+
+def _fold(values: list[float]) -> Spectrum:
+    """The levels of :func:`spectrum_of` from one ascending eigenvalue row."""
     tol = SPECTRUM_MERGE_SCALE * len(values) * sys.float_info.epsilon * values[-1]
     levels: list[tuple[float, int]] = []
     for value in reversed(values):
@@ -167,11 +189,6 @@ def q_trace(spectrum: Spectrum, q) -> float:
     """
     q = _as_index(q).q
     return _log_trace(spectrum.levels, q, _far(q, math.log(spectrum.total_multiplicity)))
-
-
-def von_neumann(spectrum: Spectrum) -> float:
-    """Entropy -sum(mult * v ln v) over positive levels (natural log)."""
-    return _log_trace(spectrum.levels, None, False)
 
 
 def quantum_tsallis(spectrum: Spectrum, q) -> float:
@@ -217,13 +234,20 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise ValidationError("must keep at least one subsystem")
     if kept[0] < 0 or kept[-1] >= n:
         raise ValidationError(f"subsystem indices must lie in [0, {n - 1}]")
-    traced = [i for i in range(n) if i not in kept]
-    arr = rho.entries.reshape(*rho.dims, *rho.dims)
+    dims = tuple(rho.dims[i] for i in kept)
+    return DensityMatrix(dims, _trace_out(rho.entries, rho.dims, kept))
+
+
+def _trace_out(stack: np.ndarray, dims: tuple[int, ...], kept: list[int]) -> np.ndarray:
+    """Partial trace of a matrix, or of each matrix of a stack (..., s, s),
+    over subsystems ``dims``, keeping the ascending indices ``kept``."""
+    batch = stack.shape[:-2]
+    n = len(dims)
+    arr = stack.reshape(*batch, *dims, *dims)
     removed = 0
-    for axis in traced:
-        a = axis - removed
+    for axis in (i for i in range(n) if i not in kept):
+        a = len(batch) + axis - removed
         arr = np.trace(arr, axis1=a, axis2=a + n - removed)
         removed += 1
-    dims = tuple(rho.dims[i] for i in kept)
-    side = math.prod(dims)
-    return DensityMatrix(dims, arr.reshape(side, side))
+    side = math.prod(dims[i] for i in kept)
+    return arr.reshape(*batch, side, side)

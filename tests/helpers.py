@@ -1,10 +1,13 @@
 """Shared random-object generators for the test suite."""
 
+import math
+
 import mpmath
 import numpy as np
 
 from qtsallis import DensityMatrix, JointDist, ProbDist, tensor_product
 from qtsallis._index import LIMIT_WINDOW
+from qtsallis.oracle import _ghz_indices
 
 #: Orders next to the limit point, on both sides, and the limit point itself.
 NEAR_ONE = (1.0,) + tuple(1.0 + sign * gap for gap in (1.5e-9, 1e-6, 1e-3, 1e-2)
@@ -29,6 +32,14 @@ def random_density(rng, dims):
     a = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
     m = a @ a.conj().T
     return DensityMatrix(tuple(dims), m / np.trace(m))
+
+
+def ghz_vector(levels, parties):
+    """Unit vector with amplitude 1/sqrt(levels) on every all-equal
+    multi-index (k, ..., k), placed by the oracle's GHZ stride."""
+    vec = np.zeros(levels ** parties)
+    vec[_ghz_indices(levels, parties)] = 1.0 / math.sqrt(levels)
+    return vec
 
 
 def record_eigvalsh(monkeypatch):

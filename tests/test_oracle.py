@@ -7,10 +7,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qtsallis import (ValidationError, WernerParams, default_family_grid,
-                      joint_spectrum, partial_trace, spectrum_of, verify_family,
+from qtsallis import (Comparison, DensityMatrix, ValidationError, VerificationReport,
+                      WernerParams, default_family_grid, joint_spectrum, partial_trace,
+                      quantum_conditional, spectrum_of, verify_family,
                       verify_separable_witness, werner_density)
-from qtsallis.oracle import WITNESS_ORDERS, _marginal_of, _witness_rows
+from qtsallis.oracle import (AGREEMENT_TOL, NONNEG_FLOOR, WITNESS_ORDERS, _marginal_of,
+                             _witness_rows)
 from helpers import record_eigvalsh
 
 
@@ -149,23 +151,72 @@ def test_witness_forms_one_joint_per_trial(monkeypatch):
 
 def test_witness_states_have_coherences(monkeypatch):
     seen = record_eigvalsh(monkeypatch)
-    assert verify_separable_witness(10, 7).passed
-    assert len(seen) == 30  # per trial: the joint, its closed and its traced marginal
+    report = verify_separable_witness(10, 7)
+    assert report.passed
+    shapes = {c.case.split(",")[1] for c in report.comparisons}
+    assert len(seen) <= 3 * len(shapes)  # per shape: the joints, closed and traced marginals
+    assert all(stack.ndim == 3 for stack in seen)
+    joints, closed, traced = ([m for stack in seen[role::3] for m in stack] for role in range(3))
+    assert len(joints) == len(closed) == len(traced) == 10  # 30 matrices: 10 trials x 3
 
     def coherent(matrices):
         return [m for m in matrices if (m - np.diag(np.diag(m))).any()]
 
-    assert coherent(seen[0::3]) and coherent(seen[2::3])
+    assert coherent(joints) and coherent(traced)
 
 
 @pytest.mark.parametrize("q", [2, 10, 100])
 def test_witness_rows_fail_on_an_entangled_member(q):
     rho = werner_density(WernerParams(2, 2, 0.9))
-    rows = {c.quantity: c for c in _witness_rows("x=0.9", rho, partial_trace(rho, {0}))}
+    marginal = spectrum_of(partial_trace(rho, {0}))
+    rows = {c.quantity: c for c in _witness_rows("x=0.9", spectrum_of(rho), marginal, marginal)}
     assert rows[f"separable_conditional[q={q}]"].passed
     assert rows[f"nonnegative[q={q}]"].closed_form < 0.0
     assert not rows[f"nonnegative[q={q}]"].passed
     assert rows["nonnegative[q=0.5]"].passed  # order 0.5 does not see this member
+
+
+def _witness_trial_by_trial(trials, seed):
+    """The witness rebuilt one trial at a time through the public API, with
+    the same draws: a DensityMatrix per state, its partial trace, spectra
+    and conditional entropies."""
+    rng = np.random.default_rng(seed)
+
+    def local_states(count, dim):
+        g = rng.standard_normal((count, dim, dim))
+        gram = g @ g.transpose(0, 2, 1)
+        return gram / np.trace(gram, axis1=1, axis2=2)[:, None, None]
+
+    rows = []
+    for trial in range(trials):
+        dim_a, dim_b, terms = (int(rng.integers(2, 5)), int(rng.integers(2, 5)),
+                               int(rng.integers(1, 7)))
+        weights = rng.uniform(size=terms)
+        weights /= weights.sum()
+        local_a, local_b = local_states(terms, dim_a), local_states(terms, dim_b)
+        state = DensityMatrix((dim_a, dim_b), np.einsum(
+            "l,lac,lbd->abcd", weights, local_a, local_b).reshape(dim_a * dim_b, -1))
+        joint = spectrum_of(state)
+        closed = spectrum_of(DensityMatrix((dim_a,), np.tensordot(weights, local_a, 1)))
+        traced = spectrum_of(partial_trace(state, {0}))
+        case = f"trial={trial},dims={dim_a}x{dim_b},terms={terms}"
+        for q in WITNESS_ORDERS:
+            value = quantum_conditional(joint, closed, q)
+            oracle_value = quantum_conditional(joint, traced, q)
+            dev = abs(value - oracle_value) / max(1.0, abs(value), abs(oracle_value))
+            rows.append(Comparison(case, f"separable_conditional[q={q:g}]", value,
+                                   oracle_value, dev, dev <= AGREEMENT_TOL))
+            rows.append(Comparison(case, f"nonnegative[q={q:g}]", value, 0.0,
+                                   max(0.0, -value), value >= NONNEG_FLOOR))
+    return VerificationReport(tuple(rows))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_batched_witness_matches_trial_by_trial(seed):
+    batched = [json.dumps(row) for row in verify_separable_witness(40, seed).to_json_obj()]
+    rebuilt = [json.dumps(row) for row in _witness_trial_by_trial(40, seed).to_json_obj()]
+    assert len(rebuilt) == 40 * 8
+    assert batched == rebuilt  # floats by repr: bit for bit
 
 
 def test_witness_reports_eight_rows_per_trial():

@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from qtsallis import (CapacityError, DensityMatrix, Spectrum, ValidationError,
                       compose_pseudoadditive, partial_trace, q_trace,
                       quantum_conditional, quantum_tsallis, spectrum_of,
-                      tensor_product, tsallis_entropy, von_neumann,
-                      werner_density, WernerParams, ghz_vector)
+                      tensor_product, tsallis_entropy, werner_density, WernerParams)
 from qtsallis import quantum
-from helpers import (mp_log_trace, mp_tsallis, random_density, random_separable,
+from helpers import (ghz_vector, mp_log_trace, mp_tsallis, random_density, random_separable,
                      record_eigvalsh)
 
 
@@ -61,6 +60,50 @@ def test_density_rejects_negative_eigenvalue_in_either_part(monkeypatch, where):
     with pytest.raises(ValidationError, match="positive semidefinite"):
         DensityMatrix((3,), _pair_beside_one_index(where, 1e-9))
     assert [m.shape for m in seen] == [(2, 2), (2, 2)]  # the pair only, never 3 x 3
+
+
+def _with_lowest_eigenvalue(rng, lowest):
+    """Real symmetric unit-trace 3 x 3 matrix with eigenvalues ``lowest``,
+    0.3 and the rest, in a random basis."""
+    basis, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    m = basis @ np.diag([lowest, 0.3, 0.7 - lowest]) @ basis.T
+    return (m + m.T) / 2
+
+
+def _off_hermitian(m):
+    m[0, 1] += 1e-11
+    return m
+
+
+def _off_trace(m):
+    m[0, 0] += 1e-11
+    return m
+
+
+@pytest.mark.parametrize("spoil,message", [
+    (_off_hermitian, "not Hermitian"),
+    (_off_trace, "trace is"),
+    (lambda m: _with_lowest_eigenvalue(np.random.default_rng(2), -1e-9), "positive semidefinite"),
+])
+def test_stacked_check_rejects_a_failing_last_member(spoil, message):
+    rng = np.random.default_rng(1)
+    members = [_with_lowest_eigenvalue(rng, lowest) for lowest in (0.1, 0.05, 0.2)]
+    quantum._checked_eigenvalues(np.stack(members))
+    members[-1] = spoil(members[-1])
+    with pytest.raises(ValidationError, match=message) as stacked:
+        quantum._checked_eigenvalues(np.stack(members))
+    with pytest.raises(ValidationError) as single:
+        DensityMatrix((3,), members[-1])
+    assert str(stacked.value) == str(single.value)
+
+
+def test_stacked_check_keeps_a_tiny_negative_eigenvalue():
+    rng = np.random.default_rng(3)
+    members = [_with_lowest_eigenvalue(rng, lowest) for lowest in (0.1, 0.05, -1e-11)]
+    eigenvalues = quantum._checked_eigenvalues(np.stack(members))
+    assert eigenvalues.shape == (3, 3)
+    assert eigenvalues[2, 0] == pytest.approx(-1e-11, abs=1e-15)
+    npt.assert_array_equal(eigenvalues[2], DensityMatrix((3,), members[2]).eigenvalues)
 
 
 def _permuted_block_state(rng, sizes, zeros, complex_entries):
@@ -338,7 +381,7 @@ def test_quantum_tsallis_von_neumann_limit():
     spec = Spectrum(((0.7, 1), (0.3, 1)))
     expected = -(0.7 * math.log(0.7) + 0.3 * math.log(0.3))
     assert quantum_tsallis(spec, 1.0) == pytest.approx(expected, abs=1e-15)
-    assert von_neumann(spec) == pytest.approx(expected, abs=1e-15)
+    assert quantum_tsallis(spec, 1.0 + 1e-10) == pytest.approx(expected, abs=1e-15)
 
 
 @pytest.mark.parametrize("q", [1.0 - 1e-6, 1.0 + 1e-6, 1.0 - 1e-8, 1.0 + 1e-8])

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from qtsallis import (CapacityError, MonotonicityError, ThresholdPoint, ValidationError,
                       WernerParams, asymptotic_threshold, conditional_entropy_block,
-                      entropy_sign, spectrum_of, threshold_curve,
-                      threshold_for_q, von_neumann, werner_density)
+                      entropy_sign, quantum_tsallis, spectrum_of, threshold_curve,
+                      threshold_for_q, werner_density)
 from qtsallis import solver
-from qtsallis.classical import LIMIT_WINDOW
+from qtsallis._index import LIMIT_WINDOW
 from qtsallis.oracle import _marginal_of
 from qtsallis.solver import _rises
 from helpers import NEAR_ONE, WIDE_FAMILIES, mp_conditional_renyi, mp_threshold
@@ -93,7 +93,7 @@ def test_threshold_von_neumann_against_dense_bisection():
         params = WernerParams(2, 3, x)
         joint = spectrum_of(werner_density(params))
         marginal = spectrum_of(_marginal_of(werner_density(params), params, 2))
-        return von_neumann(joint) - von_neumann(marginal)
+        return quantum_tsallis(joint, 1.0) - quantum_tsallis(marginal, 1.0)
 
     lo, hi = 0.0, 1.0
     for _ in range(60):

@@ -8,12 +8,12 @@ import numpy.testing as npt
 import pytest
 
 from qtsallis import (CapacityError, ValidationError, WernerParams, asymptotic_threshold,
-                      conditional_entropy_block, ghz_vector, joint_spectrum,
-                      marginal_spectrum, quantum_conditional, spectrum_of,
-                      threshold_for_q, tsallis_entropy, werner_density)
+                      conditional_entropy_block, joint_spectrum, marginal_spectrum,
+                      partial_trace, quantum_conditional, spectrum_of, threshold_for_q,
+                      tsallis_entropy, werner_density)
 from qtsallis.oracle import _marginal_of
-from helpers import (NEAR_ONE, WIDE_FAMILIES, mp_conditional, mp_log_trace, mp_spectra,
-                     mp_von_neumann)
+from helpers import (NEAR_ONE, WIDE_FAMILIES, ghz_vector, mp_conditional, mp_log_trace,
+                     mp_spectra, mp_von_neumann)
 
 X_GRID = tuple(t / 10 for t in range(11))
 Q_GRID = (0.5, 1.0, 2.0, 5.0, 20.0)
@@ -80,12 +80,12 @@ def test_counts_refused_across_the_closed_forms():
     with pytest.raises(ValidationError, match="must be an integer"):
         threshold_for_q(2.5, 3, 2.0)
     with pytest.raises(ValidationError, match="must be an integer"):
-        ghz_vector(2, 2.5)
+        partial_trace(werner_density(params), {0.5})
     assert asymptotic_threshold(2.0, np.int64(3), 2.0) == 0.2
     assert conditional_entropy_block(params, 1.0, 2.0) == conditional_entropy_block(params, 1, 2.0)
 
 
-# -- ghz_vector ----------------------------------------------------------
+# -- GHZ vector (placed by oracle._ghz_indices) ---------------------------
 
 def test_ghz_two_level_three_party():
     vec = ghz_vector(2, 3)
@@ -109,7 +109,7 @@ def test_ghz_single_party_uniform():
 
 def test_ghz_capacity():
     with pytest.raises(CapacityError):
-        ghz_vector(2, 13)
+        werner_density(WernerParams(2, 13, 1.0))  # the GHZ projector alone
 
 
 # -- werner_density ------------------------------------------------------
