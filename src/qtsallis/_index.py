@@ -7,12 +7,12 @@ entropy.  Only this module picks the order and the branch of a
 conditional (:func:`_log_gap`, and :func:`_conditionals` for one joint
 against several marginals).  Plain Python on floats, so the
 closed-form path, its spectra included, and every command but ``verify``
-load no numpy."""
+load no numpy.  Its records are :class:`_Frozen`, not dataclasses, so
+that path loads no ``dataclasses`` either."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ValidationError
 
@@ -27,8 +27,52 @@ PSD_FLOOR = -1e-10
 TRACE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class EntropicIndex:
+class _Frozen:
+    """Immutable record of the fields named by a subclass's ``__slots__``,
+    with the behaviour of a frozen dataclass: equal to a record of the same
+    class with equal fields and hashed by them, shown as
+    ``Name(field=value, ...)``, refusing assignment and deletion, pickled
+    and copied by its field values (through the validating constructor).
+
+    The numpy-free records (:class:`EntropicIndex`, :class:`Spectrum`,
+    ``WernerParams``, ``ThresholdPoint``) use it because importing
+    ``dataclasses`` (with ``inspect``, ``ast``, ``dis`` and ``tokenize``)
+    and generating their classes took about 18 ms of every closed-form
+    process (Python 3.11, 2-vCPU x86-64).  The numpy-side records (``DensityMatrix``, ``ProbDist``,
+    ``JointDist``, ``ChainDecomposition``, ``Comparison``,
+    ``VerificationReport``) stay dataclasses: their modules pay 100 ms and
+    more for numpy, and the perfbench tracer hooks
+    ``DensityMatrix.__post_init__``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class EntropicIndex(_Frozen):
     """Positive order parameter of the entropy family.
 
     ``is_limit_point`` flags values numerically indistinguishable from 1,
@@ -36,33 +80,32 @@ class EntropicIndex:
     formulas take over.
     """
 
-    q: float
+    __slots__ = ("q",)
 
-    def __post_init__(self) -> None:
-        q = float(self.q)
-        if not math.isfinite(q) or q <= 0.0:
+    def __init__(self, q: float) -> None:
+        value = float(q)
+        if not math.isfinite(value) or value <= 0.0:
             raise ValidationError(
-                f"entropic index must be a positive finite real, got {self.q!r}")
-        object.__setattr__(self, "q", q)
+                f"entropic index must be a positive finite real, got {q!r}")
+        object.__setattr__(self, "q", value)
 
     @property
     def is_limit_point(self) -> bool:
         return abs(self.q - 1.0) <= LIMIT_WINDOW
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_Frozen):
     """Multiset of (eigenvalue, multiplicity) levels, eigenvalues descending.
 
     Tiny negative eigenvalues (down to ``PSD_FLOOR``) are clamped to zero.
     Zero levels are kept so multiplicity bookkeeping stays exact.
     """
 
-    levels: tuple[tuple[float, int], ...]
+    __slots__ = ("levels",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, levels: tuple[tuple[float, int], ...]) -> None:
         cleaned = []
-        for eigenvalue, multiplicity in self.levels:
+        for eigenvalue, multiplicity in levels:
             mult = int(multiplicity)
             value = float(eigenvalue)
             if mult < 1:
@@ -80,6 +123,15 @@ class Spectrum:
             raise ValidationError(
                 f"eigenvalues weighted by multiplicity sum to {weight!r}, expected 1")
         object.__setattr__(self, "levels", tuple(cleaned))
+
+    @classmethod
+    def _trusted(cls, levels: tuple[tuple[float, int], ...]) -> Spectrum:
+        """A spectrum of ``levels`` as given, unchecked: for levels built from
+        eigenvalues that have passed the checks of a state, already in
+        [0, 1], descending and with int multiplicities."""
+        spectrum = object.__new__(cls)
+        object.__setattr__(spectrum, "levels", levels)
+        return spectrum
 
     @property
     def total_multiplicity(self) -> int:

@@ -7,14 +7,15 @@ Subcommands: ``entropy`` (classical or family conditional entropy),
 diagnostics to stderr; exit codes are 0 on success, 1 on domain errors or
 failed verification, 2 on usage errors.  Only ``verify`` imports numpy:
 ``threshold``, ``entropy`` and ``sweep`` run on plain floats, through the
-closed-form path and the probability rule of ``_index``.
+closed-form path and the probability rule of ``_index``, and load no
+``dataclasses``.  ``json`` is imported only by the two commands that
+write it, ``sweep --format json`` and ``verify``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import sys
 
@@ -111,6 +112,7 @@ def _cmd_sweep(args) -> int:
                          f"{'true' if located else 'false'}")
         text = "\n".join(lines) + "\n"
     else:
+        import json
         payload = [{"q": point.q, "x_star": point.x_star,
                     "converged": point.x_star is not None} for point in points]
         text = json.dumps(payload, indent=2) + "\n"
@@ -120,6 +122,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import json
+
     from . import oracle
     grid = oracle.default_family_grid(args.max_dim)
     if not grid:

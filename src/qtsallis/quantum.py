@@ -165,7 +165,10 @@ def spectrum_of(rho: DensityMatrix) -> Spectrum:
 
 
 def _fold(values: list[float]) -> Spectrum:
-    """The levels of :func:`spectrum_of` from one ascending eigenvalue row."""
+    """The levels of :func:`spectrum_of` from one ascending eigenvalue row
+    that :func:`_checked_eigenvalues` has passed, so the spectrum is built
+    unchecked; its levels descend already, and each is clamped to [0, 1]
+    as :class:`Spectrum` would."""
     tol = SPECTRUM_MERGE_SCALE * len(values) * sys.float_info.epsilon * values[-1]
     levels: list[tuple[float, int]] = []
     for value in reversed(values):
@@ -174,7 +177,7 @@ def _fold(values: list[float]) -> Spectrum:
             levels[-1] = ((mean * mult + value) / (mult + 1), mult + 1)
         else:
             levels.append((value, 1))
-    return Spectrum(tuple(levels))
+    return Spectrum._trusted(tuple((min(max(mean, 0.0), 1.0), mult) for mean, mult in levels))
 
 
 def q_trace(spectrum: Spectrum, q) -> float:

@@ -12,9 +12,8 @@ the same scalar form that gives its conditional entropy values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from ._index import _as_index
+from ._index import _as_index, _Frozen
 from .errors import MonotonicityError, ValidationError
 from .werner import WernerParams, _conditioned, _family, _log_trace_gap
 
@@ -24,8 +23,7 @@ ROOT_RTOL = 1e-13
 MONOTONE_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ThresholdPoint:
+class ThresholdPoint(_Frozen):
     """Sign-change location of the conditional entropy at one order q.
 
     ``x_star`` is None when the entropy keeps one sign across the whole
@@ -33,9 +31,12 @@ class ThresholdPoint:
     bracket (0 on an exact zero, nan without a root).
     """
 
-    q: float
-    x_star: float | None
-    bracket_width: float
+    __slots__ = ("q", "x_star", "bracket_width")
+
+    def __init__(self, q: float, x_star: float | None, bracket_width: float) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "x_star", x_star)
+        object.__setattr__(self, "bracket_width", bracket_width)
 
 
 def entropy_sign(params: WernerParams, q, conditioned_parties: int | None = None) -> int:

@@ -15,27 +15,24 @@ states live in :mod:`qtsallis.oracle`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from ._index import EntropicIndex, Spectrum, _as_index, _count, _entropy_from_gap, _log_gap
+from ._index import (EntropicIndex, Spectrum, _as_index, _count, _entropy_from_gap, _Frozen,
+                     _log_gap)
 from .errors import CapacityError, ValidationError
 
 #: Exact multiplicity bookkeeping requires N**n to fit a signed 64-bit int.
 MULTIPLICITY_CAP = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class WernerParams:
+class WernerParams(_Frozen):
     """Family coordinates: levels per party, number of parties, and the
     weight of the entangled projector in the mixture."""
 
-    levels: int
-    parties: int
-    mixing: float
+    __slots__ = ("levels", "parties", "mixing")
 
-    def __post_init__(self) -> None:
-        levels, parties, _ = _family(self.levels, self.parties, None)
-        mixing = float(self.mixing)
+    def __init__(self, levels: int, parties: int, mixing: float) -> None:
+        levels, parties, _ = _family(levels, parties, None)
+        mixing = float(mixing)
         if not 0.0 <= mixing <= 1.0:
             raise ValidationError(f"mixing parameter must lie in [0, 1], got {mixing}")
         object.__setattr__(self, "levels", levels)

@@ -1,7 +1,7 @@
 """Package exports: the lazy-export contract, and which paths load numpy.
 
-The numpy checks run in fresh interpreters, because this process has
-imported numpy already."""
+The import checks run in fresh interpreters, because this process has
+imported numpy, ``dataclasses`` and ``json`` already."""
 
 import importlib
 import os
@@ -25,12 +25,21 @@ def fresh_python(code: str) -> list[str]:
     return proc.stdout.splitlines()
 
 
-def loads_numpy(call: str) -> bool:
-    return fresh_python(f"import sys\n{call}\nprint('numpy' in sys.modules)")[-1] == "True"
+def loaded(call: str, *modules: str) -> set[str]:
+    """Those of ``modules`` that are imported after ``call`` runs in a
+    fresh interpreter."""
+    found = fresh_python(f"import sys\n{call}\n"
+                         f"print(*[m for m in {modules!r} if m in sys.modules])")[-1]
+    return set(found.split())
 
 
-def cli_loads_numpy(argv: list[str]) -> bool:
-    return loads_numpy(f"from qtsallis.cli import main\nassert main({argv!r}) == 0")
+def cli_loaded(argv: list[str], *modules: str) -> set[str]:
+    return loaded(f"from qtsallis.cli import main\nassert main({argv!r}) == 0", *modules)
+
+
+#: What the closed-form path leaves unloaded: numpy, and the stdlib modules
+#: that its records and its plain-text output do without.
+HEAVY = ("numpy", "dataclasses", "json")
 
 
 # -- lazy-export contract -------------------------------------------------
@@ -89,7 +98,7 @@ def test_classical_keeps_index_names():
 ], ids=["import", "threshold_for_q", "asymptotic_threshold", "conditional_entropy_block",
         "joint_spectrum", "marginal_spectrum", "Spectrum"])
 def test_closed_form_library_loads_no_numpy(call):
-    assert not loads_numpy(call)
+    assert loaded(call, *HEAVY) == set()
 
 
 @pytest.mark.parametrize("argv", [
@@ -98,7 +107,7 @@ def test_closed_form_library_loads_no_numpy(call):
     ["entropy", "--werner", "2,3,0.4", "--q", "2", "--condition-on", "1"],
 ])
 def test_closed_form_commands_load_no_numpy(argv):
-    assert not cli_loads_numpy(argv)
+    assert cli_loaded(argv, *HEAVY) == set()
 
 
 SWEEP = ["sweep", "--N", "2", "--n", "3", "--q-min", "1", "--q-max", "4", "--q-points", "3"]
@@ -114,7 +123,8 @@ SWEEP = ["sweep", "--N", "2", "--n", "3", "--q-min", "1", "--q-max", "4", "--q-p
 ], ids=["entropy-dist", "entropy-dist-limit", "sweep-csv", "sweep-json", "sweep-csv-log",
         "sweep-json-log"])
 def test_dist_and_sweep_commands_load_no_numpy(argv):
-    assert not cli_loads_numpy(argv)
+    """Only ``sweep --format json`` may load ``json``, which it writes."""
+    assert cli_loaded(argv, *HEAVY) <= ({"json"} if "json" in argv else set())
 
 
 @pytest.mark.parametrize("module", ["qtsallis.quantum", "qtsallis.oracle"])
@@ -125,10 +135,10 @@ def test_dense_layers_load_no_classical_layer(module):
 
 def test_verify_works_and_loads_numpy():
     """``verify`` is the one command that builds dense states."""
-    assert cli_loads_numpy(["verify", "--max-dim", "4"])
+    assert cli_loaded(["verify", "--max-dim", "4"], "numpy") == {"numpy"}
 
 
 @pytest.mark.parametrize("use", ["qtsallis.ProbDist([0.5, 0.5])",
                                  "assert qtsallis.quantum.DENSE_DIM_CAP == 4096"])
 def test_lazy_name_or_module_loads_numpy_on_first_use(use):
-    assert loads_numpy(f"import qtsallis\n{use}")
+    assert loaded(f"import qtsallis\n{use}", "numpy") == {"numpy"}

@@ -320,6 +320,19 @@ def test_merge_levels_folds_degenerate_values():
     assert len(diagonal_levels([0.5, 0.5 - 2 * tol] + [0.0] * 6)) == 2
 
 
+def test_fold_builds_the_spectrum_that_validation_would():
+    """Folded eigenvalues skip the checks of Spectrum, whose clamp, sort and
+    trace check would leave them unchanged, bit for bit."""
+    rng = np.random.default_rng(3)
+    for dims in ((2,), (2, 2), (3, 3), (2, 2, 2)):
+        folded = spectrum_of(random_density(rng, dims))
+        assert folded.levels == Spectrum(folded.levels).levels
+    ghz = spectrum_of(DensityMatrix((2, 2), np.outer(ghz_vector(2, 2), ghz_vector(2, 2))))
+    assert ghz == Spectrum(ghz.levels)
+    assert quantum._fold([-2e-15, -1e-15, 1.0]).levels == ((1.0, 1), (0.0, 2))
+    assert quantum._fold([0.0, 1.0 + 5e-11]).levels == ((1.0, 1), (0.0, 1))
+
+
 def test_spectrum_validation():
     with pytest.raises(ValidationError):
         Spectrum(((0.5, 1), (0.5, 0)))       # zero multiplicity
