@@ -1,12 +1,12 @@
 """Dense-matrix brute-force verification.
 
 Builds the dense family members (here, and only here) and their
-marginals explicitly, computes spectra and entropies numerically, and
-certifies every closed form at small scale.  The random separable
-witness builds its mixtures one trial at a time but checks and
-eigendecomposes them as stacks, one per (d_A, d_B) shape.  Verification
-results are data, not exceptions: each comparison becomes a row in a
-report that serializes to JSON.
+marginals explicitly, each marginal traced from the one before, computes
+spectra and entropies numerically, and certifies every closed form at
+small scale.  The random separable witness builds its mixtures one trial
+at a time but checks and eigendecomposes them as stacks, one per
+(d_A, d_B) shape.  Verification results are data, not exceptions: each
+comparison becomes a row in a report that serializes to JSON.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from ._index import Spectrum, _as_index, _conditionals, _count
 from .errors import ValidationError
 from .quantum import (DensityMatrix, _checked_eigenvalues, _fold, _refuse_above_cap,
-                      _trace_out, partial_trace, quantum_conditional, spectrum_of)
+                      _trace_out, partial_trace, spectrum_of)
 from .werner import (WernerParams, conditional_entropy_block, joint_spectrum,
                      marginal_spectrum)
 
@@ -102,27 +102,33 @@ def werner_density(params: WernerParams) -> DensityMatrix:
     """Dense matrix of the family member: uniform background of weight
     (1 - x) plus the GHZ projector of weight x, which is x/N on every entry
     of the all-equal block.  Cross-check scale only: a member above
-    ``DENSE_DIM_CAP`` is refused before anything is allocated."""
+    ``DENSE_DIM_CAP`` is refused before anything is allocated.  The state
+    adopts the matrix built here without a copy, and each marginal of
+    :func:`verify_family` is traced from the one before, so certifying a
+    member allocates at most about 1.5 times the member's own bytes."""
     dim = params.total_dim
     _refuse_above_cap(dim)
     entries = np.zeros((dim, dim))
     np.fill_diagonal(entries, (1.0 - params.mixing) / dim)
     ghz = _ghz_indices(params.levels, params.parties)
     entries[np.ix_(ghz, ghz)] += params.mixing / params.levels
-    return DensityMatrix((params.levels,) * params.parties, entries)
+    return DensityMatrix._adopt((params.levels,) * params.parties, entries)
 
 
-def _marginal_of(dense: DensityMatrix, params: WernerParams, kept: int) -> DensityMatrix:
-    """Partial trace over the leading parties, cross-checked against the
-    explicit decohered form of the marginal: the uniform background plus
-    x/N on each all-equal diagonal entry."""
-    n = params.parties
-    marginal = partial_trace(dense, range(n - kept, n))
+def _marginal_of(state: DensityMatrix, params: WernerParams, kept: int) -> DensityMatrix:
+    """Partial trace of a family member, or of one of its marginals, over
+    all but its last ``kept`` parties, cross-checked against the explicit
+    decohered form of the marginal: the uniform background plus x/N on each
+    all-equal diagonal entry.  Tracing out one party of the (kept + 1)-party
+    marginal gives the kept-party marginal of the member itself."""
+    parties = len(state.dims)
+    marginal = partial_trace(state, range(parties - kept, parties))
     reduced_dim = params.levels ** kept
     direct = ((1.0 - params.mixing) / reduced_dim) * np.eye(reduced_dim)
     spikes = _ghz_indices(params.levels, kept)
     direct[spikes, spikes] += params.mixing / params.levels
-    drift = float(np.max(np.abs(marginal.entries - direct)))
+    direct -= marginal.entries
+    drift = float(np.max(np.abs(direct, out=direct)))
     if drift > STRUCTURE_TOL:
         raise ValidationError(
             f"partial trace deviates from the explicit marginal form by {drift}")
@@ -151,29 +157,40 @@ def verify_family(params_grid, q_grid) -> VerificationReport:
     dense eigendecompositions over a grid of family members and orders.
 
     For every family member: the joint spectrum and each marginal spectrum
-    (all block sizes) are compared level by level; for every order q, each
-    block conditional entropy (from the closed-form log q-traces) is
-    compared against the ratio form that ``quantum_conditional`` evaluates
-    on the oracle spectra.  All comparisons use ``AGREEMENT_TOL`` on the
-    magnitude-scaled deviation of :func:`_deviation`.
+    (all block sizes) are compared level by level.  The (n - 1)-party
+    marginal is traced from the joint state and each smaller one from the
+    marginal before it, one party at a time, so the joint is released after
+    the first trace; each is checked against its explicit form
+    (:func:`_marginal_of`).  For every order q, each block conditional
+    entropy (from the closed-form log q-traces) is compared against the
+    ratio form that ``quantum_conditional`` evaluates on the oracle
+    spectra, with the joint's log q-trace taken once for all block sizes
+    (:func:`qtsallis._index._conditionals`).  All comparisons use
+    ``AGREEMENT_TOL`` on the magnitude-scaled deviation of
+    :func:`_deviation`.
     """
     rows: list[Comparison] = []
     for params in params_grid:
         case = f"N={params.levels},n={params.parties},x={params.mixing:g}"
-        dense = werner_density(params)
-        oracle_joint = spectrum_of(dense)
+        state = werner_density(params)
+        oracle_joint = spectrum_of(state)
         rows.extend(_spectrum_rows(case, "joint_spectrum",
                                    joint_spectrum(params), oracle_joint))
         oracle_marginals = {}
-        for m in range(1, params.parties):
-            oracle_marginals[m] = spectrum_of(_marginal_of(dense, params, m))
+        for m in range(params.parties - 1, 0, -1):
+            state = _marginal_of(state, params, m)
+            oracle_marginals[m] = spectrum_of(state)
             rows.extend(_spectrum_rows(case, f"marginal_spectrum[m={m}]",
                                        marginal_spectrum(params, m),
                                        oracle_marginals[m]))
+        blocks = range(1, params.parties)
+        log_count = math.log(oracle_joint.total_multiplicity)
         for q in q_grid:
-            for k in range(1, params.parties):
+            oracle_values = _conditionals(
+                oracle_joint.levels, [oracle_marginals[k].levels for k in blocks],
+                _as_index(q), log_count)
+            for k, oracle_value in zip(blocks, oracle_values):
                 closed = conditional_entropy_block(params, k, q)
-                oracle_value = quantum_conditional(oracle_joint, oracle_marginals[k], q)
                 dev = _deviation(closed, oracle_value)
                 rows.append(Comparison(
                     case, f"conditional_entropy_block[k={k},q={q:g}]",

@@ -11,7 +11,10 @@ through here: :mod:`qtsallis.werner` evaluates them in closed form.
 The state checks and the partial trace also take stacks of same-shaped
 matrices, so the separable witness of :mod:`qtsallis.oracle` checks and
 decomposes its mixtures one stack per shape, through the checks of
-:class:`DensityMatrix`.
+:class:`DensityMatrix`.  No check makes a temporary of the state's size:
+Hermiticity is read in row blocks, and the states that this package
+builds itself (a family member, a partial trace, a tensor product) are
+adopted, not copied, so a state costs about its own bytes once built.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ DENSE_DIM_CAP = 4096
 #: eigenvalue), the eigensolver's own error bound, fold into one level.
 SPECTRUM_MERGE_SCALE = 8
 HERMITIAN_TOL = 1e-12
+#: Entries per row block of the Hermitian check (:func:`_check_hermitian`):
+#: 128 KiB of doubles, so its temporaries stay small beside a large state.
+_CHECK_BLOCK = 1 << 14
 
 
 def _refuse_above_cap(side: int) -> None:
@@ -57,9 +63,11 @@ class DensityMatrix:
     off-diagonal entry give their diagonal entries exactly, and the rest
     take one ``eigvalsh``.  So a family member needs one N x N call and a
     decohered marginal none, while a state with coherences everywhere is
-    decomposed whole.  This
-    type is meant for cross-check scale (side up to ``DENSE_DIM_CAP``), not
-    production entropy queries.
+    decomposed whole.  The public constructor copies the caller's array;
+    the package's own constructions hand over the fresh array they built
+    (:meth:`_adopt`), through the same checks.  Either way ``entries`` is
+    read-only.  This type is meant for cross-check scale (side up to
+    ``DENSE_DIM_CAP``), not production entropy queries.
     """
 
     dims: tuple[int, ...]
@@ -67,15 +75,30 @@ class DensityMatrix:
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        dims = tuple(_count(d, "subsystem dimension") for d in self.dims)
+        self._settle(self.dims, self.entries, np.array)
+
+    @classmethod
+    def _adopt(cls, dims: tuple[int, ...], entries: np.ndarray) -> DensityMatrix:
+        """The state of a fresh array that only the caller holds, taken
+        without a copy and made read-only, through every check of the
+        public constructor."""
+        rho = object.__new__(cls)
+        rho._settle(dims, entries, np.ascontiguousarray)
+        return rho
+
+    def _settle(self, dims, entries, take) -> None:
+        """Validate and set the fields, taking the entries in their final
+        dtype through ``take``: ``np.array`` copies, ``np.ascontiguousarray``
+        adopts."""
+        dims = tuple(_count(d, "subsystem dimension") for d in dims)
         if not dims or any(d < 1 for d in dims):
             raise ValidationError("subsystem dimensions must be positive integers")
         side = math.prod(dims)
         _refuse_above_cap(side)
-        entries = np.asarray(self.entries)
+        entries = np.asarray(entries)
         if np.iscomplexobj(entries) and not entries.imag.any():
             entries = entries.real
-        entries = np.array(entries, dtype=np.result_type(entries, float))
+        entries = take(entries, dtype=np.result_type(entries, float))
         if entries.shape != (side, side):
             raise ValidationError(
                 f"expected a {side}x{side} matrix, got shape {entries.shape}")
@@ -97,11 +120,12 @@ def _checked_eigenvalues(stack: np.ndarray) -> np.ndarray:
     Hermitian within ``HERMITIAN_TOL``, trace within ``TRACE_TOL`` of 1 and
     smallest eigenvalue at least ``PSD_FLOOR``.  A failing trace is quoted
     from the first member that fails, a failing eigenvalue is the smallest
-    of all.  A single matrix is split by :func:`_eigenvalues`; a stack
-    takes one ``eigvalsh`` whole.
+    of all.  Hermiticity is checked in row blocks of the upper triangle
+    (:func:`_check_hermitian`), so no check copies the stack.  A single
+    matrix is split by :func:`_eigenvalues`; a stack takes one ``eigvalsh``
+    whole.
     """
-    if np.max(np.abs(stack - stack.conj().swapaxes(-1, -2))) > HERMITIAN_TOL:
-        raise ValidationError("matrix is not Hermitian within tolerance")
+    _check_hermitian(stack)
     for trace in np.trace(stack, axis1=-2, axis2=-1).reshape(-1).tolist():
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace is {complex(trace)!r}, expected 1")
@@ -114,6 +138,30 @@ def _checked_eigenvalues(stack: np.ndarray) -> np.ndarray:
         raise ValidationError(f"smallest eigenvalue {lowest} "
                               "violates positive semidefiniteness")
     return eigenvalues
+
+
+def _check_hermitian(stack: np.ndarray) -> None:
+    """Refuse a matrix, or a stack, with some |a - a^H| above
+    ``HERMITIAN_TOL``, over the upper triangle one row block at a time.
+
+    Rows i:j from the diagonal on, ``stack[..., i:j, i:]``, meet the
+    conjugate transpose of the matching column block ``stack[..., i:, i:j]``,
+    so every pair of mirrored entries is compared once and the maximum is
+    that of the whole matrix.  Each block holds about ``_CHECK_BLOCK``
+    entries over all members, so no temporary grows with the state, and a
+    real matrix is never conjugated.
+    """
+    side = stack.shape[-1]
+    members = max(1, math.prod(stack.shape[:-2]))
+    start = 0
+    while start < side:
+        stop = start + max(1, _CHECK_BLOCK // (members * (side - start)))
+        mirror = stack[..., start:, start:stop].swapaxes(-1, -2)
+        if np.iscomplexobj(mirror):
+            mirror = mirror.conj()
+        if np.max(np.abs(stack[..., start:stop, start:] - mirror)) > HERMITIAN_TOL:
+            raise ValidationError("matrix is not Hermitian within tolerance")
+        start = stop
 
 
 def _eigenvalues(entries: np.ndarray) -> np.ndarray:
@@ -222,7 +270,7 @@ def quantum_conditional(joint: Spectrum, marginal: Spectrum, q) -> float:
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product state with concatenated subsystem signature."""
     _refuse_above_cap(a.side * b.side)
-    return DensityMatrix(a.dims + b.dims, np.kron(a.entries, b.entries))
+    return DensityMatrix._adopt(a.dims + b.dims, np.kron(a.entries, b.entries))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -238,7 +286,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     if kept[0] < 0 or kept[-1] >= n:
         raise ValidationError(f"subsystem indices must lie in [0, {n - 1}]")
     dims = tuple(rho.dims[i] for i in kept)
-    return DensityMatrix(dims, _trace_out(rho.entries, rho.dims, kept))
+    return DensityMatrix._adopt(dims, _trace_out(rho.entries, rho.dims, kept))
 
 
 def _trace_out(stack: np.ndarray, dims: tuple[int, ...], kept: list[int]) -> np.ndarray:

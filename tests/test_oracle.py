@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -37,6 +38,16 @@ def test_marginal_single_party_is_maximally_mixed():
     npt.assert_allclose(marginal.entries, np.eye(3) / 3, atol=1e-14)
 
 
+def test_marginal_refuses_a_trace_off_the_explicit_form():
+    params = WernerParams(2, 4, 0.4)
+    foreign = werner_density(WernerParams(2, 4, 0.5))
+    with pytest.raises(ValidationError, match="explicit marginal form by 0.025"):
+        _marginal_of(foreign, params, 2)
+    chained = _marginal_of(foreign, WernerParams(2, 4, 0.5), 3)
+    with pytest.raises(ValidationError, match="explicit marginal form by 0.025"):
+        _marginal_of(chained, params, 2)
+
+
 def test_oracle_self_consistency():
     for levels, parties in ((2, 2), (2, 4), (3, 3), (4, 2), (2, 8), (6, 2)):
         for x in (0.0, 0.5, 1.0):
@@ -47,6 +58,42 @@ def test_oracle_self_consistency():
             for (cv, cm), (ov, om) in zip(closed.levels, oracle.levels):
                 assert cm == om
                 assert cv == pytest.approx(ov, abs=1e-10)
+
+
+@pytest.mark.parametrize("levels,parties", [(2, 9), (3, 6), (5, 4)])
+def test_chained_marginals_match_marginals_of_the_full_state(levels, parties):
+    params = WernerParams(levels, parties, 0.37)
+    joint = werner_density(params)
+    state = joint
+    for m in range(parties - 1, 0, -1):
+        state = _marginal_of(state, params, m)
+        direct = _marginal_of(joint, params, m)
+        assert state.dims == direct.dims == (levels,) * m
+        assert spectrum_of(state).levels == spectrum_of(direct).levels
+
+
+@pytest.mark.parametrize("levels,parties", [(2, 4), (3, 3)])
+def test_verify_family_oracle_entropies_equal_quantum_conditional(levels, parties):
+    params = WernerParams(levels, parties, 0.45)
+    orders = (0.5, 1.0, 2.0, 50.0)
+    joint = werner_density(params)
+    oracle = {c.quantity: c.oracle for c in verify_family([params], orders).comparisons}
+    for k in range(1, parties):
+        marginal = spectrum_of(partial_trace(joint, range(parties - k, parties)))
+        for q in orders:
+            assert oracle[f"conditional_entropy_block[k={k},q={q:g}]"] == quantum_conditional(
+                spectrum_of(joint), marginal, q)
+
+
+def test_verify_family_peak_memory_stays_below_twice_the_state():
+    state_bytes = 729 ** 2 * 8
+    tracemalloc.start()
+    try:
+        assert verify_family([WernerParams(3, 6, 0.4)], (2.0,)).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * state_bytes, peak / state_bytes
 
 
 def test_verify_family_small_grid_passes():

@@ -106,6 +106,45 @@ def test_stacked_check_keeps_a_tiny_negative_eigenvalue():
     npt.assert_array_equal(eigenvalues[2], DensityMatrix((3,), members[2]).eigenvalues)
 
 
+def _uniform_with(side, where, shift):
+    """The maximally mixed side x side state with ``shift`` added at ``where``."""
+    m = np.eye(side) / side
+    m[where] += shift
+    return m
+
+
+@pytest.mark.parametrize("where", [(727, 728), (728, 727), (0, 728), (728, 0)])
+def test_blocked_hermitian_check_reaches_the_last_row_block_and_far_corner(where):
+    # one asymmetric entry, |a - a^H| = shift exactly; a check of some blocks only misses it
+    above = np.nextafter(quantum.HERMITIAN_TOL, 1.0)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        DensityMatrix((3,) * 6, _uniform_with(729, where, above))
+    below = np.nextafter(quantum.HERMITIAN_TOL, 0.0)
+    assert DensityMatrix((3,) * 6, _uniform_with(729, where, below)).side == 729
+
+
+def test_blocked_hermitian_check_conjugates_complex_entries():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((243, 243)) + 1j * rng.standard_normal((243, 243))
+    hermitian = a @ a.conj().T
+    hermitian /= np.trace(hermitian).real
+    rho = DensityMatrix((3,) * 5, hermitian)
+    assert rho.entries.dtype == np.complex128 and np.abs(rho.entries.imag).min() == 0.0
+    assert np.count_nonzero(rho.entries.imag) > 243 * 242 // 2
+    # same upper triangle mirrored without conjugation: symmetric, not Hermitian
+    twin = np.triu(hermitian) + np.triu(hermitian, 1).T
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        DensityMatrix((3,) * 5, twin)
+
+
+def test_blocked_hermitian_check_refuses_a_stack_whose_last_member_is_off():
+    members = np.stack([np.eye(243) / 243] * 3)
+    assert quantum._checked_eigenvalues(members).shape == (3, 243)
+    members[2, 242, 0] += 1e-11
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        quantum._checked_eigenvalues(members)
+
+
 def _permuted_block_state(rng, sizes, zeros, complex_entries):
     """Random PSD blocks of the given sizes and ``zeros`` zero singletons,
     placed on the diagonal, permuted at random and scaled to unit trace."""
@@ -151,6 +190,36 @@ def test_density_rejects_oversized():
     # the cap is checked before the entries are read, so any array will do
     with pytest.raises(CapacityError):
         DensityMatrix((2,) * 13, np.eye(2) / 2)
+
+
+def test_public_constructor_copies_the_callers_array():
+    arr = np.diag([0.25, 0.75])
+    rho = DensityMatrix((2,), arr)
+    assert arr.flags.writeable and not rho.entries.flags.writeable
+    arr[0, 0] = 0.5
+    npt.assert_array_equal(rho.entries, np.diag([0.25, 0.75]))
+    npt.assert_array_equal(rho.eigenvalues, [0.25, 0.75])
+
+
+def test_internal_constructions_adopt_read_only_entries():
+    rho = werner_density(WernerParams(2, 3, 0.4))
+    for state in (rho, partial_trace(rho, {1, 2}), tensor_product(rho, basis_projector(2, 0))):
+        assert not state.entries.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            state.entries[0, 0] = 1.0
+
+
+def test_adopted_entries_keep_every_check():
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        DensityMatrix._adopt((2,), np.array([[0.5, 0.1], [0.3, 0.5]]))
+    with pytest.raises(ValidationError, match="trace is"):
+        DensityMatrix._adopt((2,), np.eye(2))
+    with pytest.raises(ValidationError, match="positive semidefinite"):
+        DensityMatrix._adopt((2,), np.diag([1.5, -0.5]))
+    with pytest.raises(ValidationError, match="expected a 2x2 matrix"):
+        DensityMatrix._adopt((2,), np.eye(3) / 3)
+    coherent = DensityMatrix._adopt((2,), np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex))
+    assert coherent.entries.dtype == np.float64 and coherent.entries.flags.c_contiguous
 
 
 # -- tensor_product ------------------------------------------------------
