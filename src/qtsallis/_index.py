@@ -5,7 +5,10 @@ q-trace rule (near/far predicate, log q-trace kernel, gap -> entropy
 step) of every classical, dense and closed-form entropy and conditional
 entropy.  Only this module picks the order and the branch of a
 conditional (:func:`_log_gap`, and :func:`_conditionals` for one joint
-against several marginals).  Plain Python on floats, so the
+against several marginals); the separable witness takes them from here
+too (``EntropicIndex.is_limit_point`` and :func:`_far`) for
+``quantum._log_traces``, the numpy twin of :func:`_log_trace` over whole
+stacks of eigenvalue rows.  Plain Python on floats, so the
 closed-form path, its spectra included, and every command but ``verify``
 load no numpy.  Its records are :class:`_Frozen`, not dataclasses, so
 that path loads no ``dataclasses`` either."""

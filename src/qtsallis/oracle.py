@@ -5,7 +5,8 @@ marginals explicitly, each marginal traced from the one before, computes
 spectra and entropies numerically, and certifies every closed form at
 small scale.  The random separable witness builds its mixtures one trial
 at a time but checks and eigendecomposes them as stacks, one per
-(d_A, d_B) shape.  Verification results are data, not exceptions: each
+(d_A, d_B) shape, and takes their log q-traces a stack at a time, once
+per shape and order.  Verification results are data, not exceptions: each
 comparison becomes a row in a report that serializes to JSON.
 """
 
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._index import Spectrum, _as_index, _conditionals, _count
+from ._index import Spectrum, _as_index, _conditionals, _count, _entropy_from_gap, _far
 from .errors import ValidationError
-from .quantum import (DensityMatrix, _checked_eigenvalues, _fold, _refuse_above_cap,
+from .quantum import (DensityMatrix, _checked_eigenvalues, _log_traces, _refuse_above_cap,
                       _trace_out, partial_trace, spectrum_of)
 from .werner import (WernerParams, conditional_entropy_block, joint_spectrum,
                      marginal_spectrum)
@@ -205,23 +206,32 @@ def _random_states(rng, count: int, dim: int) -> np.ndarray:
     return gram / np.trace(gram, axis1=1, axis2=2)[:, None, None]
 
 
-def _witness_rows(case: str, joint: Spectrum, closed: Spectrum,
-                  traced: Spectrum) -> list[Comparison]:
-    """S_q(B|A) of a ``joint`` spectrum at each of ``WITNESS_ORDERS``, given
-    the ``closed`` A marginal Sigma w rho_A against the ``traced`` one
-    (oracle), and its sign."""
-    log_count = math.log(joint.total_multiplicity)
+def _witness_rows(cases, joint: np.ndarray, closed: np.ndarray,
+                  traced: np.ndarray) -> list[Comparison]:
+    """S_q(B|A) of each trial of one shape at each of ``WITNESS_ORDERS``,
+    given the ``closed`` A marginal Sigma w rho_A against the ``traced`` one
+    (oracle), and its sign.  ``joint``, ``closed`` and ``traced`` are the
+    stacks of checked eigenvalue rows of those states, one row per case;
+    each takes one log q-trace per order (:func:`qtsallis.quantum._log_traces`),
+    all three in the branch of the joint's side."""
+    log_count = math.log(joint.shape[-1])
     rows = []
     for q in WITNESS_ORDERS:
-        closed_value, oracle_value = _conditionals(
-            joint.levels, (closed.levels, traced.levels), _as_index(q), log_count)
-        dev = _deviation(closed_value, oracle_value)
-        rows.append(Comparison(
-            case, f"separable_conditional[q={q:g}]",
-            closed_value, oracle_value, dev, dev <= AGREEMENT_TOL))
-        rows.append(Comparison(
-            case, f"nonnegative[q={q:g}]",
-            closed_value, 0.0, max(0.0, -closed_value), closed_value >= NONNEG_FLOOR))
+        qi = _as_index(q)
+        order, far = None if qi.is_limit_point else q, _far(q, log_count)
+        joint_traces = _log_traces(joint, order, far)
+        gaps = zip((joint_traces - _log_traces(closed, order, far)).tolist(),
+                   (joint_traces - _log_traces(traced, order, far)).tolist())
+        for case, (closed_gap, traced_gap) in zip(cases, gaps):
+            closed_value = _entropy_from_gap(closed_gap, qi)
+            oracle_value = _entropy_from_gap(traced_gap, qi)
+            dev = _deviation(closed_value, oracle_value)
+            rows.append(Comparison(
+                case, f"separable_conditional[q={q:g}]",
+                closed_value, oracle_value, dev, dev <= AGREEMENT_TOL))
+            rows.append(Comparison(
+                case, f"nonnegative[q={q:g}]",
+                closed_value, 0.0, max(0.0, -closed_value), closed_value >= NONNEG_FLOOR))
     return rows
 
 
@@ -238,6 +248,9 @@ def verify_separable_witness(trials: int, seed: int) -> VerificationReport:
     The joints, their closed marginals and the joints' partial traces of
     each of the nine shapes (d_A, d_B) form one stack apiece, checked and
     eigendecomposed in one call (:func:`qtsallis.quantum._checked_eigenvalues`).
+    Each stack of eigenvalue rows then takes one numpy log q-trace per
+    order, unfolded (:func:`_witness_rows`), so the values can differ by a
+    few ulps from ``quantum_conditional`` on each trial's spectra.
     """
     trials, seed = _count(trials, "trial count"), _count(seed, "seed")
     if trials < 1:
@@ -255,18 +268,17 @@ def verify_separable_witness(trials: int, seed: int) -> VerificationReport:
         local_a = _random_states(rng, terms, dim_a)
         local_b = _random_states(rng, terms, dim_b)
         joint = np.einsum("l,lac,lbd->abcd", weights, local_a, local_b)
+        closed = np.dot(weights, local_a.reshape(terms, -1)).reshape(dim_a, dim_a)
         shapes.setdefault((dim_a, dim_b), []).append((
             f"trial={trial},dims={dim_a}x{dim_b},terms={terms}",
-            joint.reshape(dim_a * dim_b, -1), np.tensordot(weights, local_a, 1)))
+            joint.reshape(dim_a * dim_b, -1), closed))
     rows: list[Comparison] = []
     for dims, group in shapes.items():
         cases, joints, closed = zip(*group)
         joints = np.stack(joints)
-        stacks = (joints, np.stack(closed), _trace_out(joints, dims, [0]))
-        spectra = [[_fold(row) for row in _checked_eigenvalues(stack).tolist()]
-                   for stack in stacks]
-        for case, *trial_spectra in zip(cases, *spectra):
-            rows.extend(_witness_rows(case, *trial_spectra))
+        rows.extend(_witness_rows(cases, *(
+            _checked_eigenvalues(stack)
+            for stack in (joints, np.stack(closed), _trace_out(joints, dims, [0])))))
     return VerificationReport(tuple(rows))
 
 

@@ -11,10 +11,13 @@ through here: :mod:`qtsallis.werner` evaluates them in closed form.
 The state checks and the partial trace also take stacks of same-shaped
 matrices, so the separable witness of :mod:`qtsallis.oracle` checks and
 decomposes its mixtures one stack per shape, through the checks of
-:class:`DensityMatrix`.  No check makes a temporary of the state's size:
-Hermiticity is read in row blocks, and the states that this package
-builds itself (a family member, a partial trace, a tensor product) are
-adopted, not copied, so a state costs about its own bytes once built.
+:class:`DensityMatrix`, and takes their log q-traces one stack at a time
+(:func:`_log_traces`, the numpy twin of the rule's kernel, in the order
+and branch that :mod:`qtsallis._index` picks).  No check makes a
+temporary of the state's size: Hermiticity is read in row blocks, and
+the states that this package builds itself (a family member, a partial
+trace, a tensor product) are adopted, not copied, so a state costs about
+its own bytes once built.
 """
 
 from __future__ import annotations
@@ -240,6 +243,33 @@ def q_trace(spectrum: Spectrum, q) -> float:
     """
     q = _as_index(q).q
     return _log_trace(spectrum.levels, q, _far(q, math.log(spectrum.total_multiplicity)))
+
+
+def _log_traces(eigenvalues: np.ndarray, q: float | None, far: bool) -> np.ndarray:
+    """:func:`qtsallis._index._log_trace` of each row of a stack
+    (count, side) of eigenvalues that :func:`_checked_eigenvalues` has
+    passed, each clamped to [0, 1] and taken with multiplicity 1, in the
+    order and branch given, picked as for :func:`qtsallis._index._log_gap`:
+    ln sum v**q per row, zeros skipped, and -sum v ln v for q None.
+    ``far`` takes a max-shifted sum of exp(q ln v); otherwise this is log1p
+    of the same-signed terms v expm1((q - 1) ln v), each exp(q ln v) - v
+    where its expm1 would overflow.  Sums run in numpy's order, not
+    ``math.fsum``'s, so a value can differ from the scalar kernel's by a
+    few ulps."""
+    values = np.clip(eigenvalues, 0.0, 1.0)
+    live = values > 0.0
+    logs = np.log(values, out=np.zeros_like(values), where=live)  # zeros get no weight below
+    if q is None:
+        return -np.sum(values * logs, axis=-1)
+    if far:
+        terms = q * logs
+        peak = np.max(terms, axis=-1, initial=-np.inf, where=live, keepdims=True)
+        shifted = np.exp(terms - peak, out=np.zeros_like(values), where=live)
+        return peak[..., 0] + np.log(np.sum(shifted, axis=-1))
+    grown = (q - 1.0) * logs
+    excess = np.where(grown < 709.0, values * np.expm1(np.minimum(grown, 709.0)),
+                      np.exp(q * logs) - values)
+    return np.log1p(np.sum(excess, axis=-1))
 
 
 def quantum_tsallis(spectrum: Spectrum, q) -> float:

@@ -215,8 +215,9 @@ def test_witness_states_have_coherences(monkeypatch):
 @pytest.mark.parametrize("q", [2, 10, 100])
 def test_witness_rows_fail_on_an_entangled_member(q):
     rho = werner_density(WernerParams(2, 2, 0.9))
-    marginal = spectrum_of(partial_trace(rho, {0}))
-    rows = {c.quantity: c for c in _witness_rows("x=0.9", spectrum_of(rho), marginal, marginal)}
+    marginal = partial_trace(rho, {0}).eigenvalues[None]
+    rows = {c.quantity: c
+            for c in _witness_rows(["x=0.9"], rho.eigenvalues[None], marginal, marginal)}
     assert rows[f"separable_conditional[q={q}]"].passed
     assert rows[f"nonnegative[q={q}]"].closed_form < 0.0
     assert not rows[f"nonnegative[q={q}]"].passed
@@ -226,7 +227,8 @@ def test_witness_rows_fail_on_an_entangled_member(q):
 def _witness_trial_by_trial(trials, seed):
     """The witness rebuilt one trial at a time through the public API, with
     the same draws: a DensityMatrix per state, its partial trace, spectra
-    and conditional entropies."""
+    and conditional entropies.  Returns the report and, per trial, its dims
+    and the eigenvalues of its joint, closed marginal and traced marginal."""
     rng = np.random.default_rng(seed)
 
     def local_states(count, dim):
@@ -234,7 +236,7 @@ def _witness_trial_by_trial(trials, seed):
         gram = g @ g.transpose(0, 2, 1)
         return gram / np.trace(gram, axis1=1, axis2=2)[:, None, None]
 
-    rows = []
+    rows, states = [], []
     for trial in range(trials):
         dim_a, dim_b, terms = (int(rng.integers(2, 5)), int(rng.integers(2, 5)),
                                int(rng.integers(1, 7)))
@@ -243,9 +245,10 @@ def _witness_trial_by_trial(trials, seed):
         local_a, local_b = local_states(terms, dim_a), local_states(terms, dim_b)
         state = DensityMatrix((dim_a, dim_b), np.einsum(
             "l,lac,lbd->abcd", weights, local_a, local_b).reshape(dim_a * dim_b, -1))
-        joint = spectrum_of(state)
-        closed = spectrum_of(DensityMatrix((dim_a,), np.tensordot(weights, local_a, 1)))
-        traced = spectrum_of(partial_trace(state, {0}))
+        closed_state = DensityMatrix((dim_a,), np.tensordot(weights, local_a, 1))
+        trial_states = (state, closed_state, partial_trace(state, {0}))
+        states.append(((dim_a, dim_b), [s.eigenvalues for s in trial_states]))
+        joint, closed, traced = map(spectrum_of, trial_states)
         case = f"trial={trial},dims={dim_a}x{dim_b},terms={terms}"
         for q in WITNESS_ORDERS:
             value = quantum_conditional(joint, closed, q)
@@ -255,15 +258,38 @@ def _witness_trial_by_trial(trials, seed):
                                    oracle_value, dev, dev <= AGREEMENT_TOL))
             rows.append(Comparison(case, f"nonnegative[q={q:g}]", value, 0.0,
                                    max(0.0, -value), value >= NONNEG_FLOOR))
-    return VerificationReport(tuple(rows))
+    return VerificationReport(tuple(rows)), states
 
 
 @pytest.mark.parametrize("seed", [0, 7, 42])
-def test_batched_witness_matches_trial_by_trial(seed):
-    batched = [json.dumps(row) for row in verify_separable_witness(40, seed).to_json_obj()]
-    rebuilt = [json.dumps(row) for row in _witness_trial_by_trial(40, seed).to_json_obj()]
-    assert len(rebuilt) == 40 * 8
-    assert batched == rebuilt  # floats by repr: bit for bit
+def test_batched_witness_matches_trial_by_trial(seed, monkeypatch):
+    rebuilt, states = _witness_trial_by_trial(40, seed)
+    solver, stacked = np.linalg.eigvalsh, []
+
+    def recording(matrix):
+        stacked.append(solver(matrix))
+        return stacked[-1]
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    batched = verify_separable_witness(40, seed)
+    # batching keeps every state, bit for bit: one stack per shape and role, in
+    # the order the shapes first appear, each row the eigenvalues of one trial
+    by_shape = {}
+    for dims, eigenvalues in states:
+        by_shape.setdefault(dims, []).append(eigenvalues)
+    assert len(stacked) == 3 * len(by_shape)
+    for group, stacks in zip(by_shape.values(), zip(*[iter(stacked)] * 3)):
+        for role, stack in enumerate(stacks):
+            npt.assert_array_equal(stack, [eigenvalues[role] for eigenvalues in group])
+    # the same rows in the same order with the same verdicts; the values are
+    # log q-traces summed over stacks by numpy, not by math.fsum level by level
+    assert len(rebuilt.comparisons) == 40 * 8
+    assert [(c.case, c.quantity, c.passed) for c in batched.comparisons] == \
+        [(c.case, c.quantity, c.passed) for c in rebuilt.comparisons]
+    for got, want in zip(batched.comparisons, rebuilt.comparisons):
+        for field in ("closed_form", "oracle", "abs_dev"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert abs(a - b) / max(1.0, abs(a), abs(b)) <= 1e-14, (got, want)
 
 
 def test_witness_reports_eight_rows_per_trial():
