@@ -41,10 +41,12 @@ class _Frozen:
     ``WernerParams``, ``ThresholdPoint``) use it because importing
     ``dataclasses`` (with ``inspect``, ``ast``, ``dis`` and ``tokenize``)
     and generating their classes took about 18 ms of every closed-form
-    process (Python 3.11, 2-vCPU x86-64).  The numpy-side records (``DensityMatrix``, ``ProbDist``,
-    ``JointDist``, ``ChainDecomposition``, ``Comparison``,
-    ``VerificationReport``) stay dataclasses: their modules pay 100 ms and
-    more for numpy, and the perfbench tracer hooks
+    process (Python 3.11, 2-vCPU x86-64).  The oracle's
+    ``VerificationReport`` uses it too; its rows, ``Comparison``, are named
+    tuples, which the separable witness builds thousands of per call.  The
+    other numpy-side records (``DensityMatrix``, ``ProbDist``,
+    ``JointDist``, ``ChainDecomposition``) stay dataclasses: their modules
+    pay 100 ms and more for numpy, and the perfbench tracer hooks
     ``DensityMatrix.__post_init__``.
     """
 

@@ -3,24 +3,28 @@
 Builds the dense family members (here, and only here) and their
 marginals explicitly, each marginal traced from the one before, computes
 spectra and entropies numerically, and certifies every closed form at
-small scale.  The random separable witness builds its mixtures one trial
-at a time but checks and eigendecomposes them as stacks, one per
-(d_A, d_B) shape, and takes their log q-traces a stack at a time, once
-per shape and order.  Verification results are data, not exceptions: each
-comparison becomes a row in a report that serializes to JSON.
+small scale.  The random separable witness draws its trials one at a
+time and does the rest per (d_A, d_B) shape: one Gram product per local
+side, one ``einsum`` for the joints of a shape, one checked
+eigendecomposition per stack, one log q-trace per stack and order, and
+values, deviations and verdicts as arrays.  Verification results are
+data, not exceptions: each comparison becomes a row (a named tuple) in a
+report that serializes to JSON.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
-from ._index import Spectrum, _as_index, _conditionals, _count, _entropy_from_gap, _far
+from ._index import Spectrum, _as_index, _conditionals, _count, _far, _Frozen
 from .errors import ValidationError
-from .quantum import (DensityMatrix, _checked_eigenvalues, _log_traces, _refuse_above_cap,
-                      _trace_out, partial_trace, spectrum_of)
+from .quantum import (DensityMatrix, _checked_eigenvalues, _entropies_from_gaps, _log_traces,
+                      _refuse_above_cap, _trace_out, partial_trace, spectrum_of)
 from .werner import (WernerParams, conditional_entropy_block, joint_spectrum,
                      marginal_spectrum)
 
@@ -33,6 +37,8 @@ NONNEG_FLOOR = -1e-12
 
 #: Entropy orders exercised by the random separable witness.
 WITNESS_ORDERS = (0.5, 2.0, 10.0, 100.0)
+#: Most product terms in a witness mixture.
+_MAX_TERMS = 6
 
 
 def _deviation(a: float, b: float) -> float:
@@ -46,19 +52,14 @@ def _deviation(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-@dataclass(frozen=True)
-class Comparison:
-    """One closed-form-versus-oracle comparison.
+class Comparison(namedtuple("Comparison", "case quantity closed_form oracle abs_dev passed")):
+    """One closed-form-versus-oracle comparison: an immutable named tuple,
+    since the witness builds eight per trial.
 
     ``abs_dev`` holds the magnitude-scaled deviation of :func:`_deviation`.
     """
 
-    case: str
-    quantity: str
-    closed_form: float
-    oracle: float
-    abs_dev: float
-    passed: bool
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -71,15 +72,14 @@ class Comparison:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Frozen):
     """Sorted collection of comparisons; failing rows make it failing."""
 
-    comparisons: tuple[Comparison, ...]
+    __slots__ = ("comparisons",)
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.comparisons, key=lambda c: (c.case, c.quantity)))
-        object.__setattr__(self, "comparisons", ordered)
+    def __init__(self, comparisons: tuple[Comparison, ...]) -> None:
+        object.__setattr__(self, "comparisons",
+                           tuple(sorted(comparisons, key=attrgetter("case", "quantity"))))
 
     @property
     def passed(self) -> bool:
@@ -199,9 +199,11 @@ def verify_family(params_grid, q_grid) -> VerificationReport:
     return VerificationReport(tuple(rows))
 
 
-def _random_states(rng, count: int, dim: int) -> np.ndarray:
-    """``count`` real full-rank states G G^T / tr(G G^T), G standard normal."""
-    g = rng.standard_normal((count, dim, dim))
+def _random_states(raw: list[np.ndarray]) -> np.ndarray:
+    """Real full-rank states G G^T / tr(G G^T) of the standard normal G of
+    each (count, d, d) array of ``raw``, one stack for all of them, in one
+    batched product."""
+    g = np.concatenate(raw)
     gram = g @ g.transpose(0, 2, 1)
     return gram / np.trace(gram, axis1=1, axis2=2)[:, None, None]
 
@@ -211,44 +213,54 @@ def _witness_rows(cases, joint: np.ndarray, closed: np.ndarray,
     """S_q(B|A) of each trial of one shape at each of ``WITNESS_ORDERS``,
     given the ``closed`` A marginal Sigma w rho_A against the ``traced`` one
     (oracle), and its sign.  ``joint``, ``closed`` and ``traced`` are the
-    stacks of checked eigenvalue rows of those states, one row per case;
-    each takes one log q-trace per order (:func:`qtsallis.quantum._log_traces`),
-    all three in the branch of the joint's side."""
+    stacks of checked eigenvalue rows of those states, one row per case.
+    Per order the joints take one log q-trace
+    (:func:`qtsallis.quantum._log_traces`) and the two marginal stacks one
+    together, all in the branch of the joint's side.  Values, deviations
+    and verdicts are arrays, one per order and quantity, and each label is
+    built once per order."""
     log_count = math.log(joint.shape[-1])
+    marginals = np.stack((closed, traced))
     rows = []
     for q in WITNESS_ORDERS:
         qi = _as_index(q)
         order, far = None if qi.is_limit_point else q, _far(q, log_count)
-        joint_traces = _log_traces(joint, order, far)
-        gaps = zip((joint_traces - _log_traces(closed, order, far)).tolist(),
-                   (joint_traces - _log_traces(traced, order, far)).tolist())
-        for case, (closed_gap, traced_gap) in zip(cases, gaps):
-            closed_value = _entropy_from_gap(closed_gap, qi)
-            oracle_value = _entropy_from_gap(traced_gap, qi)
-            dev = _deviation(closed_value, oracle_value)
-            rows.append(Comparison(
-                case, f"separable_conditional[q={q:g}]",
-                closed_value, oracle_value, dev, dev <= AGREEMENT_TOL))
-            rows.append(Comparison(
-                case, f"nonnegative[q={q:g}]",
-                closed_value, 0.0, max(0.0, -closed_value), closed_value >= NONNEG_FLOOR))
+        values, oracle = _entropies_from_gaps(
+            _log_traces(joint, order, far) - _log_traces(marginals, order, far), qi)
+        scale = np.maximum(np.maximum(np.abs(values), np.abs(oracle)), 1.0)
+        devs = np.abs(values - oracle) / scale  # _deviation, row by row
+        closed_values = values.tolist()
+        rows += map(Comparison._make, zip(
+            cases, repeat(f"separable_conditional[q={q:g}]"), closed_values,
+            oracle.tolist(), devs.tolist(), (devs <= AGREEMENT_TOL).tolist()))
+        rows += map(Comparison._make, zip(
+            cases, repeat(f"nonnegative[q={q:g}]"), closed_values, repeat(0.0),
+            np.maximum(-values, 0.0).tolist(), (values >= NONNEG_FLOOR).tolist()))
     return rows
 
 
 def verify_separable_witness(trials: int, seed: int) -> VerificationReport:
     """Random separable-state witness suite, deterministic for a given seed.
 
-    Each trial mixes 1 to 6 products of real full-rank local states (see
-    :func:`_random_states`; they do not commute across terms) on d_A, d_B
-    in [2, 4], rho_AB = sum_l w_l rho_A^l (x) rho_B^l, with uniform weights
-    normalized to sum 1.  S_q(B|A) from the marginal sum_l w_l rho_A^l must
-    match the one from the partial trace (``AGREEMENT_TOL``) and be
-    nonnegative (``NONNEG_FLOOR``): a separable state's spectrum is
-    majorized by its marginal's (Nielsen & Kempe, PRL 86, 5184 (2001)).
-    The joints, their closed marginals and the joints' partial traces of
-    each of the nine shapes (d_A, d_B) form one stack apiece, checked and
-    eigendecomposed in one call (:func:`qtsallis.quantum._checked_eigenvalues`).
-    Each stack of eigenvalue rows then takes one numpy log q-trace per
+    Each trial mixes 1 to ``_MAX_TERMS`` products of real full-rank local
+    states (see :func:`_random_states`; they do not commute across terms)
+    on d_A, d_B in [2, 4], rho_AB = sum_l w_l rho_A^l (x) rho_B^l, with
+    uniform weights normalized to sum 1.  S_q(B|A) from the marginal
+    sum_l w_l rho_A^l must match the one from the partial trace
+    (``AGREEMENT_TOL``) and be nonnegative (``NONNEG_FLOOR``): a separable
+    state's spectrum is majorized by its marginal's (Nielsen & Kempe,
+    PRL 86, 5184 (2001)).
+
+    Trials are drawn one at a time, in a fixed order, and built per shape.
+    The local states of each side d come from one batched Gram of all its
+    draws.  The joints of each of the nine shapes (d_A, d_B) come from one
+    ``einsum`` over the trials' terms, padded to ``_MAX_TERMS`` with zero
+    weights, which add exact zeros; each closed marginal is one ``np.dot``
+    of its weights.  The joints, closed marginals and the joints' partial
+    traces of a shape form one stack apiece, checked and eigendecomposed in
+    one call (:func:`qtsallis.quantum._checked_eigenvalues`), with the same
+    eigenvalues, bit for bit, as each trial's states built alone.  The
+    eigenvalue rows then take numpy log q-traces, a stack at a time per
     order, unfolded (:func:`_witness_rows`), so the values can differ by a
     few ulps from ``quantum_conditional`` on each trial's spectra.
     """
@@ -258,27 +270,42 @@ def verify_separable_witness(trials: int, seed: int) -> VerificationReport:
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
+    raw: dict[int, list[np.ndarray]] = {2: [], 3: [], 4: []}
+    drawn = dict.fromkeys(raw, 0)  # local states drawn so far, per side
     shapes: dict[tuple[int, int], list[tuple]] = {}
     for trial in range(trials):
         dim_a = int(rng.integers(2, 5))
         dim_b = int(rng.integers(2, 5))
-        terms = int(rng.integers(1, 7))
+        terms = int(rng.integers(1, _MAX_TERMS + 1))
         weights = rng.uniform(size=terms)
         weights /= weights.sum()
-        local_a = _random_states(rng, terms, dim_a)
-        local_b = _random_states(rng, terms, dim_b)
-        joint = np.einsum("l,lac,lbd->abcd", weights, local_a, local_b)
-        closed = np.dot(weights, local_a.reshape(terms, -1)).reshape(dim_a, dim_a)
+        starts = []
+        for dim in (dim_a, dim_b):
+            raw[dim].append(rng.standard_normal((terms, dim, dim)))
+            starts.append(drawn[dim])
+            drawn[dim] += terms
         shapes.setdefault((dim_a, dim_b), []).append((
-            f"trial={trial},dims={dim_a}x{dim_b},terms={terms}",
-            joint.reshape(dim_a * dim_b, -1), closed))
+            f"trial={trial},dims={dim_a}x{dim_b},terms={terms}", terms, weights, *starts))
+    local = {dim: _random_states(parts) for dim, parts in raw.items() if parts}
     rows: list[Comparison] = []
-    for dims, group in shapes.items():
-        cases, joints, closed = zip(*group)
-        joints = np.stack(joints)
+    slots = np.arange(_MAX_TERMS)
+    for (dim_a, dim_b), group in shapes.items():
+        cases, terms, weights, starts_a, starts_b = zip(*group)
+        used = slots < np.array(terms)[:, None]
+        padded = np.zeros(used.shape)
+        padded[used] = np.concatenate(weights)
+        unused_to_first = np.where(used, slots, 0)  # a term at zero weight adds exact zeros
+        joints = np.einsum(
+            "tl,tlac,tlbd->tabcd", padded,
+            local[dim_a][np.array(starts_a)[:, None] + unused_to_first],
+            local[dim_b][np.array(starts_b)[:, None] + unused_to_first],
+        ).reshape(len(cases), dim_a * dim_b, -1)
+        side_a = local[dim_a].reshape(-1, dim_a * dim_a)
+        closed = np.stack([np.dot(w, side_a[start:start + len(w)])
+                           for w, start in zip(weights, starts_a)]).reshape(-1, dim_a, dim_a)
         rows.extend(_witness_rows(cases, *(
             _checked_eigenvalues(stack)
-            for stack in (joints, np.stack(closed), _trace_out(joints, dims, [0])))))
+            for stack in (joints, closed, _trace_out(joints, (dim_a, dim_b), [0])))))
     return VerificationReport(tuple(rows))
 
 

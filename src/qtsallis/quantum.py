@@ -11,10 +11,11 @@ through here: :mod:`qtsallis.werner` evaluates them in closed form.
 The state checks and the partial trace also take stacks of same-shaped
 matrices, so the separable witness of :mod:`qtsallis.oracle` checks and
 decomposes its mixtures one stack per shape, through the checks of
-:class:`DensityMatrix`, and takes their log q-traces one stack at a time
+:class:`DensityMatrix`, takes their log q-traces one stack at a time
 (:func:`_log_traces`, the numpy twin of the rule's kernel, in the order
-and branch that :mod:`qtsallis._index` picks).  No check makes a
-temporary of the state's size: Hermiticity is read in row blocks, and
+and branch that :mod:`qtsallis._index` picks) and turns their gaps into
+entropies one array at a time (:func:`_entropies_from_gaps`).  No check
+makes a temporary of the state's size: Hermiticity is read in row blocks, and
 the states that this package builds itself (a family member, a partial
 trace, a tensor product) are adopted, not copied, so a state costs about
 its own bytes once built.
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._index import (PSD_FLOOR, TRACE_TOL, Spectrum, _as_index, _conditional, _count, _far,
-                     _log_trace)
+from ._index import (PSD_FLOOR, TRACE_TOL, EntropicIndex, Spectrum, _as_index, _conditional,
+                     _count, _far, _log_trace)
 from .errors import CapacityError, NumericalError, ValidationError
 
 #: Dense objects larger than this total dimension are refused.
@@ -270,6 +271,17 @@ def _log_traces(eigenvalues: np.ndarray, q: float | None, far: bool) -> np.ndarr
     excess = np.where(grown < 709.0, values * np.expm1(np.minimum(grown, 709.0)),
                       np.exp(q * logs) - values)
     return np.log1p(np.sum(excess, axis=-1))
+
+
+def _entropies_from_gaps(gaps: np.ndarray, qi: EntropicIndex) -> np.ndarray:
+    """:func:`qtsallis._index._entropy_from_gap` of each gap of an array:
+    expm1(gap) / (1 - q), an infinity with the sign of 1 - q where expm1
+    overflows (its inf divided by 1 - q, with no warning), and at the limit
+    point the gaps themselves."""
+    if qi.is_limit_point:
+        return gaps
+    with np.errstate(over="ignore"):
+        return np.expm1(gaps) / (1.0 - qi.q)
 
 
 def quantum_tsallis(spectrum: Spectrum, q) -> float:

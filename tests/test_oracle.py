@@ -1,6 +1,8 @@
 """Dense-oracle construction and the verification report machinery."""
 
+import copy
 import json
+import pickle
 import re
 import tracemalloc
 
@@ -154,6 +156,52 @@ def test_report_json_schema():
     json.dumps(rows)  # serializable
 
 
+#: A failing comparison and its fields, in order.
+ROW_FIELDS = {"case": "N=2,n=2,x=0.5", "quantity": "joint_spectrum[level=0].eigenvalue",
+              "closed_form": 0.5, "oracle": 0.25, "abs_dev": 0.25, "passed": False}
+
+
+def test_comparison_record_contract():
+    row = Comparison(*ROW_FIELDS.values())
+    assert Comparison._fields == tuple(ROW_FIELDS)
+    assert row == Comparison(**ROW_FIELDS)
+    assert {name: getattr(row, name) for name in ROW_FIELDS} == ROW_FIELDS
+    assert hash(row) == hash(Comparison(**ROW_FIELDS))
+    assert len({row, Comparison(**ROW_FIELDS), row._replace(passed=True)}) == 2
+    assert repr(row) == ("Comparison(case='N=2,n=2,x=0.5', "
+                         "quantity='joint_spectrum[level=0].eigenvalue', "
+                         "closed_form=0.5, oracle=0.25, abs_dev=0.25, passed=False)")
+    for name, value in ROW_FIELDS.items():
+        with pytest.raises(AttributeError):
+            setattr(row, name, value)
+    with pytest.raises(AttributeError):
+        row.extra = 1
+    assert list(row.to_dict().items()) == [
+        ("case", "N=2,n=2,x=0.5"), ("quantity", "joint_spectrum[level=0].eigenvalue"),
+        ("closed_form", 0.5), ("oracle", 0.25), ("abs_dev", 0.25), ("pass", False)]
+    for twin in (pickle.loads(pickle.dumps(row)), copy.copy(row), copy.deepcopy(row)):
+        assert type(twin) is Comparison
+        assert twin == row and hash(twin) == hash(row) and repr(twin) == repr(row)
+
+
+def test_report_record_contract():
+    rows = (Comparison("b", "x", 0.0, 0.0, 0.0, True), Comparison("a", "y", 1.0, 2.0, 0.5, False),
+            Comparison("a", "x", 0.0, 0.0, 0.0, True))
+    report = VerificationReport(rows)
+    assert [(c.case, c.quantity) for c in report.comparisons] == [("a", "x"), ("a", "y"),
+                                                                   ("b", "x")]
+    assert report == VerificationReport(comparisons=rows[::-1])
+    assert hash(report) == hash(VerificationReport(rows[::-1]))
+    assert report != VerificationReport(rows[:2])
+    assert not report.passed and report.max_abs_dev == 0.5
+    assert repr(report) == f"VerificationReport(comparisons={report.comparisons!r})"
+    with pytest.raises(AttributeError, match="comparisons"):
+        report.comparisons = ()
+    for twin in (pickle.loads(pickle.dumps(report)), copy.copy(report), copy.deepcopy(report)):
+        assert type(twin) is VerificationReport
+        assert twin == report and twin.to_json_obj() == report.to_json_obj()
+
+
 def test_witness_rejects_zero_trials():
     with pytest.raises(ValidationError):
         verify_separable_witness(0, 42)
@@ -183,17 +231,22 @@ def test_witness_small_run_passes():
     assert report.max_abs_dev <= 1e-10
 
 
-def test_witness_forms_one_joint_per_trial(monkeypatch):
+def test_witness_forms_one_joint_stack_per_shape(monkeypatch):
     calls = []
     einsum = np.einsum
 
     def counting(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args[1:])
         return einsum(*args, **kwargs)
 
     monkeypatch.setattr(np, "einsum", counting)
-    assert verify_separable_witness(10, 7).passed
-    assert len(calls) == 10
+    report = verify_separable_witness(10, 7)
+    assert report.passed
+    shapes = {c.case.split(",")[1] for c in report.comparisons}
+    assert len(calls) == len(shapes) < 10
+    # each call holds every trial of its shape, terms padded to six
+    assert sum(len(weights) for weights, *_ in calls) == 10
+    assert all(weights.shape[1] == 6 for weights, *_ in calls)
 
 
 def test_witness_states_have_coherences(monkeypatch):
@@ -261,9 +314,15 @@ def _witness_trial_by_trial(trials, seed):
     return VerificationReport(tuple(rows)), states
 
 
-@pytest.mark.parametrize("seed", [0, 7, 42])
-def test_batched_witness_matches_trial_by_trial(seed, monkeypatch):
-    rebuilt, states = _witness_trial_by_trial(40, seed)
+@pytest.mark.parametrize("trials, seed", [
+    (40, 0), (40, 7), (40, 42),
+    (350, 3),  # every shape mixes 4 to 6 term counts: zero-weight padding, shared Grams
+    (1, 1),  # stacks of one member: a 3x3 mixture of 5 terms, both sides from one Gram stack
+    (1, 2),  # a single 4x2 product, five zero-weight slots
+    (1, 4),  # a 4x4 mixture of 6 terms, no padding
+], ids=["0", "7", "42", "350-trials", "1-trial-3x3", "1-trial-1-term", "1-trial-6-terms"])
+def test_batched_witness_matches_trial_by_trial(trials, seed, monkeypatch):
+    rebuilt, states = _witness_trial_by_trial(trials, seed)
     solver, stacked = np.linalg.eigvalsh, []
 
     def recording(matrix):
@@ -271,7 +330,7 @@ def test_batched_witness_matches_trial_by_trial(seed, monkeypatch):
         return stacked[-1]
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    batched = verify_separable_witness(40, seed)
+    batched = verify_separable_witness(trials, seed)
     # batching keeps every state, bit for bit: one stack per shape and role, in
     # the order the shapes first appear, each row the eigenvalues of one trial
     by_shape = {}
@@ -283,13 +342,20 @@ def test_batched_witness_matches_trial_by_trial(seed, monkeypatch):
             npt.assert_array_equal(stack, [eigenvalues[role] for eigenvalues in group])
     # the same rows in the same order with the same verdicts; the values are
     # log q-traces summed over stacks by numpy, not by math.fsum level by level
-    assert len(rebuilt.comparisons) == 40 * 8
+    assert len(rebuilt.comparisons) == trials * 8
     assert [(c.case, c.quantity, c.passed) for c in batched.comparisons] == \
         [(c.case, c.quantity, c.passed) for c in rebuilt.comparisons]
     for got, want in zip(batched.comparisons, rebuilt.comparisons):
         for field in ("closed_form", "oracle", "abs_dev"):
             a, b = getattr(got, field), getattr(want, field)
             assert abs(a - b) / max(1.0, abs(a), abs(b)) <= 1e-14, (got, want)
+    if trials == 350:
+        terms_by_shape = {}
+        for c in batched.comparisons:
+            _, dims, terms = c.case.split(",")
+            terms_by_shape.setdefault(dims, set()).add(terms)
+        assert len(terms_by_shape) == 9
+        assert all(len(terms) >= 4 for terms in terms_by_shape.values()), terms_by_shape
 
 
 def test_witness_reports_eight_rows_per_trial():

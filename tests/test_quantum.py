@@ -1,6 +1,7 @@
 """Density-matrix algebra, spectra, and quantum conditional entropies."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,7 +15,7 @@ from qtsallis import (CapacityError, DensityMatrix, Spectrum, ValidationError,
                       quantum_conditional, quantum_tsallis, spectrum_of,
                       tensor_product, tsallis_entropy, werner_density, WernerParams)
 from qtsallis import quantum
-from qtsallis._index import LIMIT_WINDOW, EntropicIndex, _log_trace
+from qtsallis._index import LIMIT_WINDOW, EntropicIndex, _entropy_from_gap, _log_trace
 from helpers import (ghz_vector, mp_log_trace, mp_tsallis, random_density, random_separable,
                      record_eigvalsh)
 
@@ -497,6 +498,34 @@ def test_log_traces_match_the_scalar_kernel_row_by_row(stack, q):
             expected = scalar(row, far)
             assert abs(value - expected) <= LOG_TRACES_TOL * max(1.0, abs(expected)), \
                 (row, q, far, value, expected)
+
+
+
+#: Gaps of log q-traces: overflowing expm1 either way, ordinary, tiny and
+#: exactly zero of either sign.
+ENTROPY_GAPS = [800.0, -800.0, 709.0, 710.0, -3.5, -1e-300, -0.0, 0.0, 1e-300, 0.25, 2.0]
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0, 100.0, 1.0, 1.0 + LIMIT_WINDOW / 2])
+def test_entropies_from_gaps_match_the_scalar_step(q):
+    """The witness's array step against :func:`_entropy_from_gap`, element by
+    element: an overflowing expm1 gives an infinity with the sign of 1 - q
+    and no warning, zeros keep their sign, the limit point passes the gap
+    through, and every other value is within two ulps of the scalar's, since
+    numpy's expm1 is not the C library's."""
+    qi = EntropicIndex(q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = quantum._entropies_from_gaps(np.array(ENTROPY_GAPS), qi).tolist()
+    for gap, value in zip(ENTROPY_GAPS, values):
+        expected = _entropy_from_gap(gap, qi)
+        if qi.is_limit_point or not math.isfinite(expected) or expected == 0.0:
+            assert value.hex() == expected.hex(), (gap, value, expected)
+        else:
+            assert abs(value - expected) <= 4.5e-16 * abs(expected), (gap, value, expected)
+    if not qi.is_limit_point:
+        assert values[0] == math.copysign(math.inf, 1.0 - q)
+        assert values[1] == -1.0 / (1.0 - q)
 
 
 # -- quantum_tsallis -----------------------------------------------------
