@@ -4,14 +4,15 @@ layer: integral counts, probabilities, (eigenvalue, multiplicity) levels
 q-trace rule (near/far predicate, log q-trace kernel, gap -> entropy
 step) of every classical, dense and closed-form entropy and conditional
 entropy.  Only this module picks the order and the branch of a
-conditional (:func:`_log_gap`, and :func:`_conditionals` for one joint
-against several marginals); the separable witness takes them from here
-too (``EntropicIndex.is_limit_point`` and :func:`_far`) for
-``quantum._log_traces``, the numpy twin of :func:`_log_trace` over whole
-stacks of eigenvalue rows.  Plain Python on floats, so the
-closed-form path, its spectra included, and every command but ``verify``
-load no numpy.  Its records are :class:`_Frozen`, not dataclasses, so
-that path loads no ``dataclasses`` either."""
+conditional (:func:`_branch`).  :func:`_log_gap`, :func:`_conditionals`
+(one joint against several marginals) and the family's prepared gap in
+:mod:`qtsallis.werner` take them from here, and so does the separable
+witness for ``quantum._log_traces``, the numpy twin of
+:func:`_log_trace` over whole stacks of eigenvalue rows.  Plain Python
+on floats, so the closed-form path, its spectra included, and every
+command but ``verify`` load no numpy.  Its records are
+:class:`_Frozen`, not dataclasses, so that path loads no ``dataclasses``
+either."""
 
 from __future__ import annotations
 
@@ -177,6 +178,13 @@ def _far(q: float, log_count: float) -> bool:
     return abs(q - 1.0) * log_count > 1.0
 
 
+def _branch(qi: EntropicIndex, log_count: float) -> tuple[float | None, bool]:
+    """The order (None at the limit point) and the branch (:func:`_far`) in
+    which :func:`_log_trace` takes every q-trace of a conditional whose
+    joint has total multiplicity exp(``log_count``)."""
+    return None if qi.is_limit_point else qi.q, _far(qi.q, log_count)
+
+
 def _log_trace(levels, q: float | None, far: bool) -> float:
     """ln sum m v**q over (eigenvalue v, multiplicity m) levels with
     sum m v = 1, zeros skipped; for q None (the limit point), -sum m v ln v.
@@ -210,8 +218,7 @@ def _log_gap(joint, marginal, qi: EntropicIndex, log_count: float) -> float:
     """ln Tr joint**q - ln Tr marginal**q over levels, both in the branch of
     the joint's total multiplicity exp(``log_count``); at the limit point,
     the von Neumann difference."""
-    order = None if qi.is_limit_point else qi.q
-    far = _far(qi.q, log_count)
+    order, far = _branch(qi, log_count)
     return _log_trace(joint, order, far) - _log_trace(marginal, order, far)
 
 
@@ -224,8 +231,7 @@ def _conditionals(joint, marginals, qi: EntropicIndex, log_count: float) -> list
     """:func:`_conditional` of one joint given each of ``marginals``, in the
     order and branch that :func:`_log_gap` takes, with the joint's log
     q-trace taken once for all of them."""
-    order = None if qi.is_limit_point else qi.q
-    far = _far(qi.q, log_count)
+    order, far = _branch(qi, log_count)
     joint_trace = _log_trace(joint, order, far)
     return [_entropy_from_gap(joint_trace - _log_trace(m, order, far), qi) for m in marginals]
 
@@ -245,5 +251,4 @@ def _entropy_of(p: list[float], qi: EntropicIndex) -> float:
     """Order-q entropy of a probability vector, from multiplicity-1 levels in
     the branch that the count of nonzero entries picks (zeros change nothing)."""
     live = [(v, 1) for v in p if v > 0.0]
-    order = None if qi.is_limit_point else qi.q
-    return _entropy_from_gap(_log_trace(live, order, _far(qi.q, math.log(len(live)))), qi)
+    return _entropy_from_gap(_log_trace(live, *_branch(qi, math.log(len(live)))), qi)

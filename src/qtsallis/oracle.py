@@ -21,10 +21,10 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._index import Spectrum, _as_index, _conditionals, _count, _far, _Frozen
+from ._index import Spectrum, _as_index, _branch, _conditionals, _count, _Frozen
 from .errors import ValidationError
 from .quantum import (DensityMatrix, _checked_eigenvalues, _entropies_from_gaps, _log_traces,
-                      _refuse_above_cap, _trace_out, partial_trace, spectrum_of)
+                      _logged, _refuse_above_cap, _trace_out, partial_trace, spectrum_of)
 from .werner import (WernerParams, conditional_entropy_block, joint_spectrum,
                      marginal_spectrum)
 
@@ -214,17 +214,18 @@ def _witness_rows(cases, joint: np.ndarray, closed: np.ndarray,
     given the ``closed`` A marginal Sigma w rho_A against the ``traced`` one
     (oracle), and its sign.  ``joint``, ``closed`` and ``traced`` are the
     stacks of checked eigenvalue rows of those states, one row per case.
-    Per order the joints take one log q-trace
-    (:func:`qtsallis.quantum._log_traces`) and the two marginal stacks one
-    together, all in the branch of the joint's side.  Values, deviations
+    Each stack is clipped and logged once (:func:`qtsallis.quantum._logged`,
+    the two marginal stacks together); then per order the joints take one
+    log q-trace (:func:`qtsallis.quantum._log_traces`) and the marginals
+    one, all in the branch of the joint's side.  Values, deviations
     and verdicts are arrays, one per order and quantity, and each label is
     built once per order."""
     log_count = math.log(joint.shape[-1])
-    marginals = np.stack((closed, traced))
+    joint, marginals = _logged(joint), _logged(np.stack((closed, traced)))
     rows = []
     for q in WITNESS_ORDERS:
         qi = _as_index(q)
-        order, far = None if qi.is_limit_point else q, _far(q, log_count)
+        order, far = _branch(qi, log_count)
         values, oracle = _entropies_from_gaps(
             _log_traces(joint, order, far) - _log_traces(marginals, order, far), qi)
         scale = np.maximum(np.maximum(np.abs(values), np.abs(oracle)), 1.0)

@@ -13,8 +13,9 @@ matrices, so the separable witness of :mod:`qtsallis.oracle` checks and
 decomposes its mixtures one stack per shape, through the checks of
 :class:`DensityMatrix`, takes their log q-traces one stack at a time
 (:func:`_log_traces`, the numpy twin of the rule's kernel, in the order
-and branch that :mod:`qtsallis._index` picks) and turns their gaps into
-entropies one array at a time (:func:`_entropies_from_gaps`).  No check
+and branch that :mod:`qtsallis._index` picks, on logs taken once per
+stack by :func:`_logged`) and turns their gaps into entropies one array
+at a time (:func:`_entropies_from_gaps`).  No check
 makes a temporary of the state's size: Hermiticity is read in row blocks, and
 the states that this package builds itself (a family member, a partial
 trace, a tensor product) are adopted, not copied, so a state costs about
@@ -246,20 +247,27 @@ def q_trace(spectrum: Spectrum, q) -> float:
     return _log_trace(spectrum.levels, q, _far(q, math.log(spectrum.total_multiplicity)))
 
 
-def _log_traces(eigenvalues: np.ndarray, q: float | None, far: bool) -> np.ndarray:
-    """:func:`qtsallis._index._log_trace` of each row of a stack
-    (count, side) of eigenvalues that :func:`_checked_eigenvalues` has
-    passed, each clamped to [0, 1] and taken with multiplicity 1, in the
-    order and branch given, picked as for :func:`qtsallis._index._log_gap`:
-    ln sum v**q per row, zeros skipped, and -sum v ln v for q None.
-    ``far`` takes a max-shifted sum of exp(q ln v); otherwise this is log1p
-    of the same-signed terms v expm1((q - 1) ln v), each exp(q ln v) - v
-    where its expm1 would overflow.  Sums run in numpy's order, not
-    ``math.fsum``'s, so a value can differ from the scalar kernel's by a
-    few ulps."""
+def _logged(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stack (count, side) of eigenvalues that :func:`_checked_eigenvalues`
+    has passed, in the form that :func:`_log_traces` takes at every order:
+    the values clamped to [0, 1], the mask of the positive ones, and their
+    logs (0 where a value is 0)."""
     values = np.clip(eigenvalues, 0.0, 1.0)
     live = values > 0.0
-    logs = np.log(values, out=np.zeros_like(values), where=live)  # zeros get no weight below
+    return values, live, np.log(values, out=np.zeros_like(values), where=live)
+
+
+def _log_traces(logged: tuple[np.ndarray, np.ndarray, np.ndarray], q: float | None,
+                far: bool) -> np.ndarray:
+    """:func:`qtsallis._index._log_trace` of each row of a :func:`_logged`
+    stack, each value taken with multiplicity 1, in the order and branch
+    given, picked as for :func:`qtsallis._index._log_gap`: ln sum v**q per
+    row, zeros skipped, and -sum v ln v for q None.  ``far`` takes a
+    max-shifted sum of exp(q ln v); otherwise this is log1p of the
+    same-signed terms v expm1((q - 1) ln v), each exp(q ln v) - v where its
+    expm1 would overflow.  Sums run in numpy's order, not ``math.fsum``'s,
+    so a value can differ from the scalar kernel's by a few ulps."""
+    values, live, logs = logged  # zeros get no weight below
     if q is None:
         return -np.sum(values * logs, axis=-1)
     if far:

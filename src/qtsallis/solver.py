@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 
-from ._index import _as_index, _Frozen
+from ._index import EntropicIndex, _as_index, _Frozen
 from .errors import MonotonicityError, ValidationError
-from .werner import WernerParams, _conditioned, _family, _log_trace_gap
+from .werner import WernerParams, _conditioned, _family, _prepared_gap
 
 #: Root refinement stops once the bracket is this narrow in ln x.
 ROOT_RTOL = 1e-13
@@ -46,7 +46,7 @@ def entropy_sign(params: WernerParams, q, conditioned_parties: int | None = None
     the sign of the gap times that of 1 - q."""
     k = _conditioned(params.parties, conditioned_parties)
     qi = _as_index(q)
-    gap = _log_trace_gap(params.levels, params.parties, k, qi, params.mixing)
+    gap = _prepared_gap(params.levels, params.parties, k, qi)(params.mixing)
     sign = (gap > 0.0) - (gap < 0.0)
     return -sign if qi.q > 1.0 and not qi.is_limit_point else sign
 
@@ -56,47 +56,147 @@ def threshold_for_q(levels: int, parties: int, q,
     """Locate the sign change of the conditional entropy in x.
 
     No root lies below the exact large-q bound, and on [x_inf(k), 1] the
-    entropy changes sign at most once, so that interval is the one
-    bracket.  Illinois regula falsi on the log-trace gap, in t = ln x,
-    shrinks it, falling back to bisection when a secant step leaves the
-    bracket, until it is at most ``ROOT_RTOL`` wide in ln x; x_star is its
+    entropy changes sign at most once, so that interval holds the one
+    root.  The search runs in t = ln x on the family's gap, prepared once
+    per query (:func:`qtsallis.werner._prepared_gap`).  It evaluates the gap
+    at a closed-form seed (:func:`_seed`), whose sign says on which side
+    the root lies, and steps from it towards that side until the sign
+    changes: first by half of ``ROOT_RTOL``, then by secant steps aimed
+    that far past the root, or to the middle of what is left of the
+    interval where the gap does not fall towards zero.  Brent's method
+    (:func:`_brent`) then narrows the bracket to at most ``ROOT_RTOL`` in
+    ln x, every step at least half of that inside it; x_star is its
     geometric midpoint.  An exact zero is returned with a zero-width
-    bracket, and x_star = None when the gap has one sign at both ends.
+    bracket.  x_star is None only when the gap has one sign at both ends of
+    the interval, both evaluated.
     """
     qi = _as_index(q)
     N, n, k = _family(levels, parties, conditioned_parties)
-
-    def gap(x: float) -> float:
-        return _log_trace_gap(N, n, k, qi, x)
-
+    gap = _prepared_gap(N, n, k, qi)
     x_inf = _x_inf(N, n, k)
-    lo, hi = math.log(x_inf), 0.0
-    g_lo, g_hi = gap(x_inf), gap(1.0)
-    for x, g in ((x_inf, g_lo), (1.0, g_hi)):
-        if g == 0.0:
-            return ThresholdPoint(qi.q, x, 0.0)
-    if (g_lo > 0.0) == (g_hi > 0.0):
-        return ThresholdPoint(qi.q, None, math.nan)
-    kept = 0  # the end the last step kept: +1 the lower, -1 the upper
-    while hi - lo > ROOT_RTOL:
-        t = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-        g = gap(math.exp(t))
-        if g == 0.0:
-            return ThresholdPoint(qi.q, math.exp(t), 0.0)
-        if (g > 0.0) == (g_lo > 0.0):
-            lo, g_lo = t, g
-            if kept < 0:  # the upper end stayed twice: halve its gap (Illinois)
-                g_hi *= 0.5
-            kept = -1
+    low = math.log(x_inf)
+
+    def x_of(t: float) -> float:  # the ends at their exact weights
+        return x_inf if t == low else math.exp(t)
+
+    def located(lo: float, hi: float) -> ThresholdPoint:
+        if lo == hi:
+            return ThresholdPoint(qi.q, x_of(lo), 0.0)
+        x_star = math.exp(0.5 * (lo + hi))  # the width in x is x_star (hi - lo) (1 + O(1e-27))
+        return ThresholdPoint(qi.q, x_star, x_star * (hi - lo))
+
+    step = 0.5 * ROOT_RTOL  # the least step, in ln x
+    t0 = math.log(_seed(N, n, k, qi, x_inf))
+    g0 = gap(x_of(t0))
+    if g0 == 0.0:
+        return located(t0, t0)
+    # below the root the entropy is positive, and so is the gap for q < 1 and at the limit point
+    rising = (g0 > 0.0) == (qi.q < 1.0 or qi.is_limit_point)
+    end = 0.0 if rising else low
+    span, way = abs(end - t0), 1.0 if rising else -1.0
+    before = None  # (u, g) of the probe before the nearest one
+    near_u, near_t, near_g = 0.0, t0, g0  # u: the distance from t0 towards the root
+    while near_u < span:
+        if before is None:
+            u = step
+        elif abs(near_g) < abs(before[1]):  # the secant root, and one least step past it
+            u = near_u + near_g * (near_u - before[0]) / (before[1] - near_g) + step
         else:
-            hi, g_hi = t, g
-            if kept > 0:
-                g_lo *= 0.5
-            kept = 1
-    x_star = math.exp(0.5 * (lo + hi))  # the width in x is x_star (hi - lo) (1 + O(1e-27))
-    return ThresholdPoint(qi.q, x_star, x_star * (hi - lo))
+            u = 0.5 * (near_u + span)
+        u = min(max(u, near_u + step), span)
+        t = end if u == span else t0 + way * u
+        g = gap(x_of(t))
+        if g == 0.0:
+            return located(t, t)
+        if (g > 0.0) != (g0 > 0.0):
+            return located(*_brent(lambda t: gap(x_of(t)), near_t, near_g, t, g))
+        before, near_u, near_t, near_g = (near_u, near_g), u, t, g
+    # one sign from the seed to the end: a root, if any, lies beyond the seed's other side
+    other = low if rising else 0.0
+    g = gap(x_of(other))
+    if g == 0.0:
+        return located(other, other)
+    if (g > 0.0) == (g0 > 0.0):
+        return ThresholdPoint(qi.q, None, math.nan)
+    return located(*_brent(lambda t: gap(x_of(t)), t0, g0, other, g))
+
+
+def _seed(N: int, n: int, k: int, qi: EntropicIndex, x_inf: float) -> float:
+    """A mixing weight in [x_inf(k), 1] next to the root, in closed form.
+
+    For q > 1: where the top joint eigenvalue (1 + (N**n - 1) x) / N**n,
+    of multiplicity 1, is N**(1/q) times the top marginal one,
+    (1 + (N**(k-1) - 1) x) / N**k, of multiplicity N, so that the largest
+    terms of the two q-traces are equal.  Both are affine in x, so this is
+    one division; it tends to x_inf(k) as q grows, and it lies within
+    about 1e-13 of the root in ln x from q = 1e3 on.  For q < 1:
+    1 - v**(1/q) with v = (N**(1-q) - 1) / ((N**n - 1) N**(-n q) -
+    (N**k - N) N**(-k q)), where the background levels (1 - x) / N**m
+    balance the spikes, as x tends to 1 for small q.  At the limit point,
+    and wherever a form has no value in (0, 1], the midpoint of
+    [x_inf(k), 1]: over the whole domain the von Neumann roots lie between
+    0.5 and 0.99.  A poor seed costs gap evaluations, never accuracy.
+    """
+    q, x = qi.q, math.nan
+    if qi.is_limit_point:
+        pass
+    elif q > 1.0:
+        scale, rest = N ** (1.0 / q), N ** (n - k)
+        free = N**n - 1 - scale * (N ** (k - 1) - 1) * rest
+        if free > 0.0:
+            x = (scale * rest - 1.0) / free
+    else:
+        free = (N**n - 1) * N ** (-n * q) - (N**k - N) * N ** (-k * q)
+        if free > 0.0:
+            v = (N ** (1.0 - q) - 1.0) / free
+            if v < 1.0:
+                x = 1.0 - v ** (1.0 / q)
+    return max(x, x_inf) if 0.0 < x <= 1.0 else 0.5 * (x_inf + 1.0)
+
+
+def _brent(f, a: float, fa: float, b: float, fb: float) -> tuple[float, float]:
+    """Brent's method (Brent, 1973, the ``zeroin`` form) on a bracket [a, b]
+    of nonzero values of opposite sign: inverse quadratic or secant steps,
+    taken only while they shrink the bracket fast enough, bisection
+    otherwise, and every step at least half of ``ROOT_RTOL``.  Returns the
+    ends (lo, hi) once the bracket is at most ``ROOT_RTOL`` wide, or (t, t)
+    at an exact zero."""
+    tol = 0.5 * ROOT_RTOL
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):  # c keeps the sign opposite to b's
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):  # b the best estimate so far
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            return (b, c) if b < c else (c, b)
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, r = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic through a, b and c
+                u, w = fa / fc, fb / fc
+                p = s * (2.0 * m * u * (u - w) - (b - a) * (w - 1.0))
+                r = (u - 1.0) * (w - 1.0) * (s - 1.0)
+            if p > 0.0:
+                r = -r
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * r - abs(tol * r), abs(e * r)):
+                e, d = d, p / r
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        if fb == 0.0:
+            return b, b
 
 
 def _rises(points) -> list[tuple[ThresholdPoint, ThresholdPoint]]:

@@ -7,17 +7,17 @@ query tractable far beyond dense-matrix scale.  The spectra are
 :class:`qtsallis._index.Spectrum` values, and every family entropy, its
 value as well as its sign, comes from the q-trace rule of
 :mod:`qtsallis._index` applied to the two closed-form levels
-(``_log_trace_gap``, one call of its ``_log_gap``): plain float
-arithmetic at one mixing weight with no numpy loaded.  The dense family
-states live in :mod:`qtsallis.oracle`.
+(``_prepared_gap``, with the constants of a query computed once): plain
+float arithmetic at one mixing weight at a time, with no numpy loaded.
+The dense family states live in :mod:`qtsallis.oracle`.
 """
 
 from __future__ import annotations
 
 import math
 
-from ._index import (EntropicIndex, Spectrum, _as_index, _count, _entropy_from_gap, _Frozen,
-                     _log_gap)
+from ._index import (EntropicIndex, Spectrum, _as_index, _branch, _count, _entropy_from_gap,
+                     _Frozen, _log_trace)
 from .errors import CapacityError, ValidationError
 
 #: Exact multiplicity bookkeeping requires N**n to fit a signed 64-bit int.
@@ -44,14 +44,20 @@ class WernerParams(_Frozen):
         return self.levels ** self.parties
 
 
-def _levels(levels: int, m: int, r: int, x: float) -> tuple:
-    """The two (eigenvalue, multiplicity) levels on m parties with the GHZ
-    weight on r directions (r = 1 for the state, r = N for a marginal):
+def _side(levels: int, m: int, r: int) -> tuple[int, int, float]:
+    """m parties with the GHZ weight on r directions (r = 1 for the state,
+    r = N for a marginal), as :func:`_levels` takes them: the dimension
+    N**m, r and 1 / (N**m // r)."""
+    dim = levels ** m
+    return dim, r, 1.0 / (dim // r)
+
+
+def _levels(side: tuple[int, int, float], x: float) -> tuple:
+    """The two (eigenvalue, multiplicity) levels of a :func:`_side` at x:
     multiplicity r at x (1 / r - 1 / N**m) + 1 / N**m and N**m - r at
     (1 - x) / N**m; one level 1 / N**m where x rounds away (x = 0, or no
     background).  At x = 1 the zero level stays."""
-    dim = levels ** m
-    inv = 1.0 / (dim // r)
+    dim, r, inv = side
     peak = x * (1.0 - inv) + inv  # r times the raised level
     if peak == inv:
         return ((1.0 / dim, dim),)
@@ -65,7 +71,7 @@ def joint_spectrum(params: WernerParams) -> Spectrum:
     (1 + (N**n - 1) x) / N**n; the remaining N**n - 1 directions stay at
     the background value (1 - x) / N**n.  At x = 0 the two levels are one.
     """
-    return Spectrum(_levels(params.levels, params.parties, 1, params.mixing))
+    return Spectrum(_levels(_side(params.levels, params.parties, 1), params.mixing))
 
 
 def marginal_spectrum(params: WernerParams, kept_parties: int) -> Spectrum:
@@ -80,7 +86,7 @@ def marginal_spectrum(params: WernerParams, kept_parties: int) -> Spectrum:
     (see the verification module).
     """
     m = _party_count(kept_parties, params.parties, "kept party count")
-    return Spectrum(_levels(params.levels, m, params.levels, params.mixing))
+    return Spectrum(_levels(_side(params.levels, m, params.levels), params.mixing))
 
 
 def _party_count(value, parties: int, what: str) -> int:
@@ -111,18 +117,29 @@ def _family(levels, parties, conditioned_parties: int | None) -> tuple[int, int,
     return levels, parties, _conditioned(parties, conditioned_parties)
 
 
-def _log_trace_gap(levels: int, parties: int, k: int, qi: EntropicIndex, x: float) -> float:
-    """ln Tr rho**q - ln Tr rho_k**q of the family at mixing weight x,
-    given k parties; at the limit point, the von Neumann difference
-    S(rho) - S(rho_k).  The conditional entropy is expm1(gap) / (1 - q).
+def _prepared_gap(levels: int, parties: int, k: int, qi: EntropicIndex):
+    """ln Tr rho**q - ln Tr rho_k**q of the family given k parties, as a
+    function of the mixing weight x; at the limit point, the von Neumann
+    difference S(rho) - S(rho_k).  The conditional entropy is
+    expm1(gap) / (1 - q).
 
-    It is :func:`qtsallis._index._log_gap` of the two closed-form level
-    pairs, both traces in the branch that the joint multiplicity N**n
-    picks.  On [x_inf(k), 1] the gap changes sign exactly once (a property
-    test checks this over the whole domain), so one bracket holds the root.
+    It takes the gap of :func:`qtsallis._index._log_gap` over the two
+    closed-form level pairs, both traces in the branch that the joint
+    multiplicity N**n picks, with the same values bit for bit.  Everything
+    that does not depend on x (the two sides, the order and the branch) is
+    computed here, once per query, so a root search pays only for the
+    levels and the two log q-traces at each x.  On [x_inf(k), 1] the gap
+    changes sign exactly once (a property test checks this over the whole
+    domain), so one bracket holds the root.
     """
-    return _log_gap(_levels(levels, parties, 1, x), _levels(levels, k, levels, x), qi,
-                    math.log(levels ** parties))
+    joint, marginal = _side(levels, parties, 1), _side(levels, k, levels)
+    order, far = _branch(qi, math.log(joint[0]))
+
+    def gap(x: float) -> float:
+        return (_log_trace(_levels(joint, x), order, far)
+                - _log_trace(_levels(marginal, x), order, far))
+
+    return gap
 
 
 def conditional_entropy_block(params: WernerParams, conditioned_parties: int | None,
@@ -140,4 +157,4 @@ def conditional_entropy_block(params: WernerParams, conditioned_parties: int | N
     k = _conditioned(params.parties, conditioned_parties)
     qi = _as_index(q)
     return _entropy_from_gap(
-        _log_trace_gap(params.levels, params.parties, k, qi, params.mixing), qi)
+        _prepared_gap(params.levels, params.parties, k, qi)(params.mixing), qi)

@@ -492,7 +492,7 @@ def test_log_traces_match_the_scalar_kernel_row_by_row(stack, q):
 
     conditioned = [scalar(row, True) >= -1.0 for row in stack.tolist()]
     for far, rows in ((True, stack), (False, stack[conditioned])):
-        traces = quantum._log_traces(rows, order, far)
+        traces = quantum._log_traces(quantum._logged(rows), order, far)
         assert traces.shape == (len(rows),)
         for row, value in zip(rows.tolist(), traces.tolist()):
             expected = scalar(row, far)

@@ -1,23 +1,24 @@
 """Boundary location, monotone curves, and large-q limits."""
 
 import math
-from unittest import mock
+import statistics
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtsallis import (CapacityError, MonotonicityError, ThresholdPoint, ValidationError,
                       WernerParams, asymptotic_threshold, conditional_entropy_block,
                       entropy_sign, quantum_tsallis, spectrum_of, threshold_curve,
                       threshold_for_q, werner_density)
-from qtsallis import solver
-from qtsallis._index import LIMIT_WINDOW
+from qtsallis import solver, werner
+from qtsallis._index import LIMIT_WINDOW, EntropicIndex
 from qtsallis.oracle import _marginal_of
 from qtsallis.solver import _rises
 from helpers import NEAR_ONE, WIDE_FAMILIES, mp_conditional_renyi, mp_threshold
+from solver_budget import MEDIAN_BUDGET, WORST_BUDGET, counted_threshold, domain_queries
 
 
 def _max_levels(parties):
@@ -39,6 +40,9 @@ orders = st.floats(math.log(0.1), math.log(1e6)).map(math.exp) \
     .filter(lambda q: abs(q - 1.0) > LIMIT_WINDOW)
 #: The same orders, and the limit point with the orders right next to it.
 all_orders = st.one_of(orders, st.sampled_from(NEAR_ONE))
+#: Log-uniform q over [0.05, 1e6], the limit point and its neighbours.
+whole_orders = st.one_of(st.floats(math.log(0.05), math.log(1e6)).map(math.exp),
+                         st.sampled_from(NEAR_ONE))
 
 
 # -- entropy_sign --------------------------------------------------------
@@ -136,21 +140,101 @@ def test_sign_changes_once_above_large_q_bound(family, q):
     assert signs == sorted(signs, reverse=True) and signs.count(0) <= 1
 
 
-@given(families, all_orders)
+#: Families and orders that took the Illinois regula falsi of earlier
+#: versions 47 or 48 gap evaluations: its secant steps kept falling
+#: outside the bracket, and it bisected.
+SLOW_ILLINOIS = ((8, 12, 1, 332500.0), (5, 25, 1, 2.9961), (13, 16, 1, 4.9436),
+                 (9, 12, 1, 214944.4585017538))
+
+
+@given(families, whole_orders)
 @settings(deadline=None)
 def test_root_takes_few_gap_evaluations(family, q):
-    levels, parties, k = family
-    weights = []
-    gap = solver._log_trace_gap
-
-    def counted(levels, parties, k, qi, x):
-        weights.append(np.size(x))
-        return gap(levels, parties, k, qi, x)
-
-    with mock.patch.object(solver, "_log_trace_gap", counted):
-        point = threshold_for_q(levels, parties, q, conditioned_parties=k)
+    # counted on the gap that the solver prepares, so that every
+    # evaluation it makes is seen; 16 is the most over the budget sample
+    point, evaluations = counted_threshold(*family, q)
     assert point.x_star is not None
-    assert sum(weights) <= 64
+    assert 1 <= len(evaluations) <= WORST_BUDGET
+
+
+@pytest.mark.parametrize("levels,parties,k,q", SLOW_ILLINOIS)
+def test_slow_illinois_roots_take_few_gap_evaluations(levels, parties, k, q):
+    point, evaluations = counted_threshold(levels, parties, k, q)
+    assert point.x_star is not None
+    assert 1 <= len(evaluations) <= 4
+
+
+def test_gap_evaluations_over_the_budget_sample():
+    counts = sorted(len(counted_threshold(*query)[1]) for query in domain_queries(500))
+    assert counts[0] >= 1
+    assert statistics.median(counts) <= MEDIAN_BUDGET
+    assert counts[-1] <= WORST_BUDGET
+
+
+def _bisected_root(gap, x_inf, below_positive):
+    """The root of ``gap`` on [x_inf, 1] by plain bisection in ln x, to
+    1e-15 in ln x."""
+    lo, hi = math.log(x_inf), 0.0
+    while hi - lo > 1e-15 * max(1.0, -lo):
+        mid = 0.5 * (lo + hi)
+        value = gap(math.exp(mid))
+        if value == 0.0:
+            return math.exp(mid)
+        if (value > 0.0) == below_positive:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(0.5 * (lo + hi))
+
+
+@given(families, whole_orders)
+@settings(deadline=None)
+def test_root_rests_on_a_verified_bracket(family, q):
+    # the two evaluated points next to x* carry opposite signs of the gap,
+    # evaluated again here, and lie at most ROOT_RTOL apart in ln x
+    levels, parties, k = family
+    point, evaluations = counted_threshold(levels, parties, k, q)
+    qi = EntropicIndex(q)
+    gap = werner._prepared_gap(levels, parties, k, qi)
+    x_inf = asymptotic_threshold(levels, parties, k)
+    assert point.x_star is not None and point.x_star >= x_inf
+    if point.bracket_width == 0.0:
+        assert gap(point.x_star) == 0.0
+    else:
+        xs = sorted({x for x, _ in evaluations})
+        (lo, hi), = [(a, b) for a, b in zip(xs, xs[1:])
+                     if a <= point.x_star <= b and (gap(a) > 0.0) != (gap(b) > 0.0)]
+        assert gap(lo) != 0.0 and gap(hi) != 0.0
+        assert math.log(hi) - math.log(lo) <= solver.ROOT_RTOL + 4e-16
+        assert point.bracket_width == pytest.approx(
+            point.x_star * (math.log(hi) - math.log(lo)), rel=1e-2, abs=1e-16 * point.x_star)
+    bisected = _bisected_root(gap, x_inf, qi.q < 1.0 or qi.is_limit_point)
+    assert point.x_star == pytest.approx(bisected, rel=1e-12, abs=0)
+
+
+@given(families, st.floats(0.0, 1.0))
+@settings(deadline=None)
+def test_large_q_rate(family, fraction):
+    # x* = x_inf + ln N / (q s_k) + O(1 / q**2) (Tsallis, Lloyd & Baranger,
+    # PRA 63, 042104 (2001)): at x_inf the top joint eigenvalue equals the
+    # marginal spike, of multiplicity N, and s_k is the slope of the log of
+    # their ratio there.  The rate holds once both backgrounds are
+    # negligible: q >= 10 ln N**n, and for k >= 2 also q ln(spike /
+    # background) of the marginal at x_inf, a log about 1 / N at k = n - 1,
+    # at least 10 ln N**n.  From there |ratio - 1| stays below
+    # 2 ln N**n / q (0.30 ln N**n / q at most over 5848 random queries).
+    levels, parties, k = family
+    log_count = parties * math.log(levels)
+    x_inf = asymptotic_threshold(levels, parties, k)
+    dim, spike = levels ** parties, levels ** (k - 1)
+    spread = math.log((1 + (spike - 1) * x_inf) / (1 - x_inf)) if k > 1 else math.inf
+    least = 10.0 * log_count * max(1.0, 1.0 / spread)
+    assume(least <= 1e6)
+    q = math.exp(math.log(least) + fraction * (math.log(1e6) - math.log(least)))
+    slope = (dim - 1) / (1 + (dim - 1) * x_inf) - (spike - 1) / (1 + (spike - 1) * x_inf)
+    x_star = threshold_for_q(levels, parties, q, conditioned_parties=k).x_star
+    ratio = q * (x_star - x_inf) * slope / math.log(levels)
+    assert abs(ratio - 1.0) <= 2.0 * log_count / q
 
 
 # -- roots beyond dense scale --------------------------------------------
