@@ -3,8 +3,10 @@ layer: integral counts, probabilities, (eigenvalue, multiplicity) levels
 (:class:`Spectrum`, for closed forms and dense states alike), and the one
 q-trace rule (near/far predicate, log q-trace kernel, gap -> entropy
 step) of every classical, dense and closed-form entropy and conditional
-entropy.  Only this module picks the order and the branch of a
-conditional (:func:`_branch`).  :func:`_log_gap`, :func:`_conditionals`
+entropy.  Only this module checks an order (:func:`_order`, which
+:class:`EntropicIndex` and the threshold solver call) and picks the
+order and the branch of a conditional (:func:`_branch`, from q as a
+float).  :func:`_log_gap`, :func:`_conditionals`
 (one joint against several marginals) and the family's prepared gap in
 :mod:`qtsallis.werner` take them from here, and so does the separable
 witness for ``quantum._log_traces``, the numpy twin of
@@ -89,15 +91,11 @@ class EntropicIndex(_Frozen):
     __slots__ = ("q",)
 
     def __init__(self, q: float) -> None:
-        value = float(q)
-        if not math.isfinite(value) or value <= 0.0:
-            raise ValidationError(
-                f"entropic index must be a positive finite real, got {q!r}")
-        object.__setattr__(self, "q", value)
+        object.__setattr__(self, "q", _order(q))
 
     @property
     def is_limit_point(self) -> bool:
-        return abs(self.q - 1.0) <= LIMIT_WINDOW
+        return _branch(self.q, 0.0)[0] is None
 
 
 class Spectrum(_Frozen):
@@ -144,6 +142,15 @@ class Spectrum(_Frozen):
         return sum(mult for _, mult in self.levels)
 
 
+def _order(q) -> float:
+    """q as a float, refused unless positive and finite: the one check of an
+    entropic index.  An :class:`EntropicIndex` gives its own q."""
+    value = q.q if isinstance(q, EntropicIndex) else float(q)
+    if not math.isfinite(value) or value <= 0.0:
+        raise ValidationError(f"entropic index must be a positive finite real, got {q!r}")
+    return value
+
+
 def _as_index(q) -> EntropicIndex:
     return q if isinstance(q, EntropicIndex) else EntropicIndex(float(q))
 
@@ -172,17 +179,13 @@ def _probabilities(values: list[float]) -> list[float]:
     return [v / total for v in values]
 
 
-def _far(q: float, log_count: float) -> bool:
-    """Whether a q-trace over total multiplicity exp(``log_count``) takes the
-    logaddexp of :func:`_log_trace`; nearer q = 1 its terms would cancel."""
-    return abs(q - 1.0) * log_count > 1.0
-
-
-def _branch(qi: EntropicIndex, log_count: float) -> tuple[float | None, bool]:
-    """The order (None at the limit point) and the branch (:func:`_far`) in
-    which :func:`_log_trace` takes every q-trace of a conditional whose
-    joint has total multiplicity exp(``log_count``)."""
-    return None if qi.is_limit_point else qi.q, _far(qi.q, log_count)
+def _branch(q: float, log_count: float) -> tuple[float | None, bool]:
+    """The order (None at the limit point, |q - 1| <= ``LIMIT_WINDOW``) and
+    the branch in which :func:`_log_trace` takes every q-trace of a
+    conditional whose joint has total multiplicity exp(``log_count``): far
+    (the logaddexp) where |q - 1| ``log_count`` > 1; nearer q = 1 its terms
+    would cancel."""
+    return None if abs(q - 1.0) <= LIMIT_WINDOW else q, abs(q - 1.0) * log_count > 1.0
 
 
 def _log_trace(levels, q: float | None, far: bool) -> float:
@@ -218,7 +221,7 @@ def _log_gap(joint, marginal, qi: EntropicIndex, log_count: float) -> float:
     """ln Tr joint**q - ln Tr marginal**q over levels, both in the branch of
     the joint's total multiplicity exp(``log_count``); at the limit point,
     the von Neumann difference."""
-    order, far = _branch(qi, log_count)
+    order, far = _branch(qi.q, log_count)
     return _log_trace(joint, order, far) - _log_trace(marginal, order, far)
 
 
@@ -231,7 +234,7 @@ def _conditionals(joint, marginals, qi: EntropicIndex, log_count: float) -> list
     """:func:`_conditional` of one joint given each of ``marginals``, in the
     order and branch that :func:`_log_gap` takes, with the joint's log
     q-trace taken once for all of them."""
-    order, far = _branch(qi, log_count)
+    order, far = _branch(qi.q, log_count)
     joint_trace = _log_trace(joint, order, far)
     return [_entropy_from_gap(joint_trace - _log_trace(m, order, far), qi) for m in marginals]
 
@@ -251,4 +254,4 @@ def _entropy_of(p: list[float], qi: EntropicIndex) -> float:
     """Order-q entropy of a probability vector, from multiplicity-1 levels in
     the branch that the count of nonzero entries picks (zeros change nothing)."""
     live = [(v, 1) for v in p if v > 0.0]
-    return _entropy_from_gap(_log_trace(live, *_branch(qi, math.log(len(live)))), qi)
+    return _entropy_from_gap(_log_trace(live, *_branch(qi.q, math.log(len(live)))), qi)

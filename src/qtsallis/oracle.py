@@ -225,7 +225,7 @@ def _witness_rows(cases, joint: np.ndarray, closed: np.ndarray,
     rows = []
     for q in WITNESS_ORDERS:
         qi = _as_index(q)
-        order, far = _branch(qi, log_count)
+        order, far = _branch(qi.q, log_count)
         values, oracle = _entropies_from_gaps(
             _log_traces(joint, order, far) - _log_traces(marginals, order, far), qi)
         scale = np.maximum(np.maximum(np.abs(values), np.abs(oracle)), 1.0)

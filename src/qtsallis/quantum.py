@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._index import (PSD_FLOOR, TRACE_TOL, EntropicIndex, Spectrum, _as_index, _conditional,
-                     _count, _far, _log_trace)
+from ._index import (PSD_FLOOR, TRACE_TOL, EntropicIndex, Spectrum, _as_index, _branch,
+                     _conditional, _count, _log_trace)
 from .errors import CapacityError, NumericalError, ValidationError
 
 #: Dense objects larger than this total dimension are refused.
@@ -244,7 +244,7 @@ def q_trace(spectrum: Spectrum, q) -> float:
     cancellation next to q = 1.
     """
     q = _as_index(q).q
-    return _log_trace(spectrum.levels, q, _far(q, math.log(spectrum.total_multiplicity)))
+    return _log_trace(spectrum.levels, q, _branch(q, math.log(spectrum.total_multiplicity))[1])
 
 
 def _logged(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

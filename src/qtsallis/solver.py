@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 
-from ._index import EntropicIndex, _as_index, _Frozen
+from ._index import _as_index, _branch, _Frozen, _order
 from .errors import MonotonicityError, ValidationError
-from .werner import WernerParams, _conditioned, _family, _prepared_gap
+from .werner import WernerParams, _family, _prepared_gap
 
 #: Root refinement stops once the bracket is this narrow in ln x.
 ROOT_RTOL = 1e-13
@@ -44,9 +44,9 @@ def entropy_sign(params: WernerParams, q, conditioned_parties: int | None = None
     ``conditioned_parties`` parties (default n - 1), from the log domain,
     so it holds at any q; 0 means an exact zero.  expm1(gap) / (1 - q) has
     the sign of the gap times that of 1 - q."""
-    k = _conditioned(params.parties, conditioned_parties)
+    N, n, k = _family(params.levels, params.parties, conditioned_parties)
     qi = _as_index(q)
-    gap = _prepared_gap(params.levels, params.parties, k, qi)(params.mixing)
+    gap = _prepared_gap(N, n, k, qi.q)(params.mixing)
     sign = (gap > 0.0) - (gap < 0.0)
     return -sign if qi.q > 1.0 and not qi.is_limit_point else sign
 
@@ -58,87 +58,42 @@ def threshold_for_q(levels: int, parties: int, q,
     No root lies below the exact large-q bound, and on [x_inf(k), 1] the
     entropy changes sign at most once, so that interval holds the one
     root.  The search runs in t = ln x on the family's gap, prepared once
-    per query (:func:`qtsallis.werner._prepared_gap`).  It evaluates the gap
-    at a closed-form seed (:func:`_seed`), whose sign says on which side
-    the root lies, and steps from it towards that side until the sign
-    changes: first by half of ``ROOT_RTOL``, then by secant steps aimed
-    that far past the root, or to the middle of what is left of the
-    interval where the gap does not fall towards zero.  Brent's method
-    (:func:`_brent`) then narrows the bracket to at most ``ROOT_RTOL`` in
-    ln x, every step at least half of that inside it; x_star is its
-    geometric midpoint.  An exact zero is returned with a zero-width
-    bracket.  x_star is None only when the gap has one sign at both ends of
-    the interval, both evaluated.
+    per query from q as a checked float
+    (:func:`qtsallis.werner._prepared_gap`), with the ends of the interval
+    at their exact weights.  It evaluates the gap at a closed-form seed,
+    whose sign says on which side the root lies, and steps from it
+    towards that side until the sign changes: first by half of
+    ``ROOT_RTOL``, then by secant steps aimed that far past the root, or
+    to the middle of what is left of the interval where the gap does not
+    fall towards zero.  Where the probes leave a bracket wider than
+    ``ROOT_RTOL`` in ln x, Brent's method (:func:`_brent`) narrows it to
+    at most that, every step at least half of that inside it; x_star is
+    its geometric midpoint.  An exact zero is returned with a zero-width
+    bracket.  x_star is None only when the gap has one sign at both ends
+    of the interval, both evaluated.
+
+    The seed, in [x_inf(k), 1]: for q > 1, where the top joint eigenvalue
+    (1 + (N**n - 1) x) / N**n, of multiplicity 1, is N**(1/q) times the
+    top marginal one, (1 + (N**(k-1) - 1) x) / N**k, of multiplicity N,
+    so that the largest terms of the two q-traces are equal.  Both are
+    affine in x, so this is one division; it tends to x_inf(k) as q
+    grows, and it lies within about 1e-13 of the root in ln x from
+    q = 1e3 on.  For q < 1: 1 - v**(1/q) with v = (N**(1-q) - 1) /
+    ((N**n - 1) N**(-n q) - (N**k - N) N**(-k q)), where the background
+    levels (1 - x) / N**m balance the spikes, as x tends to 1 for small
+    q.  At the limit point, and wherever a form has no value in (0, 1],
+    the midpoint of [x_inf(k), 1]: over the whole domain the von Neumann
+    roots lie between 0.5 and 0.99.  A poor seed costs gap evaluations,
+    never accuracy.
     """
-    qi = _as_index(q)
+    q = _order(q)
     N, n, k = _family(levels, parties, conditioned_parties)
-    gap = _prepared_gap(N, n, k, qi)
+    gap = _prepared_gap(N, n, k, q)
     x_inf = _x_inf(N, n, k)
     low = math.log(x_inf)
-
-    def x_of(t: float) -> float:  # the ends at their exact weights
-        return x_inf if t == low else math.exp(t)
-
-    def located(lo: float, hi: float) -> ThresholdPoint:
-        if lo == hi:
-            return ThresholdPoint(qi.q, x_of(lo), 0.0)
-        x_star = math.exp(0.5 * (lo + hi))  # the width in x is x_star (hi - lo) (1 + O(1e-27))
-        return ThresholdPoint(qi.q, x_star, x_star * (hi - lo))
-
-    step = 0.5 * ROOT_RTOL  # the least step, in ln x
-    t0 = math.log(_seed(N, n, k, qi, x_inf))
-    g0 = gap(x_of(t0))
-    if g0 == 0.0:
-        return located(t0, t0)
-    # below the root the entropy is positive, and so is the gap for q < 1 and at the limit point
-    rising = (g0 > 0.0) == (qi.q < 1.0 or qi.is_limit_point)
-    end = 0.0 if rising else low
-    span, way = abs(end - t0), 1.0 if rising else -1.0
-    before = None  # (u, g) of the probe before the nearest one
-    near_u, near_t, near_g = 0.0, t0, g0  # u: the distance from t0 towards the root
-    while near_u < span:
-        if before is None:
-            u = step
-        elif abs(near_g) < abs(before[1]):  # the secant root, and one least step past it
-            u = near_u + near_g * (near_u - before[0]) / (before[1] - near_g) + step
-        else:
-            u = 0.5 * (near_u + span)
-        u = min(max(u, near_u + step), span)
-        t = end if u == span else t0 + way * u
-        g = gap(x_of(t))
-        if g == 0.0:
-            return located(t, t)
-        if (g > 0.0) != (g0 > 0.0):
-            return located(*_brent(lambda t: gap(x_of(t)), near_t, near_g, t, g))
-        before, near_u, near_t, near_g = (near_u, near_g), u, t, g
-    # one sign from the seed to the end: a root, if any, lies beyond the seed's other side
-    other = low if rising else 0.0
-    g = gap(x_of(other))
-    if g == 0.0:
-        return located(other, other)
-    if (g > 0.0) == (g0 > 0.0):
-        return ThresholdPoint(qi.q, None, math.nan)
-    return located(*_brent(lambda t: gap(x_of(t)), t0, g0, other, g))
-
-
-def _seed(N: int, n: int, k: int, qi: EntropicIndex, x_inf: float) -> float:
-    """A mixing weight in [x_inf(k), 1] next to the root, in closed form.
-
-    For q > 1: where the top joint eigenvalue (1 + (N**n - 1) x) / N**n,
-    of multiplicity 1, is N**(1/q) times the top marginal one,
-    (1 + (N**(k-1) - 1) x) / N**k, of multiplicity N, so that the largest
-    terms of the two q-traces are equal.  Both are affine in x, so this is
-    one division; it tends to x_inf(k) as q grows, and it lies within
-    about 1e-13 of the root in ln x from q = 1e3 on.  For q < 1:
-    1 - v**(1/q) with v = (N**(1-q) - 1) / ((N**n - 1) N**(-n q) -
-    (N**k - N) N**(-k q)), where the background levels (1 - x) / N**m
-    balance the spikes, as x tends to 1 for small q.  At the limit point,
-    and wherever a form has no value in (0, 1], the midpoint of
-    [x_inf(k), 1]: over the whole domain the von Neumann roots lie between
-    0.5 and 0.99.  A poor seed costs gap evaluations, never accuracy.
-    """
-    q, x = qi.q, math.nan
-    if qi.is_limit_point:
+    limit = _branch(q, 0.0)[0] is None  # the branch takes no order at the limit point
+    x = math.nan
+    if limit:
         pass
     elif q > 1.0:
         scale, rest = N ** (1.0 / q), N ** (n - k)
@@ -151,16 +106,57 @@ def _seed(N: int, n: int, k: int, qi: EntropicIndex, x_inf: float) -> float:
             v = (N ** (1.0 - q) - 1.0) / free
             if v < 1.0:
                 x = 1.0 - v ** (1.0 / q)
-    return max(x, x_inf) if 0.0 < x <= 1.0 else 0.5 * (x_inf + 1.0)
+    t0 = math.log(max(x, x_inf) if 0.0 < x <= 1.0 else 0.5 * (x_inf + 1.0))
+    g0 = gap(x_inf if t0 == low else math.exp(t0))
+    # below the root the entropy is positive, and so is the gap for q < 1 and at the limit point
+    rising = (g0 > 0.0) == (q < 1.0 or limit)
+    end = 0.0 if rising else low
+    span, way = abs(end - t0), 1.0 if rising else -1.0
+    step = 0.5 * ROOT_RTOL  # the least step, in ln x
+    before = None  # (u, g) of the probe before the nearest one
+    near_u, near_t, near_g = 0.0, t0, g0  # u: the distance from t0 towards the root
+    t, g = t0, g0
+    while g0 != 0.0 and near_u < span:
+        if before is None:
+            u = step
+        elif abs(near_g) < abs(before[1]):  # the secant root, and one least step past it
+            u = near_u + near_g * (near_u - before[0]) / (before[1] - near_g) + step
+        else:
+            u = 0.5 * (near_u + span)
+        u = min(max(u, near_u + step), span)
+        t = end if u == span else t0 + way * u
+        g = gap(x_inf if t == low else math.exp(t))
+        if g == 0.0 or (g > 0.0) != (g0 > 0.0):
+            break
+        before, near_u, near_t, near_g = (near_u, near_g), u, t, g
+    else:  # one sign from the seed to the end: a root, if any, lies beyond its other side
+        if g0 != 0.0:
+            near_t, near_g = t0, g0
+            t = low if rising else 0.0
+            g = gap(x_inf if rising else 1.0)
+            if g != 0.0 and (g > 0.0) == (g0 > 0.0):
+                return ThresholdPoint(q, None, math.nan)
+    if g == 0.0:
+        lo = hi = t
+    elif abs(t - near_t) <= ROOT_RTOL:  # the probes closed the bracket
+        lo, hi = (t, near_t) if t < near_t else (near_t, t)
+    else:
+        lo, hi = _brent(gap, low, x_inf, near_t, near_g, t, g)
+    if lo == hi:
+        return ThresholdPoint(q, x_inf if lo == low else math.exp(lo), 0.0)
+    x_star = math.exp(0.5 * (lo + hi))  # the width in x is x_star (hi - lo) (1 + O(1e-27))
+    return ThresholdPoint(q, x_star, x_star * (hi - lo))
 
 
-def _brent(f, a: float, fa: float, b: float, fb: float) -> tuple[float, float]:
-    """Brent's method (Brent, 1973, the ``zeroin`` form) on a bracket [a, b]
-    of nonzero values of opposite sign: inverse quadratic or secant steps,
-    taken only while they shrink the bracket fast enough, bisection
-    otherwise, and every step at least half of ``ROOT_RTOL``.  Returns the
-    ends (lo, hi) once the bracket is at most ``ROOT_RTOL`` wide, or (t, t)
-    at an exact zero."""
+def _brent(gap, low: float, x_inf: float, a: float, fa: float, b: float,
+           fb: float) -> tuple[float, float]:
+    """Brent's method (Brent, 1973, the ``zeroin`` form) in t = ln x on a
+    bracket [a, b] of nonzero values of ``gap`` of opposite sign: inverse
+    quadratic or secant steps, taken only while they shrink the bracket
+    fast enough, bisection otherwise, and every step at least half of
+    ``ROOT_RTOL``.  ``gap`` is evaluated at exp(t), and at x_inf where t
+    is ``low``.  Returns the ends (lo, hi) once the bracket is at most
+    ``ROOT_RTOL`` wide, or (t, t) at an exact zero."""
     tol = 0.5 * ROOT_RTOL
     c, fc = a, fa
     d = e = b - a
@@ -194,7 +190,7 @@ def _brent(f, a: float, fa: float, b: float, fb: float) -> tuple[float, float]:
             d = e = m
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
+        fb = gap(x_inf if b == low else math.exp(b))
         if fb == 0.0:
             return b, b
 
@@ -256,4 +252,9 @@ def asymptotic_threshold(levels: int, parties: int,
 
 
 def _x_inf(N: int, n: int, k: int) -> float:
-    return (N**n - N**k) / (N**k * (N**n - 1) - N**n * (N**(k - 1) - 1))
+    """The rational of :func:`asymptotic_threshold` with the factor N**k of
+    both sides cancelled, (N**(n-k) - 1) / (N**(n-1) (N - 1) + N**(n-k) - 1):
+    the same value, from smaller integers, in one correctly rounded
+    int / int division."""
+    rest = N ** (n - k) - 1
+    return rest / (N ** (n - 1) * (N - 1) + rest)

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 
-from ._index import (EntropicIndex, Spectrum, _as_index, _branch, _count, _entropy_from_gap,
-                     _Frozen, _log_trace)
+from ._index import Spectrum, _as_index, _branch, _count, _entropy_from_gap, _Frozen, _log_trace
 from .errors import CapacityError, ValidationError
 
 #: Exact multiplicity bookkeeping requires N**n to fit a signed 64-bit int.
@@ -97,27 +96,26 @@ def _party_count(value, parties: int, what: str) -> int:
     return k
 
 
-def _conditioned(parties: int, conditioned_parties: int | None) -> int:
-    return _party_count(parties - 1 if conditioned_parties is None else conditioned_parties,
-                        parties, "conditioned party count")
-
-
 def _family(levels, parties, conditioned_parties: int | None) -> tuple[int, int, int]:
     """Levels N, parties n and conditioned parties k (None means n - 1) as
     ints, under the family's rules: N >= 2, n >= 2, N**n within
-    ``MULTIPLICITY_CAP`` and 1 <= k <= n - 1."""
+    ``MULTIPLICITY_CAP`` and 1 <= k <= n - 1.  With N >= 2 and n >= 2,
+    n >= 64 or N >= 2**32 puts N**n at 2**64 or more, so those are refused
+    before N**n is computed."""
     levels = _count(levels, "levels per party")
     parties = _count(parties, "number of parties")
     if levels < 2:
         raise ValidationError("need at least two levels per party")
     if parties < 2:
         raise ValidationError("need at least two parties")
-    if levels ** parties > MULTIPLICITY_CAP:
+    if parties >= 64 or levels >= 2**32 or levels ** parties > MULTIPLICITY_CAP:
         raise CapacityError("total multiplicity levels**parties exceeds 64-bit integer range")
-    return levels, parties, _conditioned(parties, conditioned_parties)
+    k = _party_count(parties - 1 if conditioned_parties is None else conditioned_parties,
+                     parties, "conditioned party count")
+    return levels, parties, k
 
 
-def _prepared_gap(levels: int, parties: int, k: int, qi: EntropicIndex):
+def _prepared_gap(levels: int, parties: int, k: int, q: float):
     """ln Tr rho**q - ln Tr rho_k**q of the family given k parties, as a
     function of the mixing weight x; at the limit point, the von Neumann
     difference S(rho) - S(rho_k).  The conditional entropy is
@@ -126,14 +124,17 @@ def _prepared_gap(levels: int, parties: int, k: int, qi: EntropicIndex):
     It takes the gap of :func:`qtsallis._index._log_gap` over the two
     closed-form level pairs, both traces in the branch that the joint
     multiplicity N**n picks, with the same values bit for bit.  Everything
-    that does not depend on x (the two sides, the order and the branch) is
-    computed here, once per query, so a root search pays only for the
-    levels and the two log q-traces at each x.  On [x_inf(k), 1] the gap
-    changes sign exactly once (a property test checks this over the whole
-    domain), so one bracket holds the root.
+    that does not depend on x is computed here, once per query: the
+    :func:`_side` triples of the state and of the k-party marginal (built
+    inline), and the order and the branch (:func:`qtsallis._index._branch`
+    of q, a checked float).  So a root search pays only for the levels and
+    the two log q-traces at each x.  On [x_inf(k), 1] the gap changes sign
+    exactly once (a property test checks this over the whole domain), so
+    one bracket holds the root.
     """
-    joint, marginal = _side(levels, parties, 1), _side(levels, k, levels)
-    order, far = _branch(qi, math.log(joint[0]))
+    dim, base = levels ** parties, levels ** k
+    joint, marginal = (dim, 1, 1.0 / dim), (base, levels, 1.0 / (base // levels))
+    order, far = _branch(q, math.log(dim))
 
     def gap(x: float) -> float:
         return (_log_trace(_levels(joint, x), order, far)
@@ -154,7 +155,6 @@ def conditional_entropy_block(params: WernerParams, conditioned_parties: int | N
     if the trace ratio overflows the exponential range (extreme q far from
     the entropy zero); :func:`qtsallis.solver.entropy_sign` holds there.
     """
-    k = _conditioned(params.parties, conditioned_parties)
+    N, n, k = _family(params.levels, params.parties, conditioned_parties)
     qi = _as_index(q)
-    return _entropy_from_gap(
-        _prepared_gap(params.levels, params.parties, k, qi)(params.mixing), qi)
+    return _entropy_from_gap(_prepared_gap(N, n, k, qi.q)(params.mixing), qi)

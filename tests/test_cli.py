@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -126,6 +127,15 @@ def test_threshold_asymptotic_beyond_capacity_exits_one(capsys):
     code, out, err = run(capsys, ["threshold", "--N", "2", "--n", "100", "--asymptotic"])
     assert code == 1
     assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", [["--q", "2"], ["--asymptotic"]])
+def test_threshold_of_an_oversized_family_exits_one_at_once(capsys, which):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["threshold", "--N", "3", "--n", "100000000", *which])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
 
 

@@ -482,7 +482,7 @@ def test_log_traces_match_the_scalar_kernel_row_by_row(stack, q):
     levels, in both branches.  The near branch is compared wherever it is
     well conditioned, ln sum v**q >= -1 (always at q <= 1, where its terms
     are nonnegative).  Beyond that its log1p meets a sum next to -1, and
-    :func:`_far` sends no such row there: it picks the near branch only
+    :func:`_branch` sends no such row there: it picks the near branch only
     where (q - 1) ln(side) <= 1, so that sum v**q >= 1/e on every row of
     that side or less."""
     order = None if EntropicIndex(q).is_limit_point else q

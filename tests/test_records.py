@@ -5,11 +5,12 @@ and copying, and the validation each constructor performs."""
 import copy
 import math
 import pickle
+import time
 
 import pytest
 
 from qtsallis import (CapacityError, EntropicIndex, Spectrum, ThresholdPoint, ValidationError,
-                      WernerParams)
+                      WernerParams, threshold_for_q)
 
 #: (record, an equal record built by keyword, a different record, its
 #: field names, its repr).
@@ -110,3 +111,18 @@ def test_validation_still_fires(build):
 def test_family_beyond_the_multiplicity_cap_is_refused():
     with pytest.raises(CapacityError):
         WernerParams(2, 63, 0.5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: WernerParams(2, 10**8, 0.5),
+    lambda: threshold_for_q(3, 10**8, 2.0),
+    lambda: threshold_for_q(2, 1e300, 2.0),
+    lambda: WernerParams(10**100000, 63, 0.5),
+], ids=["params", "threshold", "float-parties", "huge-levels"])
+def test_oversized_family_is_refused_before_its_dimension(build):
+    # N**n is never computed past 63 parties or from N >= 2**32: 3**(10**8)
+    # alone takes seconds, and so does (10**100000)**63
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        build()
+    assert time.perf_counter() - start < 1.0

@@ -14,11 +14,12 @@ from qtsallis import (CapacityError, MonotonicityError, ThresholdPoint, Validati
                       entropy_sign, quantum_tsallis, spectrum_of, threshold_curve,
                       threshold_for_q, werner_density)
 from qtsallis import solver, werner
-from qtsallis._index import LIMIT_WINDOW, EntropicIndex
+from qtsallis._index import LIMIT_WINDOW, EntropicIndex, _log_gap
 from qtsallis.oracle import _marginal_of
 from qtsallis.solver import _rises
 from helpers import NEAR_ONE, WIDE_FAMILIES, mp_conditional_renyi, mp_threshold
-from solver_budget import MEDIAN_BUDGET, WORST_BUDGET, counted_threshold, domain_queries
+from solver_budget import (FOOTPRINT_BUDGET, MEDIAN_BUDGET, WORST_BUDGET, counted_threshold,
+                           domain_queries, footprint)
 
 
 def _max_levels(parties):
@@ -171,6 +172,69 @@ def test_gap_evaluations_over_the_budget_sample():
     assert counts[-1] <= WORST_BUDGET
 
 
+def test_counted_evaluations_are_half_the_log_traces(monkeypatch):
+    # each gap evaluation takes two log q-traces, so a count that saw
+    # fewer evaluations than the solver made would show here
+    calls = []
+    trace = werner._log_trace
+
+    def counting(levels, order, far):
+        calls.append(order)
+        return trace(levels, order, far)
+
+    monkeypatch.setattr(werner, "_log_trace", counting)
+    queries = domain_queries(100) + [(2, 3, 2, q) for q in NEAR_ONE] + [(2, 62, 61, 1e4)]
+    for query in queries:
+        calls.clear()
+        _, evaluations = counted_threshold(*query)
+        assert len(evaluations) >= 1
+        assert len(calls) == 2 * len(evaluations)
+
+
+#: One query of each kind: q < 1, the limit point, a root that Brent's
+#: method closes, an exact zero, conditioning on k < n - 1, and an order
+#: far out.
+FOOTPRINT_QUERIES = ((2, 3, 2, 0.5), (2, 3, 2, 1.0), (3, 4, 3, 2.0), (2, 62, 61, 1e4),
+                     (4, 6, 2, 30.0), (16, 15, 3, 1e6))
+
+
+@pytest.mark.parametrize("levels,parties,k,q", FOOTPRINT_QUERIES)
+def test_threshold_footprint(levels, parties, k, q):
+    # the distinct Python functions a warm query enters, and the records it
+    # builds: only the ThresholdPoint it returns
+    point = threshold_for_q(levels, parties, q, conditioned_parties=k)
+    entered, records = footprint(levels, parties, k, q)
+    assert len(entered) <= FOOTPRINT_BUDGET, sorted(name for _, _, name in entered)
+    assert records == 1
+    assert threshold_for_q(levels, parties, q, conditioned_parties=k) == point
+
+
+def test_footprint_queries_cover_brent_and_an_exact_zero():
+    assert "_brent" in {name for _, _, name in footprint(3, 4, 3, 2.0)[0]}
+    assert threshold_for_q(2, 62, 1e4).bracket_width == 0.0
+
+
+def _x_inf_full(N, n, k):
+    """The rational of x_inf(k) before the common factor N**k cancels."""
+    return (N**n - N**k) / (N**k * (N**n - 1) - N**n * (N**(k - 1) - 1))
+
+
+@given(families, whole_orders,
+       st.one_of(st.sampled_from((0.0, None, 1.0 - 2.0**-40, 1.0)), st.floats(0.0, 1.0)))
+@settings(deadline=None)
+def test_prepared_gap_is_the_one_q_trace_rule(family, q, x):
+    # the prepared gap of the family against the shared gap of _index on
+    # the closed-form levels, bit for bit; None stands for x_inf(k)
+    levels, parties, k = family
+    x_inf = solver._x_inf(levels, parties, k)
+    assert x_inf == _x_inf_full(levels, parties, k)
+    x = x_inf if x is None else x
+    expected = _log_gap(werner._levels(werner._side(levels, parties, 1), x),
+                        werner._levels(werner._side(levels, k, levels), x),
+                        EntropicIndex(q), math.log(levels ** parties))
+    assert werner._prepared_gap(levels, parties, k, q)(x) == expected
+
+
 def _bisected_root(gap, x_inf, below_positive):
     """The root of ``gap`` on [x_inf, 1] by plain bisection in ln x, to
     1e-15 in ln x."""
@@ -195,7 +259,7 @@ def test_root_rests_on_a_verified_bracket(family, q):
     levels, parties, k = family
     point, evaluations = counted_threshold(levels, parties, k, q)
     qi = EntropicIndex(q)
-    gap = werner._prepared_gap(levels, parties, k, qi)
+    gap = werner._prepared_gap(levels, parties, k, q)
     x_inf = asymptotic_threshold(levels, parties, k)
     assert point.x_star is not None and point.x_star >= x_inf
     if point.bracket_width == 0.0:
