@@ -104,9 +104,10 @@ def werner_density(params: WernerParams) -> DensityMatrix:
     (1 - x) plus the GHZ projector of weight x, which is x/N on every entry
     of the all-equal block.  Cross-check scale only: a member above
     ``DENSE_DIM_CAP`` is refused before anything is allocated.  The state
-    adopts the matrix built here without a copy, and each marginal of
-    :func:`verify_family` is traced from the one before, so certifying a
-    member allocates at most about 1.5 times the member's own bytes."""
+    adopts the matrix built here, symmetric by construction, without a copy
+    or a Hermitian check, and each marginal of :func:`verify_family` is
+    traced from the one before, so certifying a member allocates at most
+    about 1.5 times the member's own bytes."""
     dim = params.total_dim
     _refuse_above_cap(dim)
     entries = np.zeros((dim, dim))
@@ -258,12 +259,16 @@ def verify_separable_witness(trials: int, seed: int) -> VerificationReport:
     ``einsum`` over the trials' terms, padded to ``_MAX_TERMS`` with zero
     weights, which add exact zeros; each closed marginal is one ``np.dot``
     of its weights.  The joints, closed marginals and the joints' partial
-    traces of a shape form one stack apiece, checked and eigendecomposed in
-    one call (:func:`qtsallis.quantum._checked_eigenvalues`), with the same
+    traces of a shape form one stack apiece, checked for trace and
+    positivity and eigendecomposed in one call
+    (:func:`qtsallis.quantum._checked_eigenvalues`), with the same
     eigenvalues, bit for bit, as each trial's states built alone.  The
-    eigenvalue rows then take numpy log q-traces, a stack at a time per
-    order, unfolded (:func:`_witness_rows`), so the values can differ by a
-    few ulps from ``quantum_conditional`` on each trial's spectra.
+    stacks are Hermitian by construction and skip that check, which
+    ``test_witness_stacks_pass_the_hermitian_check`` runs on every member
+    in its place.  The eigenvalue rows then take numpy log q-traces, a
+    stack at a time per order, unfolded (:func:`_witness_rows`), so the
+    values can differ by a few ulps from ``quantum_conditional`` on each
+    trial's spectra.
     """
     trials, seed = _count(trials, "trial count"), _count(seed, "seed")
     if trials < 1:

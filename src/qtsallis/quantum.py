@@ -8,18 +8,21 @@ as the closed forms give, by the q-trace rule of
 neither underflow nor overflow for q up to about 1e6, and lose nothing
 next to q = 1.  The family's own entropies and thresholds do not come
 through here: :mod:`qtsallis.werner` evaluates them in closed form.
-The state checks and the partial trace also take stacks of same-shaped
-matrices, so the separable witness of :mod:`qtsallis.oracle` checks and
-decomposes its mixtures one stack per shape, through the checks of
-:class:`DensityMatrix`, takes their log q-traces one stack at a time
-(:func:`_log_traces`, the numpy twin of the rule's kernel, in the order
-and branch that :mod:`qtsallis._index` picks, on logs taken once per
-stack by :func:`_logged`) and turns their gaps into entropies one array
-at a time (:func:`_entropies_from_gaps`).  No check
-makes a temporary of the state's size: Hermiticity is read in row blocks, and
-the states that this package builds itself (a family member, a partial
-trace, a tensor product) are adopted, not copied, so a state costs about
-its own bytes once built.
+The trace and positivity checks and the partial trace also take stacks
+of same-shaped matrices, so the separable witness of
+:mod:`qtsallis.oracle` checks and decomposes its mixtures one stack per
+shape, takes their log q-traces one stack at a time (:func:`_log_traces`,
+the numpy twin of the rule's kernel, in the order and branch that
+:mod:`qtsallis._index` picks, on logs taken once per stack by
+:func:`_logged`) and turns their gaps into entropies one array at a time
+(:func:`_entropies_from_gaps`).  Hermiticity is checked only where a
+caller's array comes in, by the public :class:`DensityMatrix`
+constructor, in square tiles (:func:`_check_hermitian`).  The states that
+this package builds itself (a family member, a partial trace, a tensor
+product) and the witness stacks are Hermitian by construction: they are
+adopted, not copied, and not checked for it, and tier-1 tests assert that
+each of them passes :func:`_check_hermitian`.  No check makes a temporary
+of the state's size, so a state costs about its own bytes once built.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ DENSE_DIM_CAP = 4096
 #: eigenvalue), the eigensolver's own error bound, fold into one level.
 SPECTRUM_MERGE_SCALE = 8
 HERMITIAN_TOL = 1e-12
-#: Entries per row block of the Hermitian check (:func:`_check_hermitian`):
-#: 128 KiB of doubles, so its temporaries stay small beside a large state.
-_CHECK_BLOCK = 1 << 14
+#: Side of the square tiles of the Hermitian check (:func:`_check_hermitian`):
+#: 32 KiB of doubles a tile, so its temporaries stay small beside a large state.
+_CHECK_TILE = 64
 
 
 def _refuse_above_cap(side: int) -> None:
@@ -61,8 +64,9 @@ class DensityMatrix:
     in which case they stay complex128, so ``np.linalg.eigvalsh`` takes the
     real symmetric solver for every real state (complex-typed input with
     zero imaginary parts included) and the complex Hermitian one otherwise.
-    Construction validates every invariant, positivity included, from the
-    state's eigenvalues (:func:`_checked_eigenvalues`), which it keeps
+    Construction validates every invariant: Hermiticity of the caller's
+    array (:func:`_check_hermitian`), then the trace and positivity from
+    the state's eigenvalues (:func:`_checked_eigenvalues`), which it keeps
     ascending and read-only as ``eigenvalues``.  Only the coupled block is
     eigendecomposed (see :func:`_eigenvalues`): indices with no nonzero
     off-diagonal entry give their diagonal entries exactly, and the rest
@@ -70,9 +74,10 @@ class DensityMatrix:
     decohered marginal none, while a state with coherences everywhere is
     decomposed whole.  The public constructor copies the caller's array;
     the package's own constructions hand over the fresh array they built
-    (:meth:`_adopt`), through the same checks.  Either way ``entries`` is
-    read-only.  This type is meant for cross-check scale (side up to
-    ``DENSE_DIM_CAP``), not production entropy queries.
+    (:meth:`_adopt`), Hermitian by construction, through every check but
+    the Hermitian one.  Either way ``entries`` is read-only.  This type is
+    meant for cross-check scale (side up to ``DENSE_DIM_CAP``), not
+    production entropy queries.
     """
 
     dims: tuple[int, ...]
@@ -80,21 +85,24 @@ class DensityMatrix:
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._settle(self.dims, self.entries, np.array)
+        self._settle(self.dims, self.entries, trusted=False)
 
     @classmethod
     def _adopt(cls, dims: tuple[int, ...], entries: np.ndarray) -> DensityMatrix:
         """The state of a fresh array that only the caller holds, taken
-        without a copy and made read-only, through every check of the
-        public constructor."""
+        without a copy and made read-only.  The array is Hermitian by
+        construction, so it skips only the Hermitian check of the public
+        constructor; ``test_internal_constructions_pass_the_hermitian_check``
+        and ``test_partial_trace_and_tensor_product_stay_hermitian`` assert
+        that every such construction would pass it."""
         rho = object.__new__(cls)
-        rho._settle(dims, entries, np.ascontiguousarray)
+        rho._settle(dims, entries, trusted=True)
         return rho
 
-    def _settle(self, dims, entries, take) -> None:
+    def _settle(self, dims, entries, trusted: bool) -> None:
         """Validate and set the fields, taking the entries in their final
-        dtype through ``take``: ``np.array`` copies, ``np.ascontiguousarray``
-        adopts."""
+        dtype: a caller's array is copied and checked Hermitian, a
+        ``trusted`` one is adopted."""
         dims = tuple(_count(d, "subsystem dimension") for d in dims)
         if not dims or any(d < 1 for d in dims):
             raise ValidationError("subsystem dimensions must be positive integers")
@@ -103,10 +111,13 @@ class DensityMatrix:
         entries = np.asarray(entries)
         if np.iscomplexobj(entries) and not entries.imag.any():
             entries = entries.real
+        take = np.ascontiguousarray if trusted else np.array
         entries = take(entries, dtype=np.result_type(entries, float))
         if entries.shape != (side, side):
             raise ValidationError(
                 f"expected a {side}x{side} matrix, got shape {entries.shape}")
+        if not trusted:
+            _check_hermitian(entries)
         eigenvalues = _checked_eigenvalues(entries)
         entries.flags.writeable = False
         eigenvalues.flags.writeable = False
@@ -120,17 +131,19 @@ class DensityMatrix:
 
 
 def _checked_eigenvalues(stack: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a matrix, or of each matrix of a stack
-    (..., s, s), once every member has passed the checks of a state:
-    Hermitian within ``HERMITIAN_TOL``, trace within ``TRACE_TOL`` of 1 and
+    """Ascending eigenvalues of a Hermitian matrix, or of each matrix of a
+    stack (..., s, s), once every member has passed the trace and
+    positivity checks of a state: trace within ``TRACE_TOL`` of 1 and
     smallest eigenvalue at least ``PSD_FLOOR``.  A failing trace is quoted
     from the first member that fails, a failing eigenvalue is the smallest
-    of all.  Hermiticity is checked in row blocks of the upper triangle
-    (:func:`_check_hermitian`), so no check copies the stack.  A single
+    of all.  Hermiticity is the caller's to check: the public constructor
+    runs :func:`_check_hermitian` first, and the package's own states and
+    the witness stacks are Hermitian by construction, which
+    ``test_internal_constructions_pass_the_hermitian_check`` and
+    ``test_witness_stacks_pass_the_hermitian_check`` assert.  A single
     matrix is split by :func:`_eigenvalues`; a stack takes one ``eigvalsh``
     whole.
     """
-    _check_hermitian(stack)
     for trace in np.trace(stack, axis1=-2, axis2=-1).reshape(-1).tolist():
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace is {complex(trace)!r}, expected 1")
@@ -145,28 +158,26 @@ def _checked_eigenvalues(stack: np.ndarray) -> np.ndarray:
     return eigenvalues
 
 
-def _check_hermitian(stack: np.ndarray) -> None:
-    """Refuse a matrix, or a stack, with some |a - a^H| above
-    ``HERMITIAN_TOL``, over the upper triangle one row block at a time.
+def _check_hermitian(entries: np.ndarray) -> None:
+    """Refuse a matrix with some |a - a^H| above ``HERMITIAN_TOL``, one
+    square tile of the upper triangle at a time.
 
-    Rows i:j from the diagonal on, ``stack[..., i:j, i:]``, meet the
-    conjugate transpose of the matching column block ``stack[..., i:, i:j]``,
-    so every pair of mirrored entries is compared once and the maximum is
-    that of the whole matrix.  Each block holds about ``_CHECK_BLOCK``
-    entries over all members, so no temporary grows with the state, and a
-    real matrix is never conjugated.
+    Each tile ``entries[i:i + t, j:j + t]`` with j >= i meets the conjugate
+    transpose of its mirrored tile ``entries[j:j + t, i:i + t]``, so every
+    pair of mirrored entries is compared once, the maximum is that of the
+    whole matrix, and both tiles are read row by row.  Tiles have side
+    ``_CHECK_TILE``, so no temporary grows with the state, and a real
+    matrix is never conjugated.
     """
-    side = stack.shape[-1]
-    members = max(1, math.prod(stack.shape[:-2]))
-    start = 0
-    while start < side:
-        stop = start + max(1, _CHECK_BLOCK // (members * (side - start)))
-        mirror = stack[..., start:, start:stop].swapaxes(-1, -2)
-        if np.iscomplexobj(mirror):
-            mirror = mirror.conj()
-        if np.max(np.abs(stack[..., start:stop, start:] - mirror)) > HERMITIAN_TOL:
-            raise ValidationError("matrix is not Hermitian within tolerance")
-        start = stop
+    side, tile = len(entries), _CHECK_TILE
+    conjugate = np.iscomplexobj(entries)
+    for i in range(0, side, tile):
+        for j in range(i, side, tile):
+            mirror = entries[j:j + tile, i:i + tile].T
+            if conjugate:
+                mirror = mirror.conj()
+            if np.max(np.abs(entries[i:i + tile, j:j + tile] - mirror)) > HERMITIAN_TOL:
+                raise ValidationError("matrix is not Hermitian within tolerance")
 
 
 def _eigenvalues(entries: np.ndarray) -> np.ndarray:

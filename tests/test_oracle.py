@@ -14,6 +14,7 @@ from qtsallis import (Comparison, DensityMatrix, ValidationError, VerificationRe
                       WernerParams, default_family_grid, joint_spectrum, partial_trace,
                       quantum_conditional, spectrum_of, verify_family,
                       verify_separable_witness, werner_density)
+from qtsallis import oracle, quantum
 from qtsallis.oracle import (AGREEMENT_TOL, NONNEG_FLOOR, WITNESS_ORDERS, _marginal_of,
                              _witness_rows)
 from helpers import record_eigvalsh
@@ -72,6 +73,44 @@ def test_chained_marginals_match_marginals_of_the_full_state(levels, parties):
         direct = _marginal_of(joint, params, m)
         assert state.dims == direct.dims == (levels,) * m
         assert spectrum_of(state).levels == spectrum_of(direct).levels
+
+
+#: The family members of the benchmark's certify workload, beside the default grid.
+CERTIFY_MEMBERS = ((3, 6), (5, 4), (2, 9), (2, 8), (4, 4), (3, 4), (2, 5))
+
+
+@pytest.mark.parametrize("grid", [
+    default_family_grid(),
+    *([WernerParams(levels, parties, x) for x in (0.05, 0.37, 0.95)]
+      for levels, parties in CERTIFY_MEMBERS)],
+    ids=["default-grid", *(f"{levels}^{parties}" for levels, parties in CERTIFY_MEMBERS)])
+def test_internal_constructions_pass_the_hermitian_check(grid):
+    # the runtime check that adopted states skip: each member and each marginal traced from
+    # it, as verify_family builds them, within the bound of the public constructor
+    for params in grid:
+        state = werner_density(params)
+        quantum._check_hermitian(state.entries)
+        for m in range(params.parties - 1, 0, -1):
+            state = _marginal_of(state, params, m)
+            quantum._check_hermitian(state.entries)
+
+
+@pytest.mark.parametrize("trials", [1, 350])
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_witness_stacks_pass_the_hermitian_check(trials, seed, monkeypatch):
+    checked, stacks = oracle._checked_eigenvalues, []
+
+    def recording(stack):
+        stacks.append(stack)
+        return checked(stack)
+
+    monkeypatch.setattr(oracle, "_checked_eigenvalues", recording)
+    assert verify_separable_witness(trials, seed).passed
+    assert stacks and all(stack.ndim == 3 for stack in stacks)
+    assert sum(len(stack) for stack in stacks) == 3 * trials  # joint, closed, traced
+    for stack in stacks:
+        for member in stack:
+            quantum._check_hermitian(member)
 
 
 @pytest.mark.parametrize("levels,parties", [(2, 4), (3, 3)])

@@ -1,5 +1,6 @@
 """Density-matrix algebra, spectra, and quantum conditional entropies."""
 
+import itertools
 import math
 import warnings
 
@@ -83,7 +84,6 @@ def _off_trace(m):
 
 
 @pytest.mark.parametrize("spoil,message", [
-    (_off_hermitian, "not Hermitian"),
     (_off_trace, "trace is"),
     (lambda m: _with_lowest_eigenvalue(np.random.default_rng(2), -1e-9), "positive semidefinite"),
 ])
@@ -139,12 +139,15 @@ def test_blocked_hermitian_check_conjugates_complex_entries():
         DensityMatrix((3,) * 5, twin)
 
 
-def test_blocked_hermitian_check_refuses_a_stack_whose_last_member_is_off():
-    members = np.stack([np.eye(243) / 243] * 3)
-    assert quantum._checked_eigenvalues(members).shape == (3, 243)
-    members[2, 242, 0] += 1e-11
-    with pytest.raises(ValidationError, match="not Hermitian"):
-        quantum._checked_eigenvalues(members)
+def test_tiled_hermitian_check_refuses_one_asymmetry_in_any_tile():
+    # side 243 is three full tiles and a ragged one; one entry of each tile pair, either side
+    side, tile = 243, quantum._CHECK_TILE
+    quantum._check_hermitian(np.eye(side) / side)
+    for i in range(0, side, tile):
+        for j in range(i, side, tile):
+            for where in ((i, min(j + tile, side) - 1), (min(j + tile, side) - 1, i)):
+                with pytest.raises(ValidationError, match="not Hermitian"):
+                    quantum._check_hermitian(_uniform_with(side, where, 1e-11))
 
 
 def _permuted_block_state(rng, sizes, zeros, complex_entries):
@@ -211,9 +214,23 @@ def test_internal_constructions_adopt_read_only_entries():
             state.entries[0, 0] = 1.0
 
 
-def test_adopted_entries_keep_every_check():
-    with pytest.raises(ValidationError, match="not Hermitian"):
-        DensityMatrix._adopt((2,), np.array([[0.5, 0.1], [0.3, 0.5]]))
+def test_public_checks_fire_in_order():
+    # the stacked check reads eigenvalues only: Hermiticity is checked where a caller's array
+    # comes in, and the witness stacks are Hermitian by construction (test_oracle)
+    member = _off_hermitian(_with_lowest_eigenvalue(np.random.default_rng(1), 0.2))
+    off = [[0.5, 0.1], [0.3, 0.5]]
+    for dims, entries in (((3,), member), ((2,), off)):
+        with pytest.raises(ValidationError, match="^matrix is not Hermitian within tolerance$"):
+            DensityMatrix(dims, entries)
+    with pytest.raises(ValidationError, match="^matrix is not Hermitian"):
+        DensityMatrix((2,), np.multiply(off, 3))  # before the trace
+    with pytest.raises(ValidationError, match="expected a 3x3 matrix"):
+        DensityMatrix((3,), off)  # the shape before Hermiticity
+
+
+def test_adopted_entries_keep_the_shape_trace_and_psd_checks():
+    # the package adopts only arrays that are Hermitian by construction, so Hermiticity is
+    # checked by the public constructor alone (test_public_checks_fire_in_order)
     with pytest.raises(ValidationError, match="trace is"):
         DensityMatrix._adopt((2,), np.eye(2))
     with pytest.raises(ValidationError, match="positive semidefinite"):
@@ -292,6 +309,21 @@ def test_partial_trace_middle_subsystem():
     tau = random_density(rng, (2,))
     prod = tensor_product(tensor_product(rho, sigma), tau)
     npt.assert_allclose(partial_trace(prod, {1}).entries, sigma.entries, atol=1e-12)
+
+
+@given(dims=st.lists(st.integers(2, 3), min_size=1, max_size=3),
+       other=st.lists(st.integers(2, 3), min_size=1, max_size=2), seed=st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=60)
+def test_partial_trace_and_tensor_product_stay_hermitian(dims, other, seed):
+    # both adopt their results unchecked: from checked complex states they must pass the check
+    rng = np.random.default_rng(seed)
+    rho, sigma = random_density(rng, dims), random_density(rng, other)
+    assert np.iscomplexobj(rho.entries) and np.iscomplexobj(sigma.entries)
+    for size in range(1, len(dims) + 1):
+        for keep in itertools.combinations(range(len(dims)), size):
+            quantum._check_hermitian(partial_trace(rho, keep).entries)
+    quantum._check_hermitian(tensor_product(rho, sigma).entries)
+    quantum._check_hermitian(tensor_product(sigma, rho).entries)
 
 
 @pytest.mark.parametrize("dims", [(2.5, 2), (2, math.nan)])
