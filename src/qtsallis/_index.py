@@ -3,11 +3,11 @@ layer: integral counts, probabilities, (eigenvalue, multiplicity) levels
 (:class:`Spectrum`, for closed forms and dense states alike), and the one
 q-trace rule (near/far predicate, log q-trace kernel, gap -> entropy
 step) of every classical, dense and closed-form entropy and conditional
-entropy.  Only this module checks an order (:func:`_order`, which
-:class:`EntropicIndex` and the threshold solver call) and picks the
-order and the branch of a conditional (:func:`_branch`, from q as a
-float).  :func:`_log_gap`, :func:`_conditionals`
-(one joint against several marginals) and the family's prepared gap in
+entropy.  Only this module checks an order (:func:`_order`, once per
+public call) and decides the limit point and the branch (:func:`_branch`,
+whose order is None at the limit point); every layer below passes that
+float or that order, never an :class:`EntropicIndex`.  :func:`_conditionals`
+(one joint against a list of marginals) and the family's prepared gap in
 :mod:`qtsallis.werner` take them from here, and so does the separable
 witness for ``quantum._log_traces``, the numpy twin of
 :func:`_log_trace` over whole stacks of eigenvalue rows.  Plain Python
@@ -110,20 +110,18 @@ class Spectrum(_Frozen):
     def __init__(self, levels: tuple[tuple[float, int], ...]) -> None:
         cleaned = []
         for eigenvalue, multiplicity in levels:
-            mult = int(multiplicity)
+            mult = _count(multiplicity, "multiplicity")
             value = float(eigenvalue)
             if mult < 1:
                 raise ValidationError("multiplicities must be positive integers")
-            if value < PSD_FLOOR:
-                raise ValidationError(f"eigenvalue {value} is negative beyond tolerance")
-            if value > 1.0 + 1e-10:
-                raise ValidationError(f"eigenvalue {value} exceeds 1")
+            if not PSD_FLOOR <= value <= 1.0 + 1e-10:  # nan fails too
+                raise ValidationError(f"eigenvalue {value} lies outside [0, 1] beyond tolerance")
             cleaned.append((min(max(value, 0.0), 1.0), mult))
         if not cleaned:
             raise ValidationError("spectrum must carry at least one level")
         cleaned.sort(key=lambda level: -level[0])
         weight = math.fsum(value * mult for value, mult in cleaned)
-        if abs(weight - 1.0) > TRACE_TOL:
+        if not abs(weight - 1.0) <= TRACE_TOL:
             raise ValidationError(
                 f"eigenvalues weighted by multiplicity sum to {weight!r}, expected 1")
         object.__setattr__(self, "levels", tuple(cleaned))
@@ -149,10 +147,6 @@ def _order(q) -> float:
     if not math.isfinite(value) or value <= 0.0:
         raise ValidationError(f"entropic index must be a positive finite real, got {q!r}")
     return value
-
-
-def _as_index(q) -> EntropicIndex:
-    return q if isinstance(q, EntropicIndex) else EntropicIndex(float(q))
 
 
 def _count(value, what: str) -> int:
@@ -217,41 +211,31 @@ def _log_trace(levels, q: float | None, far: bool) -> float:
     return math.log1p(math.fsum(excess))
 
 
-def _log_gap(joint, marginal, qi: EntropicIndex, log_count: float) -> float:
-    """ln Tr joint**q - ln Tr marginal**q over levels, both in the branch of
-    the joint's total multiplicity exp(``log_count``); at the limit point,
-    the von Neumann difference."""
-    order, far = _branch(qi.q, log_count)
-    return _log_trace(joint, order, far) - _log_trace(marginal, order, far)
-
-
-def _conditional(joint, marginal, qi: EntropicIndex, log_count: float) -> float:
-    """Ratio form [Tr joint**q / Tr marginal**q - 1] / (1 - q) of :func:`_log_gap`."""
-    return _entropy_from_gap(_log_gap(joint, marginal, qi, log_count), qi)
-
-
-def _conditionals(joint, marginals, qi: EntropicIndex, log_count: float) -> list[float]:
-    """:func:`_conditional` of one joint given each of ``marginals``, in the
-    order and branch that :func:`_log_gap` takes, with the joint's log
-    q-trace taken once for all of them."""
-    order, far = _branch(qi.q, log_count)
+def _conditionals(joint, marginals, q: float, log_count: float) -> list[float]:
+    """[Tr joint**q / Tr m**q - 1] / (1 - q) for each m of ``marginals``
+    (levels all), from log q-traces in the branch of the joint's total
+    multiplicity exp(``log_count``), the joint's taken once; at the limit
+    point, the von Neumann differences."""
+    order, far = _branch(q, log_count)
     joint_trace = _log_trace(joint, order, far)
-    return [_entropy_from_gap(joint_trace - _log_trace(m, order, far), qi) for m in marginals]
+    return [_entropy_from_gap(joint_trace - _log_trace(m, order, far), order) for m in marginals]
 
 
-def _entropy_from_gap(gap: float, qi: EntropicIndex) -> float:
-    """expm1(gap) / (1 - q) for a gap of log q-traces, +/-inf where expm1
-    overflows; at the limit point the gap is the von Neumann value itself."""
-    if qi.is_limit_point:
+def _entropy_from_gap(gap: float, order: float | None) -> float:
+    """expm1(gap) / (1 - q) for a gap of log q-traces at the ``order`` of
+    :func:`_branch`, +/-inf where expm1 overflows; at the limit point
+    (``order`` None) the gap is the von Neumann value itself."""
+    if order is None:
         return gap
     try:
-        return math.expm1(gap) / (1.0 - qi.q)
+        return math.expm1(gap) / (1.0 - order)
     except OverflowError:
-        return math.copysign(math.inf, 1.0 - qi.q)
+        return math.copysign(math.inf, 1.0 - order)
 
 
-def _entropy_of(p: list[float], qi: EntropicIndex) -> float:
+def _entropy_of(p: list[float], q: float) -> float:
     """Order-q entropy of a probability vector, from multiplicity-1 levels in
     the branch that the count of nonzero entries picks (zeros change nothing)."""
     live = [(v, 1) for v in p if v > 0.0]
-    return _entropy_from_gap(_log_trace(live, *_branch(qi.q, math.log(len(live)))), qi)
+    order, far = _branch(q, math.log(len(live)))
+    return _entropy_from_gap(_log_trace(live, order, far), order)

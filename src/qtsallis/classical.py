@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._index import (EntropicIndex, _as_index, _conditional, _count, _entropy_of,
-                     _probabilities)
+from ._index import EntropicIndex  # noqa: F401  (kept importable from here)
+from ._index import _branch, _conditionals, _count, _entropy_of, _order, _probabilities
 from .errors import NumericalError, ValidationError
 
 #: Bound between each chain link's definition and ratio forms, relative to
@@ -99,7 +99,7 @@ def tsallis_entropy(p, q) -> float:
     Zero-probability outcomes contribute nothing (0**q := 0 for q > 0).
     At the q -> 1 limit point this is the Shannon entropy -sum p ln p.
     """
-    return _entropy_of(_as_prob(p).p.tolist(), _as_index(q))
+    return _entropy_of(_as_prob(p).p.tolist(), _order(q))
 
 
 def escort(p, q) -> ProbDist:
@@ -109,8 +109,8 @@ def escort(p, q) -> ProbDist:
     the identity.
     """
     dist = _as_prob(p)
-    qi = _as_index(q)
-    return dist if qi.is_limit_point else ProbDist(_escort_weights(dist.p, qi.q))
+    order = _branch(_order(q), 0.0)[0]
+    return dist if order is None else ProbDist(_escort_weights(dist.p, order))
 
 
 def _escort_weights(mass: np.ndarray, q: float) -> np.ndarray:
@@ -130,7 +130,7 @@ def q_expectation(values, p, q) -> float:
     return float(np.dot(vals, escort(dist, q).p))
 
 
-def _conditional_from_matrix(mat: np.ndarray, qi: EntropicIndex) -> float:
+def _conditional_from_matrix(mat: np.ndarray, q: float) -> float:
     """Escort-weighted average of conditional-slice entropies.
 
     Rows of ``mat`` are the conditioning outcomes; rows with zero mass are
@@ -138,10 +138,11 @@ def _conditional_from_matrix(mat: np.ndarray, qi: EntropicIndex) -> float:
     """
     row_mass = mat.sum(axis=1)
     rows = np.nonzero(row_mass > 0.0)[0]
-    weights = row_mass[rows] if qi.is_limit_point else _escort_weights(row_mass[rows], qi.q)
+    order = _branch(q, 0.0)[0]
+    weights = row_mass[rows] if order is None else _escort_weights(row_mass[rows], order)
     acc = 0.0
     for weight, i in zip(weights, rows):
-        acc += weight * _entropy_of((mat[i] / row_mass[i]).tolist(), qi)
+        acc += weight * _entropy_of((mat[i] / row_mass[i]).tolist(), q)
     return float(acc)
 
 
@@ -151,10 +152,10 @@ def conditional_entropy_def(joint: JointDist, q) -> float:
     Defined as the escort-weighted average of the order-q entropies of the
     conditional slices p(second | first = i).
     """
-    qi = _as_index(q)
+    q = _order(q)
     if joint.subsystems() != 2:
         raise ValidationError("joint distribution must have exactly two subsystems")
-    return _conditional_from_matrix(joint.array, qi)
+    return _conditional_from_matrix(joint.array, q)
 
 
 def conditional_entropy_ratio(joint: JointDist, q) -> float:
@@ -166,18 +167,18 @@ def conditional_entropy_ratio(joint: JointDist, q) -> float:
     [Tr p**q / Tr p_first**q - 1] / (1 - q) from log q-traces, as the
     denominator Tr p_first**q underflows at large q.
     """
-    qi = _as_index(q)
+    q = _order(q)
     if joint.subsystems() != 2:
         raise ValidationError("joint distribution must have exactly two subsystems")
-    return _given(joint.p, joint.array.sum(axis=1), qi)
+    return _given(joint.p, joint.array.sum(axis=1), q)
 
 
-def _given(joint: np.ndarray, marginal: np.ndarray, qi: EntropicIndex) -> float:
+def _given(joint: np.ndarray, marginal: np.ndarray, q: float) -> float:
     """Ratio form of the flat ``joint`` given its ``marginal``, in the branch
     that the joint's count of nonzero entries picks."""
     live = joint[joint > 0.0].tolist()
-    return _conditional([(v, 1) for v in live], [(v, 1) for v in marginal.tolist()], qi,
-                        math.log(len(live)))
+    return _conditionals([(v, 1) for v in live], [[(v, 1) for v in marginal.tolist()]], q,
+                         math.log(len(live)))[0]
 
 
 def compose_pseudoadditive(entropy_first, entropy_second_given_first, q) -> float:
@@ -185,10 +186,10 @@ def compose_pseudoadditive(entropy_first, entropy_second_given_first, q) -> floa
 
     Reduces to plain addition at the q -> 1 limit point.
     """
-    qi = _as_index(q)
+    order = _branch(_order(q), 0.0)[0]
     s1 = float(entropy_first)
     s2 = float(entropy_second_given_first)
-    one_minus_q = 0.0 if qi.is_limit_point else 1.0 - qi.q
+    one_minus_q = 0.0 if order is None else 1.0 - order
     return s1 + s2 + one_minus_q * s1 * s2
 
 
@@ -219,30 +220,31 @@ def tripartite_chain(joint: JointDist, q) -> ChainDecomposition:
     (Tr p_BC**q / Tr p_C**q) (Tr p_ABC**q / Tr p_BC**q), so the chain rule
     holds exactly when both links agree.
     """
-    qi = _as_index(q)
+    q = _order(q)
     if joint.subsystems() != 3:
         raise ValidationError("joint distribution must have exactly three subsystems")
     arr = joint.array
     d_a, d_b, d_c = arr.shape
 
-    s_abc = _entropy_of(joint.p.tolist(), qi)
+    s_abc = _entropy_of(joint.p.tolist(), q)
     pair_bc = arr.sum(axis=0)
-    s_bc = _entropy_of(pair_bc.reshape(-1).tolist(), qi)
-    s_c = _entropy_of(pair_bc.sum(axis=0).tolist(), qi)
+    s_bc = _entropy_of(pair_bc.reshape(-1).tolist(), q)
+    s_c = _entropy_of(pair_bc.sum(axis=0).tolist(), q)
 
     s_a_given_bc = _conditional_from_matrix(
-        arr.transpose(1, 2, 0).reshape(d_b * d_c, d_a), qi)
-    s_b_given_c = _conditional_from_matrix(pair_bc.T, qi)
+        arr.transpose(1, 2, 0).reshape(d_b * d_c, d_a), q)
+    s_b_given_c = _conditional_from_matrix(pair_bc.T, q)
 
     chained = compose_pseudoadditive(
-        compose_pseudoadditive(s_c, s_b_given_c, qi), s_a_given_bc, qi)
+        compose_pseudoadditive(s_c, s_b_given_c, q), s_a_given_bc, q)
     residual = abs(s_abc - chained)
 
-    rel = max(CHAIN_TOL, 8.0 * qi.q * sys.float_info.epsilon)
+    rel = max(CHAIN_TOL, 8.0 * q * sys.float_info.epsilon)
+    limit = _branch(q, 0.0)[0] is None
     for name, direct, ratio in (
-            ("S_q(A|B,C)", s_a_given_bc, _given(joint.p, pair_bc.reshape(-1), qi)),
-            ("S_q(B|C)", s_b_given_c, _given(pair_bc.reshape(-1), pair_bc.sum(axis=0), qi))):
-        size = 1.0 if qi.is_limit_point else min(1.0, 2.0 / abs(1.0 - qi.q) + abs(ratio))
+            ("S_q(A|B,C)", s_a_given_bc, _given(joint.p, pair_bc.reshape(-1), q)),
+            ("S_q(B|C)", s_b_given_c, _given(pair_bc.reshape(-1), pair_bc.sum(axis=0), q))):
+        size = 1.0 if limit else min(1.0, 2.0 / abs(1.0 - q) + abs(ratio))
         if abs(direct - ratio) > rel * size:
             raise NumericalError(
                 f"chain link drifted: {name} by definition {direct!r} vs ratio form {ratio!r}")

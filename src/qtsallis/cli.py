@@ -19,7 +19,7 @@ import contextlib
 import math
 import sys
 
-from ._index import _as_index, _entropy_of, _probabilities
+from ._index import _entropy_of, _order, _probabilities
 from .errors import QTsallisError, ValidationError
 from .solver import asymptotic_threshold, threshold_curve, threshold_for_q
 from .werner import WernerParams, conditional_entropy_block
@@ -67,7 +67,7 @@ def _cmd_entropy(args) -> int:
         print("error: --condition-on requires --werner", file=sys.stderr)
         return 2
     if args.dist is not None:
-        value = _entropy_of(_probabilities(_parse_floats(args.dist)), _as_index(args.q))
+        value = _entropy_of(_probabilities(_parse_floats(args.dist)), _order(args.q))
     else:
         params = WernerParams(*_parse_floats(args.werner, 3))
         value = conditional_entropy_block(params, args.condition_on, args.q)
@@ -95,7 +95,7 @@ def _q_grid(q_min: float, q_max: float, count: int, log_scale: bool) -> list[flo
 
 def _cmd_sweep(args) -> int:
     # Positive ends and two or more points define the grid; threshold_curve checks the rest.
-    q_min, q_max = (_as_index(q).q for q in (args.q_min, args.q_max))
+    q_min, q_max = (_order(q) for q in (args.q_min, args.q_max))
     if args.q_points < 2:
         raise ValidationError("need at least two grid points")
     grid = _q_grid(q_min, q_max, args.q_points, args.log_scale)

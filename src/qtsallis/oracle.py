@@ -21,7 +21,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._index import Spectrum, _as_index, _branch, _conditionals, _count, _Frozen
+from ._index import Spectrum, _branch, _conditionals, _count, _Frozen, _order
 from .errors import ValidationError
 from .quantum import (DensityMatrix, _checked_eigenvalues, _entropies_from_gaps, _log_traces,
                       _logged, _refuse_above_cap, _trace_out, partial_trace, spectrum_of)
@@ -171,6 +171,7 @@ def verify_family(params_grid, q_grid) -> VerificationReport:
     ``AGREEMENT_TOL`` on the magnitude-scaled deviation of
     :func:`_deviation`.
     """
+    orders = [_order(q) for q in q_grid]
     rows: list[Comparison] = []
     for params in params_grid:
         case = f"N={params.levels},n={params.parties},x={params.mixing:g}"
@@ -187,10 +188,9 @@ def verify_family(params_grid, q_grid) -> VerificationReport:
                                        oracle_marginals[m]))
         blocks = range(1, params.parties)
         log_count = math.log(oracle_joint.total_multiplicity)
-        for q in q_grid:
+        for q in orders:
             oracle_values = _conditionals(
-                oracle_joint.levels, [oracle_marginals[k].levels for k in blocks],
-                _as_index(q), log_count)
+                oracle_joint.levels, [oracle_marginals[k].levels for k in blocks], q, log_count)
             for k, oracle_value in zip(blocks, oracle_values):
                 closed = conditional_entropy_block(params, k, q)
                 dev = _deviation(closed, oracle_value)
@@ -225,10 +225,9 @@ def _witness_rows(cases, joint: np.ndarray, closed: np.ndarray,
     joint, marginals = _logged(joint), _logged(np.stack((closed, traced)))
     rows = []
     for q in WITNESS_ORDERS:
-        qi = _as_index(q)
-        order, far = _branch(qi.q, log_count)
+        order, far = _branch(q, log_count)
         values, oracle = _entropies_from_gaps(
-            _log_traces(joint, order, far) - _log_traces(marginals, order, far), qi)
+            _log_traces(joint, order, far) - _log_traces(marginals, order, far), order)
         scale = np.maximum(np.maximum(np.abs(values), np.abs(oracle)), 1.0)
         devs = np.abs(values - oracle) / scale  # _deviation, row by row
         closed_values = values.tolist()

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._index import (PSD_FLOOR, TRACE_TOL, EntropicIndex, Spectrum, _as_index, _branch,
-                     _conditional, _count, _log_trace)
+from ._index import (PSD_FLOOR, TRACE_TOL, Spectrum, _branch, _conditionals, _count,
+                     _log_trace, _order)
 from .errors import CapacityError, NumericalError, ValidationError
 
 #: Dense objects larger than this total dimension are refused.
@@ -145,14 +145,14 @@ def _checked_eigenvalues(stack: np.ndarray) -> np.ndarray:
     whole.
     """
     for trace in np.trace(stack, axis1=-2, axis2=-1).reshape(-1).tolist():
-        if abs(trace - 1.0) > TRACE_TOL:
+        if not abs(trace - 1.0) <= TRACE_TOL:  # nan fails too
             raise ValidationError(f"trace is {complex(trace)!r}, expected 1")
     try:
         eigenvalues = _eigenvalues(stack) if stack.ndim == 2 else np.linalg.eigvalsh(stack)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    lowest = min(eigenvalues[..., 0].reshape(-1).tolist())
-    if lowest < PSD_FLOOR:
+    lowest = float(np.min(eigenvalues[..., 0]))  # nan anywhere gives nan
+    if not lowest >= PSD_FLOOR:
         raise ValidationError(f"smallest eigenvalue {lowest} "
                               "violates positive semidefiniteness")
     return eigenvalues
@@ -167,17 +167,22 @@ def _check_hermitian(entries: np.ndarray) -> None:
     pair of mirrored entries is compared once, the maximum is that of the
     whole matrix, and both tiles are read row by row.  Tiles have side
     ``_CHECK_TILE``, so no temporary grows with the state, and a real
-    matrix is never conjugated.
+    matrix is never conjugated.  A nan or inf entry, on the diagonal or
+    off it, makes that maximum nan or inf and is refused as not finite.
     """
     side, tile = len(entries), _CHECK_TILE
     conjugate = np.iscomplexobj(entries)
-    for i in range(0, side, tile):
-        for j in range(i, side, tile):
-            mirror = entries[j:j + tile, i:i + tile].T
-            if conjugate:
-                mirror = mirror.conj()
-            if np.max(np.abs(entries[i:i + tile, j:j + tile] - mirror)) > HERMITIAN_TOL:
-                raise ValidationError("matrix is not Hermitian within tolerance")
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan, refused below
+        for i in range(0, side, tile):
+            for j in range(i, side, tile):
+                mirror = entries[j:j + tile, i:i + tile].T
+                if conjugate:
+                    mirror = mirror.conj()
+                deviation = np.max(np.abs(entries[i:i + tile, j:j + tile] - mirror))
+                if not deviation <= HERMITIAN_TOL:
+                    raise ValidationError("matrix is not Hermitian within tolerance"
+                                          if math.isfinite(deviation)
+                                          else "matrix entries must be finite")
 
 
 def _eigenvalues(entries: np.ndarray) -> np.ndarray:
@@ -254,7 +259,7 @@ def q_trace(spectrum: Spectrum, q) -> float:
     least 1e6 without underflow or overflow, and loses nothing to
     cancellation next to q = 1.
     """
-    q = _as_index(q).q
+    q = _order(q)
     return _log_trace(spectrum.levels, q, _branch(q, math.log(spectrum.total_multiplicity))[1])
 
 
@@ -272,8 +277,8 @@ def _log_traces(logged: tuple[np.ndarray, np.ndarray, np.ndarray], q: float | No
                 far: bool) -> np.ndarray:
     """:func:`qtsallis._index._log_trace` of each row of a :func:`_logged`
     stack, each value taken with multiplicity 1, in the order and branch
-    given, picked as for :func:`qtsallis._index._log_gap`: ln sum v**q per
-    row, zeros skipped, and -sum v ln v for q None.  ``far`` takes a
+    given, picked as for :func:`qtsallis._index._conditionals`: ln sum v**q
+    per row, zeros skipped, and -sum v ln v for q None.  ``far`` takes a
     max-shifted sum of exp(q ln v); otherwise this is log1p of the
     same-signed terms v expm1((q - 1) ln v), each exp(q ln v) - v where its
     expm1 would overflow.  Sums run in numpy's order, not ``math.fsum``'s,
@@ -292,15 +297,16 @@ def _log_traces(logged: tuple[np.ndarray, np.ndarray, np.ndarray], q: float | No
     return np.log1p(np.sum(excess, axis=-1))
 
 
-def _entropies_from_gaps(gaps: np.ndarray, qi: EntropicIndex) -> np.ndarray:
-    """:func:`qtsallis._index._entropy_from_gap` of each gap of an array:
-    expm1(gap) / (1 - q), an infinity with the sign of 1 - q where expm1
-    overflows (its inf divided by 1 - q, with no warning), and at the limit
-    point the gaps themselves."""
-    if qi.is_limit_point:
+def _entropies_from_gaps(gaps: np.ndarray, order: float | None) -> np.ndarray:
+    """:func:`qtsallis._index._entropy_from_gap` of each gap of an array at
+    the ``order`` of :func:`qtsallis._index._branch`: expm1(gap) / (1 - q),
+    an infinity with the sign of 1 - q where expm1 overflows (its inf
+    divided by 1 - q, with no warning), and at the limit point (``order``
+    None) the gaps themselves."""
+    if order is None:
         return gaps
     with np.errstate(over="ignore"):
-        return np.expm1(gaps) / (1.0 - qi.q)
+        return np.expm1(gaps) / (1.0 - order)
 
 
 def quantum_tsallis(spectrum: Spectrum, q) -> float:
@@ -324,8 +330,8 @@ def quantum_conditional(joint: Spectrum, marginal: Spectrum, q) -> float:
     exponential range (extreme q far from the entropy zero); sign queries
     should compare log q-traces directly instead.
     """
-    return _conditional(joint.levels, marginal.levels, _as_index(q),
-                        math.log(joint.total_multiplicity))
+    return _conditionals(joint.levels, [marginal.levels], _order(q),
+                         math.log(joint.total_multiplicity))[0]
 
 
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from ._index import _as_index, _branch, _Frozen, _order
+from ._index import _branch, _Frozen, _order
 from .errors import MonotonicityError, ValidationError
 from .werner import WernerParams, _family, _prepared_gap
 
@@ -45,10 +45,10 @@ def entropy_sign(params: WernerParams, q, conditioned_parties: int | None = None
     so it holds at any q; 0 means an exact zero.  expm1(gap) / (1 - q) has
     the sign of the gap times that of 1 - q."""
     N, n, k = _family(params.levels, params.parties, conditioned_parties)
-    qi = _as_index(q)
-    gap = _prepared_gap(N, n, k, qi.q)(params.mixing)
+    q = _order(q)
+    gap = _prepared_gap(N, n, k, q)(params.mixing)
     sign = (gap > 0.0) - (gap < 0.0)
-    return -sign if qi.q > 1.0 and not qi.is_limit_point else sign
+    return -sign if q > 1.0 and _branch(q, 0.0)[0] is not None else sign
 
 
 def threshold_for_q(levels: int, parties: int, q,
@@ -138,9 +138,7 @@ def threshold_for_q(levels: int, parties: int, q,
                 return ThresholdPoint(q, None, math.nan)
     if g == 0.0:
         lo = hi = t
-    elif abs(t - near_t) <= ROOT_RTOL:  # the probes closed the bracket
-        lo, hi = (t, near_t) if t < near_t else (near_t, t)
-    else:
+    else:  # a bracket the probes closed comes back sorted, with no evaluation
         lo, hi = _brent(gap, low, x_inf, near_t, near_g, t, g)
     if lo == hi:
         return ThresholdPoint(q, x_inf if lo == low else math.exp(lo), 0.0)
@@ -211,7 +209,7 @@ def threshold_curve(levels: int, parties: int, q_grid) -> tuple[ThresholdPoint, 
     carrying the offending pair of points.  The check is performed, never
     silently enforced.
     """
-    orders = [_as_index(q).q for q in q_grid]
+    orders = [_order(q) for q in q_grid]
     if not orders:
         raise ValidationError("q grid must be nonempty")
     if any(b <= a for a, b in zip(orders, orders[1:])):

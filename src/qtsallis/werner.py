@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from ._index import Spectrum, _as_index, _branch, _count, _entropy_from_gap, _Frozen, _log_trace
+from ._index import Spectrum, _branch, _count, _entropy_from_gap, _Frozen, _log_trace, _order
 from .errors import CapacityError, ValidationError
 
 #: Exact multiplicity bookkeeping requires N**n to fit a signed 64-bit int.
@@ -121,8 +121,8 @@ def _prepared_gap(levels: int, parties: int, k: int, q: float):
     difference S(rho) - S(rho_k).  The conditional entropy is
     expm1(gap) / (1 - q).
 
-    It takes the gap of :func:`qtsallis._index._log_gap` over the two
-    closed-form level pairs, both traces in the branch that the joint
+    It is the gap that :func:`qtsallis._index._conditionals` takes over the
+    two closed-form level pairs, both traces in the branch that the joint
     multiplicity N**n picks, with the same values bit for bit.  Everything
     that does not depend on x is computed here, once per query: the
     :func:`_side` triples of the state and of the k-party marginal (built
@@ -156,5 +156,5 @@ def conditional_entropy_block(params: WernerParams, conditioned_parties: int | N
     the entropy zero); :func:`qtsallis.solver.entropy_sign` holds there.
     """
     N, n, k = _family(params.levels, params.parties, conditioned_parties)
-    qi = _as_index(q)
-    return _entropy_from_gap(_prepared_gap(N, n, k, qi.q)(params.mixing), qi)
+    q = _order(q)
+    return _entropy_from_gap(_prepared_gap(N, n, k, q)(params.mixing), _branch(q, 0.0)[0])

@@ -16,7 +16,7 @@ from qtsallis import (CapacityError, DensityMatrix, Spectrum, ValidationError,
                       quantum_conditional, quantum_tsallis, spectrum_of,
                       tensor_product, tsallis_entropy, werner_density, WernerParams)
 from qtsallis import quantum
-from qtsallis._index import LIMIT_WINDOW, EntropicIndex, _entropy_from_gap, _log_trace
+from qtsallis._index import LIMIT_WINDOW, EntropicIndex, _branch, _entropy_from_gap, _log_trace
 from helpers import (ghz_vector, mp_log_trace, mp_tsallis, random_density, random_separable,
                      record_eigvalsh)
 
@@ -44,6 +44,40 @@ def test_density_rejects_negative_eigenvalue():
     m = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(ValidationError):
         DensityMatrix((2,), m)
+
+
+@pytest.mark.parametrize("entries,message", [
+    ([[0.5, 0.0], [0.0, math.nan]], "^matrix entries must be finite$"),
+    ([[0.5, math.nan], [math.nan, 0.5]], "^matrix entries must be finite$"),
+    ([[0.5, complex(0.1, math.nan)], [complex(0.1, math.nan), 0.5]],
+     "^matrix entries must be finite$"),
+    ([[0.5, complex(math.nan, 0.1)], [complex(math.nan, -0.1), 0.5]],
+     "^matrix entries must be finite$"),
+    ([[0.5, math.inf], [math.inf, 0.5]], "^matrix entries must be finite$"),
+    ([[0.5, math.inf], [0.0, 0.5]], "^matrix entries must be finite$"),
+    ([[0.5, complex(0.0, math.inf)], [complex(0.0, -math.inf), 0.5]],
+     "^matrix entries must be finite$"),
+], ids=["nan-diagonal", "nan-off-diagonal", "complex-nan-imaginary", "complex-nan-real",
+        "inf-off-diagonal", "inf-one-side", "complex-inf"])
+def test_density_rejects_non_finite_entries(entries, message):
+    # each of these passed every check before, with nan eigenvalues; the refusal comes
+    # before eigvalsh, with no numpy warning (tier-1 turns RuntimeWarning into an error)
+    with pytest.raises(ValidationError, match=message):
+        DensityMatrix((2,), entries)
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_stacked_check_refuses_nan_eigenvalues_in_any_member(first):
+    # Python's min over [nan, 0.4] is nan but over [0.4, nan] is 0.4: the check
+    # reduces with numpy, which propagates nan wherever it sits
+    spoiled = np.array([[0.5, math.nan], [math.nan, 0.5]])  # unit trace, nan eigenvalues
+    members = [spoiled, np.array([[0.5, 0.1], [0.1, 0.5]])]
+    with pytest.raises(ValidationError, match="smallest eigenvalue nan"):
+        quantum._checked_eigenvalues(np.stack(members if first else members[::-1]))
+    with pytest.raises(ValidationError, match="smallest eigenvalue nan"):
+        DensityMatrix._adopt((2,), spoiled)
+    with pytest.raises(ValidationError, match="trace is"):
+        DensityMatrix._adopt((2,), np.diag([0.5, math.nan]))
 
 
 def _pair_beside_one_index(where, shift):
@@ -447,6 +481,24 @@ def test_spectrum_validation():
     assert spec.levels[-1][0] == 0.0
 
 
+@pytest.mark.parametrize("levels,message", [
+    (((math.nan, 1),), "eigenvalue nan lies outside"),
+    (((0.5, 1), (math.nan, 1)), "eigenvalue nan lies outside"),
+    (((math.inf, 1),), "eigenvalue inf lies outside"),
+    (((0.25, 4.9),), "^multiplicity must be an integer, got 4.9$"),
+    (((0.25, math.nan),), "^multiplicity must be an integer, got nan$"),
+    (((0.5, math.inf), (0.0, 1)), "^multiplicity must be an integer, got inf$"),
+], ids=["nan", "nan-second", "inf", "fractional-multiplicity", "nan-multiplicity",
+        "inf-multiplicity"])
+def test_spectrum_refuses_non_finite_values_and_fractional_multiplicities(levels, message):
+    # a nan eigenvalue passed every check, 4.9 became 4, and a nan multiplicity
+    # raised Python's own ValueError
+    with pytest.raises(ValidationError, match=message):
+        Spectrum(levels)
+    assert Spectrum(((0.25, 4.0),)).levels == ((0.25, 4),)
+    assert type(Spectrum(((0.25, np.int64(4)),)).levels[0][1]) is int
+
+
 # -- q_trace -------------------------------------------------------------
 
 def test_q_trace_direct():
@@ -545,17 +597,17 @@ def test_entropies_from_gaps_match_the_scalar_step(q):
     and no warning, zeros keep their sign, the limit point passes the gap
     through, and every other value is within two ulps of the scalar's, since
     numpy's expm1 is not the C library's."""
-    qi = EntropicIndex(q)
+    order = _branch(q, 0.0)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values = quantum._entropies_from_gaps(np.array(ENTROPY_GAPS), qi).tolist()
+        values = quantum._entropies_from_gaps(np.array(ENTROPY_GAPS), order).tolist()
     for gap, value in zip(ENTROPY_GAPS, values):
-        expected = _entropy_from_gap(gap, qi)
-        if qi.is_limit_point or not math.isfinite(expected) or expected == 0.0:
+        expected = _entropy_from_gap(gap, order)
+        if order is None or not math.isfinite(expected) or expected == 0.0:
             assert value.hex() == expected.hex(), (gap, value, expected)
         else:
             assert abs(value - expected) <= 4.5e-16 * abs(expected), (gap, value, expected)
-    if not qi.is_limit_point:
+    if order is not None:
         assert values[0] == math.copysign(math.inf, 1.0 - q)
         assert values[1] == -1.0 / (1.0 - q)
 

@@ -14,7 +14,8 @@ from qtsallis import (CapacityError, MonotonicityError, ThresholdPoint, Validati
                       entropy_sign, quantum_tsallis, spectrum_of, threshold_curve,
                       threshold_for_q, werner_density)
 from qtsallis import solver, werner
-from qtsallis._index import LIMIT_WINDOW, EntropicIndex, _log_gap
+from qtsallis._index import (LIMIT_WINDOW, EntropicIndex, _branch, _conditionals,
+                             _entropy_from_gap, _log_trace)
 from qtsallis.oracle import _marginal_of
 from qtsallis.solver import _rises
 from helpers import NEAR_ONE, WIDE_FAMILIES, mp_conditional_renyi, mp_threshold
@@ -223,16 +224,20 @@ def _x_inf_full(N, n, k):
        st.one_of(st.sampled_from((0.0, None, 1.0 - 2.0**-40, 1.0)), st.floats(0.0, 1.0)))
 @settings(deadline=None)
 def test_prepared_gap_is_the_one_q_trace_rule(family, q, x):
-    # the prepared gap of the family against the shared gap of _index on
-    # the closed-form levels, bit for bit; None stands for x_inf(k)
+    # the prepared gap of the family against the shared kernel and branch of
+    # _index on the closed-form levels, and its entropy against the shared
+    # conditional, bit for bit; None stands for x_inf(k)
     levels, parties, k = family
     x_inf = solver._x_inf(levels, parties, k)
     assert x_inf == _x_inf_full(levels, parties, k)
     x = x_inf if x is None else x
-    expected = _log_gap(werner._levels(werner._side(levels, parties, 1), x),
-                        werner._levels(werner._side(levels, k, levels), x),
-                        EntropicIndex(q), math.log(levels ** parties))
-    assert werner._prepared_gap(levels, parties, k, q)(x) == expected
+    joint = werner._levels(werner._side(levels, parties, 1), x)
+    marginal = werner._levels(werner._side(levels, k, levels), x)
+    log_count = math.log(levels ** parties)
+    order, far = _branch(q, log_count)
+    gap = werner._prepared_gap(levels, parties, k, q)(x)
+    assert gap == _log_trace(joint, order, far) - _log_trace(marginal, order, far)
+    assert _entropy_from_gap(gap, order) == _conditionals(joint, [marginal], q, log_count)[0]
 
 
 def _bisected_root(gap, x_inf, below_positive):
