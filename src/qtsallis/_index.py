@@ -31,6 +31,9 @@ PSD_FLOOR = -1e-10
 #: A state's trace, or a spectrum's multiplicity-weighted sum, must be 1
 #: within this.
 TRACE_TOL = 1e-12
+#: Largest multiplicity, and largest family dimension N**n: exact
+#: multiplicity bookkeeping requires it to fit a signed 64-bit int.
+MULTIPLICITY_CAP = 2**63 - 1
 
 
 class _Frozen:
@@ -114,6 +117,8 @@ class Spectrum(_Frozen):
             value = float(eigenvalue)
             if mult < 1:
                 raise ValidationError("multiplicities must be positive integers")
+            if mult > MULTIPLICITY_CAP:
+                raise ValidationError(f"multiplicity exceeds the cap of {MULTIPLICITY_CAP}")
             if not PSD_FLOOR <= value <= 1.0 + 1e-10:  # nan fails too
                 raise ValidationError(f"eigenvalue {value} lies outside [0, 1] beyond tolerance")
             cleaned.append((min(max(value, 0.0), 1.0), mult))

@@ -127,6 +127,8 @@ def q_expectation(values, p, q) -> float:
     if vals.ndim != 1 or vals.size != len(dist):
         raise ValidationError(
             f"need one value per outcome: got {vals.size} values for {len(dist)} outcomes")
+    if not np.isfinite(vals).all():
+        raise ValidationError("values must be finite")
     return float(np.dot(vals, escort(dist, q).p))
 
 

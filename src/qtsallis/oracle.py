@@ -3,13 +3,13 @@
 Builds the dense family members (here, and only here) and their
 marginals explicitly, each marginal traced from the one before, computes
 spectra and entropies numerically, and certifies every closed form at
-small scale.  The random separable witness draws its trials one at a
-time and does the rest per (d_A, d_B) shape: one Gram product per local
-side, one ``einsum`` for the joints of a shape, one checked
-eigendecomposition per stack, one log q-trace per stack and order, and
-values, deviations and verdicts as arrays.  Verification results are
-data, not exceptions: each comparison becomes a row (a named tuple) in a
-report that serializes to JSON.
+small scale.  The random separable witness draws its whole trial plan
+in three calls and does the rest per (d_A, d_B) shape: one draw and one
+Gram product per local side, one ``einsum`` for the joints of a shape and
+one for their marginals, one checked eigendecomposition per stack, one
+log q-trace per stack and order, and values, deviations and verdicts as
+arrays.  Verification results are data, not exceptions: each comparison
+becomes a row (a named tuple) in a report that serializes to JSON.
 """
 
 from __future__ import annotations
@@ -200,11 +200,9 @@ def verify_family(params_grid, q_grid) -> VerificationReport:
     return VerificationReport(tuple(rows))
 
 
-def _random_states(raw: list[np.ndarray]) -> np.ndarray:
-    """Real full-rank states G G^T / tr(G G^T) of the standard normal G of
-    each (count, d, d) array of ``raw``, one stack for all of them, in one
-    batched product."""
-    g = np.concatenate(raw)
+def _random_states(g: np.ndarray) -> np.ndarray:
+    """Real full-rank states G G^T / tr(G G^T), one per standard normal G of
+    the (count, d, d) stack ``g``, in one batched product."""
     gram = g @ g.transpose(0, 2, 1)
     return gram / np.trace(gram, axis1=1, axis2=2)[:, None, None]
 
@@ -252,16 +250,19 @@ def verify_separable_witness(trials: int, seed: int) -> VerificationReport:
     state's spectrum is majorized by its marginal's (Nielsen & Kempe,
     PRL 86, 5184 (2001)).
 
-    Trials are drawn one at a time, in a fixed order, and built per shape.
-    The local states of each side d come from one batched Gram of all its
-    draws.  The joints of each of the nine shapes (d_A, d_B) come from one
-    ``einsum`` over the trials' terms, padded to ``_MAX_TERMS`` with zero
-    weights, which add exact zeros; each closed marginal is one ``np.dot``
-    of its weights.  The joints, closed marginals and the joints' partial
-    traces of a shape form one stack apiece, checked for trace and
-    positivity and eigendecomposed in one call
-    (:func:`qtsallis.quantum._checked_eigenvalues`), with the same
-    eigenvalues, bit for bit, as each trial's states built alone.  The
+    The draws take no loop over trials.  The plan takes three: the shapes
+    (d_A, d_B), the term counts and a row of ``_MAX_TERMS`` uniform weights
+    per trial, zeroed beyond its term count and normalized.  Then, shape
+    by shape in order of first appearance, each side draws the normal G
+    of ``_MAX_TERMS`` local states per trial of the shape in one call and
+    turns them into states in one batched Gram (:func:`_random_states`).
+    The joints of each of the nine shapes come from one ``einsum`` over
+    the padded weights, and their closed marginals from another; a slot
+    beyond a trial's term count has zero weight and adds exact zeros.  The
+    joints, closed marginals and the joints' partial traces of a shape form
+    one stack apiece, checked for trace and positivity and eigendecomposed
+    in one call (:func:`qtsallis.quantum._checked_eigenvalues`), with the
+    same eigenvalues, bit for bit, as each trial's states built alone.  The
     stacks are Hermitian by construction and skip that check, which
     ``test_witness_stacks_pass_the_hermitian_check`` runs on every member
     in its place.  The eigenvalue rows then take numpy log q-traces, a
@@ -275,40 +276,26 @@ def verify_separable_witness(trials: int, seed: int) -> VerificationReport:
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
-    raw: dict[int, list[np.ndarray]] = {2: [], 3: [], 4: []}
-    drawn = dict.fromkeys(raw, 0)  # local states drawn so far, per side
-    shapes: dict[tuple[int, int], list[tuple]] = {}
-    for trial in range(trials):
-        dim_a = int(rng.integers(2, 5))
-        dim_b = int(rng.integers(2, 5))
-        terms = int(rng.integers(1, _MAX_TERMS + 1))
-        weights = rng.uniform(size=terms)
-        weights /= weights.sum()
-        starts = []
-        for dim in (dim_a, dim_b):
-            raw[dim].append(rng.standard_normal((terms, dim, dim)))
-            starts.append(drawn[dim])
-            drawn[dim] += terms
-        shapes.setdefault((dim_a, dim_b), []).append((
-            f"trial={trial},dims={dim_a}x{dim_b},terms={terms}", terms, weights, *starts))
-    local = {dim: _random_states(parts) for dim, parts in raw.items() if parts}
+    dims = rng.integers(2, 5, size=(trials, 2))
+    terms = rng.integers(1, _MAX_TERMS + 1, size=trials)
+    weights = rng.uniform(size=(trials, _MAX_TERMS))
+    weights[np.arange(_MAX_TERMS) >= terms[:, None]] = 0.0  # a zero-weight term adds exact zeros
+    weights /= weights.sum(axis=1, keepdims=True)
+    shapes = dims.tolist()
+    cases = [f"trial={trial},dims={dim_a}x{dim_b},terms={used}"
+             for trial, ((dim_a, dim_b), used) in enumerate(zip(shapes, terms.tolist()))]
     rows: list[Comparison] = []
-    slots = np.arange(_MAX_TERMS)
-    for (dim_a, dim_b), group in shapes.items():
-        cases, terms, weights, starts_a, starts_b = zip(*group)
-        used = slots < np.array(terms)[:, None]
-        padded = np.zeros(used.shape)
-        padded[used] = np.concatenate(weights)
-        unused_to_first = np.where(used, slots, 0)  # a term at zero weight adds exact zeros
-        joints = np.einsum(
-            "tl,tlac,tlbd->tabcd", padded,
-            local[dim_a][np.array(starts_a)[:, None] + unused_to_first],
-            local[dim_b][np.array(starts_b)[:, None] + unused_to_first],
-        ).reshape(len(cases), dim_a * dim_b, -1)
-        side_a = local[dim_a].reshape(-1, dim_a * dim_a)
-        closed = np.stack([np.dot(w, side_a[start:start + len(w)])
-                           for w, start in zip(weights, starts_a)]).reshape(-1, dim_a, dim_a)
-        rows.extend(_witness_rows(cases, *(
+    for dim_a, dim_b in dict.fromkeys(map(tuple, shapes)):  # in order of first appearance
+        members = np.flatnonzero((dims[:, 0] == dim_a) & (dims[:, 1] == dim_b))
+        count = len(members)
+        local_a, local_b = (
+            _random_states(rng.standard_normal((count * _MAX_TERMS, dim, dim)))
+            .reshape(count, _MAX_TERMS, dim, dim) for dim in (dim_a, dim_b))
+        padded = weights[members]
+        joints = np.einsum("tl,tlac,tlbd->tabcd", padded, local_a, local_b).reshape(
+            count, dim_a * dim_b, -1)
+        closed = np.einsum("tl,tlac->tac", padded, local_a)
+        rows.extend(_witness_rows([cases[trial] for trial in members.tolist()], *(
             _checked_eigenvalues(stack)
             for stack in (joints, closed, _trace_out(joints, (dim_a, dim_b), [0])))))
     return VerificationReport(tuple(rows))

@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import math
 
-from ._index import Spectrum, _branch, _count, _entropy_from_gap, _Frozen, _log_trace, _order
+from ._index import (MULTIPLICITY_CAP, Spectrum, _branch, _count, _entropy_from_gap, _Frozen,
+                     _log_trace, _order)
 from .errors import CapacityError, ValidationError
-
-#: Exact multiplicity bookkeeping requires N**n to fit a signed 64-bit int.
-MULTIPLICITY_CAP = 2**63 - 1
 
 
 class WernerParams(_Frozen):

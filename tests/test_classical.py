@@ -228,6 +228,19 @@ def test_q_expectation_length_mismatch():
         q_expectation([1, 2, 3], [0.5, 0.5], 2)
 
 
+@pytest.mark.parametrize("values,p", [
+    ([math.inf, 1.0], [0.0, 1.0]),  # inf on an outcome of zero escort weight gave nan
+    ([math.inf, 1.0], [0.5, 0.5]),
+    ([1.0, -math.inf], [0.5, 0.5]),
+    ([math.nan, 1.0], [0.5, 0.5]),
+    ([1.0, math.nan], [1.0, 0.0]),
+], ids=["inf-at-zero-weight", "inf", "minus-inf", "nan", "nan-at-zero-weight"])
+def test_q_expectation_refuses_non_finite_values(values, p):
+    for q in (2.0, 1.0, math.nan):  # the values are checked before the order
+        with pytest.raises(ValidationError, match="^values must be finite$"):
+            q_expectation(values, p, q)
+
+
 # -- conditional entropies ----------------------------------------------
 
 def _product_joint(pa, pb):

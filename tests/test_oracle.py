@@ -270,22 +270,61 @@ def test_witness_small_run_passes():
     assert report.max_abs_dev <= 1e-10
 
 
-def test_witness_forms_one_joint_stack_per_shape(monkeypatch):
+@pytest.mark.parametrize("seed", range(20))
+def test_witness_passes_every_row_at_full_size(seed):
+    report = verify_separable_witness(350, seed)
+    assert len(report.comparisons) == 350 * 8
+    assert report.passed, [c for c in report.comparisons if not c.passed][:3]
+
+
+class _CountingGenerator:
+    """A numpy Generator that records the name of each method called on it."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("trials", [1, 10, 350, 2000])
+def test_witness_draws_do_not_grow_with_trials(trials, monkeypatch):
+    # the plan in three draws, then one draw per side of each shape, whatever the trial count
     calls = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _CountingGenerator(default_rng(seed), calls))
+    report = verify_separable_witness(trials, 5)
+    assert report.passed
+    shapes = {c.case.split(",")[1] for c in report.comparisons}
+    assert len(calls) <= 3 + 2 * len(shapes) <= 21
+    assert calls == ["integers", "integers", "uniform"] + ["standard_normal"] * 2 * len(shapes)
+
+
+def test_witness_forms_one_joint_stack_per_shape(monkeypatch):
+    calls = {}  # subscripts -> the operands of each call
     einsum = np.einsum
 
-    def counting(*args, **kwargs):
-        calls.append(args[1:])
-        return einsum(*args, **kwargs)
+    def counting(subscripts, *operands, **kwargs):
+        calls.setdefault(subscripts, []).append(operands)
+        return einsum(subscripts, *operands, **kwargs)
 
     monkeypatch.setattr(np, "einsum", counting)
     report = verify_separable_witness(10, 7)
     assert report.passed
     shapes = {c.case.split(",")[1] for c in report.comparisons}
-    assert len(calls) == len(shapes) < 10
-    # each call holds every trial of its shape, terms padded to six
-    assert sum(len(weights) for weights, *_ in calls) == 10
-    assert all(weights.shape[1] == 6 for weights, *_ in calls)
+    assert set(calls) == {"tl,tlac,tlbd->tabcd", "tl,tlac->tac"}  # joints, closed marginals
+    for operands in calls.values():
+        assert len(operands) == len(shapes) < 10
+        # each call holds every trial of its shape, terms padded to six
+        assert sum(len(weights) for weights, *_ in operands) == 10
+        assert all(weights.shape[1] == 6 for weights, *_ in operands)
 
 
 def test_witness_states_have_coherences(monkeypatch):
@@ -318,30 +357,39 @@ def test_witness_rows_fail_on_an_entangled_member(q):
 
 def _witness_trial_by_trial(trials, seed):
     """The witness rebuilt one trial at a time through the public API, with
-    the same draws: a DensityMatrix per state, its partial trace, spectra
-    and conditional entropies.  Returns the report and, per trial, its dims
-    and the eigenvalues of its joint, closed marginal and traced marginal."""
+    the same draws: the plan in three calls (dims, term counts, six uniform
+    weights per trial), then, shape by shape in order of first appearance,
+    six standard normal G per trial of the shape for side A in one call and
+    six for side B in another.  Each trial keeps only the weights and G of
+    its own terms and builds alone: its local states, a DensityMatrix per
+    state, its partial trace, spectra and conditional entropies.  Returns
+    the report and, per trial, its dims, its term count and the eigenvalues
+    of its joint, closed marginal and traced marginal."""
     rng = np.random.default_rng(seed)
+    dims = [tuple(pair) for pair in rng.integers(2, 5, size=(trials, 2)).tolist()]
+    terms = rng.integers(1, 7, size=trials).tolist()
+    uniform = rng.uniform(size=(trials, 6))
+    normals = {}  # trial -> the six G of side A and the six of side B
+    for shape in dict.fromkeys(dims):
+        members = [trial for trial in range(trials) if dims[trial] == shape]
+        side_a, side_b = (rng.standard_normal((len(members), 6, dim, dim)) for dim in shape)
+        normals.update(zip(members, zip(side_a, side_b)))
 
-    def local_states(count, dim):
-        g = rng.standard_normal((count, dim, dim))
+    def local_states(g):
         gram = g @ g.transpose(0, 2, 1)
         return gram / np.trace(gram, axis1=1, axis2=2)[:, None, None]
 
     rows, states = [], []
-    for trial in range(trials):
-        dim_a, dim_b, terms = (int(rng.integers(2, 5)), int(rng.integers(2, 5)),
-                               int(rng.integers(1, 7)))
-        weights = rng.uniform(size=terms)
-        weights /= weights.sum()
-        local_a, local_b = local_states(terms, dim_a), local_states(terms, dim_b)
+    for trial, ((dim_a, dim_b), count) in enumerate(zip(dims, terms)):
+        weights = uniform[trial, :count] / uniform[trial, :count].sum()
+        local_a, local_b = (local_states(g[:count]) for g in normals[trial])
         state = DensityMatrix((dim_a, dim_b), np.einsum(
             "l,lac,lbd->abcd", weights, local_a, local_b).reshape(dim_a * dim_b, -1))
-        closed_state = DensityMatrix((dim_a,), np.tensordot(weights, local_a, 1))
+        closed_state = DensityMatrix((dim_a,), np.einsum("l,lac->ac", weights, local_a))
         trial_states = (state, closed_state, partial_trace(state, {0}))
-        states.append(((dim_a, dim_b), [s.eigenvalues for s in trial_states]))
+        states.append(((dim_a, dim_b), count, [s.eigenvalues for s in trial_states]))
         joint, closed, traced = map(spectrum_of, trial_states)
-        case = f"trial={trial},dims={dim_a}x{dim_b},terms={terms}"
+        case = f"trial={trial},dims={dim_a}x{dim_b},terms={count}"
         for q in WITNESS_ORDERS:
             value = quantum_conditional(joint, closed, q)
             oracle_value = quantum_conditional(joint, traced, q)
@@ -353,15 +401,17 @@ def _witness_trial_by_trial(trials, seed):
     return VerificationReport(tuple(rows)), states
 
 
-@pytest.mark.parametrize("trials, seed", [
-    (40, 0), (40, 7), (40, 42),
-    (350, 3),  # every shape mixes 4 to 6 term counts: zero-weight padding, shared Grams
-    (1, 1),  # stacks of one member: a 3x3 mixture of 5 terms, both sides from one Gram stack
-    (1, 2),  # a single 4x2 product, five zero-weight slots
-    (1, 4),  # a 4x4 mixture of 6 terms, no padding
+@pytest.mark.parametrize("trials, seed, plan", [
+    (40, 0, None), (40, 7, None), (40, 42, None),
+    (350, 3, None),  # every shape mixes 4 to 6 term counts: zero-weight padding
+    (1, 1, ((3, 3), 5)),  # stacks of one member: a 3x3 mixture of 5 terms
+    (1, 2, ((4, 2), 1)),  # a single 4x2 product, five zero-weight slots
+    (1, 4, ((4, 4), 6)),  # a 4x4 mixture of 6 terms, no padding
 ], ids=["0", "7", "42", "350-trials", "1-trial-3x3", "1-trial-1-term", "1-trial-6-terms"])
-def test_batched_witness_matches_trial_by_trial(trials, seed, monkeypatch):
+def test_batched_witness_matches_trial_by_trial(trials, seed, plan, monkeypatch):
     rebuilt, states = _witness_trial_by_trial(trials, seed)
+    if plan is not None:
+        assert [(dims, terms) for dims, terms, _ in states] == [plan]
     solver, stacked = np.linalg.eigvalsh, []
 
     def recording(matrix):
@@ -373,7 +423,7 @@ def test_batched_witness_matches_trial_by_trial(trials, seed, monkeypatch):
     # batching keeps every state, bit for bit: one stack per shape and role, in
     # the order the shapes first appear, each row the eigenvalues of one trial
     by_shape = {}
-    for dims, eigenvalues in states:
+    for dims, _, eigenvalues in states:
         by_shape.setdefault(dims, []).append(eigenvalues)
     assert len(stacked) == 3 * len(by_shape)
     for group, stacks in zip(by_shape.values(), zip(*[iter(stacked)] * 3)):

@@ -15,7 +15,7 @@ from qtsallis import (CapacityError, DensityMatrix, Spectrum, ValidationError,
                       compose_pseudoadditive, partial_trace, q_trace,
                       quantum_conditional, quantum_tsallis, spectrum_of,
                       tensor_product, tsallis_entropy, werner_density, WernerParams)
-from qtsallis import quantum
+from qtsallis import _index, quantum, werner
 from qtsallis._index import LIMIT_WINDOW, EntropicIndex, _branch, _entropy_from_gap, _log_trace
 from helpers import (ghz_vector, mp_log_trace, mp_tsallis, random_density, random_separable,
                      record_eigvalsh)
@@ -497,6 +497,21 @@ def test_spectrum_refuses_non_finite_values_and_fractional_multiplicities(levels
         Spectrum(levels)
     assert Spectrum(((0.25, 4.0),)).levels == ((0.25, 4),)
     assert type(Spectrum(((0.25, np.int64(4)),)).levels[0][1]) is int
+
+
+@pytest.mark.parametrize("levels", [
+    ((0.5, 10**400),),
+    ((0.5, 1e300),),
+    ((1.0, 1), (0.0, 2**63)),
+    ((1.0, 1), (0.0, 10**400)),
+], ids=["10**400", "1e300", "2**63", "zero-level-10**400"])
+def test_spectrum_refuses_a_multiplicity_above_the_cap(levels):
+    # 10**400 escaped as Python's OverflowError, and 2**63 was accepted
+    cap = 2**63 - 1
+    with pytest.raises(ValidationError, match=f"^multiplicity exceeds the cap of {cap}$"):
+        Spectrum(levels)
+    assert werner.MULTIPLICITY_CAP == _index.MULTIPLICITY_CAP == cap
+    assert Spectrum(((0.5, 1), (0.5 / cap, cap))).levels[1][1] == cap  # the cap itself passes
 
 
 # -- q_trace -------------------------------------------------------------
