@@ -4,12 +4,15 @@ Builds the dense family members (here, and only here) and their
 marginals explicitly, each marginal traced from the one before, computes
 spectra and entropies numerically, and certifies every closed form at
 small scale.  The random separable witness draws its whole trial plan
-in three calls and does the rest per (d_A, d_B) shape: one draw and one
-Gram product per local side, one ``einsum`` for the joints of a shape and
-one for their marginals, one checked eigendecomposition per stack, one
-log q-trace per stack and order, and values, deviations and verdicts as
-arrays.  Verification results are data, not exceptions: each comparison
-becomes a row (a named tuple) in a report that serializes to JSON.
+in three calls and builds its states per (d_A, d_B) shape: one draw and
+one Gram product per local side, one ``einsum`` for the joints of a shape
+and one for their marginals, and one checked eigendecomposition per stack.
+From the eigenvalues on it works on all trials at once: rows padded with
+zeros into one joint and one marginal array, logged once each, one log
+q-trace of each per order and branch, values, deviations and verdicts as
+arrays, and the rows built once, in report order.  Verification results
+are data, not exceptions: each comparison becomes a row (a named tuple)
+in a report that serializes to JSON.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ NONNEG_FLOOR = -1e-12
 WITNESS_ORDERS = (0.5, 2.0, 10.0, 100.0)
 #: Most product terms in a witness mixture.
 _MAX_TERMS = 6
+#: Largest local dimension d_A, d_B of a witness trial.
+_MAX_SIDE = 4
 
 
 def _deviation(a: float, b: float) -> float:
@@ -207,35 +212,61 @@ def _random_states(g: np.ndarray) -> np.ndarray:
     return gram / np.trace(gram, axis1=1, axis2=2)[:, None, None]
 
 
-def _witness_rows(cases, joint: np.ndarray, closed: np.ndarray,
-                  traced: np.ndarray) -> list[Comparison]:
-    """S_q(B|A) of each trial of one shape at each of ``WITNESS_ORDERS``,
-    given the ``closed`` A marginal Sigma w rho_A against the ``traced`` one
-    (oracle), and its sign.  ``joint``, ``closed`` and ``traced`` are the
-    stacks of checked eigenvalue rows of those states, one row per case.
-    Each stack is clipped and logged once (:func:`qtsallis.quantum._logged`,
-    the two marginal stacks together); then per order the joints take one
-    log q-trace (:func:`qtsallis.quantum._log_traces`) and the marginals
-    one, all in the branch of the joint's side.  Values, deviations
-    and verdicts are arrays, one per order and quantity, and each label is
-    built once per order."""
-    log_count = math.log(joint.shape[-1])
-    joint, marginals = _logged(joint), _logged(np.stack((closed, traced)))
-    rows = []
-    for q in WITNESS_ORDERS:
-        order, far = _branch(q, log_count)
-        values, oracle = _entropies_from_gaps(
-            _log_traces(joint, order, far) - _log_traces(marginals, order, far), order)
-        scale = np.maximum(np.maximum(np.abs(values), np.abs(oracle)), 1.0)
-        devs = np.abs(values - oracle) / scale  # _deviation, row by row
-        closed_values = values.tolist()
-        rows += map(Comparison._make, zip(
-            cases, repeat(f"separable_conditional[q={q:g}]"), closed_values,
-            oracle.tolist(), devs.tolist(), (devs <= AGREEMENT_TOL).tolist()))
-        rows += map(Comparison._make, zip(
-            cases, repeat(f"nonnegative[q={q:g}]"), closed_values, repeat(0.0),
-            np.maximum(-values, 0.0).tolist(), (values >= NONNEG_FLOOR).tolist()))
-    return rows
+#: The two witness quantities of each order, as they head its row labels.
+_WITNESS_KINDS = ("nonnegative", "separable_conditional")
+
+
+def _witness_rows(cases, log_counts: np.ndarray, joint: np.ndarray,
+                  marginals: np.ndarray) -> tuple[Comparison, ...]:
+    """S_q(B|A) of every trial at each of ``WITNESS_ORDERS``, given the
+    closed A marginal Sigma w rho_A against the traced one (oracle), and its
+    sign, as the rows of a report in report order.
+
+    ``joint`` (trials, 16) and ``marginals`` (2, trials, 4) hold each
+    trial's checked eigenvalue rows: its joint, and its closed and traced
+    marginals, padded with exact zeros, which weigh nothing in any branch.
+    Each array is clipped and logged once (:func:`qtsallis.quantum._logged`).
+    Per order, each trial takes the branch of its joint's side
+    exp(``log_counts``), by :func:`qtsallis._index._branch` itself on the
+    whole array, and each branch that occurs takes one log q-trace
+    (:func:`qtsallis.quantum._log_traces`) of the joints and one of the
+    marginals: only q = 0.5 splits, with joints of side 4 and 6 near q = 1.
+    Values, deviations and verdicts are (kind, order, trial) arrays, put
+    into report order, cases by label and quantities by their sorted
+    labels, in one index each; each row is then built once in that order.
+    Padded sums associate differently from the unpadded rows, so a value
+    can differ from a stack's own log q-traces by an ulp or so.
+    """
+    joint, marginals = _logged(joint), _logged(marginals)
+    gaps = np.empty((len(WITNESS_ORDERS), *marginals[0].shape[:-1]))
+    for gap, q in zip(gaps, WITNESS_ORDERS):
+        order, far = _branch(q, log_counts)
+        if far.all() or not far.any():
+            groups = [(bool(far[0]), slice(None))]
+        else:
+            groups = [(True, far), (False, ~far)]
+        for branch, group in groups:
+            gap[:, group] = (
+                _log_traces(tuple(part[group] for part in joint), order, branch)
+                - _log_traces(tuple(part[:, group] for part in marginals), order, branch))
+        gap[:] = _entropies_from_gaps(gap, order)
+    values, oracle = gaps[:, 0], gaps[:, 1]
+    devs = np.abs(values - oracle) / np.maximum(np.maximum(np.abs(values), np.abs(oracle)),
+                                                1.0)  # _deviation, element by element
+    columns = (  # (kind, order, trial), kinds as in _WITNESS_KINDS
+        np.stack((values, values)),
+        np.stack((np.zeros_like(values), oracle)),
+        np.stack((np.maximum(-values, 0.0), devs)),
+        np.stack((values >= NONNEG_FLOOR, devs <= AGREEMENT_TOL)))
+    labels = [f"{kind}[q={q:g}]" for kind in _WITNESS_KINDS for q in WITNESS_ORDERS]
+    quantities = sorted(range(len(labels)), key=labels.__getitem__)  # q=100 before q=10
+    trials = sorted(range(len(cases)), key=cases.__getitem__)
+    picked = np.ix_(trials, quantities)
+    fields = [column.reshape(len(labels), -1).T[picked].ravel().tolist() for column in columns]
+    labels = [labels[i] for i in quantities]
+    # tuple.__new__ is Comparison._make without its length check: zip gives six fields
+    return tuple(map(tuple.__new__, repeat(Comparison), zip(
+        [cases[t] for t in trials for _ in labels], labels * len(trials), *fields)))
 
 
 def verify_separable_witness(trials: int, seed: int) -> VerificationReport:
@@ -265,10 +296,12 @@ def verify_separable_witness(trials: int, seed: int) -> VerificationReport:
     same eigenvalues, bit for bit, as each trial's states built alone.  The
     stacks are Hermitian by construction and skip that check, which
     ``test_witness_stacks_pass_the_hermitian_check`` runs on every member
-    in its place.  The eigenvalue rows then take numpy log q-traces, a
-    stack at a time per order, unfolded (:func:`_witness_rows`), so the
-    values can differ by a few ulps from ``quantum_conditional`` on each
-    trial's spectra.
+    in its place.  Each shape writes its eigenvalue rows into two arrays
+    over all trials, padded with exact zeros, and the rest runs on the
+    whole batch at once (:func:`_witness_rows`): at most two log q-traces
+    per order and branch, and the rows built once, already in report
+    order.  Numpy sums the padded rows, so the values can differ by a few
+    ulps from ``quantum_conditional`` on each trial's spectra.
     """
     trials, seed = _count(trials, "trial count"), _count(seed, "seed")
     if trials < 1:
@@ -276,7 +309,7 @@ def verify_separable_witness(trials: int, seed: int) -> VerificationReport:
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
-    dims = rng.integers(2, 5, size=(trials, 2))
+    dims = rng.integers(2, _MAX_SIDE + 1, size=(trials, 2))
     terms = rng.integers(1, _MAX_TERMS + 1, size=trials)
     weights = rng.uniform(size=(trials, _MAX_TERMS))
     weights[np.arange(_MAX_TERMS) >= terms[:, None]] = 0.0  # a zero-weight term adds exact zeros
@@ -284,7 +317,9 @@ def verify_separable_witness(trials: int, seed: int) -> VerificationReport:
     shapes = dims.tolist()
     cases = [f"trial={trial},dims={dim_a}x{dim_b},terms={used}"
              for trial, ((dim_a, dim_b), used) in enumerate(zip(shapes, terms.tolist()))]
-    rows: list[Comparison] = []
+    joint_rows = np.zeros((trials, _MAX_SIDE ** 2))  # exact zeros beyond each trial's side
+    marginal_rows = np.zeros((2, trials, _MAX_SIDE))  # closed, traced
+    log_counts = np.empty(trials)
     for dim_a, dim_b in dict.fromkeys(map(tuple, shapes)):  # in order of first appearance
         members = np.flatnonzero((dims[:, 0] == dim_a) & (dims[:, 1] == dim_b))
         count = len(members)
@@ -295,10 +330,12 @@ def verify_separable_witness(trials: int, seed: int) -> VerificationReport:
         joints = np.einsum("tl,tlac,tlbd->tabcd", padded, local_a, local_b).reshape(
             count, dim_a * dim_b, -1)
         closed = np.einsum("tl,tlac->tac", padded, local_a)
-        rows.extend(_witness_rows([cases[trial] for trial in members.tolist()], *(
-            _checked_eigenvalues(stack)
-            for stack in (joints, closed, _trace_out(joints, (dim_a, dim_b), [0])))))
-    return VerificationReport(tuple(rows))
+        joint_rows[members, :dim_a * dim_b] = _checked_eigenvalues(joints)
+        marginal_rows[0, members, :dim_a] = _checked_eigenvalues(closed)
+        marginal_rows[1, members, :dim_a] = _checked_eigenvalues(
+            _trace_out(joints, (dim_a, dim_b), [0]))
+        log_counts[members] = math.log(dim_a * dim_b)
+    return VerificationReport(_witness_rows(cases, log_counts, joint_rows, marginal_rows))
 
 
 def default_family_grid(max_dim: int = 4096) -> list[WernerParams]:

@@ -11,17 +11,18 @@ through here: :mod:`qtsallis.werner` evaluates them in closed form.
 The trace and positivity checks and the partial trace also take stacks
 of same-shaped matrices, so the separable witness of
 :mod:`qtsallis.oracle` checks and decomposes its mixtures one stack per
-shape, takes their log q-traces one stack at a time (:func:`_log_traces`,
-the numpy twin of the rule's kernel, in the order and branch that
-:mod:`qtsallis._index` picks, on logs taken once per stack by
-:func:`_logged`) and turns their gaps into entropies one array at a time
-(:func:`_entropies_from_gaps`).  Hermiticity is checked only where a
-caller's array comes in, by the public :class:`DensityMatrix`
-constructor, in square tiles (:func:`_check_hermitian`).  The states that
-this package builds itself (a family member, a partial trace, a tensor
-product) and the witness stacks are Hermitian by construction: they are
-adopted, not copied, and not checked for it, and tier-1 tests assert that
-each of them passes :func:`_check_hermitian`.  No check makes a temporary
+shape, takes the log q-traces of all its trials' eigenvalue rows, padded
+with zeros, one array per branch (:func:`_log_traces`, the numpy twin of
+the rule's kernel, in the order and branch that :mod:`qtsallis._index`
+picks, on logs taken once per array by :func:`_logged`) and turns their
+gaps into entropies one array at a time (:func:`_entropies_from_gaps`).
+Hermiticity is checked only where a caller's array comes in, by the
+public :class:`DensityMatrix` constructor, in square tiles
+(:func:`_check_hermitian`).  The states that this package builds itself
+(a family member, a partial trace, a tensor product) and the witness
+stacks are Hermitian by construction: they are adopted, not copied, and
+not checked for it, and tier-1 tests assert that each of them passes
+:func:`_check_hermitian`.  No check makes a temporary
 of the state's size, so a state costs about its own bytes once built.
 """
 
@@ -264,10 +265,11 @@ def q_trace(spectrum: Spectrum, q) -> float:
 
 
 def _logged(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A stack (count, side) of eigenvalues that :func:`_checked_eigenvalues`
+    """A stack (..., side) of eigenvalues that :func:`_checked_eigenvalues`
     has passed, in the form that :func:`_log_traces` takes at every order:
     the values clamped to [0, 1], the mask of the positive ones, and their
-    logs (0 where a value is 0)."""
+    logs (0 where a value is 0).  A zero weighs nothing in any branch, so a
+    row padded with zeros has the log q-trace of the row itself."""
     values = np.clip(eigenvalues, 0.0, 1.0)
     live = values > 0.0
     return values, live, np.log(values, out=np.zeros_like(values), where=live)
@@ -344,7 +346,11 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Marginal density matrix over the subsystems listed in ``keep``.
 
     Kept subsystems appear in their original order regardless of the order
-    given in ``keep``.
+    given in ``keep``.  The marginal is adopted without the Hermitian check:
+    each of its entries sums as many entries of ``rho`` as the traced
+    dimension, so a state whose asymmetry is just under ``HERMITIAN_TOL``
+    can give a marginal whose asymmetry is up to the traced dimension times
+    that, which the public constructor would refuse.
     """
     kept = sorted({_count(i, "subsystem index") for i in keep})
     n = len(rho.dims)

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import pickle
 import re
 import tracemalloc
@@ -15,6 +16,7 @@ from qtsallis import (Comparison, DensityMatrix, ValidationError, VerificationRe
                       quantum_conditional, spectrum_of, verify_family,
                       verify_separable_witness, werner_density)
 from qtsallis import oracle, quantum
+from qtsallis._index import _branch
 from qtsallis.oracle import (AGREEMENT_TOL, NONNEG_FLOOR, WITNESS_ORDERS, _marginal_of,
                              _witness_rows)
 from helpers import record_eigvalsh
@@ -327,6 +329,89 @@ def test_witness_forms_one_joint_stack_per_shape(monkeypatch):
         assert all(weights.shape[1] == 6 for weights, *_ in operands)
 
 
+@pytest.mark.parametrize("trials", [1, 10, 350, 2000])
+def test_witness_takes_two_log_traces_per_order_and_branch(trials, monkeypatch):
+    # the whole batch at once: one log q-trace of the joints and one of the marginals per
+    # order and branch that occurs, whatever the trial count, and the rows built in report order
+    traces, log_traces = [], oracle._log_traces
+
+    def counting(logged, order, far):
+        traces.append((order, far))
+        return log_traces(logged, order, far)
+
+    reported, report_type = [], oracle.VerificationReport
+
+    def capturing(comparisons):
+        reported.extend(comparisons)
+        return report_type(comparisons)
+
+    monkeypatch.setattr(oracle, "_log_traces", counting)
+    monkeypatch.setattr(oracle, "VerificationReport", capturing)
+    report = verify_separable_witness(trials, 5)
+    assert report.passed
+    sides = {math.prod(map(int, c.case.split(",")[1][len("dims="):].split("x")))
+             for c in reported}
+    groups = {(q, _branch(q, math.log(side))[1]) for q in WITNESS_ORDERS for side in sides}
+    assert sorted(traces) == sorted(2 * list(groups))
+    assert len(traces) <= 2 * 2 * len(WITNESS_ORDERS)
+    assert len(reported) == 8 * trials
+    assert [(c.case, c.quantity) for c in reported] == \
+        sorted((c.case, c.quantity) for c in reported)
+    assert list(report.comparisons) == reported
+
+
+#: Largest scaled |whole batch - per shape| allowed on a witness value: numpy sums a row
+#: padded to 16 or 4 entries in another association; the worst seen was 1.4e-15, over
+#: 60 seeds of 350 trials.
+PADDED_TOL = 4e-15
+
+
+@pytest.mark.parametrize("trials, seed", [(350, 3), (40, 11)])
+def test_whole_batch_witness_matches_the_per_shape_log_traces(trials, seed, monkeypatch):
+    # each shape's eigenvalue stacks taken alone, as the witness once took them, in the
+    # branch of the shape's own side; the whole batch pads them with zeros and sums again
+    checked, stacks = oracle._checked_eigenvalues, []
+
+    def recording(stack):
+        stacks.append(checked(stack))
+        return stacks[-1]
+
+    monkeypatch.setattr(oracle, "_checked_eigenvalues", recording)
+    report = verify_separable_witness(trials, seed)
+    by_trial = {}
+    for c in report.comparisons:
+        trial, dims, _ = c.case.split(",")
+        by_trial.setdefault(int(trial[len("trial="):]), (dims, {}))[1][c.quantity] = c
+    members = {}  # shape -> its trials in order, shapes in order of first appearance
+    for trial in sorted(by_trial):
+        members.setdefault(by_trial[trial][0], []).append(trial)
+    assert len(stacks) == 3 * len(members)
+    near_at_half = set()
+    for (dims, group), (joint, closed, traced) in zip(members.items(), zip(*[iter(stacks)] * 3)):
+        for q in WITNESS_ORDERS:
+            order, far = _branch(q, math.log(joint.shape[-1]))
+            if q == 0.5:
+                near_at_half.add(not far)
+            values, oracle_values = quantum._entropies_from_gaps(
+                quantum._log_traces(quantum._logged(joint), order, far)
+                - quantum._log_traces(quantum._logged(np.stack((closed, traced))), order, far),
+                order).tolist()
+            for trial, value, oracle_value in zip(group, values, oracle_values):
+                row = by_trial[trial][1][f"separable_conditional[q={q:g}]"]
+                for got, want in ((row.closed_form, value), (row.oracle, oracle_value)):
+                    assert abs(got - want) <= PADDED_TOL * max(1.0, abs(want)), \
+                        (dims, trial, q, got, want)
+    assert near_at_half == {True, False}  # q = 0.5 splits the batch between the branches
+
+
+def test_witness_rows_hold_plain_python_values():
+    report = verify_separable_witness(40, 3)
+    for c in report.comparisons:
+        assert type(c) is Comparison
+        assert [type(field) for field in c] == [str, str, float, float, float, bool], c
+    json.loads(json.dumps(report.to_json_obj()))
+
+
 def test_witness_states_have_coherences(monkeypatch):
     seen = record_eigvalsh(monkeypatch)
     report = verify_separable_witness(10, 7)
@@ -347,8 +432,8 @@ def test_witness_states_have_coherences(monkeypatch):
 def test_witness_rows_fail_on_an_entangled_member(q):
     rho = werner_density(WernerParams(2, 2, 0.9))
     marginal = partial_trace(rho, {0}).eigenvalues[None]
-    rows = {c.quantity: c
-            for c in _witness_rows(["x=0.9"], rho.eigenvalues[None], marginal, marginal)}
+    rows = {c.quantity: c for c in _witness_rows(
+        ["x=0.9"], np.array([math.log(4)]), rho.eigenvalues[None], np.stack((marginal, marginal)))}
     assert rows[f"separable_conditional[q={q}]"].passed
     assert rows[f"nonnegative[q={q}]"].closed_form < 0.0
     assert not rows[f"nonnegative[q={q}]"].passed

@@ -360,6 +360,18 @@ def test_partial_trace_and_tensor_product_stay_hermitian(dims, other, seed):
     quantum._check_hermitian(tensor_product(sigma, rho).entries)
 
 
+def test_partial_trace_adopts_a_marginal_the_public_check_would_refuse():
+    # the public constructor lets each mirrored pair differ by up to HERMITIAN_TOL; a partial
+    # trace sums as many such pairs as the traced dimension, here 8, and adopts the result
+    skew = np.triu(np.full((16, 16), 0.45e-12), 1)
+    rho = DensityMatrix((2, 8), np.eye(16) / 16 + skew - skew.T)  # each pair 0.9e-12 apart
+    marginal = partial_trace(rho, {0})
+    asymmetry = abs(marginal.entries[0, 1] - marginal.entries[1, 0])
+    assert quantum.HERMITIAN_TOL < asymmetry == pytest.approx(8 * 0.9e-12)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        DensityMatrix((2,), marginal.entries)
+
+
 @pytest.mark.parametrize("dims", [(2.5, 2), (2, math.nan)])
 def test_density_refuses_non_integral_dims(dims):
     with pytest.raises(ValidationError, match="must be an integer"):
@@ -578,9 +590,11 @@ witness_orders = st.one_of(
 @settings(deadline=None, max_examples=300)
 def test_log_traces_match_the_scalar_kernel_row_by_row(stack, q):
     """The stacked kernel of the witness against :func:`_log_trace` on (v, 1)
-    levels, in both branches.  The near branch is compared wherever it is
-    well conditioned, ln sum v**q >= -1 (always at q <= 1, where its terms
-    are nonnegative).  Beyond that its log1p meets a sum next to -1, and
+    levels, in both branches and at the limit point, on the rows as drawn
+    and padded with exact zeros to side 16 as the witness pads them.  The
+    near branch is compared wherever it is well conditioned, ln sum v**q
+    >= -1 (always at q <= 1, where its terms are nonnegative).  Beyond
+    that its log1p meets a sum next to -1, and
     :func:`_branch` sends no such row there: it picks the near branch only
     where (q - 1) ln(side) <= 1, so that sum v**q >= 1/e on every row of
     that side or less."""
@@ -592,11 +606,16 @@ def test_log_traces_match_the_scalar_kernel_row_by_row(stack, q):
     conditioned = [scalar(row, True) >= -1.0 for row in stack.tolist()]
     for far, rows in ((True, stack), (False, stack[conditioned])):
         traces = quantum._log_traces(quantum._logged(rows), order, far)
-        assert traces.shape == (len(rows),)
-        for row, value in zip(rows.tolist(), traces.tolist()):
+        padded = quantum._log_traces(
+            quantum._logged(np.pad(rows, ((0, 0), (0, 16 - rows.shape[1])))), order, far)
+        assert traces.shape == padded.shape == (len(rows),)
+        for row, value, padded_value in zip(rows.tolist(), traces.tolist(), padded.tolist()):
             expected = scalar(row, far)
-            assert abs(value - expected) <= LOG_TRACES_TOL * max(1.0, abs(expected)), \
-                (row, q, far, value, expected)
+            for got in (value, padded_value):
+                assert abs(got - expected) <= LOG_TRACES_TOL * max(1.0, abs(expected)), \
+                    (row, q, far, got, expected)
+            assert abs(padded_value - value) <= LOG_TRACES_TOL * max(1.0, abs(value)), \
+                (row, q, far, padded_value, value)
 
 
 
