@@ -1,16 +1,18 @@
 """Dense-matrix brute-force verification.
 
 Builds the dense family members (here, and only here) and their
-marginals explicitly, each marginal traced from the one before, computes
-spectra and entropies numerically, and certifies every closed form at
-small scale.  The random separable witness draws its whole trial plan
-in three calls and builds its states per (d_A, d_B) shape: one draw and
-one Gram product per local side, one ``einsum`` for the joints of a shape
-and one for their marginals, and one checked eigendecomposition per stack.
-From the eigenvalues on it works on all trials at once: rows padded with
-zeros into one joint and one marginal array, logged once each, one log
-q-trace of each per order and branch, values, deviations and verdicts as
-arrays, and the rows built once, in report order.  Verification results
+marginals explicitly, each marginal traced from the one before, cuts
+each dense spectrum by the closed form's own multiplicities, with no
+merge tolerance, takes the entropies from those levels, and certifies
+every closed form at small scale.  The random separable witness draws
+its whole trial plan in three calls and builds its states per (d_A, d_B)
+shape: one draw and one Gram product per local side, one ``einsum`` for
+the joints of a shape and one for their marginals, and one checked
+eigendecomposition per stack.  From the eigenvalues on it works on all
+trials at once: rows padded with zeros into one joint and one marginal
+array, logged once each, one log q-trace of each per order and branch,
+values, deviations and verdicts as arrays, and the rows built once, in
+report order.  Verification results
 are data, not exceptions: each comparison becomes a row (a named tuple)
 in a report that serializes to JSON.
 """
@@ -27,7 +29,7 @@ import numpy as np
 from ._index import Spectrum, _branch, _conditionals, _count, _Frozen, _order
 from .errors import ValidationError
 from .quantum import (DensityMatrix, _checked_eigenvalues, _entropies_from_gaps, _log_traces,
-                      _logged, _refuse_above_cap, _trace_out, partial_trace, spectrum_of)
+                      _logged, _refuse_above_cap, _trace_out, partial_trace)
 from .werner import (WernerParams, conditional_entropy_block, joint_spectrum,
                      marginal_spectrum)
 
@@ -142,38 +144,43 @@ def _marginal_of(state: DensityMatrix, params: WernerParams, kept: int) -> Densi
     return marginal
 
 
-def _spectrum_rows(case: str, label: str, closed: Spectrum,
-                   oracle: Spectrum) -> list[Comparison]:
-    if len(closed.levels) != len(oracle.levels):
-        return [Comparison(case, f"{label}.level_count",
-                           float(len(closed.levels)), float(len(oracle.levels)),
-                           float(abs(len(closed.levels) - len(oracle.levels))), False)]
-    rows = []
-    for idx, ((cv, cm), (ov, om)) in enumerate(zip(closed.levels, oracle.levels)):
-        dev = _deviation(cv, ov)
+def _spectrum_rows(case: str, label: str, closed: Spectrum, eigenvalues: np.ndarray,
+                   rows: list[Comparison]) -> list[tuple[float, int]]:
+    """Cut ascending ``eigenvalues``, largest first, into blocks of the
+    ``closed`` multiplicities; append to ``rows`` each level's eigenvalue
+    against its block mean, clamped to [0, 1], and multiplicity against the
+    count of block entries within ``AGREEMENT_TOL`` of it; return the (mean,
+    multiplicity) levels.  A mean keeps its block's trace, noise included."""
+    blocks = np.split(eigenvalues[::-1], np.cumsum([mult for _, mult in closed.levels[:-1]]))
+    levels = []
+    for idx, ((value, mult), block) in enumerate(zip(closed.levels, blocks)):
+        mean = min(max(math.fsum(block.tolist()) / mult, 0.0), 1.0)
+        count = int(np.count_nonzero(np.abs(block - value) <= AGREEMENT_TOL))
+        dev = _deviation(value, mean)
         rows.append(Comparison(
-            case, f"{label}[level={idx}].eigenvalue", cv, ov, dev, dev <= AGREEMENT_TOL))
+            case, f"{label}[level={idx}].eigenvalue", value, mean, dev, dev <= AGREEMENT_TOL))
         rows.append(Comparison(
             case, f"{label}[level={idx}].multiplicity",
-            float(cm), float(om), float(abs(cm - om)), cm == om))
-    return rows
+            float(mult), float(count), float(abs(mult - count)), mult == count))
+        levels.append((mean, mult))
+    return levels
 
 
 def verify_family(params_grid, q_grid) -> VerificationReport:
     """Certify the closed-form spectra and conditional entropies against
     dense eigendecompositions over a grid of family members and orders.
 
-    For every family member: the joint spectrum and each marginal spectrum
-    (all block sizes) are compared level by level.  The (n - 1)-party
-    marginal is traced from the joint state and each smaller one from the
-    marginal before it, one party at a time, so the joint is released after
-    the first trace; each is checked against its explicit form
-    (:func:`_marginal_of`).  For every order q, each block conditional
+    For every family member, the eigenvalues of the joint state and of each
+    marginal (all block sizes) are cut by the closed multiplicities and
+    compared level by level (:func:`_spectrum_rows`), with no merge
+    tolerance.  The (n - 1)-party marginal is traced from the joint state
+    and each smaller one from the marginal before it, so the joint is
+    released after the first trace; each is checked against its explicit
+    form (:func:`_marginal_of`).  For every order q, each block conditional
     entropy (from the closed-form log q-traces) is compared against the
-    ratio form that ``quantum_conditional`` evaluates on the oracle
-    spectra, with the joint's log q-trace taken once for all block sizes
-    (:func:`qtsallis._index._conditionals`).  All comparisons use
-    ``AGREEMENT_TOL`` on the magnitude-scaled deviation of
+    ratio form on the oracle's block-mean levels, with the joint's log
+    q-trace taken once (:func:`qtsallis._index._conditionals`).  All
+    comparisons use ``AGREEMENT_TOL`` on the magnitude-scaled deviation of
     :func:`_deviation`.
     """
     orders = [_order(q) for q in q_grid]
@@ -181,21 +188,17 @@ def verify_family(params_grid, q_grid) -> VerificationReport:
     for params in params_grid:
         case = f"N={params.levels},n={params.parties},x={params.mixing:g}"
         state = werner_density(params)
-        oracle_joint = spectrum_of(state)
-        rows.extend(_spectrum_rows(case, "joint_spectrum",
-                                   joint_spectrum(params), oracle_joint))
-        oracle_marginals = {}
+        joint = _spectrum_rows(case, "joint_spectrum", joint_spectrum(params),
+                               state.eigenvalues, rows)
+        marginals = []  # by kept parties m = n - 1, ..., 1
         for m in range(params.parties - 1, 0, -1):
             state = _marginal_of(state, params, m)
-            oracle_marginals[m] = spectrum_of(state)
-            rows.extend(_spectrum_rows(case, f"marginal_spectrum[m={m}]",
-                                       marginal_spectrum(params, m),
-                                       oracle_marginals[m]))
+            marginals.append(_spectrum_rows(case, f"marginal_spectrum[m={m}]",
+                                            marginal_spectrum(params, m), state.eigenvalues, rows))
         blocks = range(1, params.parties)
-        log_count = math.log(oracle_joint.total_multiplicity)
+        log_count = math.log(params.total_dim)
         for q in orders:
-            oracle_values = _conditionals(
-                oracle_joint.levels, [oracle_marginals[k].levels for k in blocks], q, log_count)
+            oracle_values = _conditionals(joint, marginals[::-1], q, log_count)
             for k, oracle_value in zip(blocks, oracle_values):
                 closed = conditional_entropy_block(params, k, q)
                 dev = _deviation(closed, oracle_value)

@@ -196,9 +196,9 @@ def _eigenvalues(entries: np.ndarray) -> np.ndarray:
     diagonal entries, exactly, together with one ``eigvalsh`` of the
     coupled block (none if that block is empty).  A matrix whose first
     column is nonzero below the diagonal couples every index and goes to
-    ``eigvalsh`` whole, without building the pattern: for a small dense
-    state, such as a separable-witness mixture, the pattern would cost
-    as much as ``eigvalsh`` itself or more.
+    ``eigvalsh`` whole, without building the pattern: for a small state
+    with coherences everywhere, the pattern would cost as much as
+    ``eigvalsh`` itself or more.
     """
     if np.count_nonzero(entries[1:, 0]) == len(entries) - 1:
         return np.linalg.eigvalsh(entries)
@@ -229,16 +229,11 @@ def spectrum_of(rho: DensityMatrix) -> Spectrum:
     matrix of that side and norm.  So numerically split degeneracies match
     analytic multiplicities.  A level sits at the multiplicity-weighted
     mean of its eigenvalues, which keeps the trace exact and the folding
-    error second order, so q-traces stay accurate even at large q.
+    error second order, so q-traces stay accurate even at large q.  The
+    levels descend and are clamped to [0, 1], so they skip the checks of
+    :class:`Spectrum`.  The oracle cuts by closed multiplicities instead.
     """
-    return _fold(rho.eigenvalues.tolist())
-
-
-def _fold(values: list[float]) -> Spectrum:
-    """The levels of :func:`spectrum_of` from one ascending eigenvalue row
-    that :func:`_checked_eigenvalues` has passed, so the spectrum is built
-    unchecked; its levels descend already, and each is clamped to [0, 1]
-    as :class:`Spectrum` would."""
+    values = rho.eigenvalues.tolist()
     tol = SPECTRUM_MERGE_SCALE * len(values) * sys.float_info.epsilon * values[-1]
     levels: list[tuple[float, int]] = []
     for value in reversed(values):
@@ -294,8 +289,9 @@ def _log_traces(logged: tuple[np.ndarray, np.ndarray, np.ndarray], q: float | No
         shifted = np.exp(terms - peak, out=np.zeros_like(values), where=live)
         return peak[..., 0] + np.log(np.sum(shifted, axis=-1))
     grown = (q - 1.0) * logs
-    excess = np.where(grown < 709.0, values * np.expm1(np.minimum(grown, 709.0)),
-                      np.exp(q * logs) - values)
+    excess = values * np.expm1(np.minimum(grown, 709.0))
+    over = grown >= 709.0
+    excess[over] = np.exp(q * logs[over]) - values[over]
     return np.log1p(np.sum(excess, axis=-1))
 
 

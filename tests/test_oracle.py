@@ -12,11 +12,11 @@ import numpy.testing as npt
 import pytest
 
 from qtsallis import (Comparison, DensityMatrix, ValidationError, VerificationReport,
-                      WernerParams, default_family_grid, joint_spectrum, partial_trace,
-                      quantum_conditional, spectrum_of, verify_family,
+                      WernerParams, default_family_grid, joint_spectrum, marginal_spectrum,
+                      partial_trace, quantum_conditional, spectrum_of, verify_family,
                       verify_separable_witness, werner_density)
 from qtsallis import oracle, quantum
-from qtsallis._index import _branch
+from qtsallis._index import Spectrum, _branch, _conditionals
 from qtsallis.oracle import (AGREEMENT_TOL, NONNEG_FLOOR, WITNESS_ORDERS, _marginal_of,
                              _witness_rows)
 from helpers import record_eigvalsh
@@ -115,17 +115,35 @@ def test_witness_stacks_pass_the_hermitian_check(trials, seed, monkeypatch):
             quantum._check_hermitian(member)
 
 
+def block_means(closed, eigenvalues):
+    """The oracle's levels: the eigenvalues, largest first, cut into blocks
+    of the closed multiplicities, each at its mean clamped to [0, 1]."""
+    values, levels = eigenvalues[::-1].tolist(), []
+    for _, mult in closed.levels:
+        block, values = values[:mult], values[mult:]
+        levels.append((min(max(math.fsum(block) / mult, 0.0), 1.0), mult))
+    return levels
+
+
 @pytest.mark.parametrize("levels,parties", [(2, 4), (3, 3)])
 def test_verify_family_oracle_entropies_equal_quantum_conditional(levels, parties):
+    # exactly the ratio form on the block means, and within 1e-14 of the folded public spectra
     params = WernerParams(levels, parties, 0.45)
     orders = (0.5, 1.0, 2.0, 50.0)
     joint = werner_density(params)
     oracle = {c.quantity: c.oracle for c in verify_family([params], orders).comparisons}
-    for k in range(1, parties):
-        marginal = spectrum_of(partial_trace(joint, range(parties - k, parties)))
-        for q in orders:
-            assert oracle[f"conditional_entropy_block[k={k},q={q:g}]"] == quantum_conditional(
-                spectrum_of(joint), marginal, q)
+    blocks = range(1, parties)
+    marginals = [partial_trace(joint, range(parties - k, parties)) for k in blocks]
+    joint_means = block_means(joint_spectrum(params), joint.eigenvalues)
+    means = [block_means(marginal_spectrum(params, k), marginal.eigenvalues)
+             for k, marginal in zip(blocks, marginals)]
+    for q in orders:
+        exact = _conditionals(joint_means, means, q, math.log(joint.side))
+        for k, marginal, value in zip(blocks, marginals, exact):
+            got = oracle[f"conditional_entropy_block[k={k},q={q:g}]"]
+            assert got == value
+            public = quantum_conditional(spectrum_of(joint), spectrum_of(marginal), q)
+            assert abs(got - public) <= 1e-14 * max(1.0, abs(public)), (k, q, got, public)
 
 
 def test_verify_family_peak_memory_stays_below_twice_the_state():
@@ -164,11 +182,46 @@ def test_verify_family_one_eigendecomposition_per_state(monkeypatch):
     assert not any(np.iscomplexobj(m) for m in seen)
 
 
-@pytest.mark.parametrize("x", [1e-10, 1e-12])
+@pytest.mark.parametrize("x", [1e-10, 1e-12, 1e-15, 1e-16])
 def test_verify_family_separates_levels_a_tiny_weight_apart(x):
-    # the raised and background levels lie about x apart, far above the eigensolver's error
+    # the raised and background levels lie about x apart: the eigenvalues are cut by the
+    # closed multiplicities, so levels closer than the eigensolver's error keep theirs
     report = verify_family([WernerParams(3, 4, x)], (2.0,))
     assert report.passed, [c for c in report.comparisons if not c.passed][:3]
+
+
+@pytest.mark.parametrize("keep_total", [True, False], ids=["total-kept", "total-off"])
+@pytest.mark.parametrize("shift", [1, -1])
+def test_verify_family_fails_a_closed_multiplicity_moved_by_one(shift, keep_total, monkeypatch):
+    # the m = 2 marginal of (3, 4) has levels of multiplicity 3 and 6; the background one
+    # moves by +-1, and with the total kept the raised one takes up the difference
+    closed = oracle.marginal_spectrum
+
+    def moved(params, m):
+        spectrum = closed(params, m)
+        if m != 2:
+            return spectrum
+        (raised, n_raised), (background, n_background) = spectrum.levels
+        assert n_raised == 3 and n_background == 6
+        return Spectrum._trusted(((raised, n_raised - (shift if keep_total else 0)),
+                                  (background, n_background + shift)))
+
+    monkeypatch.setattr(oracle, "marginal_spectrum", moved)
+    failing = {c.quantity for c in verify_family([WernerParams(3, 4, 0.4)], (2.0,)).comparisons
+               if not c.passed}
+    assert failing and all(q.startswith("marginal_spectrum[m=2]")
+                           or q.startswith("conditional_entropy_block[k=2,") for q in failing)
+    assert any(q.endswith(".multiplicity") for q in failing), failing
+
+
+def test_verify_family_never_folds_a_spectrum(monkeypatch):
+    def refuse(rho):
+        raise AssertionError("verify_family folded a dense spectrum")
+
+    monkeypatch.setattr(quantum, "spectrum_of", refuse)
+    assert not hasattr(oracle, "spectrum_of")
+    assert verify_family([WernerParams(3, 4, x) for x in (0.0, 1e-16, 0.4, 1.0)],
+                         (0.5, 1.0, 2.0)).passed
 
 
 def test_verify_family_rows_without_closed_duplicates():

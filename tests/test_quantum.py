@@ -478,8 +478,8 @@ def test_fold_builds_the_spectrum_that_validation_would():
         assert folded.levels == Spectrum(folded.levels).levels
     ghz = spectrum_of(DensityMatrix((2, 2), np.outer(ghz_vector(2, 2), ghz_vector(2, 2))))
     assert ghz == Spectrum(ghz.levels)
-    assert quantum._fold([-2e-15, -1e-15, 1.0]).levels == ((1.0, 1), (0.0, 2))
-    assert quantum._fold([0.0, 1.0 + 5e-11]).levels == ((1.0, 1), (0.0, 1))
+    assert diagonal_levels([-2e-15, -1e-15, 1.0]) == ((1.0, 1), (0.0, 2))
+    assert diagonal_levels([-5e-11, 1 + 5e-11]) == ((1.0, 1), (0.0, 1))
 
 
 def test_spectrum_validation():
