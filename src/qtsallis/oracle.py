@@ -6,15 +6,16 @@ each dense spectrum by the closed form's own multiplicities, with no
 merge tolerance, takes the entropies from those levels, and certifies
 every closed form at small scale.  The random separable witness draws
 its whole trial plan in three calls and builds its states per (d_A, d_B)
-shape: one draw and one Gram product per local side, one ``einsum`` for
-the joints of a shape and one for their marginals, and one checked
-eigendecomposition per stack.  From the eigenvalues on it works on all
-trials at once: rows padded with zeros into one joint and one marginal
-array, logged once each, one log q-trace of each per order and branch,
-values, deviations and verdicts as arrays, and the rows built once, in
-report order.  Verification results
-are data, not exceptions: each comparison becomes a row (a named tuple)
-in a report that serializes to JSON.
+shape: one draw and one Gram product per local side, one batched
+``matmul`` for the joints of a shape, whose weighted A states also sum
+to their marginals, and one checked eigendecomposition per stack.  From
+the eigenvalues on it works on all trials at once: rows padded with
+zeros into one joint and one marginal array, logged once each, one log
+q-trace of each per order and branch, values, deviations and verdicts
+as arrays, and the rows built once, in report order, which the report
+adopts without sorting them again.  Verification results are data, not
+exceptions: each comparison becomes a row (a named tuple) in a report
+that serializes to JSON.
 """
 
 from __future__ import annotations
@@ -54,8 +55,13 @@ def _deviation(a: float, b: float) -> float:
     Equals the absolute deviation whenever both values have magnitude at
     most 1 (all eigenvalues, most entropies); beyond that it is relative,
     since double precision cannot hold an absolute 1e-10 on quantities of
-    magnitude 1e5 whose own spacing is coarser than that.
+    magnitude 1e5 whose own spacing is coarser than that.  Equal values
+    deviate by 0, equal infinities included (both sides overflow to -inf
+    at the largest orders); opposite infinities, or an infinite value
+    against a finite one, give nan, which fails every bound.
     """
+    if a == b:
+        return 0.0
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
@@ -80,7 +86,10 @@ class Comparison(namedtuple("Comparison", "case quantity closed_form oracle abs_
 
 
 class VerificationReport(_Frozen):
-    """Sorted collection of comparisons; failing rows make it failing."""
+    """Collection of comparisons sorted by (case, quantity); failing rows
+    make it failing.  The constructor sorts the rows it is given; the
+    separable witness, which builds its rows already in that order, hands
+    them over unsorted (:meth:`_adopt`)."""
 
     __slots__ = ("comparisons",)
 
@@ -88,13 +97,25 @@ class VerificationReport(_Frozen):
         object.__setattr__(self, "comparisons",
                            tuple(sorted(comparisons, key=attrgetter("case", "quantity"))))
 
+    @classmethod
+    def _adopt(cls, comparisons: tuple[Comparison, ...]) -> VerificationReport:
+        """The report of a tuple of rows already in (case, quantity) order,
+        taken as it is, without the constructor's sort;
+        ``test_witness_rows_come_in_report_order`` asserts that the witness
+        rows are."""
+        report = object.__new__(cls)
+        object.__setattr__(report, "comparisons", comparisons)
+        return report
+
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.comparisons)
 
     @property
     def max_abs_dev(self) -> float:
-        return max((c.abs_dev for c in self.comparisons), default=0.0)
+        """The largest row deviation, 0 for no rows, and nan if any row's is nan."""
+        devs = [c.abs_dev for c in self.comparisons]
+        return math.nan if any(map(math.isnan, devs)) else max(devs, default=0.0)
 
     def to_json_obj(self) -> list[dict]:
         return [c.to_dict() for c in self.comparisons]
@@ -210,9 +231,32 @@ def verify_family(params_grid, q_grid) -> VerificationReport:
 
 def _random_states(g: np.ndarray) -> np.ndarray:
     """Real full-rank states G G^T / tr(G G^T), one per standard normal G of
-    the (count, d, d) stack ``g``, in one batched product."""
-    gram = g @ g.transpose(0, 2, 1)
+    the (count, d, d) stack ``g``, in one batched product.  G^T is taken as
+    a contiguous copy: against the strided view ``matmul`` leaves BLAS for
+    its own loop, about twice as slow, for bit-identical Grams."""
+    gram = g @ np.ascontiguousarray(g.transpose(0, 2, 1))
     return gram / np.trace(gram, axis1=1, axis2=2)[:, None, None]
+
+
+def _mixtures(weights: np.ndarray, local_a: np.ndarray,
+              local_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The joints sum_l w_l rho_A^l (x) rho_B^l, a (count, d_A d_B, d_A d_B)
+    stack, and the closed marginals sum_l w_l rho_A^l, a (count, d_A, d_A)
+    stack, of the (count, terms) ``weights`` and the (count, terms, d, d)
+    local states of each side.  The A states, weighted and flattened to
+    (count, terms, d_A^2), give the closed marginals as their sum over
+    terms and, seen as (count, d_A^2, terms), the joints in one batched
+    ``matmul`` with the B states flattened to (count, terms, d_B^2); the
+    (a c, b d) products are then put in (a b, c d) order.  A term of zero
+    weight adds exact zeros, and a stack of one trial gives that trial's
+    states bit for bit."""
+    count, terms, dim_a, _ = local_a.shape
+    dim_b = local_b.shape[-1]
+    weighted = local_a.reshape(count, terms, -1) * weights[:, :, None]
+    products = weighted.transpose(0, 2, 1) @ local_b.reshape(count, terms, -1)
+    joints = products.reshape(count, dim_a, dim_a, dim_b, dim_b).transpose(0, 1, 3, 2, 4)
+    return (joints.reshape(count, dim_a * dim_b, -1),
+            weighted.sum(axis=1).reshape(count, dim_a, dim_a))
 
 
 #: The two witness quantities of each order, as they head its row labels.
@@ -254,8 +298,9 @@ def _witness_rows(cases, log_counts: np.ndarray, joint: np.ndarray,
                 - _log_traces(tuple(part[:, group] for part in marginals), order, branch))
         gap[:] = _entropies_from_gaps(gap, order)
     values, oracle = gaps[:, 0], gaps[:, 1]
-    devs = np.abs(values - oracle) / np.maximum(np.maximum(np.abs(values), np.abs(oracle)),
-                                                1.0)  # _deviation, element by element
+    with np.errstate(invalid="ignore"):  # _deviation, element by element: nan fails
+        devs = np.where(values == oracle, 0.0, np.abs(values - oracle) / np.maximum(
+            np.maximum(np.abs(values), np.abs(oracle)), 1.0))
     columns = (  # (kind, order, trial), kinds as in _WITNESS_KINDS
         np.stack((values, values)),
         np.stack((np.zeros_like(values), oracle)),
@@ -290,9 +335,10 @@ def verify_separable_witness(trials: int, seed: int) -> VerificationReport:
     by shape in order of first appearance, each side draws the normal G
     of ``_MAX_TERMS`` local states per trial of the shape in one call and
     turns them into states in one batched Gram (:func:`_random_states`).
-    The joints of each of the nine shapes come from one ``einsum`` over
-    the padded weights, and their closed marginals from another; a slot
-    beyond a trial's term count has zero weight and adds exact zeros.  The
+    The joints of each of the nine shapes come from one batched ``matmul``
+    over the padded weights, and their closed marginals from the same
+    weighted A states (:func:`_mixtures`); a slot beyond a trial's term
+    count has zero weight and adds exact zeros.  The
     joints, closed marginals and the joints' partial traces of a shape form
     one stack apiece, checked for trace and positivity and eigendecomposed
     in one call (:func:`qtsallis.quantum._checked_eigenvalues`), with the
@@ -303,8 +349,10 @@ def verify_separable_witness(trials: int, seed: int) -> VerificationReport:
     over all trials, padded with exact zeros, and the rest runs on the
     whole batch at once (:func:`_witness_rows`): at most two log q-traces
     per order and branch, and the rows built once, already in report
-    order.  Numpy sums the padded rows, so the values can differ by a few
-    ulps from ``quantum_conditional`` on each trial's spectra.
+    order, which the report adopts unsorted
+    (:meth:`VerificationReport._adopt`).  Numpy sums the padded rows, so
+    the values can differ by a few ulps from ``quantum_conditional`` on
+    each trial's spectra.
     """
     trials, seed = _count(trials, "trial count"), _count(seed, "seed")
     if trials < 1:
@@ -329,16 +377,13 @@ def verify_separable_witness(trials: int, seed: int) -> VerificationReport:
         local_a, local_b = (
             _random_states(rng.standard_normal((count * _MAX_TERMS, dim, dim)))
             .reshape(count, _MAX_TERMS, dim, dim) for dim in (dim_a, dim_b))
-        padded = weights[members]
-        joints = np.einsum("tl,tlac,tlbd->tabcd", padded, local_a, local_b).reshape(
-            count, dim_a * dim_b, -1)
-        closed = np.einsum("tl,tlac->tac", padded, local_a)
+        joints, closed = _mixtures(weights[members], local_a, local_b)
         joint_rows[members, :dim_a * dim_b] = _checked_eigenvalues(joints)
         marginal_rows[0, members, :dim_a] = _checked_eigenvalues(closed)
         marginal_rows[1, members, :dim_a] = _checked_eigenvalues(
             _trace_out(joints, (dim_a, dim_b), [0]))
         log_counts[members] = math.log(dim_a * dim_b)
-    return VerificationReport(_witness_rows(cases, log_counts, joint_rows, marginal_rows))
+    return VerificationReport._adopt(_witness_rows(cases, log_counts, joint_rows, marginal_rows))
 
 
 def default_family_grid(max_dim: int = 4096) -> list[WernerParams]:

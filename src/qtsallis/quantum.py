@@ -135,19 +135,22 @@ def _checked_eigenvalues(stack: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, or of each matrix of a
     stack (..., s, s), once every member has passed the trace and
     positivity checks of a state: trace within ``TRACE_TOL`` of 1 and
-    smallest eigenvalue at least ``PSD_FLOOR``.  A failing trace is quoted
-    from the first member that fails, a failing eigenvalue is the smallest
-    of all.  Hermiticity is the caller's to check: the public constructor
-    runs :func:`_check_hermitian` first, and the package's own states and
-    the witness stacks are Hermitian by construction, which
+    smallest eigenvalue at least ``PSD_FLOOR``.  The traces are checked as
+    one array, nan failing; a failing trace is quoted from the first member
+    that fails, a failing eigenvalue is the smallest of all.  Hermiticity
+    is the caller's to check: the public constructor runs
+    :func:`_check_hermitian` first, and the package's own states and the
+    witness stacks are Hermitian by construction, which
     ``test_internal_constructions_pass_the_hermitian_check`` and
     ``test_witness_stacks_pass_the_hermitian_check`` assert.  A single
     matrix is split by :func:`_eigenvalues`; a stack takes one ``eigvalsh``
     whole.
     """
-    for trace in np.trace(stack, axis1=-2, axis2=-1).reshape(-1).tolist():
-        if not abs(trace - 1.0) <= TRACE_TOL:  # nan fails too
-            raise ValidationError(f"trace is {complex(trace)!r}, expected 1")
+    traces = np.reshape(np.trace(stack, axis1=-2, axis2=-1), -1)
+    failing = ~(np.abs(traces - 1.0) <= TRACE_TOL)  # nan fails too
+    if failing.any():
+        trace = traces[np.argmax(failing)]
+        raise ValidationError(f"trace is {complex(trace)!r}, expected 1")
     try:
         eigenvalues = _eigenvalues(stack) if stack.ndim == 2 else np.linalg.eigvalsh(stack)
     except np.linalg.LinAlgError as exc:

@@ -17,8 +17,8 @@ from qtsallis import (Comparison, DensityMatrix, ValidationError, VerificationRe
                       verify_separable_witness, werner_density)
 from qtsallis import oracle, quantum
 from qtsallis._index import Spectrum, _branch, _conditionals
-from qtsallis.oracle import (AGREEMENT_TOL, NONNEG_FLOOR, WITNESS_ORDERS, _marginal_of,
-                             _witness_rows)
+from qtsallis.oracle import (AGREEMENT_TOL, NONNEG_FLOOR, WITNESS_ORDERS, _deviation,
+                             _marginal_of, _witness_rows)
 from helpers import record_eigvalsh
 
 
@@ -233,6 +233,27 @@ def test_verify_family_rows_without_closed_duplicates():
         assert f"conditional_entropy_block[k=2,q={q:g}]" in quantities
 
 
+def test_verify_family_passes_where_both_sides_overflow():
+    # at q = 1e5 and 1e6 many closed and oracle conditionals both overflow to -inf: equal
+    # values deviate by 0, so no row turns nan, and the report's worst deviation stays finite
+    report = verify_family(default_family_grid(), (1e3, 1e5, 1e6))
+    assert len(report.comparisons) == 1032
+    assert report.passed, [c for c in report.comparisons if not c.passed][:3]
+    assert math.isfinite(report.max_abs_dev), report.max_abs_dev
+    overflowed = [c for c in report.comparisons if c.closed_form == -math.inf]
+    assert overflowed and all(c.oracle == -math.inf and c.abs_dev == 0.0 for c in overflowed)
+
+
+@pytest.mark.parametrize("a, b, dev", [
+    (-math.inf, -math.inf, 0.0), (math.inf, math.inf, 0.0), (2.0, 2.0, 0.0),
+    (-math.inf, math.inf, math.nan), (-math.inf, 1e300, math.nan), (5.0, math.inf, math.nan),
+    (3.0, 1.0, 2.0 / 3.0), (0.25, 0.5, 0.25)])
+def test_deviation_of_equal_values_is_zero_and_of_unequal_infinities_nan(a, b, dev):
+    for got in (_deviation(a, b), _deviation(b, a)):
+        assert got == dev or (math.isnan(dev) and math.isnan(got)), (a, b, got)
+        assert (got <= AGREEMENT_TOL) == (dev == 0.0)
+
+
 def test_verify_family_empty_grids_trivially_pass():
     report = verify_family([], [])
     assert report.passed
@@ -294,6 +315,27 @@ def test_report_record_contract():
     for twin in (pickle.loads(pickle.dumps(report)), copy.copy(report), copy.deepcopy(report)):
         assert type(twin) is VerificationReport
         assert twin == report and twin.to_json_obj() == report.to_json_obj()
+
+
+@pytest.mark.parametrize("at", [0, -1], ids=["nan-first", "nan-last"])
+def test_report_max_abs_dev_shows_a_nan_row(at):
+    rows = [Comparison(f"case={i}", "x", 0.0, 0.0, 0.5 * i, True) for i in range(4)]
+    rows[at] = rows[at]._replace(abs_dev=math.nan, passed=False)
+    report = VerificationReport._adopt(tuple(rows))
+    assert math.isnan(report.max_abs_dev)
+    assert math.isnan(VerificationReport(tuple(rows[::-1])).max_abs_dev)
+    assert VerificationReport(tuple(rows[1:-1])).max_abs_dev == 1.0
+
+
+def test_report_adopts_rows_without_sorting_them():
+    rows = (Comparison("a", "x", 0.0, 0.0, 0.0, True), Comparison("a", "y", 1.0, 2.0, 0.5, False))
+    report = VerificationReport._adopt(rows)
+    assert type(report) is VerificationReport and report.comparisons is rows
+    assert report == VerificationReport(rows[::-1])
+    assert hash(report) == hash(VerificationReport(rows))
+    with pytest.raises(AttributeError, match="comparisons"):
+        report.comparisons = ()
+    assert pickle.loads(pickle.dumps(report)) == report
 
 
 def test_witness_rejects_zero_trials():
@@ -363,23 +405,41 @@ def test_witness_draws_do_not_grow_with_trials(trials, monkeypatch):
 
 
 def test_witness_forms_one_joint_stack_per_shape(monkeypatch):
-    calls = {}  # subscripts -> the operands of each call
-    einsum = np.einsum
+    calls = []  # the operands and results of each joint product
+    mixtures = oracle._mixtures
 
-    def counting(subscripts, *operands, **kwargs):
-        calls.setdefault(subscripts, []).append(operands)
-        return einsum(subscripts, *operands, **kwargs)
+    def counting(weights, local_a, local_b):
+        calls.append(((weights, local_a, local_b), mixtures(weights, local_a, local_b)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(np, "einsum", counting)
+    monkeypatch.setattr(oracle, "_mixtures", counting)
     report = verify_separable_witness(10, 7)
     assert report.passed
     shapes = {c.case.split(",")[1] for c in report.comparisons}
-    assert set(calls) == {"tl,tlac,tlbd->tabcd", "tl,tlac->tac"}  # joints, closed marginals
-    for operands in calls.values():
-        assert len(operands) == len(shapes) < 10
-        # each call holds every trial of its shape, terms padded to six
-        assert sum(len(weights) for weights, *_ in operands) == 10
-        assert all(weights.shape[1] == 6 for weights, *_ in operands)
+    assert len(calls) == len(shapes) < 10  # one product per shape, joints and closed marginals
+    # each call holds every trial of its shape, terms padded to six
+    assert sum(len(weights) for (weights, _, _), _ in calls) == 10
+    for (weights, local_a, local_b), (joints, closed) in calls:
+        count, dim_a, dim_b = len(weights), local_a.shape[-1], local_b.shape[-1]
+        assert f"dims={dim_a}x{dim_b}" in shapes
+        assert weights.shape == (count, 6)
+        assert local_a.shape == (count, 6, dim_a, dim_a)
+        assert local_b.shape == (count, 6, dim_b, dim_b)
+        assert joints.shape == (count, dim_a * dim_b, dim_a * dim_b) and joints.flags.c_contiguous
+        assert closed.shape == (count, dim_a, dim_a)
+
+
+def test_witness_mixtures_are_the_weighted_kronecker_sums():
+    rng = np.random.default_rng(3)
+    weights = rng.dirichlet(np.ones(6), size=5)
+    weights[:, 4:] = 0.0
+    local_a, local_b = (oracle._random_states(rng.standard_normal((30, dim, dim))).reshape(
+        5, 6, dim, dim) for dim in (3, 2))
+    joints, closed = oracle._mixtures(weights, local_a, local_b)
+    for t in range(5):
+        npt.assert_allclose(joints[t], sum(w * np.kron(a, b) for w, a, b in zip(
+            weights[t], local_a[t], local_b[t])), rtol=0, atol=1e-16)
+        npt.assert_allclose(closed[t], np.tensordot(weights[t], local_a[t], 1), rtol=0, atol=1e-16)
 
 
 @pytest.mark.parametrize("trials", [1, 10, 350, 2000])
@@ -392,14 +452,14 @@ def test_witness_takes_two_log_traces_per_order_and_branch(trials, monkeypatch):
         traces.append((order, far))
         return log_traces(logged, order, far)
 
-    reported, report_type = [], oracle.VerificationReport
+    reported, adopt = [], VerificationReport._adopt
 
     def capturing(comparisons):
         reported.extend(comparisons)
-        return report_type(comparisons)
+        return adopt(comparisons)
 
     monkeypatch.setattr(oracle, "_log_traces", counting)
-    monkeypatch.setattr(oracle, "VerificationReport", capturing)
+    monkeypatch.setattr(VerificationReport, "_adopt", capturing)
     report = verify_separable_witness(trials, 5)
     assert report.passed
     sides = {math.prod(map(int, c.case.split(",")[1][len("dims="):].split("x")))
@@ -411,6 +471,16 @@ def test_witness_takes_two_log_traces_per_order_and_branch(trials, monkeypatch):
     assert [(c.case, c.quantity) for c in reported] == \
         sorted((c.case, c.quantity) for c in reported)
     assert list(report.comparisons) == reported
+
+
+@pytest.mark.parametrize("trials", [1, 10, 350, 2000])
+def test_witness_rows_come_in_report_order(trials):
+    # the witness adopts its rows unsorted: they must already be in (case, quantity) order
+    report = verify_separable_witness(trials, 11)
+    keys = [(c.case, c.quantity) for c in report.comparisons]
+    assert len(keys) == 8 * trials and len(set(keys)) == len(keys)
+    assert keys == sorted(keys)
+    assert report.comparisons == VerificationReport(report.comparisons).comparisons
 
 
 #: Largest scaled |whole batch - per shape| allowed on a witness value: numpy sums a row
@@ -493,16 +563,37 @@ def test_witness_rows_fail_on_an_entangled_member(q):
     assert rows["nonnegative[q=0.5]"].passed  # order 0.5 does not see this member
 
 
+@pytest.mark.parametrize("closed, traced, passed", [
+    (-math.inf, -math.inf, True), (math.inf, math.inf, True), (-math.inf, math.inf, False),
+    (-math.inf, 0.5, False), (0.5, 0.5, True)])
+def test_witness_deviation_takes_equal_infinities_as_agreement(closed, traced, passed,
+                                                              monkeypatch):
+    # the element-wise rule of _deviation: every order's closed and traced entropies forced
+    rho = werner_density(WernerParams(2, 2, 0.3))
+    marginal = partial_trace(rho, {0}).eigenvalues[None]
+    monkeypatch.setattr(oracle, "_entropies_from_gaps",
+                        lambda gaps, order: np.array([[closed], [traced]]))
+    rows = _witness_rows(["x=0.3"], np.array([math.log(4)]), rho.eigenvalues[None],
+                         np.stack((marginal, marginal)))
+    for q in WITNESS_ORDERS:
+        row = next(c for c in rows if c.quantity == f"separable_conditional[q={q:g}]")
+        dev = _deviation(closed, traced)
+        assert row.abs_dev == dev or math.isnan(row.abs_dev) and math.isnan(dev), row
+        assert row.passed is passed
+    assert math.isnan(VerificationReport._adopt(rows).max_abs_dev) == (not passed)
+
+
 def _witness_trial_by_trial(trials, seed):
-    """The witness rebuilt one trial at a time through the public API, with
-    the same draws: the plan in three calls (dims, term counts, six uniform
-    weights per trial), then, shape by shape in order of first appearance,
-    six standard normal G per trial of the shape for side A in one call and
-    six for side B in another.  Each trial keeps only the weights and G of
-    its own terms and builds alone: its local states, a DensityMatrix per
-    state, its partial trace, spectra and conditional entropies.  Returns
-    the report and, per trial, its dims, its term count and the eigenvalues
-    of its joint, closed marginal and traced marginal."""
+    """The witness rebuilt one trial at a time, with the same draws: the
+    plan in three calls (dims, term counts, six uniform weights per trial),
+    then, shape by shape in order of first appearance, six standard normal
+    G per trial of the shape for side A in one call and six for side B in
+    another.  Each trial keeps only the weights and G of its own terms and
+    builds alone: its local states and mixtures through the witness's own
+    kernels on a stack of one trial, then through the public API a
+    DensityMatrix per state, its partial trace, spectra and conditional
+    entropies.  Returns the report and, per trial, its dims, its term count
+    and the eigenvalues of its joint, closed marginal and traced marginal."""
     rng = np.random.default_rng(seed)
     dims = [tuple(pair) for pair in rng.integers(2, 5, size=(trials, 2)).tolist()]
     terms = rng.integers(1, 7, size=trials).tolist()
@@ -513,17 +604,13 @@ def _witness_trial_by_trial(trials, seed):
         side_a, side_b = (rng.standard_normal((len(members), 6, dim, dim)) for dim in shape)
         normals.update(zip(members, zip(side_a, side_b)))
 
-    def local_states(g):
-        gram = g @ g.transpose(0, 2, 1)
-        return gram / np.trace(gram, axis1=1, axis2=2)[:, None, None]
-
     rows, states = [], []
     for trial, ((dim_a, dim_b), count) in enumerate(zip(dims, terms)):
         weights = uniform[trial, :count] / uniform[trial, :count].sum()
-        local_a, local_b = (local_states(g[:count]) for g in normals[trial])
-        state = DensityMatrix((dim_a, dim_b), np.einsum(
-            "l,lac,lbd->abcd", weights, local_a, local_b).reshape(dim_a * dim_b, -1))
-        closed_state = DensityMatrix((dim_a,), np.einsum("l,lac->ac", weights, local_a))
+        local_a, local_b = (oracle._random_states(g[:count])[None] for g in normals[trial])
+        (joint_entries,), (closed_entries,) = oracle._mixtures(weights[None], local_a, local_b)
+        state = DensityMatrix((dim_a, dim_b), joint_entries)
+        closed_state = DensityMatrix((dim_a,), closed_entries)
         trial_states = (state, closed_state, partial_trace(state, {0}))
         states.append(((dim_a, dim_b), count, [s.eigenvalues for s in trial_states]))
         joint, closed, traced = map(spectrum_of, trial_states)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import mpmath
@@ -273,6 +274,20 @@ def test_adopted_entries_keep_the_shape_trace_and_psd_checks():
         DensityMatrix._adopt((2,), np.eye(3) / 3)
     coherent = DensityMatrix._adopt((2,), np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex))
     assert coherent.entries.dtype == np.float64 and coherent.entries.flags.c_contiguous
+
+
+@pytest.mark.parametrize("bad, later", [(1.5, 2.0), (math.nan, 1.5), (math.inf, math.nan)])
+def test_checked_stack_quotes_the_first_failing_trace(bad, later):
+    # the traces of a stack are checked as one array; the message quotes the first member
+    # that fails, nan refused like any trace off 1
+    stack = np.stack([np.eye(2) / 2] * 6).reshape(2, 3, 2, 2)
+    npt.assert_array_equal(quantum._checked_eigenvalues(stack), np.full((2, 3, 2), 0.5))
+    stack[0, 2] = np.diag([bad - 0.5, 0.5])
+    stack[1, 1] = np.diag([later - 0.5, 0.5])
+    for first, ordered in ((bad, stack), (later, stack[::-1])):
+        message = re.escape(f"trace is {complex(first)!r}, expected 1")
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            quantum._checked_eigenvalues(ordered)
 
 
 # -- tensor_product ------------------------------------------------------
