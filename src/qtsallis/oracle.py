@@ -1,12 +1,16 @@
 """Dense-matrix brute-force verification.
 
 Builds the dense family members (here, and only here) and their
-marginals explicitly, each marginal traced from the one before, cuts
-each dense spectrum by the closed form's own multiplicities, with no
-merge tolerance, takes the entropies from those levels, and certifies
-every closed form at small scale.  The random separable witness draws
-its whole trial plan in three calls and builds its states per (d_A, d_B)
-shape: one draw and one Gram product per local side, one batched
+marginals explicitly, each marginal traced from the one before, takes
+each state's eigenvalues from the structure it is built with (the
+joint's from one N x N ``eigvalsh`` of its GHZ block, each marginal's,
+once it is checked exactly diagonal, from its diagonal), cuts each dense
+spectrum by the closed form's own multiplicities, with no merge
+tolerance, takes the entropies from those levels, and certifies every
+closed form at small scale; where both sides of an entropy overflow, it
+compares the finite log q-trace gaps behind them too.  The random
+separable witness draws its whole trial plan in three calls and builds
+its states per (d_A, d_B) shape: one draw and one Gram product per local side, one batched
 ``matmul`` for the joints of a shape, whose weighted A states also sum
 to their marginals, and one checked eigendecomposition per stack.  From
 the eigenvalues on it works on all trials at once: rows padded with
@@ -27,16 +31,18 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._index import Spectrum, _branch, _conditionals, _count, _Frozen, _order
+from ._index import (Spectrum, _branch, _count, _entropy_from_gap, _Frozen, _log_trace,
+                     _order)
 from .errors import ValidationError
 from .quantum import (DensityMatrix, _checked_eigenvalues, _entropies_from_gaps, _log_traces,
-                      _logged, _refuse_above_cap, _trace_out, partial_trace)
-from .werner import (WernerParams, conditional_entropy_block, joint_spectrum,
+                      _logged, _refuse_above_cap, _trace_out)
+from .werner import (WernerParams, _prepared_gap, conditional_entropy_block, joint_spectrum,
                      marginal_spectrum)
 
 #: Per-level eigenvalue and per-entropy agreement bound for closed forms.
 AGREEMENT_TOL = 1e-10
-#: Identity bound for the structural check of the explicit marginal form.
+#: Diagonal bound of the structural check of the explicit marginal form,
+#: whose off-diagonal entries must be exactly 0.
 STRUCTURE_TOL = 1e-12
 #: Witness values below this count as a nonnegativity violation.
 NONNEG_FLOOR = -1e-12
@@ -133,53 +139,75 @@ def werner_density(params: WernerParams) -> DensityMatrix:
     of the all-equal block.  Cross-check scale only: a member above
     ``DENSE_DIM_CAP`` is refused before anything is allocated.  The state
     adopts the matrix built here, symmetric by construction, without a copy
-    or a Hermitian check, and each marginal of :func:`verify_family` is
-    traced from the one before, so certifying a member allocates at most
-    about 1.5 times the member's own bytes."""
+    or a Hermitian check, and with the GHZ indices as its coupled block,
+    the only entries off the diagonal that it sets, so its eigenvalues take
+    one N x N ``eigvalsh`` and no zero pattern: building and checking a
+    member allocates about its own bytes and no more.  Each marginal of
+    :func:`verify_family` is traced from the one before, so certifying a
+    member allocates at most about 1.5 times the member's own bytes."""
     dim = params.total_dim
     _refuse_above_cap(dim)
     entries = np.zeros((dim, dim))
     np.fill_diagonal(entries, (1.0 - params.mixing) / dim)
     ghz = _ghz_indices(params.levels, params.parties)
     entries[np.ix_(ghz, ghz)] += params.mixing / params.levels
-    return DensityMatrix._adopt((params.levels,) * params.parties, entries)
+    return DensityMatrix._adopt((params.levels,) * params.parties, entries, ghz)
 
 
 def _marginal_of(state: DensityMatrix, params: WernerParams, kept: int) -> DensityMatrix:
     """Partial trace of a family member, or of one of its marginals, over
-    all but its last ``kept`` parties, cross-checked against the explicit
-    decohered form of the marginal: the uniform background plus x/N on each
-    all-equal diagonal entry.  Tracing out one party of the (kept + 1)-party
-    marginal gives the kept-party marginal of the member itself."""
+    all but its last ``kept`` parties (:func:`qtsallis.quantum._trace_out`),
+    checked against the explicit decohered form of the marginal: the
+    uniform background (1 - x)/N**kept plus x/N on each all-equal diagonal
+    entry, within ``STRUCTURE_TOL``, and every off-diagonal entry exactly 0,
+    as tracing out a party of a member leaves it.  The drift reported on
+    failure is the largest of the diagonal's distances from that form and
+    of the off-diagonal magnitudes; nan fails.  The marginal is then
+    adopted as diagonal, so its eigenvalues are its diagonal, sorted.
+    Tracing out one party of the (kept + 1)-party marginal gives the
+    kept-party marginal of the member itself."""
     parties = len(state.dims)
-    marginal = partial_trace(state, range(parties - kept, parties))
-    reduced_dim = params.levels ** kept
-    direct = ((1.0 - params.mixing) / reduced_dim) * np.eye(reduced_dim)
-    spikes = _ghz_indices(params.levels, kept)
-    direct[spikes, spikes] += params.mixing / params.levels
-    direct -= marginal.entries
-    drift = float(np.max(np.abs(direct, out=direct)))
-    if drift > STRUCTURE_TOL:
+    entries = _trace_out(state.entries, state.dims, range(parties - kept, parties))
+    diagonal = entries.diagonal()
+    expected = np.full(len(diagonal), (1.0 - params.mixing) / len(diagonal))
+    expected[_ghz_indices(params.levels, kept)] += params.mixing / params.levels
+    drift = np.max(np.abs(expected - diagonal))
+    coherent = np.count_nonzero(entries) > np.count_nonzero(diagonal)  # nan counts
+    if coherent:  # the largest off-diagonal magnitude joins the drift; it refuses anyway
+        off_diagonal = np.abs(entries)
+        np.fill_diagonal(off_diagonal, 0.0)
+        drift = np.maximum(drift, np.max(off_diagonal))  # keeps a nan
+    drift = float(drift)
+    if coherent or not drift <= STRUCTURE_TOL:
         raise ValidationError(
             f"partial trace deviates from the explicit marginal form by {drift}")
-    return marginal
+    return DensityMatrix._adopt(state.dims[parties - kept:], entries, ())  # no coupled block
+
+
+def _row(case: str, quantity: str, closed: float, oracle: float) -> Comparison:
+    """The row of one closed value against the oracle's, passing within
+    ``AGREEMENT_TOL`` of :func:`_deviation`."""
+    dev = _deviation(closed, oracle)
+    return Comparison(case, quantity, closed, oracle, dev, dev <= AGREEMENT_TOL)
 
 
 def _spectrum_rows(case: str, label: str, closed: Spectrum, eigenvalues: np.ndarray,
                    rows: list[Comparison]) -> list[tuple[float, int]]:
     """Cut ascending ``eigenvalues``, largest first, into blocks of the
-    ``closed`` multiplicities; append to ``rows`` each level's eigenvalue
+    ``closed`` multiplicities, sliced at their running sums (the last block
+    takes whatever is left); append to ``rows`` each level's eigenvalue
     against its block mean, clamped to [0, 1], and multiplicity against the
     count of block entries within ``AGREEMENT_TOL`` of it; return the (mean,
     multiplicity) levels.  A mean keeps its block's trace, noise included."""
-    blocks = np.split(eigenvalues[::-1], np.cumsum([mult for _, mult in closed.levels[:-1]]))
-    levels = []
-    for idx, ((value, mult), block) in enumerate(zip(closed.levels, blocks)):
+    descending = eigenvalues[::-1]
+    last = len(closed.levels) - 1
+    levels, start = [], 0
+    for idx, (value, mult) in enumerate(closed.levels):
+        block = descending[start:start + mult if idx < last else None]
+        start += mult
         mean = min(max(math.fsum(block.tolist()) / mult, 0.0), 1.0)
         count = int(np.count_nonzero(np.abs(block - value) <= AGREEMENT_TOL))
-        dev = _deviation(value, mean)
-        rows.append(Comparison(
-            case, f"{label}[level={idx}].eigenvalue", value, mean, dev, dev <= AGREEMENT_TOL))
+        rows.append(_row(case, f"{label}[level={idx}].eigenvalue", value, mean))
         rows.append(Comparison(
             case, f"{label}[level={idx}].multiplicity",
             float(mult), float(count), float(abs(mult - count)), mult == count))
@@ -200,32 +228,40 @@ def verify_family(params_grid, q_grid) -> VerificationReport:
     form (:func:`_marginal_of`).  For every order q, each block conditional
     entropy (from the closed-form log q-traces) is compared against the
     ratio form on the oracle's block-mean levels, with the joint's log
-    q-trace taken once (:func:`qtsallis._index._conditionals`).  All
-    comparisons use ``AGREEMENT_TOL`` on the magnitude-scaled deviation of
-    :func:`_deviation`.
+    q-trace taken once, as :func:`qtsallis._index._conditionals` takes it.
+    Where both entropies overflow to the same infinity (the largest orders),
+    that row checks only the sign, so a ``log_trace_gap`` row also compares
+    the finite gaps ln Tr rho**q - ln Tr rho_k**q behind them, the closed
+    one of :func:`qtsallis.werner._prepared_gap` against the oracle's, in
+    the same branch.  All comparisons use ``AGREEMENT_TOL`` on the
+    magnitude-scaled deviation of :func:`_deviation`.
     """
     orders = [_order(q) for q in q_grid]
     rows: list[Comparison] = []
     for params in params_grid:
-        case = f"N={params.levels},n={params.parties},x={params.mixing:g}"
+        levels, parties, x = params.levels, params.parties, params.mixing
+        case = f"N={levels},n={parties},x={x:g}"
         state = werner_density(params)
         joint = _spectrum_rows(case, "joint_spectrum", joint_spectrum(params),
                                state.eigenvalues, rows)
         marginals = []  # by kept parties m = n - 1, ..., 1
-        for m in range(params.parties - 1, 0, -1):
+        for m in range(parties - 1, 0, -1):
             state = _marginal_of(state, params, m)
             marginals.append(_spectrum_rows(case, f"marginal_spectrum[m={m}]",
                                             marginal_spectrum(params, m), state.eigenvalues, rows))
-        blocks = range(1, params.parties)
         log_count = math.log(params.total_dim)
         for q in orders:
-            oracle_values = _conditionals(joint, marginals[::-1], q, log_count)
-            for k, oracle_value in zip(blocks, oracle_values):
+            order, far = _branch(q, log_count)
+            joint_trace = _log_trace(joint, order, far)
+            for k, marginal in enumerate(reversed(marginals), 1):
+                gap = joint_trace - _log_trace(marginal, order, far)
+                oracle_value = _entropy_from_gap(gap, order)
                 closed = conditional_entropy_block(params, k, q)
-                dev = _deviation(closed, oracle_value)
-                rows.append(Comparison(
-                    case, f"conditional_entropy_block[k={k},q={q:g}]",
-                    closed, oracle_value, dev, dev <= AGREEMENT_TOL))
+                rows.append(_row(case, f"conditional_entropy_block[k={k},q={q:g}]",
+                                 closed, oracle_value))
+                if math.isinf(closed) and math.isinf(oracle_value):
+                    rows.append(_row(case, f"log_trace_gap[k={k},q={q:g}]",
+                                     _prepared_gap(levels, parties, k, q)(x), gap))
     return VerificationReport(tuple(rows))
 
 

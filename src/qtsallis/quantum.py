@@ -22,8 +22,11 @@ public :class:`DensityMatrix` constructor, in square tiles
 (a family member, a partial trace, a tensor product) and the witness
 stacks are Hermitian by construction: they are adopted, not copied, and
 not checked for it, and tier-1 tests assert that each of them passes
-:func:`_check_hermitian`.  No check makes a temporary
-of the state's size, so a state costs about its own bytes once built.
+:func:`_check_hermitian`.  No check makes a float temporary of the
+state's size.  Only a state that names no coupled block builds the
+boolean zero pattern of :func:`_eigenvalues`, an eighth of its bytes; the
+oracle's family members and marginals name theirs, so they cost about
+their own bytes once built.
 """
 
 from __future__ import annotations
@@ -71,12 +74,14 @@ class DensityMatrix:
     ascending and read-only as ``eigenvalues``.  Only the coupled block is
     eigendecomposed (see :func:`_eigenvalues`): indices with no nonzero
     off-diagonal entry give their diagonal entries exactly, and the rest
-    take one ``eigvalsh``.  So a family member needs one N x N call and a
-    decohered marginal none, while a state with coherences everywhere is
-    decomposed whole.  The public constructor copies the caller's array;
-    the package's own constructions hand over the fresh array they built
-    (:meth:`_adopt`), Hermitian by construction, through every check but
-    the Hermitian one.  Either way ``entries`` is read-only.  This type is
+    take one ``eigvalsh``.  The public constructor finds that block from
+    the exact zero pattern, so a state with coherences everywhere is
+    decomposed whole; the oracle names it when it adopts a state it built
+    (a family member's GHZ indices, none for a decohered marginal).  The
+    public constructor copies the caller's array; the package's own
+    constructions hand over the fresh array they built (:meth:`_adopt`),
+    Hermitian by construction, through every check but the Hermitian one.
+    Either way ``entries`` is read-only.  This type is
     meant for cross-check scale (side up to ``DENSE_DIM_CAP``), not
     production entropy queries.
     """
@@ -89,21 +94,26 @@ class DensityMatrix:
         self._settle(self.dims, self.entries, trusted=False)
 
     @classmethod
-    def _adopt(cls, dims: tuple[int, ...], entries: np.ndarray) -> DensityMatrix:
+    def _adopt(cls, dims: tuple[int, ...], entries: np.ndarray, coupled=None) -> DensityMatrix:
         """The state of a fresh array that only the caller holds, taken
         without a copy and made read-only.  The array is Hermitian by
         construction, so it skips only the Hermitian check of the public
         constructor; ``test_internal_constructions_pass_the_hermitian_check``
         and ``test_partial_trace_and_tensor_product_stay_hermitian`` assert
-        that every such construction would pass it."""
+        that every such construction would pass it.  A caller that built
+        the array knows its coupled block and may pass its ascending
+        indices as ``coupled`` (empty for a diagonal array), vouching that
+        every off-diagonal entry outside that block is exactly 0; the
+        eigenvalues then take no zero pattern (:func:`_eigenvalues`)."""
         rho = object.__new__(cls)
-        rho._settle(dims, entries, trusted=True)
+        rho._settle(dims, entries, trusted=True, coupled=coupled)
         return rho
 
-    def _settle(self, dims, entries, trusted: bool) -> None:
+    def _settle(self, dims, entries, trusted: bool, coupled=None) -> None:
         """Validate and set the fields, taking the entries in their final
         dtype: a caller's array is copied and checked Hermitian, a
-        ``trusted`` one is adopted."""
+        ``trusted`` one is adopted, its ``coupled`` block passed on to
+        :func:`_checked_eigenvalues`."""
         dims = tuple(_count(d, "subsystem dimension") for d in dims)
         if not dims or any(d < 1 for d in dims):
             raise ValidationError("subsystem dimensions must be positive integers")
@@ -119,7 +129,7 @@ class DensityMatrix:
                 f"expected a {side}x{side} matrix, got shape {entries.shape}")
         if not trusted:
             _check_hermitian(entries)
-        eigenvalues = _checked_eigenvalues(entries)
+        eigenvalues = _checked_eigenvalues(entries, coupled)
         entries.flags.writeable = False
         eigenvalues.flags.writeable = False
         object.__setattr__(self, "dims", dims)
@@ -131,7 +141,7 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
-def _checked_eigenvalues(stack: np.ndarray) -> np.ndarray:
+def _checked_eigenvalues(stack: np.ndarray, coupled=None) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, or of each matrix of a
     stack (..., s, s), once every member has passed the trace and
     positivity checks of a state: trace within ``TRACE_TOL`` of 1 and
@@ -143,8 +153,8 @@ def _checked_eigenvalues(stack: np.ndarray) -> np.ndarray:
     witness stacks are Hermitian by construction, which
     ``test_internal_constructions_pass_the_hermitian_check`` and
     ``test_witness_stacks_pass_the_hermitian_check`` assert.  A single
-    matrix is split by :func:`_eigenvalues`; a stack takes one ``eigvalsh``
-    whole.
+    matrix is split by :func:`_eigenvalues`, at its ``coupled`` block if
+    given; a stack takes one ``eigvalsh`` whole.
     """
     traces = np.reshape(np.trace(stack, axis1=-2, axis2=-1), -1)
     failing = ~(np.abs(traces - 1.0) <= TRACE_TOL)  # nan fails too
@@ -152,7 +162,8 @@ def _checked_eigenvalues(stack: np.ndarray) -> np.ndarray:
         trace = traces[np.argmax(failing)]
         raise ValidationError(f"trace is {complex(trace)!r}, expected 1")
     try:
-        eigenvalues = _eigenvalues(stack) if stack.ndim == 2 else np.linalg.eigvalsh(stack)
+        eigenvalues = (_eigenvalues(stack, coupled) if stack.ndim == 2
+                       else np.linalg.eigvalsh(stack))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     lowest = float(np.min(eigenvalues[..., 0]))  # nan anywhere gives nan
@@ -189,30 +200,33 @@ def _check_hermitian(entries: np.ndarray) -> None:
                                           else "matrix entries must be finite")
 
 
-def _eigenvalues(entries: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, split by its exact zero
-    pattern.
+def _eigenvalues(entries: np.ndarray, coupled=None) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, split at its coupled
+    block.
 
-    An index is coupled if its row or column holds a nonzero off-diagonal
-    entry in either triangle.  Up to a permutation the matrix is then
-    diag(coupled block, isolated diagonal), so its spectrum is the isolated
-    diagonal entries, exactly, together with one ``eigvalsh`` of the
-    coupled block (none if that block is empty).  A matrix whose first
-    column is nonzero below the diagonal couples every index and goes to
-    ``eigvalsh`` whole, without building the pattern: for a small state
-    with coherences everywhere, the pattern would cost as much as
-    ``eigvalsh`` itself or more.
+    The ``coupled`` indices, ascending, are those whose row or column may
+    hold a nonzero off-diagonal entry: a state built by the package names
+    them (a family member's GHZ indices, none for a decohered marginal).
+    Without them, an index is coupled if its row or column holds a nonzero
+    off-diagonal entry in either triangle, found from the exact zero
+    pattern.  Up to a permutation the matrix is then diag(coupled block,
+    isolated diagonal), so its spectrum is the isolated diagonal entries,
+    exactly, together with one ``eigvalsh`` of the coupled block (none if
+    that block is empty).  A matrix whose first column is nonzero below the
+    diagonal couples every index and goes to ``eigvalsh`` whole, without
+    building the pattern: for a small state with coherences everywhere,
+    the pattern would cost as much as ``eigvalsh`` itself or more.
     """
-    if np.count_nonzero(entries[1:, 0]) == len(entries) - 1:
-        return np.linalg.eigvalsh(entries)
-    pattern = entries != 0
-    np.fill_diagonal(pattern, False)
-    coupled = pattern.any(axis=0) | pattern.any(axis=1)
-    eigenvalues = entries.diagonal().real[~coupled]
-    if coupled.any():
-        block = np.flatnonzero(coupled)
+    if coupled is None:
+        if np.count_nonzero(entries[1:, 0]) == len(entries) - 1:
+            return np.linalg.eigvalsh(entries)
+        pattern = entries != 0
+        np.fill_diagonal(pattern, False)
+        coupled = np.flatnonzero(pattern.any(axis=0) | pattern.any(axis=1))
+    eigenvalues = np.delete(entries.diagonal().real, coupled)
+    if len(coupled):
         eigenvalues = np.concatenate(
-            (eigenvalues, np.linalg.eigvalsh(entries[np.ix_(block, block)])))
+            (eigenvalues, np.linalg.eigvalsh(entries[np.ix_(coupled, coupled)])))
     eigenvalues.sort()
     return eigenvalues
 

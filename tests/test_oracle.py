@@ -15,7 +15,7 @@ from qtsallis import (Comparison, DensityMatrix, ValidationError, VerificationRe
                       WernerParams, default_family_grid, joint_spectrum, marginal_spectrum,
                       partial_trace, quantum_conditional, spectrum_of, verify_family,
                       verify_separable_witness, werner_density)
-from qtsallis import oracle, quantum
+from qtsallis import oracle, quantum, werner
 from qtsallis._index import Spectrum, _branch, _conditionals
 from qtsallis.oracle import (AGREEMENT_TOL, NONNEG_FLOOR, WITNESS_ORDERS, _deviation,
                              _marginal_of, _witness_rows)
@@ -51,6 +51,56 @@ def test_marginal_refuses_a_trace_off_the_explicit_form():
     chained = _marginal_of(foreign, WernerParams(2, 4, 0.5), 3)
     with pytest.raises(ValidationError, match="explicit marginal form by 0.025"):
         _marginal_of(chained, params, 2)
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-16, 0.37, 1.0])
+def test_member_eigenvalues_from_the_ghz_block_match_the_pattern_path(x):
+    # the joint takes its GHZ indices as the coupled block and each marginal none; the
+    # eigenvalues are those that the zero pattern of the public constructor finds, bit for bit
+    grid = [WernerParams(p.levels, p.parties, x) for p in default_family_grid()[::11]]
+    grid += [WernerParams(levels, parties, x) for levels, parties in CERTIFY_MEMBERS]
+    for params in grid:
+        state = werner_density(params)
+        npt.assert_array_equal(state.eigenvalues, quantum._eigenvalues(np.array(state.entries)))
+        for m in range(params.parties - 1, 0, -1):
+            state = _marginal_of(state, params, m)
+            npt.assert_array_equal(state.eigenvalues,
+                                   quantum._eigenvalues(np.array(state.entries)))
+
+
+def test_werner_density_allocates_about_the_state_alone():
+    state_bytes = 729 ** 2 * 8
+    tracemalloc.start()
+    try:
+        werner_density(WernerParams(3, 6, 0.4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.01 * state_bytes, peak / state_bytes
+
+
+@pytest.mark.parametrize("where, value, drift", [
+    ((1, 2), 1e-15, "1e-15"), ((1, 2), math.nan, "nan"), ((3, 3), math.nan, "nan"),
+    ((0, 0), 1e-15, None)])
+def test_marginal_refuses_any_coherence_but_a_diagonal_within_tolerance(
+        where, value, drift, monkeypatch):
+    # a member's partial traces add only exact zeros off the diagonal: a symmetric pair far
+    # below STRUCTURE_TOL is refused, as is a nan, while the same amount on the diagonal passes
+    traced = oracle._trace_out
+
+    def moved(*args):
+        entries = traced(*args)
+        entries[where] += value
+        entries[where[::-1]] += value if where[0] != where[1] else 0.0
+        return entries
+
+    params = WernerParams(2, 3, 0.4)
+    monkeypatch.setattr(oracle, "_trace_out", moved)
+    if drift is None:
+        assert _marginal_of(werner_density(params), params, 2).entries[0, 0] != 0.35
+        return
+    with pytest.raises(ValidationError, match=f"explicit marginal form by {drift}$"):
+        _marginal_of(werner_density(params), params, 2)
 
 
 def test_oracle_self_consistency():
@@ -174,12 +224,14 @@ def test_verify_family_passes_next_to_one(q):
 
 def test_verify_family_one_eigendecomposition_per_state(monkeypatch):
     seen = record_eigvalsh(monkeypatch)
-    report = verify_family([WernerParams(2, 3, 0.4)], (0.5, 1.0, 2.0))
-    assert report.passed
-    # the joint's 2 x 2 GHZ block only; the decohered marginals m = 1, 2 are diagonal
-    assert [m.shape for m in seen] == [(2, 2)]
-    npt.assert_array_equal(seen[0], [[0.075 + 0.2, 0.2], [0.2, 0.075 + 0.2]])
-    assert not any(np.iscomplexobj(m) for m in seen)
+    for levels, parties in ((2, 3), (3, 6), (2, 9)):
+        seen.clear()
+        assert verify_family([WernerParams(levels, parties, 0.4)], (0.5, 1.0, 2.0)).passed
+        # the joint's N x N GHZ block only; the decohered marginals are diagonal
+        assert [m.shape for m in seen] == [(levels, levels)]
+        npt.assert_array_equal(seen[0], np.full((levels, levels), 0.4 / levels)
+                               + np.eye(levels) * (0.6 / levels ** parties))
+        assert not np.iscomplexobj(seen[0])
 
 
 @pytest.mark.parametrize("x", [1e-10, 1e-12, 1e-15, 1e-16])
@@ -235,13 +287,40 @@ def test_verify_family_rows_without_closed_duplicates():
 
 def test_verify_family_passes_where_both_sides_overflow():
     # at q = 1e5 and 1e6 many closed and oracle conditionals both overflow to -inf: equal
-    # values deviate by 0, so no row turns nan, and the report's worst deviation stays finite
+    # values deviate by 0, so no row turns nan, and the report's worst deviation stays finite;
+    # each such row, and no other, has a log_trace_gap row beside it, comparing the finite gaps
     report = verify_family(default_family_grid(), (1e3, 1e5, 1e6))
-    assert len(report.comparisons) == 1032
+    assert len(report.comparisons) == 1032 + 223
     assert report.passed, [c for c in report.comparisons if not c.passed][:3]
     assert math.isfinite(report.max_abs_dev), report.max_abs_dev
     overflowed = [c for c in report.comparisons if c.closed_form == -math.inf]
-    assert overflowed and all(c.oracle == -math.inf and c.abs_dev == 0.0 for c in overflowed)
+    assert len(overflowed) == 223
+    assert all(c.oracle == -math.inf and c.abs_dev == 0.0 for c in overflowed)
+    gaps = {(c.case, c.quantity): c for c in report.comparisons
+            if c.quantity.startswith("log_trace_gap[")}
+    assert set(gaps) == {(c.case, c.quantity.replace("conditional_entropy_block", "log_trace_gap"))
+                         for c in overflowed}
+    assert all(math.isfinite(c.closed_form) and math.isfinite(c.oracle) and c.closed_form > 700
+               for c in gaps.values())
+
+
+def test_verify_family_gap_rows_fail_a_closed_gap_moved_by_1e_9(monkeypatch):
+    # the moved gap still overflows, so the entropy rows hold -inf against -inf and pass;
+    # only the gap rows see it
+    prepared = werner._prepared_gap
+
+    def moved(*args):
+        gap = prepared(*args)
+        return lambda x: gap(x) * (1.0 + 1e-9)
+
+    monkeypatch.setattr(werner, "_prepared_gap", moved)
+    monkeypatch.setattr(oracle, "_prepared_gap", moved)
+    report = verify_family(default_family_grid(), (1e5, 1e6))
+    gaps = [c for c in report.comparisons if c.quantity.startswith("log_trace_gap[")]
+    overflowed = [c for c in report.comparisons if c.closed_form == -math.inf]
+    assert gaps and len(gaps) == len(overflowed)
+    assert not any(c.passed for c in gaps), [c for c in gaps if c.passed][:3]
+    assert all(c.passed and c.oracle == -math.inf for c in overflowed)
 
 
 @pytest.mark.parametrize("a, b, dev", [

@@ -226,6 +226,23 @@ def test_split_eigenvalues_match_the_whole_matrix(sizes, zeros, complex_entries,
     npt.assert_allclose(rho.eigenvalues, whole, rtol=0, atol=1e-14 * whole[-1])
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_named_coupled_block_gives_the_pattern_path_eigenvalues(seed):
+    # an adopted state that names its coupled block builds no zero pattern, and its
+    # eigenvalues are those the pattern finds, bit for bit; an empty block reads the diagonal
+    rng = np.random.default_rng(seed)
+    m = _permuted_block_state(rng, [3, 1, 2, 1], 2, complex_entries=seed % 2 == 1)
+    off = m != 0
+    np.fill_diagonal(off, False)
+    coupled = np.flatnonzero(off.any(axis=0))
+    assert len(coupled) == 5
+    adopted = DensityMatrix._adopt((len(m),), m.copy(), coupled)
+    npt.assert_array_equal(adopted.eigenvalues, DensityMatrix((len(m),), m).eigenvalues)
+    diagonal = np.diag(np.diag(m))
+    npt.assert_array_equal(DensityMatrix._adopt((len(m),), diagonal, coupled[:0]).eigenvalues,
+                           np.sort(np.diag(m).real))
+
+
 def test_density_rejects_oversized():
     # the cap is checked before the entries are read, so any array will do
     with pytest.raises(CapacityError):
