@@ -1,25 +1,27 @@
 """Dense-matrix brute-force verification.
 
-Builds the dense family members (here, and only here) and their
-marginals explicitly, each marginal traced from the one before, takes
-each state's eigenvalues from the structure it is built with (the
-joint's from one N x N ``eigvalsh`` of its GHZ block, each marginal's,
-once it is checked exactly diagonal, from its diagonal), cuts each dense
-spectrum by the closed form's own multiplicities, with no merge
-tolerance, takes the entropies from those levels, and certifies every
-closed form at small scale; where both sides of an entropy overflow, it
-compares the finite log q-trace gaps behind them too.  The random
-separable witness draws its whole trial plan in three calls and builds
-its states per (d_A, d_B) shape: one draw and one Gram product per local side, one batched
-``matmul`` for the joints of a shape, whose weighted A states also sum
-to their marginals, and one checked eigendecomposition per stack.  From
-the eigenvalues on it works on all trials at once: rows padded with
-zeros into one joint and one marginal array, logged once each, one log
-q-trace of each per order and branch, values, deviations and verdicts
-as arrays, and the rows built once, in report order, which the report
-adopts without sorting them again.  Verification results are data, not
-exceptions: each comparison becomes a row (a named tuple) in a report
-that serializes to JSON.
+Builds the dense family members (here, and only here) and takes each
+state's eigenvalues from the structure it is built with: the joint's
+from one N x N ``eigvalsh`` of its GHZ block, and each marginal's from
+its diagonal.  Only the (n - 1)-party marginal is traced densely and
+checked exactly diagonal; each smaller one is the partial sum of the
+diagonal before it, checked against its explicit form, trace and
+positivity.  The oracle cuts each dense spectrum by the closed form's
+own multiplicities, with no merge tolerance, takes the entropies from
+those levels, and certifies every closed form at small scale; where both
+sides of an entropy overflow, it compares the finite log q-trace gaps
+behind them too.  The random separable witness draws its whole trial
+plan in three calls and builds its states per (d_A, d_B) shape: one draw
+and one Gram product per local side, one batched ``matmul`` for the
+joints of a shape, whose weighted A states also sum to their marginals,
+and one checked eigendecomposition per stack.  From the eigenvalues on
+it works on all trials at once: rows padded with zeros into one joint
+and one marginal array, logged once each, one log q-trace of each per
+order and branch, values, deviations and verdicts as arrays, and the
+rows built once, in report order, which the report adopts without
+sorting them again.  Verification results are data, not exceptions: each
+comparison becomes a row (a named tuple) in a report that serializes to
+JSON.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._index import (Spectrum, _branch, _count, _entropy_from_gap, _Frozen, _log_trace,
-                     _order)
+from ._index import (PSD_FLOOR, TRACE_TOL, Spectrum, _branch, _count, _entropy_from_gap,
+                     _Frozen, _log_trace, _order)
 from .errors import ValidationError
 from .quantum import (DensityMatrix, _checked_eigenvalues, _entropies_from_gaps, _log_traces,
                       _logged, _refuse_above_cap, _trace_out)
@@ -142,9 +144,10 @@ def werner_density(params: WernerParams) -> DensityMatrix:
     or a Hermitian check, and with the GHZ indices as its coupled block,
     the only entries off the diagonal that it sets, so its eigenvalues take
     one N x N ``eigvalsh`` and no zero pattern: building and checking a
-    member allocates about its own bytes and no more.  Each marginal of
-    :func:`verify_family` is traced from the one before, so certifying a
-    member allocates at most about 1.5 times the member's own bytes."""
+    member allocates about its own bytes and no more.  Only its
+    (n - 1)-party marginal is a matrix (:func:`_marginal_diagonals`), of
+    1/N**2 of its bytes, so certifying a member allocates at most about
+    1.25 times the member's own bytes."""
     dim = params.total_dim
     _refuse_above_cap(dim)
     entries = np.zeros((dim, dim))
@@ -154,34 +157,74 @@ def werner_density(params: WernerParams) -> DensityMatrix:
     return DensityMatrix._adopt((params.levels,) * params.parties, entries, ghz)
 
 
-def _marginal_of(state: DensityMatrix, params: WernerParams, kept: int) -> DensityMatrix:
-    """Partial trace of a family member, or of one of its marginals, over
-    all but its last ``kept`` parties (:func:`qtsallis.quantum._trace_out`),
-    checked against the explicit decohered form of the marginal: the
-    uniform background (1 - x)/N**kept plus x/N on each all-equal diagonal
-    entry, within ``STRUCTURE_TOL``, and every off-diagonal entry exactly 0,
-    as tracing out a party of a member leaves it.  The drift reported on
-    failure is the largest of the diagonal's distances from that form and
-    of the off-diagonal magnitudes; nan fails.  The marginal is then
-    adopted as diagonal, so its eigenvalues are its diagonal, sorted.
-    Tracing out one party of the (kept + 1)-party marginal gives the
-    kept-party marginal of the member itself."""
-    parties = len(state.dims)
-    entries = _trace_out(state.entries, state.dims, range(parties - kept, parties))
-    diagonal = entries.diagonal()
+def _drift(diagonal: np.ndarray, params: WernerParams, kept: int) -> np.float64:
+    """Largest distance of the diagonal of a kept-party marginal of a family
+    member from its explicit decohered form: the uniform background
+    (1 - x)/N**kept plus x/N on each all-equal entry; nan if an entry is."""
     expected = np.full(len(diagonal), (1.0 - params.mixing) / len(diagonal))
     expected[_ghz_indices(params.levels, kept)] += params.mixing / params.levels
-    drift = np.max(np.abs(expected - diagonal))
-    coherent = np.count_nonzero(entries) > np.count_nonzero(diagonal)  # nan counts
-    if coherent:  # the largest off-diagonal magnitude joins the drift; it refuses anyway
+    return np.max(np.abs(expected - diagonal))
+
+
+def _refuse_drift(drift) -> None:
+    """Refuse a marginal that deviates from its explicit form by ``drift``."""
+    raise ValidationError(
+        f"partial trace deviates from the explicit marginal form by {float(drift)}")
+
+
+def _checked_diagonal(diagonal: np.ndarray, params: WernerParams, kept: int) -> np.ndarray:
+    """The diagonal of an exactly diagonal kept-party marginal, once it has
+    passed the checks of an adopted state: within ``STRUCTURE_TOL`` of its
+    explicit form entry by entry (:func:`_drift`, nan refused), then the
+    trace and positivity checks of
+    :func:`qtsallis.quantum._checked_eigenvalues`, with the same messages:
+    a sum within ``TRACE_TOL`` of 1 and a smallest entry at least
+    ``PSD_FLOOR``, since the entries of a diagonal matrix are its
+    eigenvalues."""
+    drift = _drift(diagonal, params, kept)
+    if not drift <= STRUCTURE_TOL:
+        _refuse_drift(drift)
+    trace = diagonal.sum()
+    if not abs(trace - 1.0) <= TRACE_TOL:
+        raise ValidationError(f"trace is {complex(trace)!r}, expected 1")
+    lowest = float(diagonal.min())
+    if not lowest >= PSD_FLOOR:
+        raise ValidationError(f"smallest eigenvalue {lowest} violates positive semidefiniteness")
+    return diagonal
+
+
+def _leading_trace(diagonal: np.ndarray, levels: int) -> np.ndarray:
+    """Diagonal of the partial trace over the leading party of an exactly
+    diagonal matrix with this ``diagonal``: its sum over that party, in the
+    order in which :func:`qtsallis.quantum._trace_out` sums it, so bit for
+    bit the diagonal of the dense trace, whose other entries are exact zeros."""
+    return diagonal.reshape(levels, -1).sum(axis=0)
+
+
+def _marginal_diagonals(state: DensityMatrix, params: WernerParams) -> list[np.ndarray]:
+    """The diagonals of a family member's marginals on its last m = n - 1,
+    ..., 1 parties, each checked (:func:`_checked_diagonal`).
+
+    Only the (n - 1)-party marginal is a matrix: the partial trace of
+    ``state`` over its first party (:func:`qtsallis.quantum._trace_out`),
+    whose every off-diagonal entry must be exactly 0, as tracing out a party
+    of a member leaves it.  A coherence, nan included, is refused with the
+    largest off-diagonal magnitude joining the drift of :func:`_drift`.
+    The partial trace of an exactly diagonal matrix is exactly diagonal, so
+    each smaller marginal is taken on its diagonal alone, from the one
+    before (:func:`_leading_trace`): no (N**m)**2 matrix is built for m
+    below n - 1, and none is adopted as a :class:`DensityMatrix`."""
+    levels, parties = params.levels, params.parties
+    entries = _trace_out(state.entries, state.dims, range(1, parties))
+    diagonal = entries.diagonal().copy()  # the dense marginal is released on return
+    if np.count_nonzero(entries) > np.count_nonzero(diagonal):  # a coherence; nan counts
         off_diagonal = np.abs(entries)
         np.fill_diagonal(off_diagonal, 0.0)
-        drift = np.maximum(drift, np.max(off_diagonal))  # keeps a nan
-    drift = float(drift)
-    if coherent or not drift <= STRUCTURE_TOL:
-        raise ValidationError(
-            f"partial trace deviates from the explicit marginal form by {drift}")
-    return DensityMatrix._adopt(state.dims[parties - kept:], entries, ())  # no coupled block
+        _refuse_drift(np.maximum(_drift(diagonal, params, parties - 1), np.max(off_diagonal)))
+    diagonals = [_checked_diagonal(diagonal, params, parties - 1)]
+    for kept in range(parties - 2, 0, -1):
+        diagonals.append(_checked_diagonal(_leading_trace(diagonals[-1], levels), params, kept))
+    return diagonals
 
 
 def _row(case: str, quantity: str, closed: float, oracle: float) -> Comparison:
@@ -222,10 +265,12 @@ def verify_family(params_grid, q_grid) -> VerificationReport:
     For every family member, the eigenvalues of the joint state and of each
     marginal (all block sizes) are cut by the closed multiplicities and
     compared level by level (:func:`_spectrum_rows`), with no merge
-    tolerance.  The (n - 1)-party marginal is traced from the joint state
-    and each smaller one from the marginal before it, so the joint is
-    released after the first trace; each is checked against its explicit
-    form (:func:`_marginal_of`).  For every order q, each block conditional
+    tolerance.  Only the joint is adopted as a :class:`DensityMatrix`.  The
+    (n - 1)-party marginal is traced from it densely and checked exactly
+    diagonal; each smaller one is taken from the diagonal of the one before,
+    without a matrix, and each is checked against its explicit form, trace
+    and positivity (:func:`_marginal_diagonals`); a marginal's eigenvalues
+    are its diagonal, sorted.  For every order q, each block conditional
     entropy (from the closed-form log q-traces) is compared against the
     ratio form on the oracle's block-mean levels, with the joint's log
     q-trace taken once, as :func:`qtsallis._index._conditionals` takes it.
@@ -244,11 +289,12 @@ def verify_family(params_grid, q_grid) -> VerificationReport:
         state = werner_density(params)
         joint = _spectrum_rows(case, "joint_spectrum", joint_spectrum(params),
                                state.eigenvalues, rows)
+        diagonals = _marginal_diagonals(state, params)
+        del state  # the joint is released before the next member is built
         marginals = []  # by kept parties m = n - 1, ..., 1
-        for m in range(parties - 1, 0, -1):
-            state = _marginal_of(state, params, m)
+        for m, diagonal in zip(range(parties - 1, 0, -1), diagonals):
             marginals.append(_spectrum_rows(case, f"marginal_spectrum[m={m}]",
-                                            marginal_spectrum(params, m), state.eigenvalues, rows))
+                                            marginal_spectrum(params, m), np.sort(diagonal), rows))
         log_count = math.log(params.total_dim)
         for q in orders:
             order, far = _branch(q, log_count)

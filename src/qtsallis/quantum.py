@@ -25,8 +25,8 @@ not checked for it, and tier-1 tests assert that each of them passes
 :func:`_check_hermitian`.  No check makes a float temporary of the
 state's size.  Only a state that names no coupled block builds the
 boolean zero pattern of :func:`_eigenvalues`, an eighth of its bytes; the
-oracle's family members and marginals name theirs, so they cost about
-their own bytes once built.
+oracle's family members name theirs, so they cost about their own bytes
+once built.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class DensityMatrix:
     take one ``eigvalsh``.  The public constructor finds that block from
     the exact zero pattern, so a state with coherences everywhere is
     decomposed whole; the oracle names it when it adopts a state it built
-    (a family member's GHZ indices, none for a decohered marginal).  The
+    (a family member's GHZ indices).  The
     public constructor copies the caller's array; the package's own
     constructions hand over the fresh array they built (:meth:`_adopt`),
     Hermitian by construction, through every check but the Hermitian one.
@@ -206,7 +206,7 @@ def _eigenvalues(entries: np.ndarray, coupled=None) -> np.ndarray:
 
     The ``coupled`` indices, ascending, are those whose row or column may
     hold a nonzero off-diagonal entry: a state built by the package names
-    them (a family member's GHZ indices, none for a decohered marginal).
+    them (a family member's GHZ indices, none for a diagonal array).
     Without them, an index is coupled if its row or column holds a nonzero
     off-diagonal entry in either triangle, found from the exact zero
     pattern.  Up to a permutation the matrix is then diag(coupled block,

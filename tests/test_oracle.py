@@ -17,8 +17,8 @@ from qtsallis import (Comparison, DensityMatrix, ValidationError, VerificationRe
                       verify_separable_witness, werner_density)
 from qtsallis import oracle, quantum, werner
 from qtsallis._index import Spectrum, _branch, _conditionals
-from qtsallis.oracle import (AGREEMENT_TOL, NONNEG_FLOOR, WITNESS_ORDERS, _deviation,
-                             _marginal_of, _witness_rows)
+from qtsallis.oracle import (AGREEMENT_TOL, NONNEG_FLOOR, STRUCTURE_TOL, WITNESS_ORDERS,
+                             _deviation, _marginal_diagonals, _witness_rows)
 from helpers import record_eigvalsh
 
 
@@ -26,46 +26,126 @@ def test_marginal_matches_literal_pair_form():
     # two qubits kept out of three: uniform background plus x/2 spikes
     x = 0.35
     params = WernerParams(2, 3, x)
-    marginal = _marginal_of(werner_density(params), params, 2)
-    expected = (1 - x) / 4 * np.eye(4, dtype=complex)
-    expected[0, 0] += x / 2
-    expected[3, 3] += x / 2
-    npt.assert_allclose(marginal.entries, expected, atol=1e-14)
+    diagonal = _marginal_diagonals(werner_density(params), params)[0]
+    expected = np.full(4, (1 - x) / 4)
+    expected[[0, 3]] += x / 2
+    npt.assert_allclose(diagonal, expected, atol=1e-14)
 
 
 def test_marginal_single_party_is_maximally_mixed():
     for x in (0.0, 0.4, 1.0):
         params = WernerParams(2, 3, x)
-        marginal = _marginal_of(werner_density(params), params, 1)
-        npt.assert_allclose(marginal.entries, np.eye(2) / 2, atol=1e-14)
+        diagonal = _marginal_diagonals(werner_density(params), params)[-1]
+        npt.assert_allclose(diagonal, np.full(2, 0.5), atol=1e-14)
     params = WernerParams(3, 2, 0.7)
-    marginal = _marginal_of(werner_density(params), params, 1)
-    npt.assert_allclose(marginal.entries, np.eye(3) / 3, atol=1e-14)
+    diagonal = _marginal_diagonals(werner_density(params), params)[-1]
+    npt.assert_allclose(diagonal, np.full(3, 1 / 3), atol=1e-14)
 
 
-def test_marginal_refuses_a_trace_off_the_explicit_form():
+def test_marginal_refuses_a_trace_off_the_explicit_form(monkeypatch):
+    # the dense first marginal of a foreign member, and a smaller marginal of the chain fed
+    # the foreign member's diagonal: x = 0.5 against the explicit form at x = 0.4
     params = WernerParams(2, 4, 0.4)
     foreign = werner_density(WernerParams(2, 4, 0.5))
+    with pytest.raises(ValidationError, match=r"explicit marginal form by 0\.0374999"):
+        _marginal_diagonals(foreign, params)
+    first = _marginal_diagonals(foreign, WernerParams(2, 4, 0.5))[0]
+    traced = oracle._leading_trace
+    monkeypatch.setattr(oracle, "_leading_trace", lambda diagonal, levels: traced(first, levels))
     with pytest.raises(ValidationError, match="explicit marginal form by 0.025"):
-        _marginal_of(foreign, params, 2)
-    chained = _marginal_of(foreign, WernerParams(2, 4, 0.5), 3)
-    with pytest.raises(ValidationError, match="explicit marginal form by 0.025"):
-        _marginal_of(chained, params, 2)
+        _marginal_diagonals(werner_density(params), params)
+
+
+def dense_chain(state):
+    """The marginals of a member as dense matrices, each traced from the one
+    before with ``_trace_out``, kept parties m = n - 1, ..., 1."""
+    levels, parties = state.dims[0], len(state.dims)
+    entries, chain = state.entries, []
+    for m in range(parties - 1, 0, -1):
+        entries = quantum._trace_out(entries, (levels,) * (m + 1), range(1, m + 1))
+        chain.append(entries)
+    return chain
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-16, 0.37, 1.0])
 def test_member_eigenvalues_from_the_ghz_block_match_the_pattern_path(x):
-    # the joint takes its GHZ indices as the coupled block and each marginal none; the
-    # eigenvalues are those that the zero pattern of the public constructor finds, bit for bit
+    # the joint takes its GHZ indices as the coupled block and each marginal its diagonal;
+    # the eigenvalues are those that the zero pattern of the public constructor finds on
+    # the dense marginals, each traced from the one before, bit for bit
     grid = [WernerParams(p.levels, p.parties, x) for p in default_family_grid()[::11]]
     grid += [WernerParams(levels, parties, x) for levels, parties in CERTIFY_MEMBERS]
     for params in grid:
         state = werner_density(params)
         npt.assert_array_equal(state.eigenvalues, quantum._eigenvalues(np.array(state.entries)))
-        for m in range(params.parties - 1, 0, -1):
-            state = _marginal_of(state, params, m)
-            npt.assert_array_equal(state.eigenvalues,
-                                   quantum._eigenvalues(np.array(state.entries)))
+        diagonals = _marginal_diagonals(state, params)
+        assert len(diagonals) == params.parties - 1
+        for diagonal, dense in zip(diagonals, dense_chain(state)):
+            npt.assert_array_equal(np.sort(diagonal), quantum._eigenvalues(dense))
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-16, 0.37, 1.0])
+def test_vector_chain_is_the_dense_trace_of_the_marginal_before(x):
+    # each smaller marginal, traced densely from the one before rebuilt as a diagonal
+    # matrix, has exact zeros off its diagonal and the chain's diagonal, bit for bit
+    grid = [WernerParams(p.levels, p.parties, x) for p in default_family_grid()]
+    grid += [WernerParams(levels, parties, x) for levels, parties in CERTIFY_MEMBERS]
+    steps = 0
+    for params in grid:
+        levels = params.levels
+        diagonals = _marginal_diagonals(werner_density(params), params)
+        for m, before, diagonal in zip(range(params.parties - 2, 0, -1), diagonals, diagonals[1:]):
+            dense = quantum._trace_out(np.diag(before), (levels,) * (m + 1), range(1, m + 1))
+            assert np.count_nonzero(dense) == np.count_nonzero(dense.diagonal())
+            npt.assert_array_equal(diagonal, dense.diagonal())
+            npt.assert_array_equal(np.sort(diagonal), quantum._eigenvalues(dense))
+            steps += 1
+    assert steps == sum(p.parties - 2 for p in grid)
+
+
+def off_form(diagonal):  # two entries trade 2 STRUCTURE_TOL: the trace stays 1
+    diagonal[-1] += 2 * STRUCTURE_TOL
+    diagonal[-2] -= 2 * STRUCTURE_TOL
+
+
+def nan_first(diagonal):
+    diagonal[0] = math.nan
+
+
+def shifted(diagonal):  # within STRUCTURE_TOL entry by entry, the trace off by side times that
+    diagonal += 0.9 * STRUCTURE_TOL
+
+
+def one_shifted(diagonal):  # the same on one entry alone: the trace off by less than TRACE_TOL
+    diagonal[0] += 0.9 * STRUCTURE_TOL
+
+
+@pytest.mark.parametrize("move, refusal", [
+    (off_form, r"^partial trace deviates from the explicit marginal form by "
+               r"(2\.0000|1\.9999)\d*e-12$"),
+    (nan_first, "^partial trace deviates from the explicit marginal form by nan$"),
+    (shifted, r"^trace is \(1\.0000000000\d+\+0j\), expected 1$"),
+    (one_shifted, None)], ids=["off-form", "nan", "all-shifted", "one-shifted"])
+@pytest.mark.parametrize("levels, parties, kept", [(2, 4, 2), (2, 4, 1), (3, 3, 1), (2, 9, 5)])
+def test_smaller_marginal_keeps_every_check_of_an_adopted_state(levels, parties, kept, move,
+                                                                refusal, monkeypatch):
+    # a marginal of the vector chain moved off its explicit form, or given a nan, is refused
+    # as the dense marginal was; moved by 0.9 STRUCTURE_TOL everywhere it passes the explicit
+    # form and is refused by the trace check, which a move on one entry alone passes
+    params = WernerParams(levels, parties, 0.4)
+    traced = oracle._leading_trace
+
+    def moved(diagonal, levels):
+        summed = traced(diagonal, levels)
+        if len(summed) == levels ** kept:
+            move(summed)
+        return summed
+
+    monkeypatch.setattr(oracle, "_leading_trace", moved)
+    if refusal is None:
+        assert len(_marginal_diagonals(werner_density(params), params)) == parties - 1
+        return
+    with pytest.raises(ValidationError, match=refusal):
+        _marginal_diagonals(werner_density(params), params)
 
 
 def test_werner_density_allocates_about_the_state_alone():
@@ -97,10 +177,10 @@ def test_marginal_refuses_any_coherence_but_a_diagonal_within_tolerance(
     params = WernerParams(2, 3, 0.4)
     monkeypatch.setattr(oracle, "_trace_out", moved)
     if drift is None:
-        assert _marginal_of(werner_density(params), params, 2).entries[0, 0] != 0.35
+        assert _marginal_diagonals(werner_density(params), params)[0][0] != 0.35
         return
     with pytest.raises(ValidationError, match=f"explicit marginal form by {drift}$"):
-        _marginal_of(werner_density(params), params, 2)
+        _marginal_diagonals(werner_density(params), params)
 
 
 def test_oracle_self_consistency():
@@ -119,12 +199,12 @@ def test_oracle_self_consistency():
 def test_chained_marginals_match_marginals_of_the_full_state(levels, parties):
     params = WernerParams(levels, parties, 0.37)
     joint = werner_density(params)
-    state = joint
-    for m in range(parties - 1, 0, -1):
-        state = _marginal_of(state, params, m)
-        direct = _marginal_of(joint, params, m)
-        assert state.dims == direct.dims == (levels,) * m
-        assert spectrum_of(state).levels == spectrum_of(direct).levels
+    diagonals = _marginal_diagonals(joint, params)
+    for m, diagonal in zip(range(parties - 1, 0, -1), diagonals):
+        direct = partial_trace(joint, range(parties - m, parties))
+        assert direct.dims == (levels,) * m and diagonal.shape == (levels ** m,)
+        chained = DensityMatrix((levels,) * m, np.diag(diagonal))
+        assert spectrum_of(chained).levels == spectrum_of(direct).levels
 
 
 #: The family members of the benchmark's certify workload, beside the default grid.
@@ -137,14 +217,14 @@ CERTIFY_MEMBERS = ((3, 6), (5, 4), (2, 9), (2, 8), (4, 4), (3, 4), (2, 5))
       for levels, parties in CERTIFY_MEMBERS)],
     ids=["default-grid", *(f"{levels}^{parties}" for levels, parties in CERTIFY_MEMBERS)])
 def test_internal_constructions_pass_the_hermitian_check(grid):
-    # the runtime check that adopted states skip: each member and each marginal traced from
-    # it, as verify_family builds them, within the bound of the public constructor
+    # the runtime check that adopted states skip: each member and its dense first marginal,
+    # the only matrices verify_family builds, within the bound of the public constructor
     for params in grid:
         state = werner_density(params)
         quantum._check_hermitian(state.entries)
-        for m in range(params.parties - 1, 0, -1):
-            state = _marginal_of(state, params, m)
-            quantum._check_hermitian(state.entries)
+        first = quantum._trace_out(state.entries, state.dims, range(1, params.parties))
+        assert first.shape == (params.levels ** (params.parties - 1),) * 2
+        quantum._check_hermitian(first)
 
 
 @pytest.mark.parametrize("trials", [1, 350])
@@ -197,10 +277,12 @@ def test_verify_family_oracle_entropies_equal_quantum_conditional(levels, partie
 
 
 def test_verify_family_peak_memory_stays_below_twice_the_state():
+    # two members in one grid: each joint and its dense first marginal are released before
+    # the next member is built
     state_bytes = 729 ** 2 * 8
     tracemalloc.start()
     try:
-        assert verify_family([WernerParams(3, 6, 0.4)], (2.0,)).passed
+        assert verify_family([WernerParams(3, 6, 0.4), WernerParams(3, 6, 0.6)], (2.0,)).passed
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -220,6 +302,48 @@ def test_verify_family_passes_next_to_one(q):
     failing = [c for c in verify_family(default_family_grid(), (q,)).comparisons
                if not c.passed]
     assert not failing, failing[:3]
+
+
+@pytest.mark.parametrize("levels, parties", [(2, 9), (3, 6), (5, 4)])
+def test_verify_family_traces_and_adopts_once_per_member(levels, parties, monkeypatch):
+    # one dense partial trace, of the joint, and one adopted state, the joint; from each
+    # marginal's check to the next one's, the traced peak grows by a few vectors of the
+    # next side s = N**m and some small objects, a bound that rules out an s x s matrix
+    # (8 s**2 bytes) wherever s >= 25: (2, 9) m >= 5, (3, 6) m >= 3 and (5, 4) m = 2
+    traced, checked = oracle._trace_out, oracle._checked_diagonal
+    adopt = DensityMatrix._adopt.__func__
+    traces, adopted, growth, mark = [], [], {}, []
+
+    def tracing(stack, dims, kept):
+        traces.append(stack.shape)
+        return traced(stack, dims, kept)
+
+    def adopting(cls, dims, entries, coupled=None):
+        adopted.append(dims)
+        return adopt(cls, dims, entries, coupled)
+
+    def checking(diagonal, params, kept):
+        result = checked(diagonal, params, kept)
+        if mark:
+            growth[kept] = tracemalloc.get_traced_memory()[1] - mark.pop()
+        tracemalloc.reset_peak()
+        mark.append(tracemalloc.get_traced_memory()[0])
+        return result
+
+    monkeypatch.setattr(oracle, "_trace_out", tracing)
+    monkeypatch.setattr(DensityMatrix, "_adopt", classmethod(adopting))
+    monkeypatch.setattr(oracle, "_checked_diagonal", checking)
+    tracemalloc.start()
+    try:
+        assert verify_family([WernerParams(levels, parties, 0.4)], (0.5, 1.0, 2.0)).passed
+    finally:
+        tracemalloc.stop()
+    side = levels ** parties
+    assert traces == [(side, side)] and adopted == [(levels,) * parties]
+    assert sorted(growth) == list(range(1, parties - 1))
+    for kept, grown in growth.items():
+        side = levels ** kept
+        assert grown < 4096 + 32 * side, (kept, grown)
 
 
 def test_verify_family_one_eigendecomposition_per_state(monkeypatch):

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 from qtsallis import (CapacityError, MonotonicityError, ThresholdPoint, ValidationError,
                       WernerParams, asymptotic_threshold, conditional_entropy_block,
-                      entropy_sign, quantum_tsallis, spectrum_of, threshold_curve,
-                      threshold_for_q, werner_density)
+                      entropy_sign, partial_trace, quantum_tsallis, spectrum_of,
+                      threshold_curve, threshold_for_q, werner_density)
 from qtsallis import solver, werner
 from qtsallis._index import (LIMIT_WINDOW, EntropicIndex, _branch, _conditionals,
                              _entropy_from_gap, _log_trace)
-from qtsallis.oracle import _marginal_of
 from qtsallis.solver import _rises
 from helpers import NEAR_ONE, WIDE_FAMILIES, mp_conditional_renyi, mp_threshold
 from solver_budget import (FOOTPRINT_BUDGET, MEDIAN_BUDGET, WORST_BUDGET, counted_threshold,
@@ -98,7 +97,7 @@ def test_threshold_von_neumann_against_dense_bisection():
     def dense_conditional(x):
         params = WernerParams(2, 3, x)
         joint = spectrum_of(werner_density(params))
-        marginal = spectrum_of(_marginal_of(werner_density(params), params, 2))
+        marginal = spectrum_of(partial_trace(werner_density(params), [1, 2]))
         return quantum_tsallis(joint, 1.0) - quantum_tsallis(marginal, 1.0)
 
     lo, hi = 0.0, 1.0

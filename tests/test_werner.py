@@ -11,7 +11,6 @@ from qtsallis import (CapacityError, ValidationError, WernerParams, asymptotic_t
                       conditional_entropy_block, joint_spectrum, marginal_spectrum,
                       partial_trace, quantum_conditional, spectrum_of, threshold_for_q,
                       tsallis_entropy, werner_density)
-from qtsallis.oracle import _marginal_of
 from helpers import (NEAR_ONE, WIDE_FAMILIES, ghz_vector, mp_conditional, mp_log_trace,
                      mp_spectra, mp_von_neumann)
 
@@ -244,7 +243,7 @@ def test_marginal_against_dense_oracle():
     assert closed.levels == (
         (pytest.approx(1.6 / 9, abs=1e-15), 3),
         (pytest.approx(0.7 / 9, abs=1e-15), 6))
-    oracle = spectrum_of(_marginal_of(werner_density(params), params, 2))
+    oracle = spectrum_of(partial_trace(werner_density(params), [1, 2]))
     for (cv, cm), (ov, om) in zip(closed.levels, oracle.levels):
         assert cm == om
         assert cv == pytest.approx(ov, abs=1e-10)
@@ -319,7 +318,7 @@ def test_conditional_block_equals_closed_at_full_conditioning():
 def test_conditional_block_against_dense_oracle():
     params = WernerParams(2, 3, 0.3)
     dense_joint = spectrum_of(werner_density(params))
-    dense_marginal = spectrum_of(_marginal_of(werner_density(params), params, 1))
+    dense_marginal = spectrum_of(partial_trace(werner_density(params), [2]))
     value = conditional_entropy_block(params, 1, 2.0)
     assert value == pytest.approx(
         quantum_conditional(dense_joint, dense_marginal, 2.0), abs=1e-10)
