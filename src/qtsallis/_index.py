@@ -133,9 +133,8 @@ class Spectrum(_Frozen):
 
     @classmethod
     def _trusted(cls, levels: tuple[tuple[float, int], ...]) -> Spectrum:
-        """A spectrum of ``levels`` as given, unchecked: for levels built from
-        eigenvalues that have passed the checks of a state, already in
-        [0, 1], descending and with int multiplicities."""
+        """A spectrum of ``levels`` as given, unchecked: the caller vouches
+        that they descend, lie in [0, 1] and have int multiplicities."""
         spectrum = object.__new__(cls)
         object.__setattr__(spectrum, "levels", levels)
         return spectrum

@@ -1,27 +1,11 @@
 """Dense-matrix brute-force verification.
 
-Builds the dense family members (here, and only here) and takes each
-state's eigenvalues from the structure it is built with: the joint's
-from one N x N ``eigvalsh`` of its GHZ block, and each marginal's from
-its diagonal.  Only the (n - 1)-party marginal is traced densely and
-checked exactly diagonal; each smaller one is the partial sum of the
-diagonal before it, checked against its explicit form, trace and
-positivity.  The oracle cuts each dense spectrum by the closed form's
-own multiplicities, with no merge tolerance, takes the entropies from
-those levels, and certifies every closed form at small scale; where both
-sides of an entropy overflow, it compares the finite log q-trace gaps
-behind them too.  The random separable witness draws its whole trial
-plan in three calls and builds its states per (d_A, d_B) shape: one draw
-and one Gram product per local side, one batched ``matmul`` for the
-joints of a shape, whose weighted A states also sum to their marginals,
-and one checked eigendecomposition per stack.  From the eigenvalues on
-it works on all trials at once: rows padded with zeros into one joint
-and one marginal array, logged once each, one log q-trace of each per
-order and branch, values, deviations and verdicts as arrays, and the
-rows built once, in report order, which the report adopts without
-sorting them again.  Verification results are data, not exceptions: each
-comparison becomes a row (a named tuple) in a report that serializes to
-JSON.
+Builds the dense family members (here, and only here) and certifies every
+closed form against them at small scale (:func:`verify_family`); the random
+separable witness checks S_q(B|A) of separable states for nonnegativity and
+for agreement between a closed marginal and the partial trace
+(:func:`verify_separable_witness`).  Results are data, not exceptions: each
+comparison is a row (a named tuple) in a report that serializes to JSON.
 """
 
 from __future__ import annotations
@@ -36,10 +20,9 @@ import numpy as np
 from ._index import (PSD_FLOOR, TRACE_TOL, Spectrum, _branch, _count, _entropy_from_gap,
                      _Frozen, _log_trace, _order)
 from .errors import ValidationError
-from .quantum import (DensityMatrix, _checked_eigenvalues, _entropies_from_gaps, _log_traces,
-                      _logged, _refuse_above_cap, _trace_out)
-from .werner import (WernerParams, _prepared_gap, conditional_entropy_block, joint_spectrum,
-                     marginal_spectrum)
+from .quantum import (DensityMatrix, _checked_eigenvalues, _eigensolver_error,
+                      _entropies_from_gaps, _log_traces, _logged, _refuse_above_cap, _trace_out)
+from .werner import WernerParams, _prepared_gap, joint_spectrum, marginal_spectrum
 
 #: Per-level eigenvalue and per-entropy agreement bound for closed forms.
 AGREEMENT_TOL = 1e-10
@@ -239,16 +222,20 @@ def _spectrum_rows(case: str, label: str, closed: Spectrum, eigenvalues: np.ndar
     """Cut ascending ``eigenvalues``, largest first, into blocks of the
     ``closed`` multiplicities, sliced at their running sums (the last block
     takes whatever is left); append to ``rows`` each level's eigenvalue
-    against its block mean, clamped to [0, 1], and multiplicity against the
-    count of block entries within ``AGREEMENT_TOL`` of it; return the (mean,
-    multiplicity) levels.  A mean keeps its block's trace, noise included."""
+    against its block mean and multiplicity against the count of block
+    entries within ``AGREEMENT_TOL`` of it; return the (mean, multiplicity)
+    levels.  A mean keeps its block's trace, noise included, clamped to
+    1; a mean within the eigensolver's error of 0
+    (:func:`qtsallis.quantum._eigensolver_error`) is 0."""
     descending = eigenvalues[::-1]
+    zero = _eigensolver_error(eigenvalues)
     last = len(closed.levels) - 1
     levels, start = [], 0
     for idx, (value, mult) in enumerate(closed.levels):
         block = descending[start:start + mult if idx < last else None]
         start += mult
-        mean = min(max(math.fsum(block.tolist()) / mult, 0.0), 1.0)
+        mean = math.fsum(block.tolist()) / mult
+        mean = 0.0 if mean <= zero else min(mean, 1.0)
         count = int(np.count_nonzero(np.abs(block - value) <= AGREEMENT_TOL))
         rows.append(_row(case, f"{label}[level={idx}].eigenvalue", value, mean))
         rows.append(Comparison(
@@ -260,26 +247,17 @@ def _spectrum_rows(case: str, label: str, closed: Spectrum, eigenvalues: np.ndar
 
 def verify_family(params_grid, q_grid) -> VerificationReport:
     """Certify the closed-form spectra and conditional entropies against
-    dense eigendecompositions over a grid of family members and orders.
+    dense eigenvalues over a grid of family members and orders.
 
-    For every family member, the eigenvalues of the joint state and of each
-    marginal (all block sizes) are cut by the closed multiplicities and
-    compared level by level (:func:`_spectrum_rows`), with no merge
-    tolerance.  Only the joint is adopted as a :class:`DensityMatrix`.  The
-    (n - 1)-party marginal is traced from it densely and checked exactly
-    diagonal; each smaller one is taken from the diagonal of the one before,
-    without a matrix, and each is checked against its explicit form, trace
-    and positivity (:func:`_marginal_diagonals`); a marginal's eigenvalues
-    are its diagonal, sorted.  For every order q, each block conditional
-    entropy (from the closed-form log q-traces) is compared against the
-    ratio form on the oracle's block-mean levels, with the joint's log
-    q-trace taken once, as :func:`qtsallis._index._conditionals` takes it.
-    Where both entropies overflow to the same infinity (the largest orders),
-    that row checks only the sign, so a ``log_trace_gap`` row also compares
-    the finite gaps ln Tr rho**q - ln Tr rho_k**q behind them, the closed
-    one of :func:`qtsallis.werner._prepared_gap` against the oracle's, in
-    the same branch.  All comparisons use ``AGREEMENT_TOL`` on the
-    magnitude-scaled deviation of :func:`_deviation`.
+    Per member, the joint's eigenvalues and each marginal's (all kept party
+    counts, :func:`_marginal_diagonals`) are cut by the closed
+    multiplicities and compared level by level (:func:`_spectrum_rows`).
+    Per order q and conditioned party count k, the closed conditional
+    entropy, from the gap of :func:`qtsallis.werner._prepared_gap`, is
+    compared with the ratio form on the oracle's levels, in the branch of
+    the joint's side; where both overflow to an infinity, a
+    ``log_trace_gap`` row compares the finite gaps too.  Every row passes
+    within ``AGREEMENT_TOL`` of :func:`_deviation`.
     """
     orders = [_order(q) for q in q_grid]
     rows: list[Comparison] = []
@@ -302,12 +280,12 @@ def verify_family(params_grid, q_grid) -> VerificationReport:
             for k, marginal in enumerate(reversed(marginals), 1):
                 gap = joint_trace - _log_trace(marginal, order, far)
                 oracle_value = _entropy_from_gap(gap, order)
-                closed = conditional_entropy_block(params, k, q)
+                closed_gap = _prepared_gap(levels, parties, k, q)(x)
+                closed = _entropy_from_gap(closed_gap, order)
                 rows.append(_row(case, f"conditional_entropy_block[k={k},q={q:g}]",
                                  closed, oracle_value))
                 if math.isinf(closed) and math.isinf(oracle_value):
-                    rows.append(_row(case, f"log_trace_gap[k={k},q={q:g}]",
-                                     _prepared_gap(levels, parties, k, q)(x), gap))
+                    rows.append(_row(case, f"log_trace_gap[k={k},q={q:g}]", closed_gap, gap))
     return VerificationReport(tuple(rows))
 
 

@@ -44,7 +44,8 @@ from .errors import CapacityError, NumericalError, ValidationError
 #: Dense objects larger than this total dimension are refused.
 DENSE_DIM_CAP = 4096
 #: Eigenvalues closer than this many times side * eps * (largest
-#: eigenvalue), the eigensolver's own error bound, fold into one level.
+#: eigenvalue), the eigensolver's own error bound, fold into one level;
+#: one that close to 0 is 0.
 SPECTRUM_MERGE_SCALE = 8
 HERMITIAN_TOL = 1e-12
 #: Side of the square tiles of the Hermitian check (:func:`_check_hermitian`):
@@ -231,6 +232,14 @@ def _eigenvalues(entries: np.ndarray, coupled=None) -> np.ndarray:
     return eigenvalues
 
 
+def _eigensolver_error(eigenvalues: np.ndarray) -> float:
+    """The error bound of a symmetric eigensolver on the ascending
+    ``eigenvalues`` of one matrix: ``SPECTRUM_MERGE_SCALE`` times side * eps
+    * the largest eigenvalue.  An eigenvalue within it of 0 counts as 0."""
+    largest = float(eigenvalues[-1])
+    return SPECTRUM_MERGE_SCALE * len(eigenvalues) * sys.float_info.epsilon * largest
+
+
 #: The one-level spectrum of a trivial system; conditioning on it is a no-op.
 _TRIVIAL = Spectrum(((1.0, 1),))
 
@@ -241,17 +250,18 @@ def spectrum_of(rho: DensityMatrix) -> Spectrum:
 
     One pass from the largest eigenvalue down folds each eigenvalue into
     the level before it when it lies within the eigensolver's error of
-    that level: ``SPECTRUM_MERGE_SCALE`` times side * eps * the largest
-    eigenvalue, the backward-error bound of a symmetric eigensolver on a
-    matrix of that side and norm.  So numerically split degeneracies match
+    that level (:func:`_eigensolver_error`, a backward-error bound on a
+    matrix of that side and norm).  So numerically split degeneracies match
     analytic multiplicities.  A level sits at the multiplicity-weighted
     mean of its eigenvalues, which keeps the trace exact and the folding
-    error second order, so q-traces stay accurate even at large q.  The
-    levels descend and are clamped to [0, 1], so they skip the checks of
-    :class:`Spectrum`.  The oracle cuts by closed multiplicities instead.
+    error second order, so q-traces stay accurate even at large q.  A
+    level within that error of 0 is 0, since the eigensolver cannot tell
+    it from 0; the others are clamped to 1.  The levels descend, so they
+    skip the checks of :class:`Spectrum`.  The oracle cuts by closed
+    multiplicities instead.
     """
     values = rho.eigenvalues.tolist()
-    tol = SPECTRUM_MERGE_SCALE * len(values) * sys.float_info.epsilon * values[-1]
+    tol = _eigensolver_error(rho.eigenvalues)
     levels: list[tuple[float, int]] = []
     for value in reversed(values):
         if levels and levels[-1][0] - value <= tol:
@@ -259,7 +269,8 @@ def spectrum_of(rho: DensityMatrix) -> Spectrum:
             levels[-1] = ((mean * mult + value) / (mult + 1), mult + 1)
         else:
             levels.append((value, 1))
-    return Spectrum._trusted(tuple((min(max(mean, 0.0), 1.0), mult) for mean, mult in levels))
+    return Spectrum._trusted(tuple((0.0 if mean <= tol else min(mean, 1.0), mult)
+                                   for mean, mult in levels))
 
 
 def q_trace(spectrum: Spectrum, q) -> float:
@@ -377,14 +388,23 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 def _trace_out(stack: np.ndarray, dims: tuple[int, ...], kept: list[int]) -> np.ndarray:
     """Partial trace of a matrix, or of each matrix of a stack (..., s, s),
-    over subsystems ``dims``, keeping the ascending indices ``kept``."""
+    over subsystems ``dims``, keeping the ascending indices ``kept``: each
+    traced subsystem of dimension d is the sum of its d diagonal blocks,
+    taken in index order by d - 1 in-place adds."""
     batch = stack.shape[:-2]
     n = len(dims)
     arr = stack.reshape(*batch, *dims, *dims)
     removed = 0
     for axis in (i for i in range(n) if i not in kept):
-        a = len(batch) + axis - removed
-        arr = np.trace(arr, axis1=a, axis2=a + n - removed)
+        index = [slice(None)] * arr.ndim
+        row = len(batch) + axis - removed
+        for i in range(dims[axis]):
+            index[row] = index[row + n - removed] = i
+            if i:
+                total += arr[tuple(index)]
+            else:
+                total = arr[tuple(index)].copy()
+        arr = total
         removed += 1
     side = math.prod(dims[i] for i in kept)
     return arr.reshape(*batch, side, side)

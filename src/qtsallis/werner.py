@@ -53,7 +53,9 @@ def _levels(side: tuple[int, int, float], x: float) -> tuple:
     """The two (eigenvalue, multiplicity) levels of a :func:`_side` at x:
     multiplicity r at x (1 / r - 1 / N**m) + 1 / N**m and N**m - r at
     (1 - x) / N**m; one level 1 / N**m where x rounds away (x = 0, or no
-    background).  At x = 1 the zero level stays."""
+    background).  At x = 1 the zero level stays.  The levels descend, lie
+    in [0, 1] and have int multiplicities, as a trusted :class:`Spectrum`
+    takes them."""
     dim, r, inv = side
     peak = x * (1.0 - inv) + inv  # r times the raised level
     if peak == inv:
@@ -68,7 +70,7 @@ def joint_spectrum(params: WernerParams) -> Spectrum:
     (1 + (N**n - 1) x) / N**n; the remaining N**n - 1 directions stay at
     the background value (1 - x) / N**n.  At x = 0 the two levels are one.
     """
-    return Spectrum(_levels(_side(params.levels, params.parties, 1), params.mixing))
+    return Spectrum._trusted(_levels(_side(params.levels, params.parties, 1), params.mixing))
 
 
 def marginal_spectrum(params: WernerParams, kept_parties: int) -> Spectrum:
@@ -83,7 +85,7 @@ def marginal_spectrum(params: WernerParams, kept_parties: int) -> Spectrum:
     (see the verification module).
     """
     m = _party_count(kept_parties, params.parties, "kept party count")
-    return Spectrum(_levels(_side(params.levels, m, params.levels), params.mixing))
+    return Spectrum._trusted(_levels(_side(params.levels, m, params.levels), params.mixing))
 
 
 def _party_count(value, parties: int, what: str) -> int:
@@ -117,18 +119,12 @@ def _prepared_gap(levels: int, parties: int, k: int, q: float):
     """ln Tr rho**q - ln Tr rho_k**q of the family given k parties, as a
     function of the mixing weight x; at the limit point, the von Neumann
     difference S(rho) - S(rho_k).  The conditional entropy is
-    expm1(gap) / (1 - q).
-
-    It is the gap that :func:`qtsallis._index._conditionals` takes over the
-    two closed-form level pairs, both traces in the branch that the joint
-    multiplicity N**n picks, with the same values bit for bit.  Everything
-    that does not depend on x is computed here, once per query: the
-    :func:`_side` triples of the state and of the k-party marginal (built
-    inline), and the order and the branch (:func:`qtsallis._index._branch`
-    of q, a checked float).  So a root search pays only for the levels and
-    the two log q-traces at each x.  On [x_inf(k), 1] the gap changes sign
-    exactly once (a property test checks this over the whole domain), so
-    one bracket holds the root.
+    expm1(gap) / (1 - q).  N, n and k are valid family ints and q a checked
+    order (:func:`_family`, :func:`qtsallis._index._order`).  Both log
+    q-traces are taken in the branch of the joint side N**n, bit for bit as
+    :func:`qtsallis._index._conditionals` takes them; all that does not
+    depend on x is computed once, here.  On [x_inf(k), 1] the gap changes
+    sign exactly once.
     """
     dim, base = levels ** parties, levels ** k
     joint, marginal = (dim, 1, 1.0 / dim), (base, levels, 1.0 / (base // levels))

@@ -12,9 +12,10 @@ import numpy.testing as npt
 import pytest
 
 from qtsallis import (Comparison, DensityMatrix, ValidationError, VerificationReport,
-                      WernerParams, default_family_grid, joint_spectrum, marginal_spectrum,
-                      partial_trace, quantum_conditional, spectrum_of, verify_family,
-                      verify_separable_witness, werner_density)
+                      WernerParams, conditional_entropy_block, default_family_grid,
+                      default_order_grid, joint_spectrum, marginal_spectrum, partial_trace,
+                      quantum_conditional, spectrum_of, verify_family, verify_separable_witness,
+                      werner_density)
 from qtsallis import oracle, quantum, werner
 from qtsallis._index import Spectrum, _branch, _conditionals
 from qtsallis.oracle import (AGREEMENT_TOL, NONNEG_FLOOR, STRUCTURE_TOL, WITNESS_ORDERS,
@@ -366,11 +367,37 @@ def test_verify_family_separates_levels_a_tiny_weight_apart(x):
     assert report.passed, [c for c in report.comparisons if not c.passed][:3]
 
 
+#: Every family shape at dense scale with N <= 16 and N**n <= 729.
+DENSE_SHAPES = [(levels, parties) for levels in range(2, 17) for parties in range(2, 10)
+                if levels ** parties <= 729]
+
+
+@pytest.mark.parametrize("levels, parties", DENSE_SHAPES)
+def test_levels_within_the_eigensolver_error_of_zero_count_as_zero(levels, parties):
+    # at x = 1 the N - 1 zero eigenvalues of the GHZ block come back as noise of either
+    # sign; summed positive (N = 6, 7, 16 among others) it would leave a level near 1e-19
+    # that weighs a lot at small q, in the oracle and in the public spectrum_of path alike
+    params = WernerParams(levels, parties, 1.0)
+    orders = (0.1, 0.5, 2.0)
+    report = verify_family([params], orders)
+    assert report.passed, [c for c in report.comparisons if not c.passed][:3]
+    rho = werner_density(params)
+    joint = spectrum_of(rho)
+    assert joint.levels[-1] == (0.0, rho.side - 1)
+    for k in range(1, parties):
+        marginal = spectrum_of(partial_trace(rho, range(parties - k, parties)))
+        for q in orders:
+            closed = conditional_entropy_block(params, k, q)
+            public = quantum_conditional(joint, marginal, q)
+            assert abs(public - closed) <= 1e-14 * max(1.0, abs(closed)), (k, q, public, closed)
+
+
 @pytest.mark.parametrize("keep_total", [True, False], ids=["total-kept", "total-off"])
 @pytest.mark.parametrize("shift", [1, -1])
 def test_verify_family_fails_a_closed_multiplicity_moved_by_one(shift, keep_total, monkeypatch):
     # the m = 2 marginal of (3, 4) has levels of multiplicity 3 and 6; the background one
-    # moves by +-1, and with the total kept the raised one takes up the difference
+    # moves by +-1, and with the total kept the raised one takes up the difference; at x = 1
+    # the background level is 0
     closed = oracle.marginal_spectrum
 
     def moved(params, m):
@@ -383,11 +410,12 @@ def test_verify_family_fails_a_closed_multiplicity_moved_by_one(shift, keep_tota
                                   (background, n_background + shift)))
 
     monkeypatch.setattr(oracle, "marginal_spectrum", moved)
-    failing = {c.quantity for c in verify_family([WernerParams(3, 4, 0.4)], (2.0,)).comparisons
-               if not c.passed}
-    assert failing and all(q.startswith("marginal_spectrum[m=2]")
-                           or q.startswith("conditional_entropy_block[k=2,") for q in failing)
-    assert any(q.endswith(".multiplicity") for q in failing), failing
+    for x in (0.4, 1.0):
+        failing = {c.quantity for c in verify_family([WernerParams(3, 4, x)], (2.0,)).comparisons
+                   if not c.passed}
+        assert failing and all(q.startswith("marginal_spectrum[m=2]")
+                               or q.startswith("conditional_entropy_block[k=2,") for q in failing)
+        assert any(q.endswith(".multiplicity") for q in failing), (x, failing)
 
 
 def test_verify_family_never_folds_a_spectrum(monkeypatch):
@@ -426,6 +454,32 @@ def test_verify_family_passes_where_both_sides_overflow():
                          for c in overflowed}
     assert all(math.isfinite(c.closed_form) and math.isfinite(c.oracle) and c.closed_form > 700
                for c in gaps.values())
+
+
+@pytest.mark.parametrize("orders", [default_order_grid(), (1e5, 1e6)],
+                         ids=["default-orders", "overflowing-orders"])
+def test_verify_family_closed_rows_are_the_public_values(orders):
+    # the oracle takes each closed conditional from the prepared gap of its row, not through
+    # the public function; each must still be that function's value, bit for bit
+    assert not hasattr(oracle, "conditional_entropy_block")
+    grid = default_family_grid()
+    members = {f"N={p.levels},n={p.parties},x={p.mixing:g}": p for p in grid}
+    by_label = {f"{q:g}": q for q in orders}
+    label = re.compile(r"(conditional_entropy_block|log_trace_gap)\[k=(\d+),q=(.+)\]$")
+    counts = {"conditional_entropy_block": 0, "log_trace_gap": 0}
+    for row in verify_family(grid, orders).comparisons:
+        match = label.match(row.quantity)
+        if match is None:
+            continue
+        params, k, q = members[row.case], int(match[2]), by_label[match[3]]
+        if match[1] == "conditional_entropy_block":
+            expected = conditional_entropy_block(params, k, q)
+        else:
+            expected = werner._prepared_gap(params.levels, params.parties, k, q)(params.mixing)
+        assert row.closed_form == expected, (row, expected)
+        counts[match[1]] += 1
+    assert counts["conditional_entropy_block"] == sum(p.parties - 1 for p in grid) * len(orders)
+    assert (counts["log_trace_gap"] > 0) == (max(orders) > 1e3), counts
 
 
 def test_verify_family_gap_rows_fail_a_closed_gap_moved_by_1e_9(monkeypatch):

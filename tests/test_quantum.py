@@ -423,6 +423,55 @@ def test_partial_trace_empty_keep():
         partial_trace(random_density(rng, (2, 2)), set())
 
 
+def trace_out_by_np_trace(stack, dims, kept):
+    """Reference partial trace: ``np.trace`` over each traced pair of axes."""
+    batch = stack.shape[:-2]
+    n = len(dims)
+    arr = stack.reshape(*batch, *dims, *dims)
+    removed = 0
+    for axis in (i for i in range(n) if i not in kept):
+        a = len(batch) + axis - removed
+        arr = np.trace(arr, axis1=a, axis2=a + n - removed)
+        removed += 1
+    side = math.prod(dims[i] for i in kept)
+    return arr.reshape(*batch, side, side)
+
+
+def kept_subsets(count):
+    return [kept for size in range(1, count + 1)
+            for kept in itertools.combinations(range(count), size)]
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 5)])
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_block_sum_trace_is_np_trace_bit_for_bit(batch, complex_entries):
+    # every kept subset of every signature of up to four factors of dimension 2 to 4; with a
+    # factor of dimension 1, np.trace can sum a complex diagonal pairwise, in another order
+    rng = np.random.default_rng(len(batch) + 7 * complex_entries)
+    for count in range(1, 5):
+        for dims in itertools.product((2, 3, 4), repeat=count):
+            side = math.prod(dims)
+            stack = rng.standard_normal((*batch, side, side))
+            if complex_entries:
+                stack = stack + 1j * rng.standard_normal(stack.shape)
+            for kept in kept_subsets(count):
+                got = quantum._trace_out(stack, dims, kept)
+                npt.assert_array_equal(got, trace_out_by_np_trace(stack, dims, kept))
+                assert got.dtype == stack.dtype
+
+
+def test_block_sum_trace_of_family_members_is_np_trace_bit_for_bit():
+    for levels in range(2, 17):
+        for parties in range(2, 10):
+            if levels ** parties > 729:
+                break
+            for x in (0.37, 1.0):
+                state = werner_density(WernerParams(levels, parties, x))
+                for kept in kept_subsets(parties):
+                    npt.assert_array_equal(quantum._trace_out(state.entries, state.dims, kept),
+                                           trace_out_by_np_trace(state.entries, state.dims, kept))
+
+
 # -- spectrum_of ---------------------------------------------------------
 
 def test_spectrum_maximally_mixed():

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qtsallis import (CapacityError, MonotonicityError, ThresholdPoint, ValidationError,
-                      WernerParams, asymptotic_threshold, conditional_entropy_block,
-                      entropy_sign, partial_trace, quantum_tsallis, spectrum_of,
+from qtsallis import (CapacityError, MonotonicityError, Spectrum, ThresholdPoint,
+                      ValidationError, WernerParams, asymptotic_threshold,
+                      conditional_entropy_block, entropy_sign, joint_spectrum,
+                      marginal_spectrum, partial_trace, quantum_tsallis, spectrum_of,
                       threshold_curve, threshold_for_q, werner_density)
 from qtsallis import solver, werner
 from qtsallis._index import (LIMIT_WINDOW, EntropicIndex, _branch, _conditionals,
@@ -237,6 +238,20 @@ def test_prepared_gap_is_the_one_q_trace_rule(family, q, x):
     gap = werner._prepared_gap(levels, parties, k, q)(x)
     assert gap == _log_trace(joint, order, far) - _log_trace(marginal, order, far)
     assert _entropy_from_gap(gap, order) == _conditionals(joint, [marginal], q, log_count)[0]
+
+
+@given(families, st.one_of(st.sampled_from((0.0, 5e-324, 1e-16, 1.0 - 1e-16, 1.0)),
+                          st.floats(0.0, 1.0)))
+@settings(deadline=None)
+def test_closed_spectra_are_what_the_checked_constructor_keeps(family, x):
+    # joint_spectrum and marginal_spectrum skip the checks of Spectrum: their levels must be
+    # the ones the constructor would keep, with int multiplicities
+    levels, parties, _ = family
+    params = WernerParams(levels, parties, x)
+    for spectrum in (joint_spectrum(params),
+                     *(marginal_spectrum(params, m) for m in range(1, parties))):
+        assert Spectrum(spectrum.levels).levels == spectrum.levels
+        assert all(type(mult) is int for _, mult in spectrum.levels), spectrum
 
 
 def _bisected_root(gap, x_inf, below_positive):
