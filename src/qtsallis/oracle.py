@@ -20,8 +20,8 @@ import numpy as np
 from ._index import (PSD_FLOOR, TRACE_TOL, Spectrum, _branch, _count, _entropy_from_gap,
                      _Frozen, _log_trace, _order)
 from .errors import ValidationError
-from .quantum import (DensityMatrix, _checked_eigenvalues, _eigensolver_error,
-                      _entropies_from_gaps, _log_traces, _logged, _refuse_above_cap, _trace_out)
+from .quantum import (DensityMatrix, _checked_eigenvalues, _entropies_from_gaps, _log_traces,
+                      _logged, _refuse_above_cap, _trace_out)
 from .werner import WernerParams, _prepared_gap, joint_spectrum, marginal_spectrum
 
 #: Per-level eigenvalue and per-entropy agreement bound for closed forms.
@@ -222,20 +222,16 @@ def _spectrum_rows(case: str, label: str, closed: Spectrum, eigenvalues: np.ndar
     """Cut ascending ``eigenvalues``, largest first, into blocks of the
     ``closed`` multiplicities, sliced at their running sums (the last block
     takes whatever is left); append to ``rows`` each level's eigenvalue
-    against its block mean and multiplicity against the count of block
-    entries within ``AGREEMENT_TOL`` of it; return the (mean, multiplicity)
-    levels.  A mean keeps its block's trace, noise included, clamped to
-    1; a mean within the eigensolver's error of 0
-    (:func:`qtsallis.quantum._eigensolver_error`) is 0."""
+    against its block mean, clamped to [0, 1], and multiplicity against the
+    count of block entries within ``AGREEMENT_TOL`` of it; return the (mean,
+    multiplicity) levels.  A mean keeps its block's trace, noise included."""
     descending = eigenvalues[::-1]
-    zero = _eigensolver_error(eigenvalues)
     last = len(closed.levels) - 1
     levels, start = [], 0
     for idx, (value, mult) in enumerate(closed.levels):
         block = descending[start:start + mult if idx < last else None]
         start += mult
-        mean = math.fsum(block.tolist()) / mult
-        mean = 0.0 if mean <= zero else min(mean, 1.0)
+        mean = min(max(math.fsum(block.tolist()) / mult, 0.0), 1.0)
         count = int(np.count_nonzero(np.abs(block - value) <= AGREEMENT_TOL))
         rows.append(_row(case, f"{label}[level={idx}].eigenvalue", value, mean))
         rows.append(Comparison(

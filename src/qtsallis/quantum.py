@@ -45,7 +45,7 @@ from .errors import CapacityError, NumericalError, ValidationError
 DENSE_DIM_CAP = 4096
 #: Eigenvalues closer than this many times side * eps * (largest
 #: eigenvalue), the eigensolver's own error bound, fold into one level;
-#: one that close to 0 is 0.
+#: one that the solver returns that close to 0 is 0 (:func:`_solved`).
 SPECTRUM_MERGE_SCALE = 8
 HERMITIAN_TOL = 1e-12
 #: Side of the square tiles of the Hermitian check (:func:`_check_hermitian`):
@@ -155,7 +155,7 @@ def _checked_eigenvalues(stack: np.ndarray, coupled=None) -> np.ndarray:
     ``test_internal_constructions_pass_the_hermitian_check`` and
     ``test_witness_stacks_pass_the_hermitian_check`` assert.  A single
     matrix is split by :func:`_eigenvalues`, at its ``coupled`` block if
-    given; a stack takes one ``eigvalsh`` whole.
+    given; a stack takes one ``eigvalsh`` whole, its values as returned.
     """
     traces = np.reshape(np.trace(stack, axis1=-2, axis2=-1), -1)
     failing = ~(np.abs(traces - 1.0) <= TRACE_TOL)  # nan fails too
@@ -212,32 +212,36 @@ def _eigenvalues(entries: np.ndarray, coupled=None) -> np.ndarray:
     off-diagonal entry in either triangle, found from the exact zero
     pattern.  Up to a permutation the matrix is then diag(coupled block,
     isolated diagonal), so its spectrum is the isolated diagonal entries,
-    exactly, together with one ``eigvalsh`` of the coupled block (none if
-    that block is empty).  A matrix whose first column is nonzero below the
-    diagonal couples every index and goes to ``eigvalsh`` whole, without
-    building the pattern: for a small state with coherences everywhere,
-    the pattern would cost as much as ``eigvalsh`` itself or more.
+    exactly, together with those of the coupled block (none if that block
+    is empty), from one ``eigvalsh`` (:func:`_solved`).  A matrix whose
+    first column is nonzero below the diagonal couples every index and goes
+    to ``eigvalsh`` whole, without building the pattern: for a small state
+    with coherences everywhere, the pattern would cost as much as
+    ``eigvalsh`` itself or more.
     """
     if coupled is None:
         if np.count_nonzero(entries[1:, 0]) == len(entries) - 1:
-            return np.linalg.eigvalsh(entries)
+            return _solved(entries)
         pattern = entries != 0
         np.fill_diagonal(pattern, False)
         coupled = np.flatnonzero(pattern.any(axis=0) | pattern.any(axis=1))
     eigenvalues = np.delete(entries.diagonal().real, coupled)
     if len(coupled):
         eigenvalues = np.concatenate(
-            (eigenvalues, np.linalg.eigvalsh(entries[np.ix_(coupled, coupled)])))
+            (eigenvalues, _solved(entries[np.ix_(coupled, coupled)])))
     eigenvalues.sort()
     return eigenvalues
 
 
-def _eigensolver_error(eigenvalues: np.ndarray) -> float:
-    """The error bound of a symmetric eigensolver on the ascending
-    ``eigenvalues`` of one matrix: ``SPECTRUM_MERGE_SCALE`` times side * eps
-    * the largest eigenvalue.  An eigenvalue within it of 0 counts as 0."""
-    largest = float(eigenvalues[-1])
-    return SPECTRUM_MERGE_SCALE * len(eigenvalues) * sys.float_info.epsilon * largest
+def _solved(block: np.ndarray) -> np.ndarray:
+    """Ascending ``eigvalsh`` of a Hermitian block, each eigenvalue within
+    the solver's error of 0 set to 0: ``SPECTRUM_MERGE_SCALE`` times side *
+    eps * the largest eigenvalue, a backward-error bound on a block of that
+    side and norm, within which the solver cannot tell a value from 0."""
+    values = np.linalg.eigvalsh(block)
+    values[np.abs(values) <= SPECTRUM_MERGE_SCALE * len(values) * sys.float_info.epsilon
+           * values[-1]] = 0.0
+    return values
 
 
 #: The one-level spectrum of a trivial system; conditioning on it is a no-op.
@@ -250,18 +254,17 @@ def spectrum_of(rho: DensityMatrix) -> Spectrum:
 
     One pass from the largest eigenvalue down folds each eigenvalue into
     the level before it when it lies within the eigensolver's error of
-    that level (:func:`_eigensolver_error`, a backward-error bound on a
-    matrix of that side and norm).  So numerically split degeneracies match
+    that level: ``SPECTRUM_MERGE_SCALE`` times side * eps * the largest
+    eigenvalue, the backward-error bound of a symmetric eigensolver on a
+    matrix of that side and norm.  So numerically split degeneracies match
     analytic multiplicities.  A level sits at the multiplicity-weighted
     mean of its eigenvalues, which keeps the trace exact and the folding
-    error second order, so q-traces stay accurate even at large q.  A
-    level within that error of 0 is 0, since the eigensolver cannot tell
-    it from 0; the others are clamped to 1.  The levels descend, so they
-    skip the checks of :class:`Spectrum`.  The oracle cuts by closed
-    multiplicities instead.
+    error second order, so q-traces stay accurate even at large q.  The
+    levels descend and are clamped to [0, 1], so they skip the checks of
+    :class:`Spectrum`.  The oracle cuts by closed multiplicities instead.
     """
     values = rho.eigenvalues.tolist()
-    tol = _eigensolver_error(rho.eigenvalues)
+    tol = SPECTRUM_MERGE_SCALE * len(values) * sys.float_info.epsilon * values[-1]
     levels: list[tuple[float, int]] = []
     for value in reversed(values):
         if levels and levels[-1][0] - value <= tol:
@@ -269,8 +272,7 @@ def spectrum_of(rho: DensityMatrix) -> Spectrum:
             levels[-1] = ((mean * mult + value) / (mult + 1), mult + 1)
         else:
             levels.append((value, 1))
-    return Spectrum._trusted(tuple((0.0 if mean <= tol else min(mean, 1.0), mult)
-                                   for mean, mult in levels))
+    return Spectrum._trusted(tuple((min(max(mean, 0.0), 1.0), mult) for mean, mult in levels))
 
 
 def q_trace(spectrum: Spectrum, q) -> float:
@@ -388,23 +390,14 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 def _trace_out(stack: np.ndarray, dims: tuple[int, ...], kept: list[int]) -> np.ndarray:
     """Partial trace of a matrix, or of each matrix of a stack (..., s, s),
-    over subsystems ``dims``, keeping the ascending indices ``kept``: each
-    traced subsystem of dimension d is the sum of its d diagonal blocks,
-    taken in index order by d - 1 in-place adds."""
+    over subsystems ``dims``, keeping the ascending indices ``kept``."""
     batch = stack.shape[:-2]
     n = len(dims)
     arr = stack.reshape(*batch, *dims, *dims)
     removed = 0
     for axis in (i for i in range(n) if i not in kept):
-        index = [slice(None)] * arr.ndim
-        row = len(batch) + axis - removed
-        for i in range(dims[axis]):
-            index[row] = index[row + n - removed] = i
-            if i:
-                total += arr[tuple(index)]
-            else:
-                total = arr[tuple(index)].copy()
-        arr = total
+        a = len(batch) + axis - removed
+        arr = np.trace(arr, axis1=a, axis2=a + n - removed)
         removed += 1
     side = math.prod(dims[i] for i in kept)
     return arr.reshape(*batch, side, side)

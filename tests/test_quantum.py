@@ -423,55 +423,6 @@ def test_partial_trace_empty_keep():
         partial_trace(random_density(rng, (2, 2)), set())
 
 
-def trace_out_by_np_trace(stack, dims, kept):
-    """Reference partial trace: ``np.trace`` over each traced pair of axes."""
-    batch = stack.shape[:-2]
-    n = len(dims)
-    arr = stack.reshape(*batch, *dims, *dims)
-    removed = 0
-    for axis in (i for i in range(n) if i not in kept):
-        a = len(batch) + axis - removed
-        arr = np.trace(arr, axis1=a, axis2=a + n - removed)
-        removed += 1
-    side = math.prod(dims[i] for i in kept)
-    return arr.reshape(*batch, side, side)
-
-
-def kept_subsets(count):
-    return [kept for size in range(1, count + 1)
-            for kept in itertools.combinations(range(count), size)]
-
-
-@pytest.mark.parametrize("batch", [(), (3,), (2, 5)])
-@pytest.mark.parametrize("complex_entries", [False, True])
-def test_block_sum_trace_is_np_trace_bit_for_bit(batch, complex_entries):
-    # every kept subset of every signature of up to four factors of dimension 2 to 4; with a
-    # factor of dimension 1, np.trace can sum a complex diagonal pairwise, in another order
-    rng = np.random.default_rng(len(batch) + 7 * complex_entries)
-    for count in range(1, 5):
-        for dims in itertools.product((2, 3, 4), repeat=count):
-            side = math.prod(dims)
-            stack = rng.standard_normal((*batch, side, side))
-            if complex_entries:
-                stack = stack + 1j * rng.standard_normal(stack.shape)
-            for kept in kept_subsets(count):
-                got = quantum._trace_out(stack, dims, kept)
-                npt.assert_array_equal(got, trace_out_by_np_trace(stack, dims, kept))
-                assert got.dtype == stack.dtype
-
-
-def test_block_sum_trace_of_family_members_is_np_trace_bit_for_bit():
-    for levels in range(2, 17):
-        for parties in range(2, 10):
-            if levels ** parties > 729:
-                break
-            for x in (0.37, 1.0):
-                state = werner_density(WernerParams(levels, parties, x))
-                for kept in kept_subsets(parties):
-                    npt.assert_array_equal(quantum._trace_out(state.entries, state.dims, kept),
-                                           trace_out_by_np_trace(state.entries, state.dims, kept))
-
-
 # -- spectrum_of ---------------------------------------------------------
 
 def test_spectrum_maximally_mixed():
@@ -561,6 +512,44 @@ def test_fold_builds_the_spectrum_that_validation_would():
     assert ghz == Spectrum(ghz.levels)
     assert diagonal_levels([-2e-15, -1e-15, 1.0]) == ((1.0, 1), (0.0, 2))
     assert diagonal_levels([-5e-11, 1 + 5e-11]) == ((1.0, 1), (0.0, 1))
+
+
+def test_exact_diagonal_entries_are_kept_however_small():
+    # isolated diagonal entries are eigenvalues with no solver error: an entry of 1e-17 is a
+    # level, which weighs a lot at small q, not noise to be taken for 0
+    rho = DensityMatrix((3,), np.diag([0.5, 0.5, 1e-17]))
+    assert rho.eigenvalues.tolist() == [1e-17, 0.5, 0.5]
+    assert spectrum_of(rho).levels == ((0.5, 2), (1e-17, 1))
+    exact = quantum_tsallis(Spectrum(((0.5, 2), (1e-17, 1))), 0.1)
+    assert quantum_tsallis(spectrum_of(rho), 0.1) == exact
+    assert exact == pytest.approx((1 - 2 * 0.5 ** 0.1 - 1e-17 ** 0.1) / (0.1 - 1), rel=1e-15)
+
+
+def test_folded_spectrum_keeps_the_trace_of_tiny_exact_entries():
+    # 63 entries of 1e-13, each below SPECTRUM_MERGE_SCALE * side * eps at side 64: exact, so
+    # kept, and the unchecked spectrum has the trace that the constructor of Spectrum checks
+    levels = diagonal_levels([1.0 - 63e-13] + [1e-13] * 63)
+    assert [mult for _, mult in levels] == [1, 63]
+    assert levels[1][0] == pytest.approx(1e-13, rel=1e-15)
+    assert Spectrum(levels).levels == levels
+
+
+def test_solved_block_zeros_are_zero_beside_exact_entries():
+    # a coupled block that is a pure state beside an isolated entry of 1e-17: the block's
+    # eigenvalues within the solver's error of 0 are 0, the isolated entry keeps its value
+    m = np.zeros((4, 4))
+    m[:3, :3] = 1.0 / 3.0
+    m[3, 3] = 1e-17
+    rho = DensityMatrix((4,), m)
+    assert rho.eigenvalues[:3].tolist() == [0.0, 0.0, 1e-17]
+    assert rho.eigenvalues[3] == pytest.approx(1.0, abs=1e-15)
+    # a small eigenvalue above that error stays as the solver returns it
+    c, s = math.cos(0.3), math.sin(0.3)
+    rotation = np.array([[c, -s], [s, c]])
+    block = rotation @ np.diag([1e-12, 1.0 - 1e-12]) @ rotation.T
+    solved = quantum._solved(block)
+    npt.assert_array_equal(solved, np.linalg.eigvalsh(block))
+    assert solved[0] == pytest.approx(1e-12, abs=1e-15)
 
 
 def test_spectrum_validation():
