@@ -1,20 +1,10 @@
-"""The entropic index q, the spectrum type and the rules shared by every
-layer: integral counts, probabilities, (eigenvalue, multiplicity) levels
-(:class:`Spectrum`, for closed forms and dense states alike), and the one
-q-trace rule (near/far predicate, log q-trace kernel, gap -> entropy
-step) of every classical, dense and closed-form entropy and conditional
-entropy.  Only this module checks an order (:func:`_order`, once per
-public call) and decides the limit point and the branch (:func:`_branch`,
-whose order is None at the limit point); every layer below passes that
-float or that order, never an :class:`EntropicIndex`.  :func:`_conditionals`
-(one joint against a list of marginals) and the family's prepared gap in
-:mod:`qtsallis.werner` take them from here, and so does the separable
-witness for ``quantum._log_traces``, the numpy twin of
-:func:`_log_trace` over whole stacks of eigenvalue rows.  Plain Python
-on floats, so the closed-form path, its spectra included, and every
-command but ``verify`` load no numpy.  Its records are
-:class:`_Frozen`, not dataclasses, so that path loads no ``dataclasses``
-either."""
+"""The entropic index q, the :class:`Spectrum` record and the rules that
+every layer shares: integral counts, probabilities, and the one q-trace
+rule (limit point and branch, log q-trace kernel, gap -> entropy step)
+behind every classical, dense and closed-form entropy.  :func:`_order` is
+the one check of an order; the layers below it pass the float, never an
+:class:`EntropicIndex`.  Plain Python on floats, so the closed-form path
+loads neither numpy nor ``dataclasses``."""
 
 from __future__ import annotations
 
@@ -42,19 +32,8 @@ class _Frozen:
     class with equal fields and hashed by them, shown as
     ``Name(field=value, ...)``, refusing assignment and deletion, pickled
     and copied by its field values (through the validating constructor).
-
-    The numpy-free records (:class:`EntropicIndex`, :class:`Spectrum`,
-    ``WernerParams``, ``ThresholdPoint``) use it because importing
-    ``dataclasses`` (with ``inspect``, ``ast``, ``dis`` and ``tokenize``)
-    and generating their classes took about 18 ms of every closed-form
-    process (Python 3.11, 2-vCPU x86-64).  The oracle's
-    ``VerificationReport`` uses it too; its rows, ``Comparison``, are named
-    tuples, which the separable witness builds thousands of per call.  The
-    other numpy-side records (``DensityMatrix``, ``ProbDist``,
-    ``JointDist``, ``ChainDecomposition``) stay dataclasses: their modules
-    pay 100 ms and more for numpy, and the perfbench tracer hooks
-    ``DensityMatrix.__post_init__``.
-    """
+    The numpy-free records use it so that the closed-form path imports
+    neither ``dataclasses`` nor, with it, ``inspect`` and ``ast``."""
 
     __slots__ = ()
 
@@ -192,8 +171,7 @@ def _log_trace(levels, q: float | None, far: bool) -> float:
     ``far`` takes a running max-shifted logaddexp of ln m + q ln v.
     Otherwise this is log1p(sum m v expm1((q - 1) ln v)), whose terms all
     have the sign of 1 - q, so nothing cancels next to q = 1; a term whose
-    expm1 overflows (a subnormal v at small q) is exp(ln m + q ln v) - m v
-    instead."""
+    expm1 overflows (a subnormal v at small q) is exp(ln m + q ln v) - m v."""
     if q is None:
         return -math.fsum(m * v * math.log(v) for v, m in levels if v > 0.0)
     if far:
@@ -215,14 +193,13 @@ def _log_trace(levels, q: float | None, far: bool) -> float:
     return math.log1p(math.fsum(excess))
 
 
-def _conditionals(joint, marginals, q: float, log_count: float) -> list[float]:
-    """[Tr joint**q / Tr m**q - 1] / (1 - q) for each m of ``marginals``
-    (levels all), from log q-traces in the branch of the joint's total
-    multiplicity exp(``log_count``), the joint's taken once; at the limit
-    point, the von Neumann differences."""
+def _conditional(joint, marginal, q: float, log_count: float) -> float:
+    """[Tr joint**q / Tr marginal**q - 1] / (1 - q) of two level lists, from
+    log q-traces in the branch of the joint's total multiplicity
+    exp(``log_count``); at the limit point, the von Neumann difference."""
     order, far = _branch(q, log_count)
-    joint_trace = _log_trace(joint, order, far)
-    return [_entropy_from_gap(joint_trace - _log_trace(m, order, far), order) for m in marginals]
+    gap = _log_trace(joint, order, far) - _log_trace(marginal, order, far)
+    return _entropy_from_gap(gap, order)
 
 
 def _entropy_from_gap(gap: float, order: float | None) -> float:

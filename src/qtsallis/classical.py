@@ -4,12 +4,8 @@ Order-q entropies of discrete distributions, escort distributions,
 normalized q-expectations, the two equivalent forms of the conditional
 entropy, and the pseudoadditive composition law that replaces additivity
 away from q = 1.  At q = 1 every quantity reduces to its Shannon
-counterpart (natural logarithm throughout).  Entropies and the ratio
-form take the log q-traces of :mod:`qtsallis._index`, and escort
-weights are scaled by the largest one, so values hold up to q = 1e6.
-
-All operations are pure functions of immutable values and are safe to
-call concurrently.
+counterpart (natural logarithm throughout).  Values hold up to q = 1e6.
+All operations are pure functions of immutable values.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._index import EntropicIndex  # noqa: F401  (kept importable from here)
-from ._index import _branch, _conditionals, _count, _entropy_of, _order, _probabilities
+from ._index import _branch, _conditional, _count, _entropy_of, _order, _probabilities
 from .errors import NumericalError, ValidationError
 
 #: Bound between each chain link's definition and ratio forms, relative to
@@ -179,8 +175,8 @@ def _given(joint: np.ndarray, marginal: np.ndarray, q: float) -> float:
     """Ratio form of the flat ``joint`` given its ``marginal``, in the branch
     that the joint's count of nonzero entries picks."""
     live = joint[joint > 0.0].tolist()
-    return _conditionals([(v, 1) for v in live], [[(v, 1) for v in marginal.tolist()]], q,
-                         math.log(len(live)))[0]
+    return _conditional([(v, 1) for v in live], [(v, 1) for v in marginal.tolist()], q,
+                        math.log(len(live)))
 
 
 def compose_pseudoadditive(entropy_first, entropy_second_given_first, q) -> float:

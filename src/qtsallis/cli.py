@@ -5,11 +5,8 @@ Subcommands: ``entropy`` (classical or family conditional entropy),
 (boundary curve over a grid of orders, CSV or JSON), and ``verify``
 (dense-oracle certification suite).  Data goes to stdout, errors and
 diagnostics to stderr; exit codes are 0 on success, 1 on domain errors or
-failed verification, 2 on usage errors.  Only ``verify`` imports numpy:
-``threshold``, ``entropy`` and ``sweep`` run on plain floats, through the
-closed-form path and the probability rule of ``_index``, and load no
-``dataclasses``.  ``json`` is imported only by the two commands that
-write it, ``sweep --format json`` and ``verify``.
+failed verification, 2 on usage errors.  Only ``verify`` imports numpy,
+and only the commands that write JSON import ``json``.
 """
 
 from __future__ import annotations
@@ -80,7 +77,7 @@ def _cmd_threshold(args) -> int:
         print(format_scalar(asymptotic_threshold(args.N, args.n), args.sci))
         return 0
     point = threshold_for_q(args.N, args.n, args.q)
-    print("none" if point.x_star is None else format_scalar(point.x_star, args.sci))
+    print(format_scalar(point.x_star, args.sci))
     return 0
 
 
@@ -101,20 +98,17 @@ def _cmd_sweep(args) -> int:
     grid = _q_grid(q_min, q_max, args.q_points, args.log_scale)
     points = threshold_curve(args.N, args.n, grid)
 
-    # The solver returns a root only once its bracket is at most ROOT_RTOL
-    # wide, so every located point has converged.
+    # The solver locates every root, its bracket at most ROOT_RTOL wide.
     if args.format == "csv":
         lines = ["q,x_star,converged"]
         for point in points:
-            located = point.x_star is not None
-            x_text = format_scalar(point.x_star, args.sci) if located else ""
-            lines.append(f"{format_scalar(point.q, args.sci)},{x_text},"
-                         f"{'true' if located else 'false'}")
+            lines.append(f"{format_scalar(point.q, args.sci)},"
+                         f"{format_scalar(point.x_star, args.sci)},true")
         text = "\n".join(lines) + "\n"
     else:
         import json
-        payload = [{"q": point.q, "x_star": point.x_star,
-                    "converged": point.x_star is not None} for point in points]
+        payload = [{"q": point.q, "x_star": point.x_star, "converged": True}
+                   for point in points]
         text = json.dumps(payload, indent=2) + "\n"
     with _output(args.out) as handle:
         handle.write(text)

@@ -1,11 +1,11 @@
 """Dense-matrix brute-force verification.
 
-Builds the dense family members (here, and only here) and certifies every
-closed form against them at small scale (:func:`verify_family`); the random
-separable witness checks S_q(B|A) of separable states for nonnegativity and
-for agreement between a closed marginal and the partial trace
+Builds the dense family members and certifies every closed form against
+them at small scale (:func:`verify_family`); the random separable witness
+checks S_q(B|A) of separable states for nonnegativity and for agreement
+between a closed marginal and the partial trace
 (:func:`verify_separable_witness`).  Results are data, not exceptions: each
-comparison is a row (a named tuple) in a report that serializes to JSON.
+comparison is a row in a report that serializes to JSON.
 """
 
 from __future__ import annotations
@@ -57,11 +57,8 @@ def _deviation(a: float, b: float) -> float:
 
 
 class Comparison(namedtuple("Comparison", "case quantity closed_form oracle abs_dev passed")):
-    """One closed-form-versus-oracle comparison: an immutable named tuple,
-    since the witness builds eight per trial.
-
-    ``abs_dev`` holds the magnitude-scaled deviation of :func:`_deviation`.
-    """
+    """One closed-form-versus-oracle comparison; ``abs_dev`` holds the
+    magnitude-scaled deviation of :func:`_deviation`."""
 
     __slots__ = ()
 
@@ -78,9 +75,7 @@ class Comparison(namedtuple("Comparison", "case quantity closed_form oracle abs_
 
 class VerificationReport(_Frozen):
     """Collection of comparisons sorted by (case, quantity); failing rows
-    make it failing.  The constructor sorts the rows it is given; the
-    separable witness, which builds its rows already in that order, hands
-    them over unsorted (:meth:`_adopt`)."""
+    make it failing."""
 
     __slots__ = ("comparisons",)
 
@@ -90,10 +85,7 @@ class VerificationReport(_Frozen):
 
     @classmethod
     def _adopt(cls, comparisons: tuple[Comparison, ...]) -> VerificationReport:
-        """The report of a tuple of rows already in (case, quantity) order,
-        taken as it is, without the constructor's sort;
-        ``test_witness_rows_come_in_report_order`` asserts that the witness
-        rows are."""
+        """The report of rows already in (case, quantity) order, unsorted."""
         report = object.__new__(cls)
         object.__setattr__(report, "comparisons", comparisons)
         return report
@@ -121,16 +113,9 @@ def _ghz_indices(levels: int, parties: int) -> np.ndarray:
 def werner_density(params: WernerParams) -> DensityMatrix:
     """Dense matrix of the family member: uniform background of weight
     (1 - x) plus the GHZ projector of weight x, which is x/N on every entry
-    of the all-equal block.  Cross-check scale only: a member above
-    ``DENSE_DIM_CAP`` is refused before anything is allocated.  The state
-    adopts the matrix built here, symmetric by construction, without a copy
-    or a Hermitian check, and with the GHZ indices as its coupled block,
-    the only entries off the diagonal that it sets, so its eigenvalues take
-    one N x N ``eigvalsh`` and no zero pattern: building and checking a
-    member allocates about its own bytes and no more.  Only its
-    (n - 1)-party marginal is a matrix (:func:`_marginal_diagonals`), of
-    1/N**2 of its bytes, so certifying a member allocates at most about
-    1.25 times the member's own bytes."""
+    of the all-equal block.  A member above ``DENSE_DIM_CAP`` is refused
+    before anything is allocated; building and checking one allocates about
+    its own bytes, since its GHZ indices name its coupled block."""
     dim = params.total_dim
     _refuse_above_cap(dim)
     entries = np.zeros((dim, dim))
@@ -156,14 +141,10 @@ def _refuse_drift(drift) -> None:
 
 
 def _checked_diagonal(diagonal: np.ndarray, params: WernerParams, kept: int) -> np.ndarray:
-    """The diagonal of an exactly diagonal kept-party marginal, once it has
-    passed the checks of an adopted state: within ``STRUCTURE_TOL`` of its
-    explicit form entry by entry (:func:`_drift`, nan refused), then the
-    trace and positivity checks of
-    :func:`qtsallis.quantum._checked_eigenvalues`, with the same messages:
-    a sum within ``TRACE_TOL`` of 1 and a smallest entry at least
-    ``PSD_FLOOR``, since the entries of a diagonal matrix are its
-    eigenvalues."""
+    """The diagonal of an exactly diagonal kept-party marginal, once it lies
+    within ``STRUCTURE_TOL`` of its explicit form (:func:`_drift`) and has
+    passed the trace and positivity checks of
+    :func:`qtsallis.quantum._checked_eigenvalues`, with the same messages."""
     drift = _drift(diagonal, params, kept)
     if not drift <= STRUCTURE_TOL:
         _refuse_drift(drift)
@@ -178,9 +159,8 @@ def _checked_diagonal(diagonal: np.ndarray, params: WernerParams, kept: int) -> 
 
 def _leading_trace(diagonal: np.ndarray, levels: int) -> np.ndarray:
     """Diagonal of the partial trace over the leading party of an exactly
-    diagonal matrix with this ``diagonal``: its sum over that party, in the
-    order in which :func:`qtsallis.quantum._trace_out` sums it, so bit for
-    bit the diagonal of the dense trace, whose other entries are exact zeros."""
+    diagonal matrix with this ``diagonal``, bit for bit as
+    :func:`qtsallis.quantum._trace_out` sums it."""
     return diagonal.reshape(levels, -1).sum(axis=0)
 
 
@@ -188,15 +168,10 @@ def _marginal_diagonals(state: DensityMatrix, params: WernerParams) -> list[np.n
     """The diagonals of a family member's marginals on its last m = n - 1,
     ..., 1 parties, each checked (:func:`_checked_diagonal`).
 
-    Only the (n - 1)-party marginal is a matrix: the partial trace of
-    ``state`` over its first party (:func:`qtsallis.quantum._trace_out`),
-    whose every off-diagonal entry must be exactly 0, as tracing out a party
-    of a member leaves it.  A coherence, nan included, is refused with the
-    largest off-diagonal magnitude joining the drift of :func:`_drift`.
-    The partial trace of an exactly diagonal matrix is exactly diagonal, so
-    each smaller marginal is taken on its diagonal alone, from the one
-    before (:func:`_leading_trace`): no (N**m)**2 matrix is built for m
-    below n - 1, and none is adopted as a :class:`DensityMatrix`."""
+    The (n - 1)-party marginal is the dense partial trace of ``state``,
+    refused if any off-diagonal entry is not exactly 0 (nan included); each
+    smaller one is the leading trace of the one before
+    (:func:`_leading_trace`)."""
     levels, parties = params.levels, params.parties
     entries = _trace_out(state.entries, state.dims, range(1, parties))
     diagonal = entries.diagonal().copy()  # the dense marginal is released on return
@@ -287,9 +262,8 @@ def verify_family(params_grid, q_grid) -> VerificationReport:
 
 def _random_states(g: np.ndarray) -> np.ndarray:
     """Real full-rank states G G^T / tr(G G^T), one per standard normal G of
-    the (count, d, d) stack ``g``, in one batched product.  G^T is taken as
-    a contiguous copy: against the strided view ``matmul`` leaves BLAS for
-    its own loop, about twice as slow, for bit-identical Grams."""
+    the (count, d, d) stack ``g``.  G^T is a contiguous copy, so ``matmul``
+    stays in BLAS."""
     gram = g @ np.ascontiguousarray(g.transpose(0, 2, 1))
     return gram / np.trace(gram, axis1=1, axis2=2)[:, None, None]
 
@@ -299,13 +273,7 @@ def _mixtures(weights: np.ndarray, local_a: np.ndarray,
     """The joints sum_l w_l rho_A^l (x) rho_B^l, a (count, d_A d_B, d_A d_B)
     stack, and the closed marginals sum_l w_l rho_A^l, a (count, d_A, d_A)
     stack, of the (count, terms) ``weights`` and the (count, terms, d, d)
-    local states of each side.  The A states, weighted and flattened to
-    (count, terms, d_A^2), give the closed marginals as their sum over
-    terms and, seen as (count, d_A^2, terms), the joints in one batched
-    ``matmul`` with the B states flattened to (count, terms, d_B^2); the
-    (a c, b d) products are then put in (a b, c d) order.  A term of zero
-    weight adds exact zeros, and a stack of one trial gives that trial's
-    states bit for bit."""
+    local states of each side.  A term of zero weight adds exact zeros."""
     count, terms, dim_a, _ = local_a.shape
     dim_b = local_b.shape[-1]
     weighted = local_a.reshape(count, terms, -1) * weights[:, :, None]
@@ -325,20 +293,9 @@ def _witness_rows(cases, log_counts: np.ndarray, joint: np.ndarray,
     closed A marginal Sigma w rho_A against the traced one (oracle), and its
     sign, as the rows of a report in report order.
 
-    ``joint`` (trials, 16) and ``marginals`` (2, trials, 4) hold each
-    trial's checked eigenvalue rows: its joint, and its closed and traced
-    marginals, padded with exact zeros, which weigh nothing in any branch.
-    Each array is clipped and logged once (:func:`qtsallis.quantum._logged`).
-    Per order, each trial takes the branch of its joint's side
-    exp(``log_counts``), by :func:`qtsallis._index._branch` itself on the
-    whole array, and each branch that occurs takes one log q-trace
-    (:func:`qtsallis.quantum._log_traces`) of the joints and one of the
-    marginals: only q = 0.5 splits, with joints of side 4 and 6 near q = 1.
-    Values, deviations and verdicts are (kind, order, trial) arrays, put
-    into report order, cases by label and quantities by their sorted
-    labels, in one index each; each row is then built once in that order.
-    Padded sums associate differently from the unpadded rows, so a value
-    can differ from a stack's own log q-traces by an ulp or so.
+    ``joint`` (trials, 16) and ``marginals`` (2, trials, 4; closed, traced)
+    hold each trial's checked eigenvalues, padded with exact zeros.  Each
+    trial takes the branch of its joint's side exp(``log_counts``).
     """
     joint, marginals = _logged(joint), _logged(marginals)
     gaps = np.empty((len(WITNESS_ORDERS), *marginals[0].shape[:-1]))
@@ -377,38 +334,14 @@ def verify_separable_witness(trials: int, seed: int) -> VerificationReport:
     """Random separable-state witness suite, deterministic for a given seed.
 
     Each trial mixes 1 to ``_MAX_TERMS`` products of real full-rank local
-    states (see :func:`_random_states`; they do not commute across terms)
-    on d_A, d_B in [2, 4], rho_AB = sum_l w_l rho_A^l (x) rho_B^l, with
+    states (:func:`_random_states`; they do not commute across terms) on
+    d_A, d_B in [2, 4], rho_AB = sum_l w_l rho_A^l (x) rho_B^l, with
     uniform weights normalized to sum 1.  S_q(B|A) from the marginal
     sum_l w_l rho_A^l must match the one from the partial trace
     (``AGREEMENT_TOL``) and be nonnegative (``NONNEG_FLOOR``): a separable
     state's spectrum is majorized by its marginal's (Nielsen & Kempe,
-    PRL 86, 5184 (2001)).
-
-    The draws take no loop over trials.  The plan takes three: the shapes
-    (d_A, d_B), the term counts and a row of ``_MAX_TERMS`` uniform weights
-    per trial, zeroed beyond its term count and normalized.  Then, shape
-    by shape in order of first appearance, each side draws the normal G
-    of ``_MAX_TERMS`` local states per trial of the shape in one call and
-    turns them into states in one batched Gram (:func:`_random_states`).
-    The joints of each of the nine shapes come from one batched ``matmul``
-    over the padded weights, and their closed marginals from the same
-    weighted A states (:func:`_mixtures`); a slot beyond a trial's term
-    count has zero weight and adds exact zeros.  The
-    joints, closed marginals and the joints' partial traces of a shape form
-    one stack apiece, checked for trace and positivity and eigendecomposed
-    in one call (:func:`qtsallis.quantum._checked_eigenvalues`), with the
-    same eigenvalues, bit for bit, as each trial's states built alone.  The
-    stacks are Hermitian by construction and skip that check, which
-    ``test_witness_stacks_pass_the_hermitian_check`` runs on every member
-    in its place.  Each shape writes its eigenvalue rows into two arrays
-    over all trials, padded with exact zeros, and the rest runs on the
-    whole batch at once (:func:`_witness_rows`): at most two log q-traces
-    per order and branch, and the rows built once, already in report
-    order, which the report adopts unsorted
-    (:meth:`VerificationReport._adopt`).  Numpy sums the padded rows, so
-    the values can differ by a few ulps from ``quantum_conditional`` on
-    each trial's spectra.
+    PRL 86, 5184 (2001)).  Values can differ by a few ulps from
+    ``quantum_conditional`` on each trial's spectra, as numpy sums them.
     """
     trials, seed = _count(trials, "trial count"), _count(seed, "seed")
     if trials < 1:

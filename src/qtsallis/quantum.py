@@ -1,32 +1,15 @@
 """Density-matrix algebra and quantum nonadditive entropies.
 
 Dense matrices are the small-scale, brute-force representation that the
-oracle certifies closed forms against.  Entropies of a state are taken
-from its degeneracy-aware spectrum, a :class:`qtsallis._index.Spectrum`
-as the closed forms give, by the q-trace rule of
-:mod:`qtsallis._index`, which this module only applies: log q-traces
-neither underflow nor overflow for q up to about 1e6, and lose nothing
-next to q = 1.  The family's own entropies and thresholds do not come
-through here: :mod:`qtsallis.werner` evaluates them in closed form.
-The trace and positivity checks and the partial trace also take stacks
-of same-shaped matrices, so the separable witness of
-:mod:`qtsallis.oracle` checks and decomposes its mixtures one stack per
-shape, takes the log q-traces of all its trials' eigenvalue rows, padded
-with zeros, one array per branch (:func:`_log_traces`, the numpy twin of
-the rule's kernel, in the order and branch that :mod:`qtsallis._index`
-picks, on logs taken once per array by :func:`_logged`) and turns their
-gaps into entropies one array at a time (:func:`_entropies_from_gaps`).
-Hermiticity is checked only where a caller's array comes in, by the
-public :class:`DensityMatrix` constructor, in square tiles
-(:func:`_check_hermitian`).  The states that this package builds itself
-(a family member, a partial trace, a tensor product) and the witness
-stacks are Hermitian by construction: they are adopted, not copied, and
-not checked for it, and tier-1 tests assert that each of them passes
-:func:`_check_hermitian`.  No check makes a float temporary of the
-state's size.  Only a state that names no coupled block builds the
-boolean zero pattern of :func:`_eigenvalues`, an eighth of its bytes; the
-oracle's family members name theirs, so they cost about their own bytes
-once built.
+oracle certifies closed forms against.  A state's entropies come from its
+:class:`qtsallis._index.Spectrum` by the q-trace rule of
+:mod:`qtsallis._index`, so they neither underflow nor overflow for q up to
+about 1e6 and lose nothing next to q = 1.  The family's own entropies do
+not come through here: :mod:`qtsallis.werner` gives them in closed form.
+The state checks, the partial trace and the log q-traces also take stacks
+of same-shaped matrices or eigenvalue rows, for the separable witness of
+:mod:`qtsallis.oracle`.  Hermiticity is checked only on a caller's array;
+the states this package builds are Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -37,19 +20,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._index import (PSD_FLOOR, TRACE_TOL, Spectrum, _branch, _conditionals, _count,
-                     _log_trace, _order)
+from ._index import (PSD_FLOOR, TRACE_TOL, Spectrum, _branch, _conditional, _count, _log_trace,
+                     _order)
 from .errors import CapacityError, NumericalError, ValidationError
 
 #: Dense objects larger than this total dimension are refused.
 DENSE_DIM_CAP = 4096
-#: Eigenvalues closer than this many times side * eps * (largest
-#: eigenvalue), the eigensolver's own error bound, fold into one level;
-#: one that the solver returns that close to 0 is 0 (:func:`_solved`).
+#: The eigensolver's error bound in units of side * eps * (largest
+#: eigenvalue): eigenvalues that close fold into one level
+#: (:func:`spectrum_of`), and one that close to 0 is 0 (:func:`_solved`).
 SPECTRUM_MERGE_SCALE = 8
 HERMITIAN_TOL = 1e-12
-#: Side of the square tiles of the Hermitian check (:func:`_check_hermitian`):
-#: 32 KiB of doubles a tile, so its temporaries stay small beside a large state.
+#: Side of the square tiles of :func:`_check_hermitian`: 32 KiB of doubles.
 _CHECK_TILE = 64
 
 
@@ -63,28 +45,15 @@ def _refuse_above_cap(side: int) -> None:
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Dense Hermitian, unit-trace, positive-semidefinite matrix carrying a
-    subsystem-dimension signature.
+    subsystem-dimension signature, of side at most ``DENSE_DIM_CAP``.
 
-    Entries are stored as float64 unless some imaginary part is nonzero,
-    in which case they stay complex128, so ``np.linalg.eigvalsh`` takes the
-    real symmetric solver for every real state (complex-typed input with
-    zero imaginary parts included) and the complex Hermitian one otherwise.
-    Construction validates every invariant: Hermiticity of the caller's
-    array (:func:`_check_hermitian`), then the trace and positivity from
-    the state's eigenvalues (:func:`_checked_eigenvalues`), which it keeps
-    ascending and read-only as ``eigenvalues``.  Only the coupled block is
-    eigendecomposed (see :func:`_eigenvalues`): indices with no nonzero
-    off-diagonal entry give their diagonal entries exactly, and the rest
-    take one ``eigvalsh``.  The public constructor finds that block from
-    the exact zero pattern, so a state with coherences everywhere is
-    decomposed whole; the oracle names it when it adopts a state it built
-    (a family member's GHZ indices).  The
-    public constructor copies the caller's array; the package's own
-    constructions hand over the fresh array they built (:meth:`_adopt`),
-    Hermitian by construction, through every check but the Hermitian one.
-    Either way ``entries`` is read-only.  This type is
-    meant for cross-check scale (side up to ``DENSE_DIM_CAP``), not
-    production entropy queries.
+    The constructor copies the caller's array and checks Hermiticity
+    (:func:`_check_hermitian`), the trace and positivity
+    (:func:`_checked_eigenvalues`); ``entries`` and the ascending
+    ``eigenvalues`` are read-only, and an isolated diagonal entry is an
+    eigenvalue exactly (:func:`_eigenvalues`).  Entries are float64 unless
+    some imaginary part is nonzero, so every real state takes the real
+    symmetric eigensolver.
     """
 
     dims: tuple[int, ...]
@@ -96,25 +65,17 @@ class DensityMatrix:
 
     @classmethod
     def _adopt(cls, dims: tuple[int, ...], entries: np.ndarray, coupled=None) -> DensityMatrix:
-        """The state of a fresh array that only the caller holds, taken
-        without a copy and made read-only.  The array is Hermitian by
-        construction, so it skips only the Hermitian check of the public
-        constructor; ``test_internal_constructions_pass_the_hermitian_check``
-        and ``test_partial_trace_and_tensor_product_stay_hermitian`` assert
-        that every such construction would pass it.  A caller that built
-        the array knows its coupled block and may pass its ascending
-        indices as ``coupled`` (empty for a diagonal array), vouching that
-        every off-diagonal entry outside that block is exactly 0; the
-        eigenvalues then take no zero pattern (:func:`_eigenvalues`)."""
+        """The state of a fresh, Hermitian array that only the caller holds,
+        taken without a copy and without the Hermitian check.  ``coupled``,
+        if given, lists the ascending indices outside which every
+        off-diagonal entry is exactly 0 (:func:`_eigenvalues`)."""
         rho = object.__new__(cls)
         rho._settle(dims, entries, trusted=True, coupled=coupled)
         return rho
 
     def _settle(self, dims, entries, trusted: bool, coupled=None) -> None:
-        """Validate and set the fields, taking the entries in their final
-        dtype: a caller's array is copied and checked Hermitian, a
-        ``trusted`` one is adopted, its ``coupled`` block passed on to
-        :func:`_checked_eigenvalues`."""
+        """Validate and set the fields: a caller's array is copied and checked
+        Hermitian, a ``trusted`` one is adopted."""
         dims = tuple(_count(d, "subsystem dimension") for d in dims)
         if not dims or any(d < 1 for d in dims):
             raise ValidationError("subsystem dimensions must be positive integers")
@@ -144,18 +105,11 @@ class DensityMatrix:
 
 def _checked_eigenvalues(stack: np.ndarray, coupled=None) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, or of each matrix of a
-    stack (..., s, s), once every member has passed the trace and
-    positivity checks of a state: trace within ``TRACE_TOL`` of 1 and
-    smallest eigenvalue at least ``PSD_FLOOR``.  The traces are checked as
-    one array, nan failing; a failing trace is quoted from the first member
-    that fails, a failing eigenvalue is the smallest of all.  Hermiticity
-    is the caller's to check: the public constructor runs
-    :func:`_check_hermitian` first, and the package's own states and the
-    witness stacks are Hermitian by construction, which
-    ``test_internal_constructions_pass_the_hermitian_check`` and
-    ``test_witness_stacks_pass_the_hermitian_check`` assert.  A single
-    matrix is split by :func:`_eigenvalues`, at its ``coupled`` block if
-    given; a stack takes one ``eigvalsh`` whole, its values as returned.
+    stack (..., s, s), once every member has a trace within ``TRACE_TOL``
+    of 1 and no eigenvalue below ``PSD_FLOOR`` (nan fails both).  The error
+    quotes the first failing trace, or the smallest eigenvalue of all.  A
+    single matrix is split at its ``coupled`` block (:func:`_eigenvalues`);
+    a stack takes one ``eigvalsh``, its values as returned.
     """
     traces = np.reshape(np.trace(stack, axis1=-2, axis2=-1), -1)
     failing = ~(np.abs(traces - 1.0) <= TRACE_TOL)  # nan fails too
@@ -175,16 +129,9 @@ def _checked_eigenvalues(stack: np.ndarray, coupled=None) -> np.ndarray:
 
 
 def _check_hermitian(entries: np.ndarray) -> None:
-    """Refuse a matrix with some |a - a^H| above ``HERMITIAN_TOL``, one
-    square tile of the upper triangle at a time.
-
-    Each tile ``entries[i:i + t, j:j + t]`` with j >= i meets the conjugate
-    transpose of its mirrored tile ``entries[j:j + t, i:i + t]``, so every
-    pair of mirrored entries is compared once, the maximum is that of the
-    whole matrix, and both tiles are read row by row.  Tiles have side
-    ``_CHECK_TILE``, so no temporary grows with the state, and a real
-    matrix is never conjugated.  A nan or inf entry, on the diagonal or
-    off it, makes that maximum nan or inf and is refused as not finite.
+    """Refuse a matrix with some |a - a^H| above ``HERMITIAN_TOL``, or with
+    a nan or inf entry.  Each tile of the upper triangle meets the conjugate
+    transpose of its mirror, so no temporary grows with the state.
     """
     side, tile = len(entries), _CHECK_TILE
     conjugate = np.iscomplexobj(entries)
@@ -202,22 +149,12 @@ def _check_hermitian(entries: np.ndarray) -> None:
 
 
 def _eigenvalues(entries: np.ndarray, coupled=None) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, split at its coupled
-    block.
-
-    The ``coupled`` indices, ascending, are those whose row or column may
-    hold a nonzero off-diagonal entry: a state built by the package names
-    them (a family member's GHZ indices, none for a diagonal array).
-    Without them, an index is coupled if its row or column holds a nonzero
-    off-diagonal entry in either triangle, found from the exact zero
-    pattern.  Up to a permutation the matrix is then diag(coupled block,
-    isolated diagonal), so its spectrum is the isolated diagonal entries,
-    exactly, together with those of the coupled block (none if that block
-    is empty), from one ``eigvalsh`` (:func:`_solved`).  A matrix whose
-    first column is nonzero below the diagonal couples every index and goes
-    to ``eigvalsh`` whole, without building the pattern: for a small state
-    with coherences everywhere, the pattern would cost as much as
-    ``eigvalsh`` itself or more.
+    """Ascending eigenvalues of a Hermitian matrix: its isolated diagonal
+    entries, exactly, and those of its coupled block from one
+    :func:`_solved`.  The ``coupled`` indices, ascending, are those whose
+    row or column may hold a nonzero off-diagonal entry; without them they
+    come from the exact zero pattern, which a matrix whose first column is
+    nonzero below the diagonal skips, as every index is coupled.
     """
     if coupled is None:
         if np.count_nonzero(entries[1:, 0]) == len(entries) - 1:
@@ -235,9 +172,9 @@ def _eigenvalues(entries: np.ndarray, coupled=None) -> np.ndarray:
 
 def _solved(block: np.ndarray) -> np.ndarray:
     """Ascending ``eigvalsh`` of a Hermitian block, each eigenvalue within
-    the solver's error of 0 set to 0: ``SPECTRUM_MERGE_SCALE`` times side *
-    eps * the largest eigenvalue, a backward-error bound on a block of that
-    side and norm, within which the solver cannot tell a value from 0."""
+    ``SPECTRUM_MERGE_SCALE`` * side * eps * the largest eigenvalue of 0 set
+    to 0: within that backward-error bound the solver cannot tell a value
+    from 0."""
     values = np.linalg.eigvalsh(block)
     values[np.abs(values) <= SPECTRUM_MERGE_SCALE * len(values) * sys.float_info.epsilon
            * values[-1]] = 0.0
@@ -249,19 +186,14 @@ _TRIVIAL = Spectrum(((1.0, 1),))
 
 
 def spectrum_of(rho: DensityMatrix) -> Spectrum:
-    """Degeneracy-aware spectrum from the eigenvalues ``rho`` computed at
-    construction, with no second eigendecomposition.
+    """Degeneracy-aware spectrum of the eigenvalues of ``rho``.
 
-    One pass from the largest eigenvalue down folds each eigenvalue into
-    the level before it when it lies within the eigensolver's error of
-    that level: ``SPECTRUM_MERGE_SCALE`` times side * eps * the largest
-    eigenvalue, the backward-error bound of a symmetric eigensolver on a
-    matrix of that side and norm.  So numerically split degeneracies match
-    analytic multiplicities.  A level sits at the multiplicity-weighted
-    mean of its eigenvalues, which keeps the trace exact and the folding
-    error second order, so q-traces stay accurate even at large q.  The
-    levels descend and are clamped to [0, 1], so they skip the checks of
-    :class:`Spectrum`.  The oracle cuts by closed multiplicities instead.
+    From the largest eigenvalue down, each one within the eigensolver's
+    error bound (as in :func:`_solved`) of the level before it folds into
+    that level, so numerically split degeneracies match analytic
+    multiplicities.  A level sits at the mean of its eigenvalues, which
+    keeps the trace exact and q-traces accurate at large q; levels are
+    clamped to [0, 1].
     """
     values = rho.eigenvalues.tolist()
     tol = SPECTRUM_MERGE_SCALE * len(values) * sys.float_info.epsilon * values[-1]
@@ -276,25 +208,19 @@ def spectrum_of(rho: DensityMatrix) -> Spectrum:
 
 
 def q_trace(spectrum: Spectrum, q) -> float:
-    """ln of the q-trace: the log of sum(mult * eigenvalue**q).
-
-    Computed by :func:`qtsallis._index._log_trace`, skipping zero
-    eigenvalues, in the branch that the total multiplicity picks: a
-    max-shifted exponential sum far from q = 1, a log1p of same-signed
-    terms next to it.  It is exact to double precision for q up to at
-    least 1e6 without underflow or overflow, and loses nothing to
-    cancellation next to q = 1.
+    """ln of the q-trace, ln sum(mult * eigenvalue**q), zero eigenvalues
+    skipped: exact to double precision for q up to at least 1e6, and next
+    to q = 1.
     """
     q = _order(q)
     return _log_trace(spectrum.levels, q, _branch(q, math.log(spectrum.total_multiplicity))[1])
 
 
 def _logged(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A stack (..., side) of eigenvalues that :func:`_checked_eigenvalues`
-    has passed, in the form that :func:`_log_traces` takes at every order:
-    the values clamped to [0, 1], the mask of the positive ones, and their
-    logs (0 where a value is 0).  A zero weighs nothing in any branch, so a
-    row padded with zeros has the log q-trace of the row itself."""
+    """A stack (..., side) of checked eigenvalues as :func:`_log_traces`
+    takes it at every order: the values clamped to [0, 1], the mask of the
+    positive ones, and their logs (0 where a value is 0).  A zero weighs
+    nothing, so a row padded with zeros has the log q-trace of the row."""
     values = np.clip(eigenvalues, 0.0, 1.0)
     live = values > 0.0
     return values, live, np.log(values, out=np.zeros_like(values), where=live)
@@ -303,13 +229,9 @@ def _logged(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def _log_traces(logged: tuple[np.ndarray, np.ndarray, np.ndarray], q: float | None,
                 far: bool) -> np.ndarray:
     """:func:`qtsallis._index._log_trace` of each row of a :func:`_logged`
-    stack, each value taken with multiplicity 1, in the order and branch
-    given, picked as for :func:`qtsallis._index._conditionals`: ln sum v**q
-    per row, zeros skipped, and -sum v ln v for q None.  ``far`` takes a
-    max-shifted sum of exp(q ln v); otherwise this is log1p of the
-    same-signed terms v expm1((q - 1) ln v), each exp(q ln v) - v where its
-    expm1 would overflow.  Sums run in numpy's order, not ``math.fsum``'s,
-    so a value can differ from the scalar kernel's by a few ulps."""
+    stack, each value of multiplicity 1, in the order and branch given.
+    Sums run in numpy's order, not ``math.fsum``'s, so a value can differ
+    from the scalar kernel's by a few ulps."""
     values, live, logs = logged  # zeros get no weight below
     if q is None:
         return -np.sum(values * logs, axis=-1)
@@ -326,11 +248,8 @@ def _log_traces(logged: tuple[np.ndarray, np.ndarray, np.ndarray], q: float | No
 
 
 def _entropies_from_gaps(gaps: np.ndarray, order: float | None) -> np.ndarray:
-    """:func:`qtsallis._index._entropy_from_gap` of each gap of an array at
-    the ``order`` of :func:`qtsallis._index._branch`: expm1(gap) / (1 - q),
-    an infinity with the sign of 1 - q where expm1 overflows (its inf
-    divided by 1 - q, with no warning), and at the limit point (``order``
-    None) the gaps themselves."""
+    """:func:`qtsallis._index._entropy_from_gap` of each gap of an array,
+    with no warning where expm1 overflows."""
     if order is None:
         return gaps
     with np.errstate(over="ignore"):
@@ -338,11 +257,8 @@ def _entropies_from_gaps(gaps: np.ndarray, order: float | None) -> np.ndarray:
 
 
 def quantum_tsallis(spectrum: Spectrum, q) -> float:
-    """Order-q entropy of a state given by its spectrum.
-
-    expm1(ln q-trace) / (1 - q), the conditional entropy given a trivial
-    system; the q -> 1 limit point routes to the von Neumann entropy.
-    """
+    """Order-q entropy of a state given by its spectrum; the von Neumann
+    entropy at the q -> 1 limit point."""
     return quantum_conditional(spectrum, _TRIVIAL, q)
 
 
@@ -351,15 +267,13 @@ def quantum_conditional(joint: Spectrum, marginal: Spectrum, q) -> float:
 
         (1 / (1 - q)) * [q-trace(joint) / q-trace(marginal) - 1]
 
-    evaluated through log q-traces, both in the branch that the joint's
-    total multiplicity picks.  Negative values signal nonclassical
-    correlation.  At the q -> 1 limit point this is the von Neumann
-    difference.  May return +/-inf if the trace ratio overflows the
-    exponential range (extreme q far from the entropy zero); sign queries
-    should compare log q-traces directly instead.
+    through log q-traces.  Negative values signal nonclassical correlation.
+    At the q -> 1 limit point this is the von Neumann difference.  Returns
+    +/-inf where the trace ratio overflows (extreme q far from the entropy
+    zero).
     """
-    return _conditionals(joint.levels, [marginal.levels], _order(q),
-                         math.log(joint.total_multiplicity))[0]
+    return _conditional(joint.levels, marginal.levels, _order(q),
+                        math.log(joint.total_multiplicity))
 
 
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
@@ -371,12 +285,9 @@ def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Marginal density matrix over the subsystems listed in ``keep``.
 
-    Kept subsystems appear in their original order regardless of the order
-    given in ``keep``.  The marginal is adopted without the Hermitian check:
-    each of its entries sums as many entries of ``rho`` as the traced
-    dimension, so a state whose asymmetry is just under ``HERMITIAN_TOL``
-    can give a marginal whose asymmetry is up to the traced dimension times
-    that, which the public constructor would refuse.
+    Kept subsystems appear in their original order.  The marginal skips
+    the Hermitian check: summing entries can grow an asymmetry just under
+    ``HERMITIAN_TOL`` by up to the traced dimension.
     """
     kept = sorted({_count(i, "subsystem index") for i in keep})
     n = len(rho.dims)

@@ -26,14 +26,13 @@ MONOTONE_RTOL = 1e-9
 class ThresholdPoint(_Frozen):
     """Sign-change location of the conditional entropy at one order q.
 
-    ``x_star`` is None when the entropy keeps one sign across the whole
-    mixing interval; ``bracket_width`` is the width in x of the final
-    bracket (0 on an exact zero, nan without a root).
+    ``bracket_width`` is the width in x of the final bracket around
+    ``x_star`` (0 on an exact zero).
     """
 
     __slots__ = ("q", "x_star", "bracket_width")
 
-    def __init__(self, q: float, x_star: float | None, bracket_width: float) -> None:
+    def __init__(self, q: float, x_star: float, bracket_width: float) -> None:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "x_star", x_star)
         object.__setattr__(self, "bracket_width", bracket_width)
@@ -53,38 +52,28 @@ def entropy_sign(params: WernerParams, q, conditioned_parties: int | None = None
 
 def threshold_for_q(levels: int, parties: int, q,
                     conditioned_parties: int | None = None) -> ThresholdPoint:
-    """Locate the sign change of the conditional entropy in x.
+    """Locate the sign change of the conditional entropy given
+    ``conditioned_parties`` parties (default n - 1) in the mixing weight x.
 
-    No root lies below the exact large-q bound, and on [x_inf(k), 1] the
-    entropy changes sign at most once, so that interval holds the one
-    root.  The search runs in t = ln x on the family's gap, prepared once
-    per query from q as a checked float
-    (:func:`qtsallis.werner._prepared_gap`), with the ends of the interval
-    at their exact weights.  It evaluates the gap at a closed-form seed,
-    whose sign says on which side the root lies, and steps from it
-    towards that side until the sign changes: first by half of
-    ``ROOT_RTOL``, then by secant steps aimed that far past the root, or
-    to the middle of what is left of the interval where the gap does not
-    fall towards zero.  Where the probes leave a bracket wider than
-    ``ROOT_RTOL`` in ln x, Brent's method (:func:`_brent`) narrows it to
-    at most that, every step at least half of that inside it; x_star is
-    its geometric midpoint.  An exact zero is returned with a zero-width
-    bracket.  x_star is None only when the gap has one sign at both ends
-    of the interval, both evaluated.
+    The one root lies in [x_inf(k), 1]: the entropy is nonnegative at
+    x_inf(k) (:func:`asymptotic_threshold`), negative at x = 1, and changes
+    sign at most once between.  x_star is the geometric midpoint of a
+    bracket at most ``ROOT_RTOL`` wide in ln x whose ends the gap of
+    :func:`qtsallis.werner._prepared_gap` puts on opposite sides, or an
+    exact zero with a zero-width bracket.  At very large q (from about
+    1e15) rounding can leave the gap one sign over the whole interval; the
+    root then lies at x_inf(k) within rounding, which is returned with a
+    zero-width bracket.
 
-    The seed, in [x_inf(k), 1]: for q > 1, where the top joint eigenvalue
-    (1 + (N**n - 1) x) / N**n, of multiplicity 1, is N**(1/q) times the
-    top marginal one, (1 + (N**(k-1) - 1) x) / N**k, of multiplicity N,
-    so that the largest terms of the two q-traces are equal.  Both are
-    affine in x, so this is one division; it tends to x_inf(k) as q
-    grows, and it lies within about 1e-13 of the root in ln x from
-    q = 1e3 on.  For q < 1: 1 - v**(1/q) with v = (N**(1-q) - 1) /
-    ((N**n - 1) N**(-n q) - (N**k - N) N**(-k q)), where the background
-    levels (1 - x) / N**m balance the spikes, as x tends to 1 for small
-    q.  At the limit point, and wherever a form has no value in (0, 1],
-    the midpoint of [x_inf(k), 1]: over the whole domain the von Neumann
-    roots lie between 0.5 and 0.99.  A poor seed costs gap evaluations,
-    never accuracy.
+    The search runs in t = ln x from a closed-form seed, by secant probes
+    to a sign change, then Brent's method (:func:`_brent`).  For q > 1 the
+    seed equates the largest terms of the two q-traces: the top joint
+    eigenvalue (1 + (N**n - 1) x) / N**n is N**(1/q) times the top
+    marginal one, (1 + (N**(k-1) - 1) x) / N**k, of multiplicity N.  For
+    q < 1 it is 1 - v**(1/q), v = (N**(1-q) - 1) / ((N**n - 1) N**(-n q)
+    - (N**k - N) N**(-k q)), where the backgrounds balance the spikes as x
+    tends to 1.  Elsewhere it is the midpoint of [x_inf(k), 1].  A poor
+    seed costs gap evaluations, never accuracy.
     """
     q = _order(q)
     N, n, k = _family(levels, parties, conditioned_parties)
@@ -129,13 +118,13 @@ def threshold_for_q(levels: int, parties: int, q,
         if g == 0.0 or (g > 0.0) != (g0 > 0.0):
             break
         before, near_u, near_t, near_g = (near_u, near_g), u, t, g
-    else:  # one sign from the seed to the end: a root, if any, lies beyond its other side
+    else:  # one sign from the seed to the end: the root lies beyond its other side
         if g0 != 0.0:
             near_t, near_g = t0, g0
             t = low if rising else 0.0
             g = gap(x_inf if rising else 1.0)
-            if g != 0.0 and (g > 0.0) == (g0 > 0.0):
-                return ThresholdPoint(q, None, math.nan)
+            if g != 0.0 and (g > 0.0) == (g0 > 0.0):  # rounding hides a root at x_inf
+                return ThresholdPoint(q, x_inf, 0.0)
     if g == 0.0:
         lo = hi = t
     else:  # a bracket the probes closed comes back sorted, with no evaluation
@@ -194,10 +183,9 @@ def _brent(gap, low: float, x_inf: float, a: float, fa: float, b: float,
 
 
 def _rises(points) -> list[tuple[ThresholdPoint, ThresholdPoint]]:
-    """Consecutive located points, in the given order, where the boundary
-    rises by more than ``MONOTONE_RTOL`` relative to the earlier point."""
-    located = [point for point in points if point.x_star is not None]
-    return [(a, b) for a, b in zip(located, located[1:])
+    """Consecutive points, in the given order, where the boundary rises by
+    more than ``MONOTONE_RTOL`` relative to the earlier point."""
+    return [(a, b) for a, b in zip(points, points[1:])
             if b.x_star > a.x_star * (1 + MONOTONE_RTOL)]
 
 
@@ -233,18 +221,13 @@ def asymptotic_threshold(levels: int, parties: int,
     eigenvalue, so the conditional entropy vanishes where the dominant
     joint and marginal eigenvalues coincide:
 
-        (1 + (N**n - 1) x) / N**n  =  (1 + (N**(k-1) - 1) x) / N**k
+        (1 + (N**n - 1) x) / N**n  =  (1 + (N**(k-1) - 1) x) / N**k,
 
-    Cross-multiplying gives a linear equation in x,
-
-        x * [N**k (N**n - 1) - N**n (N**(k-1) - 1)] = N**n - N**k,
-
-    evaluated in exact integer arithmetic up to the final division.  At
-    k = n - 1, the strongest choice, the solution simplifies to
-    1 / (1 + N**(n-1)): the denominator factors as
-    N**(n-1) (N - 1) (N**(n-1) + 1) against the numerator N**(n-1) (N - 1).
-    Below this value the state is separable.  Conditioning on fewer parties
-    yields a weaker (larger) bound.  N**n must lie below 2**63.
+    a linear equation in x, solved in exact integer arithmetic up to one
+    division.  At k = n - 1, the strongest choice, the solution is
+    1 / (1 + N**(n-1)), below which the state is separable.  Conditioning
+    on fewer parties yields a weaker (larger) bound.  N**n must lie below
+    2**63.
     """
     return _x_inf(*_family(levels, parties, conditioned_parties))
 

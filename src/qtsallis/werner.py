@@ -1,15 +1,11 @@
 """The symmetric one-parameter mixed-state family on n parties of N levels.
 
 States interpolate between the maximally mixed state and the projector
-onto the n-party GHZ vector.  Joint and marginal spectra are available in
-closed form with exact integer multiplicities, which keeps every entropy
-query tractable far beyond dense-matrix scale.  The spectra are
-:class:`qtsallis._index.Spectrum` values, and every family entropy, its
-value as well as its sign, comes from the q-trace rule of
-:mod:`qtsallis._index` applied to the two closed-form levels
-(``_prepared_gap``, with the constants of a query computed once): plain
-float arithmetic at one mixing weight at a time, with no numpy loaded.
-The dense family states live in :mod:`qtsallis.oracle`.
+onto the n-party GHZ vector.  Joint and marginal spectra have closed forms
+with exact integer multiplicities, so every entropy query stays tractable
+far beyond dense-matrix scale.  Every family entropy, value and sign alike,
+comes from the q-trace rule of :mod:`qtsallis._index` on the two
+closed-form levels (:func:`_prepared_gap`), in plain float arithmetic.
 """
 
 from __future__ import annotations
@@ -80,9 +76,7 @@ def marginal_spectrum(params: WernerParams, kept_parties: int) -> Spectrum:
     leaving N equal diagonal spikes on top of the uniform background:
     eigenvalue (1 + (N**(m-1) - 1) x) / N**m with multiplicity N, and
     (1 - x) / N**m on the remaining N**m - N directions.  For m = 1 the
-    spikes absorb everything and the marginal is maximally mixed at every
-    x.  The form for intermediate m is certified against the dense oracle
-    (see the verification module).
+    marginal is maximally mixed at every x.
     """
     m = _party_count(kept_parties, params.parties, "kept party count")
     return Spectrum._trusted(_levels(_side(params.levels, m, params.levels), params.mixing))
@@ -122,9 +116,8 @@ def _prepared_gap(levels: int, parties: int, k: int, q: float):
     expm1(gap) / (1 - q).  N, n and k are valid family ints and q a checked
     order (:func:`_family`, :func:`qtsallis._index._order`).  Both log
     q-traces are taken in the branch of the joint side N**n, bit for bit as
-    :func:`qtsallis._index._conditionals` takes them; all that does not
-    depend on x is computed once, here.  On [x_inf(k), 1] the gap changes
-    sign exactly once.
+    :func:`qtsallis._index._conditional` takes them.  On [x_inf(k), 1] the
+    gap changes sign exactly once.
     """
     dim, base = levels ** parties, levels ** k
     joint, marginal = (dim, 1, 1.0 / dim), (base, levels, 1.0 / (base // levels))

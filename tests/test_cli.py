@@ -145,6 +145,11 @@ def test_threshold_large_q(capsys):
     assert float(out) == pytest.approx(0.2, abs=1e-3)
 
 
+def test_threshold_at_huge_q_is_the_large_q_bound(capsys):
+    # at q = 1e16 rounding leaves the gap one sign over [x_inf, 1]: the root is x_inf
+    assert run(capsys, ["threshold", "--N", "2", "--n", "3", "--q", "1e16"]) == (0, "0.2\n", "")
+
+
 def test_threshold_repeat_is_byte_identical(capsys):
     _, first, _ = run(capsys, ["threshold", "--N", "2", "--n", "3", "--q", "7"])
     _, second, _ = run(capsys, ["threshold", "--N", "2", "--n", "3", "--q", "7"])

@@ -17,7 +17,7 @@ from qtsallis import (Comparison, DensityMatrix, ValidationError, VerificationRe
                       quantum_conditional, spectrum_of, verify_family, verify_separable_witness,
                       werner_density)
 from qtsallis import oracle, quantum, werner
-from qtsallis._index import Spectrum, _branch, _conditionals
+from qtsallis._index import Spectrum, _branch, _conditional
 from qtsallis.oracle import (AGREEMENT_TOL, NONNEG_FLOOR, STRUCTURE_TOL, WITNESS_ORDERS,
                              _deviation, _marginal_diagonals, _witness_rows)
 from helpers import record_eigvalsh
@@ -269,10 +269,9 @@ def test_verify_family_oracle_entropies_equal_quantum_conditional(levels, partie
     means = [block_means(marginal_spectrum(params, k), marginal.eigenvalues)
              for k, marginal in zip(blocks, marginals)]
     for q in orders:
-        exact = _conditionals(joint_means, means, q, math.log(joint.side))
-        for k, marginal, value in zip(blocks, marginals, exact):
+        for k, marginal, marginal_means in zip(blocks, marginals, means):
             got = oracle[f"conditional_entropy_block[k={k},q={q:g}]"]
-            assert got == value
+            assert got == _conditional(joint_means, marginal_means, q, math.log(joint.side))
             public = quantum_conditional(spectrum_of(joint), spectrum_of(marginal), q)
             assert abs(got - public) <= 1e-14 * max(1.0, abs(public)), (k, q, got, public)
 

@@ -6,7 +6,7 @@ import statistics
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qtsallis import (CapacityError, MonotonicityError, Spectrum, ThresholdPoint,
@@ -15,7 +15,7 @@ from qtsallis import (CapacityError, MonotonicityError, Spectrum, ThresholdPoint
                       marginal_spectrum, partial_trace, quantum_tsallis, spectrum_of,
                       threshold_curve, threshold_for_q, werner_density)
 from qtsallis import solver, werner
-from qtsallis._index import (LIMIT_WINDOW, EntropicIndex, _branch, _conditionals,
+from qtsallis._index import (LIMIT_WINDOW, EntropicIndex, _branch, _conditional,
                              _entropy_from_gap, _log_trace)
 from qtsallis.solver import _rises
 from helpers import NEAR_ONE, WIDE_FAMILIES, mp_conditional_renyi, mp_threshold
@@ -237,7 +237,7 @@ def test_prepared_gap_is_the_one_q_trace_rule(family, q, x):
     order, far = _branch(q, log_count)
     gap = werner._prepared_gap(levels, parties, k, q)(x)
     assert gap == _log_trace(joint, order, far) - _log_trace(marginal, order, far)
-    assert _entropy_from_gap(gap, order) == _conditionals(joint, [marginal], q, log_count)[0]
+    assert _entropy_from_gap(gap, order) == _conditional(joint, marginal, q, log_count)
 
 
 @given(families, st.one_of(st.sampled_from((0.0, 5e-324, 1e-16, 1.0 - 1e-16, 1.0)),
@@ -340,6 +340,28 @@ def test_threshold_never_below_large_q_bound(family, q):
     assert point.x_star is not None
     assert point.x_star >= asymptotic_threshold(levels, parties, k) * (1 - 1e-12)
     assert point.bracket_width <= 1e-13 * point.x_star
+
+
+#: Log-uniform q over [1e6, 1e300], beyond the advertised orders.
+huge_orders = st.floats(math.log(1e6), math.log(1e300)).map(lambda t: max(math.exp(t), 1e6))
+
+
+@given(families, huge_orders)
+@example((2, 3, 2), 1e16)
+@settings(deadline=None)
+def test_threshold_located_at_huge_orders(family, q):
+    # a root lies in [x_inf(k), 1] at every order; where rounding leaves the gap one sign
+    # over that whole interval, it lies at x_inf(k) within rounding
+    levels, parties, k = family
+    x_star = threshold_for_q(levels, parties, q, conditioned_parties=k).x_star
+    assert x_star is not None
+    assert asymptotic_threshold(levels, parties, k) <= x_star
+    top = threshold_for_q(levels, parties, 1e6, conditioned_parties=k).x_star
+    assert x_star <= top * (1 + solver.MONOTONE_RTOL)
+
+
+def test_threshold_at_huge_q_is_the_large_q_bound():
+    assert threshold_for_q(2, 3, 1e16) == ThresholdPoint(1e16, asymptotic_threshold(2, 3), 0.0)
 
 
 @pytest.mark.parametrize("q", NEAR_ONE)
