@@ -3,7 +3,7 @@ entanglement thresholds they locate in GHZ-diluted mixed states."""
 
 import importlib
 
-from ._index import EntropicIndex, Spectrum
+from ._index import Spectrum
 from .errors import (CapacityError, MonotonicityError, NumericalError, QTsallisError,
                      ValidationError)
 from .solver import (ThresholdPoint, asymptotic_threshold, entropy_sign, threshold_curve,
@@ -18,7 +18,7 @@ _LAZY = {
                      "compose_pseudoadditive", "conditional_entropy_def",
                      "conditional_entropy_ratio", "escort", "q_expectation",
                      "tripartite_chain", "tsallis_entropy"), "classical"),
-    **dict.fromkeys(("DensityMatrix", "partial_trace", "q_trace", "quantum_conditional",
+    **dict.fromkeys(("DensityMatrix", "partial_trace", "quantum_conditional",
                      "quantum_tsallis", "spectrum_of", "tensor_product"), "quantum"),
     **dict.fromkeys(("Comparison", "VerificationReport", "default_family_grid",
                      "default_order_grid", "verify_family", "verify_separable_witness",
@@ -29,8 +29,8 @@ __version__ = "0.1.0"
 
 #: The eager names, by module as imported above, and every lazy one.
 __all__ = sorted([
-    "EntropicIndex", "Spectrum", "CapacityError", "MonotonicityError", "NumericalError",
-    "QTsallisError", "ValidationError", "ThresholdPoint",
+    "Spectrum", "CapacityError", "MonotonicityError", "NumericalError", "QTsallisError",
+    "ValidationError", "ThresholdPoint",
     "asymptotic_threshold", "entropy_sign", "threshold_curve", "threshold_for_q",
     "WernerParams", "conditional_entropy_block", "joint_spectrum", "marginal_spectrum",
     *_LAZY,

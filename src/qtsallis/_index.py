@@ -1,10 +1,9 @@
-"""The entropic index q, the :class:`Spectrum` record and the rules that
-every layer shares: integral counts, probabilities, and the one q-trace
-rule (limit point and branch, log q-trace kernel, gap -> entropy step)
-behind every classical, dense and closed-form entropy.  :func:`_order` is
-the one check of an order; the layers below it pass the float, never an
-:class:`EntropicIndex`.  Plain Python on floats, so the closed-form path
-loads neither numpy nor ``dataclasses``."""
+"""The :class:`Spectrum` record and the rules that every layer shares:
+the one check of an entropic index q (:func:`_order`, after which every
+layer passes a plain float), integral counts, probabilities, and the one
+q-trace rule (limit point and branch, log q-trace kernel, gap -> entropy
+step) behind every classical, dense and closed-form entropy.  Plain Python
+on floats, so the closed-form path loads neither numpy nor ``dataclasses``."""
 
 from __future__ import annotations
 
@@ -62,24 +61,6 @@ class _Frozen:
         return type(self), self._values()
 
 
-class EntropicIndex(_Frozen):
-    """Positive order parameter of the entropy family.
-
-    ``is_limit_point`` flags values numerically indistinguishable from 1,
-    where the defining expressions degenerate to 0/0 and the Shannon
-    formulas take over.
-    """
-
-    __slots__ = ("q",)
-
-    def __init__(self, q: float) -> None:
-        object.__setattr__(self, "q", _order(q))
-
-    @property
-    def is_limit_point(self) -> bool:
-        return _branch(self.q, 0.0)[0] is None
-
-
 class Spectrum(_Frozen):
     """Multiset of (eigenvalue, multiplicity) levels, eigenvalues descending.
 
@@ -124,11 +105,12 @@ class Spectrum(_Frozen):
 
 
 def _order(q) -> float:
-    """q as a float, refused unless positive and finite: the one check of an
-    entropic index.  An :class:`EntropicIndex` gives its own q."""
-    value = q.q if isinstance(q, EntropicIndex) else float(q)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValidationError(f"entropic index must be a positive finite real, got {q!r}")
+    """q as a float, refused outside (0, 1e300] (nan too): the one check of
+    an entropic index.  From about 2.4e305 up, q ln v can overflow to -inf
+    on the smallest positive v and turn a log q-trace gap nan."""
+    value = float(q)
+    if not 0.0 < value <= 1e300:
+        raise ValidationError(f"entropic index must lie in (0, 1e300], got {q!r}")
     return value
 
 

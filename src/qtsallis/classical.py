@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._index import EntropicIndex  # noqa: F401  (kept importable from here)
 from ._index import _branch, _conditional, _count, _entropy_of, _order, _probabilities
 from .errors import NumericalError, ValidationError
 

@@ -17,8 +17,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._index import (PSD_FLOOR, TRACE_TOL, Spectrum, _branch, _count, _entropy_from_gap,
-                     _Frozen, _log_trace, _order)
+from ._index import Spectrum, _branch, _count, _entropy_from_gap, _Frozen, _log_trace, _order
 from .errors import ValidationError
 from .quantum import (DensityMatrix, _checked_eigenvalues, _entropies_from_gaps, _log_traces,
                       _logged, _refuse_above_cap, _trace_out)
@@ -143,18 +142,11 @@ def _refuse_drift(drift) -> None:
 def _checked_diagonal(diagonal: np.ndarray, params: WernerParams, kept: int) -> np.ndarray:
     """The diagonal of an exactly diagonal kept-party marginal, once it lies
     within ``STRUCTURE_TOL`` of its explicit form (:func:`_drift`) and has
-    passed the trace and positivity checks of
-    :func:`qtsallis.quantum._checked_eigenvalues`, with the same messages."""
+    passed :func:`qtsallis.quantum._checked_eigenvalues`."""
     drift = _drift(diagonal, params, kept)
     if not drift <= STRUCTURE_TOL:
         _refuse_drift(drift)
-    trace = diagonal.sum()
-    if not abs(trace - 1.0) <= TRACE_TOL:
-        raise ValidationError(f"trace is {complex(trace)!r}, expected 1")
-    lowest = float(diagonal.min())
-    if not lowest >= PSD_FLOOR:
-        raise ValidationError(f"smallest eigenvalue {lowest} violates positive semidefiniteness")
-    return diagonal
+    return _checked_eigenvalues(diagonal)
 
 
 def _leading_trace(diagonal: np.ndarray, levels: int) -> np.ndarray:

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._index import (PSD_FLOOR, TRACE_TOL, Spectrum, _branch, _conditional, _count, _log_trace,
-                     _order)
+from ._index import PSD_FLOOR, TRACE_TOL, Spectrum, _conditional, _count, _order
 from .errors import CapacityError, NumericalError, ValidationError
 
 #: Dense objects larger than this total dimension are refused.
@@ -109,19 +108,21 @@ def _checked_eigenvalues(stack: np.ndarray, coupled=None) -> np.ndarray:
     of 1 and no eigenvalue below ``PSD_FLOOR`` (nan fails both).  The error
     quotes the first failing trace, or the smallest eigenvalue of all.  A
     single matrix is split at its ``coupled`` block (:func:`_eigenvalues`);
-    a stack takes one ``eigvalsh``, its values as returned.
+    a stack takes one ``eigvalsh``, its values as returned; a vector is the
+    diagonal of a diagonal matrix, and is its own eigenvalues, unsorted.
     """
-    traces = np.reshape(np.trace(stack, axis1=-2, axis2=-1), -1)
+    diagonal = stack.ndim == 1
+    traces = stack.sum() if diagonal else np.trace(stack, axis1=-2, axis2=-1)
     failing = ~(np.abs(traces - 1.0) <= TRACE_TOL)  # nan fails too
     if failing.any():
-        trace = traces[np.argmax(failing)]
+        trace = np.reshape(traces, -1)[np.argmax(failing)]
         raise ValidationError(f"trace is {complex(trace)!r}, expected 1")
     try:
-        eigenvalues = (_eigenvalues(stack, coupled) if stack.ndim == 2
+        eigenvalues = (stack if diagonal else _eigenvalues(stack, coupled) if stack.ndim == 2
                        else np.linalg.eigvalsh(stack))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    lowest = float(np.min(eigenvalues[..., 0]))  # nan anywhere gives nan
+    lowest = float(eigenvalues.min())  # nan anywhere gives nan
     if not lowest >= PSD_FLOOR:
         raise ValidationError(f"smallest eigenvalue {lowest} "
                               "violates positive semidefiniteness")
@@ -205,15 +206,6 @@ def spectrum_of(rho: DensityMatrix) -> Spectrum:
         else:
             levels.append((value, 1))
     return Spectrum._trusted(tuple((min(max(mean, 0.0), 1.0), mult) for mean, mult in levels))
-
-
-def q_trace(spectrum: Spectrum, q) -> float:
-    """ln of the q-trace, ln sum(mult * eigenvalue**q), zero eigenvalues
-    skipped: exact to double precision for q up to at least 1e6, and next
-    to q = 1.
-    """
-    q = _order(q)
-    return _log_trace(spectrum.levels, q, _branch(q, math.log(spectrum.total_multiplicity))[1])
 
 
 def _logged(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

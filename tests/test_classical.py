@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtsallis import (EntropicIndex, JointDist, NumericalError, ProbDist,
+from qtsallis import (JointDist, NumericalError, ProbDist,
                       ValidationError, classical, compose_pseudoadditive,
                       conditional_entropy_def, conditional_entropy_ratio,
                       escort, q_expectation, tripartite_chain, tsallis_entropy)
+from qtsallis._index import _branch, _order
 from qtsallis.cli import main
 from helpers import (NEAR_ONE, mp_classical_conditional, mp_tsallis, random_joint,
                      random_prob, shannon)
@@ -40,12 +41,12 @@ wide_orders = st.one_of(
     st.sampled_from(NEAR_ONE))
 
 
-# -- EntropicIndex ------------------------------------------------------
+# -- the entropic index -------------------------------------------------
 
 def test_index_rejects_nonpositive():
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValidationError):
-            EntropicIndex(bad)
+            _order(bad)
 
 
 @pytest.mark.parametrize("q,expected", [
@@ -53,7 +54,7 @@ def test_index_rejects_nonpositive():
     (1.0 + 1e-8, False), (2.0, False),
 ])
 def test_index_limit_point_window(q, expected):
-    assert EntropicIndex(q).is_limit_point is expected
+    assert (_branch(q, 0.0)[0] is None) is expected
 
 
 # -- ProbDist / JointDist validation ------------------------------------

@@ -13,11 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtsallis import (CapacityError, DensityMatrix, Spectrum, ValidationError,
-                      compose_pseudoadditive, partial_trace, q_trace,
+                      compose_pseudoadditive, partial_trace,
                       quantum_conditional, quantum_tsallis, spectrum_of,
                       tensor_product, tsallis_entropy, werner_density, WernerParams)
 from qtsallis import _index, quantum, werner
-from qtsallis._index import LIMIT_WINDOW, EntropicIndex, _branch, _entropy_from_gap, _log_trace
+from qtsallis._index import LIMIT_WINDOW, _branch, _entropy_from_gap, _log_trace
 from helpers import (ghz_vector, mp_log_trace, mp_tsallis, random_density, random_separable,
                      record_eigvalsh)
 
@@ -596,27 +596,33 @@ def test_spectrum_refuses_a_multiplicity_above_the_cap(levels):
     assert Spectrum(((0.5, 1), (0.5 / cap, cap))).levels[1][1] == cap  # the cap itself passes
 
 
-# -- q_trace -------------------------------------------------------------
+# -- the log q-trace kernel ----------------------------------------------
+
+def log_q_trace(spectrum, q):
+    """ln sum m v**q of a spectrum by the shared kernel, in the branch that
+    its total multiplicity picks."""
+    return _log_trace(spectrum.levels, q, _branch(q, math.log(spectrum.total_multiplicity))[1])
+
 
 def test_q_trace_direct():
-    assert q_trace(Spectrum(((0.5, 2),)), 2) == pytest.approx(math.log(0.5), abs=1e-15)
+    assert log_q_trace(Spectrum(((0.5, 2),)), 2.0) == pytest.approx(math.log(0.5), abs=1e-15)
 
 
 def test_q_trace_normalization_at_one():
     rng = np.random.default_rng(8)
     for _ in range(10):
         spec = spectrum_of(random_density(rng, (5,)))
-        assert q_trace(spec, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert log_q_trace(spec, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_q_trace_dominant_level_asymptote():
     spec = Spectrum(((0.475, 1), (0.075, 7)))
-    assert q_trace(spec, 100) == pytest.approx(100 * math.log(0.475), rel=1e-6)
+    assert log_q_trace(spec, 100.0) == pytest.approx(100 * math.log(0.475), rel=1e-6)
 
 
 def test_q_trace_extreme_order_is_finite():
     spec = Spectrum(((0.475, 1), (0.075, 7)))
-    value = q_trace(spec, 1e6)
+    value = log_q_trace(spec, 1e6)
     assert math.isfinite(value)
     assert value == pytest.approx(1e6 * math.log(0.475), rel=1e-9)
 
@@ -668,7 +674,7 @@ def test_log_traces_match_the_scalar_kernel_row_by_row(stack, q):
     :func:`_branch` sends no such row there: it picks the near branch only
     where (q - 1) ln(side) <= 1, so that sum v**q >= 1/e on every row of
     that side or less."""
-    order = None if EntropicIndex(q).is_limit_point else q
+    order = _branch(q, 0.0)[0]
 
     def scalar(row, far):
         return _log_trace([(v, 1) for v in reversed(row)], order, far)
@@ -769,7 +775,7 @@ def test_subnormal_level_at_small_order_matches_mpmath():
         log_trace = mp_log_trace(spec.levels, 0.01)
     assert abs(quantum_tsallis(spec, 0.01) - reference) <= 1e-15 * reference
     assert abs(tsallis_entropy([1.0, 5e-324], 0.01) - reference) <= 1e-15 * reference
-    assert abs(q_trace(spec, 0.01) - log_trace) <= 1e-15 * log_trace
+    assert abs(log_q_trace(spec, 0.01) - log_trace) <= 1e-15 * log_trace
 
 
 # -- quantum_conditional -------------------------------------------------

@@ -9,14 +9,12 @@ import time
 
 import pytest
 
-from qtsallis import (CapacityError, EntropicIndex, Spectrum, ThresholdPoint, ValidationError,
-                      WernerParams, threshold_for_q)
+from qtsallis import (CapacityError, Spectrum, ThresholdPoint, ValidationError, WernerParams,
+                      threshold_for_q)
 
 #: (record, an equal record built by keyword, a different record, its
 #: field names, its repr).
 RECORDS = [
-    (EntropicIndex(2), EntropicIndex(q=2.0), EntropicIndex(3.0), ("q",),
-     "EntropicIndex(q=2.0)"),
     (Spectrum(((0.25, 2), (0.5, 1))), Spectrum(levels=((0.5, 1), (0.25, 2))),
      Spectrum(((0.5, 2),)), ("levels",), "Spectrum(levels=((0.5, 1), (0.25, 2)))"),
     (WernerParams(2, 3, 0.4), WernerParams(levels=2.0, parties=3, mixing=0.4),
@@ -26,7 +24,7 @@ RECORDS = [
      ThresholdPoint(2.0, None, 0.0), ("q", "x_star", "bracket_width"),
      "ThresholdPoint(q=2.0, x_star=0.25, bracket_width=0.0)"),
 ]
-IDS = ["EntropicIndex", "Spectrum", "WernerParams", "ThresholdPoint"]
+IDS = ["Spectrum", "WernerParams", "ThresholdPoint"]
 
 
 @pytest.mark.parametrize("record, same, other, fields, text", RECORDS, ids=IDS)
@@ -74,7 +72,6 @@ def test_pickle_and_copies_round_trip(record, same, other, fields, text):
 
 
 def test_constructors_normalise_their_fields():
-    assert EntropicIndex(2).q == 2.0 and type(EntropicIndex(2).q) is float
     params = WernerParams(2.0, 3.0, 1)
     assert (params.levels, params.parties, params.mixing) == (2, 3, 1.0)
     assert type(params.levels) is int and type(params.mixing) is float
@@ -85,10 +82,10 @@ def test_constructors_normalise_their_fields():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: EntropicIndex(0),
-    lambda: EntropicIndex(-1.0),
-    lambda: EntropicIndex(math.nan),
-    lambda: EntropicIndex(math.inf),
+    lambda: threshold_for_q(2, 3, 0),
+    lambda: threshold_for_q(2, 3, -1.0),
+    lambda: threshold_for_q(2, 3, math.nan),
+    lambda: threshold_for_q(2, 3, math.inf),
     lambda: Spectrum(()),
     lambda: Spectrum(((0.5, 1), (0.5, 0))),
     lambda: Spectrum(((0.9, 1),)),

@@ -15,8 +15,7 @@ from qtsallis import (CapacityError, MonotonicityError, Spectrum, ThresholdPoint
                       marginal_spectrum, partial_trace, quantum_tsallis, spectrum_of,
                       threshold_curve, threshold_for_q, werner_density)
 from qtsallis import solver, werner
-from qtsallis._index import (LIMIT_WINDOW, EntropicIndex, _branch, _conditional,
-                             _entropy_from_gap, _log_trace)
+from qtsallis._index import LIMIT_WINDOW, _branch, _conditional, _entropy_from_gap, _log_trace
 from qtsallis.solver import _rises
 from helpers import NEAR_ONE, WIDE_FAMILIES, mp_conditional_renyi, mp_threshold
 from solver_budget import (FOOTPRINT_BUDGET, MEDIAN_BUDGET, WORST_BUDGET, counted_threshold,
@@ -277,7 +276,6 @@ def test_root_rests_on_a_verified_bracket(family, q):
     # evaluated again here, and lie at most ROOT_RTOL apart in ln x
     levels, parties, k = family
     point, evaluations = counted_threshold(levels, parties, k, q)
-    qi = EntropicIndex(q)
     gap = werner._prepared_gap(levels, parties, k, q)
     x_inf = asymptotic_threshold(levels, parties, k)
     assert point.x_star is not None and point.x_star >= x_inf
@@ -291,7 +289,7 @@ def test_root_rests_on_a_verified_bracket(family, q):
         assert math.log(hi) - math.log(lo) <= solver.ROOT_RTOL + 4e-16
         assert point.bracket_width == pytest.approx(
             point.x_star * (math.log(hi) - math.log(lo)), rel=1e-2, abs=1e-16 * point.x_star)
-    bisected = _bisected_root(gap, x_inf, qi.q < 1.0 or qi.is_limit_point)
+    bisected = _bisected_root(gap, x_inf, q < 1.0 or _branch(q, 0.0)[0] is None)
     assert point.x_star == pytest.approx(bisected, rel=1e-12, abs=0)
 
 
