@@ -21,7 +21,7 @@ from ._index import Spectrum, _branch, _count, _entropy_from_gap, _Frozen, _log_
 from .errors import ValidationError
 from .quantum import (DensityMatrix, _checked_eigenvalues, _entropies_from_gaps, _log_traces,
                       _logged, _refuse_above_cap, _trace_out)
-from .werner import WernerParams, _prepared_gap, joint_spectrum, marginal_spectrum
+from .werner import WernerParams, joint_spectrum, marginal_spectrum
 
 #: Per-level eigenvalue and per-entropy agreement bound for closed forms.
 AGREEMENT_TOL = 1e-10
@@ -181,17 +181,17 @@ def _row(case: str, quantity: str, closed: float, oracle: float) -> Comparison:
     """The row of one closed value against the oracle's, passing within
     ``AGREEMENT_TOL`` of :func:`_deviation`."""
     dev = _deviation(closed, oracle)
-    return Comparison(case, quantity, closed, oracle, dev, dev <= AGREEMENT_TOL)
+    return tuple.__new__(Comparison, (case, quantity, closed, oracle, dev, dev <= AGREEMENT_TOL))
 
 
 def _spectrum_rows(case: str, label: str, closed: Spectrum, eigenvalues: np.ndarray,
-                   rows: list[Comparison]) -> list[tuple[float, int]]:
+                   rows: list[Comparison]) -> tuple[tuple, list[tuple[float, int]]]:
     """Cut ascending ``eigenvalues``, largest first, into blocks of the
     ``closed`` multiplicities, sliced at their running sums (the last block
     takes whatever is left); append to ``rows`` each level's eigenvalue
     against its block mean, clamped to [0, 1], and multiplicity against the
-    count of block entries within ``AGREEMENT_TOL`` of it; return the (mean,
-    multiplicity) levels.  A mean keeps its block's trace, noise included."""
+    count of block entries within ``AGREEMENT_TOL`` of it; return the closed
+    and the (mean, multiplicity) levels; a mean keeps its block's trace, noise included."""
     descending = eigenvalues[::-1]
     last = len(closed.levels) - 1
     levels, start = [], 0
@@ -205,7 +205,18 @@ def _spectrum_rows(case: str, label: str, closed: Spectrum, eigenvalues: np.ndar
             case, f"{label}[level={idx}].multiplicity",
             float(mult), float(count), float(abs(mult - count)), mult == count))
         levels.append((mean, mult))
-    return levels
+    return closed.levels, levels
+
+
+def _labelled(values, label: str, what: str) -> dict:
+    """``values`` by ``label.format(value)``; two that share one are refused as ``what``."""
+    labelled = {}
+    for value in values:
+        key = label.format(value)
+        if key in labelled:
+            raise ValidationError(f"{what} {labelled[key]!r} and {value!r} share the label {key}")
+        labelled[key] = value
+    return labelled
 
 
 def verify_family(params_grid, q_grid) -> VerificationReport:
@@ -216,39 +227,41 @@ def verify_family(params_grid, q_grid) -> VerificationReport:
     counts, :func:`_marginal_diagonals`) are cut by the closed
     multiplicities and compared level by level (:func:`_spectrum_rows`).
     Per order q and conditioned party count k, the closed conditional
-    entropy, from the gap of :func:`qtsallis.werner._prepared_gap`, is
-    compared with the ratio form on the oracle's levels, in the branch of
-    the joint's side; where both overflow to an infinity, a
-    ``log_trace_gap`` row compares the finite gaps too.  Every row passes
-    within ``AGREEMENT_TOL`` of :func:`_deviation`.
+    entropy is compared with the oracle's, each the ratio form on its own
+    levels in the branch of the joint's side; where both overflow to an
+    infinity, a ``log_trace_gap`` row compares the finite gaps too.  Every
+    row passes within ``AGREEMENT_TOL`` of :func:`_deviation`.  Orders that
+    share a ``{q:g}`` label, or members a case label, are refused up front.
     """
-    orders = [_order(q) for q in q_grid]
+    orders = _labelled(map(_order, q_grid), "{:g}", "orders")
+    members = _labelled(params_grid, "N={0.levels},n={0.parties},x={0.mixing:g}", "members")
+    most = max((params.parties for params in members.values()), default=1)
+    names = {q: [(f"conditional_entropy_block[k={k},q={label}]", f"log_trace_gap[k={k},q={label}]")
+                 for k in range(1, most)] for label, q in orders.items()}  # by k = 1, ..., n - 1
     rows: list[Comparison] = []
-    for params in params_grid:
-        levels, parties, x = params.levels, params.parties, params.mixing
-        case = f"N={levels},n={parties},x={x:g}"
+    for case, params in members.items():
         state = werner_density(params)
-        joint = _spectrum_rows(case, "joint_spectrum", joint_spectrum(params),
-                               state.eigenvalues, rows)
+        closed_joint, joint = _spectrum_rows(case, "joint_spectrum", joint_spectrum(params),
+                                             state.eigenvalues, rows)
         diagonals = _marginal_diagonals(state, params)
         del state  # the joint is released before the next member is built
-        marginals = []  # by kept parties m = n - 1, ..., 1
-        for m, diagonal in zip(range(parties - 1, 0, -1), diagonals):
+        marginals = []  # (closed, oracle) levels by kept parties m = n - 1, ..., 1
+        for m, diagonal in zip(range(params.parties - 1, 0, -1), diagonals):
             marginals.append(_spectrum_rows(case, f"marginal_spectrum[m={m}]",
                                             marginal_spectrum(params, m), np.sort(diagonal), rows))
         log_count = math.log(params.total_dim)
-        for q in orders:
+        for q, by_k in names.items():
             order, far = _branch(q, log_count)
             joint_trace = _log_trace(joint, order, far)
-            for k, marginal in enumerate(reversed(marginals), 1):
+            closed_trace = _log_trace(closed_joint, order, far)
+            for (closed, marginal), (name, gap_name) in zip(reversed(marginals), by_k):
                 gap = joint_trace - _log_trace(marginal, order, far)
+                closed_gap = closed_trace - _log_trace(closed, order, far)
                 oracle_value = _entropy_from_gap(gap, order)
-                closed_gap = _prepared_gap(levels, parties, k, q)(x)
-                closed = _entropy_from_gap(closed_gap, order)
-                rows.append(_row(case, f"conditional_entropy_block[k={k},q={q:g}]",
-                                 closed, oracle_value))
-                if math.isinf(closed) and math.isinf(oracle_value):
-                    rows.append(_row(case, f"log_trace_gap[k={k},q={q:g}]", closed_gap, gap))
+                closed_value = _entropy_from_gap(closed_gap, order)
+                rows.append(_row(case, name, closed_value, oracle_value))
+                if math.isinf(closed_value) and math.isinf(oracle_value):
+                    rows.append(_row(case, gap_name, closed_gap, gap))
     return VerificationReport(tuple(rows))
 
 
@@ -370,14 +383,8 @@ def verify_separable_witness(trials: int, seed: int) -> VerificationReport:
 def default_family_grid(max_dim: int = 4096) -> list[WernerParams]:
     """Standard verification grid: N in {2, 3}, n in {2, 3, 4}, x from 0 to
     1 in steps of 0.1, filtered to total dimension at most ``max_dim``."""
-    grid = []
-    for levels in (2, 3):
-        for parties in (2, 3, 4):
-            if levels ** parties > max_dim:
-                continue
-            for tenths in range(11):
-                grid.append(WernerParams(levels, parties, tenths / 10.0))
-    return grid
+    return [WernerParams(levels, parties, tenths / 10.0) for levels in (2, 3)
+            for parties in (2, 3, 4) if levels ** parties <= max_dim for tenths in range(11)]
 
 
 def default_order_grid() -> tuple[float, ...]:

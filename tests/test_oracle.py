@@ -10,6 +10,8 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtsallis import (Comparison, DensityMatrix, ValidationError, VerificationReport,
                       WernerParams, conditional_entropy_block, default_family_grid,
@@ -458,8 +460,8 @@ def test_verify_family_passes_where_both_sides_overflow():
 @pytest.mark.parametrize("orders", [default_order_grid(), (1e5, 1e6)],
                          ids=["default-orders", "overflowing-orders"])
 def test_verify_family_closed_rows_are_the_public_values(orders):
-    # the oracle takes each closed conditional from the prepared gap of its row, not through
-    # the public function; each must still be that function's value, bit for bit
+    # the oracle takes each closed conditional from the closed spectra of its spectrum rows,
+    # not through the public function; each must still be that function's value, bit for bit
     assert not hasattr(oracle, "conditional_entropy_block")
     grid = default_family_grid()
     members = {f"N={p.levels},n={p.parties},x={p.mixing:g}": p for p in grid}
@@ -482,16 +484,24 @@ def test_verify_family_closed_rows_are_the_public_values(orders):
 
 
 def test_verify_family_gap_rows_fail_a_closed_gap_moved_by_1e_9(monkeypatch):
-    # the moved gap still overflows, so the entropy rows hold -inf against -inf and pass;
-    # only the gap rows see it
-    prepared = werner._prepared_gap
+    # every closed log q-trace, and with them each closed gap, moves by 1e-9; the moved gap
+    # still overflows, so the entropy rows hold -inf against -inf and pass; only the gap rows
+    # see it
+    class Closed(tuple):
+        """Closed levels, told apart from the oracle's by type."""
 
-    def moved(*args):
-        gap = prepared(*args)
-        return lambda x: gap(x) * (1.0 + 1e-9)
+    for name in ("joint_spectrum", "marginal_spectrum"):
+        def marked(*args, closed=getattr(oracle, name)):
+            return Spectrum._trusted(Closed(closed(*args).levels))
 
-    monkeypatch.setattr(werner, "_prepared_gap", moved)
-    monkeypatch.setattr(oracle, "_prepared_gap", moved)
+        monkeypatch.setattr(oracle, name, marked)
+    kernel = oracle._log_trace
+
+    def moved(levels, order, far):
+        value = kernel(levels, order, far)
+        return value * (1.0 + 1e-9) if isinstance(levels, Closed) else value
+
+    monkeypatch.setattr(oracle, "_log_trace", moved)
     report = verify_family(default_family_grid(), (1e5, 1e6))
     gaps = [c for c in report.comparisons if c.quantity.startswith("log_trace_gap[")]
     overflowed = [c for c in report.comparisons if c.closed_form == -math.inf]
@@ -508,6 +518,52 @@ def test_deviation_of_equal_values_is_zero_and_of_unequal_infinities_nan(a, b, d
     for got in (_deviation(a, b), _deviation(b, a)):
         assert got == dev or (math.isnan(dev) and math.isnan(got)), (a, b, got)
         assert (got <= AGREEMENT_TOL) == (dev == 0.0)
+
+
+@pytest.mark.parametrize("members, orders, named", [
+    ([WernerParams(2, 3, 0.5)], [2.0, 2.0], (2.0, 2.0)),
+    ([WernerParams(2, 3, 0.5)], [1 + 1e-6, 1 + 1e-8], (1 + 1e-6, 1 + 1e-8)),
+    ([WernerParams(2, 3, 0.1234561), WernerParams(2, 3, 0.1234562)], [2.0],
+     (WernerParams(2, 3, 0.1234561), WernerParams(2, 3, 0.1234562))),
+], ids=["equal-orders", "orders-near-1", "near-members"])
+def test_verify_family_refuses_colliding_row_labels(members, orders, named, monkeypatch):
+    # two orders that print one {q:g}, or two members one case label, would give rows that
+    # collide; they are refused, both values named, before any member is built
+    def refuse(params):
+        raise AssertionError("verify_family built a member before checking its labels")
+
+    monkeypatch.setattr(oracle, "werner_density", refuse)
+    with pytest.raises(ValidationError, match="share the label") as caught:
+        verify_family(iter(members), iter(orders))
+    assert all(repr(value) in str(caught.value) for value in named), caught.value
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from(DENSE_SHAPES),
+       x=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 1e-16, 1e-300, 5e-324])),
+       drawn=st.lists(st.floats(math.log(0.1), math.log(1e6)).map(math.exp), max_size=5,
+                      unique_by=lambda q: f"{q:g}"))
+def test_verify_family_closed_rows_are_the_solver_values(shape, x, drawn):
+    # the oracle's closed side is taken from the closed spectra, not from the solver's prepared
+    # gap; every conditional row must still be the public value and every gap row the gap the
+    # solver brackets, bit for bit
+    params = WernerParams(*shape, x)
+    orders = {f"{q:g}": q for q in drawn}
+    orders.setdefault("1", 1.0)
+    label = re.compile(r"(conditional_entropy_block|log_trace_gap)\[k=(\d+),q=(.+)\]$")
+    seen = set()
+    for row in verify_family([params], orders.values()).comparisons:
+        match = label.match(row.quantity)
+        if match is None:
+            continue
+        k, q = int(match[2]), orders[match[3]]
+        if match[1] == "conditional_entropy_block":
+            expected = conditional_entropy_block(params, k, q)
+            seen.add((k, q))
+        else:
+            expected = werner._prepared_gap(params.levels, params.parties, k, q)(params.mixing)
+        assert row.closed_form == expected, (row, expected)
+    assert seen == {(k, q) for k in range(1, params.parties) for q in orders.values()}
 
 
 def test_verify_family_empty_grids_trivially_pass():
