@@ -6,8 +6,7 @@ import importlib
 from ._index import Spectrum
 from .errors import (CapacityError, MonotonicityError, NumericalError, QTsallisError,
                      ValidationError)
-from .solver import (ThresholdPoint, asymptotic_threshold, entropy_sign, threshold_curve,
-                     threshold_for_q)
+from .solver import ThresholdPoint, asymptotic_threshold, threshold_curve, threshold_for_q
 from .werner import (WernerParams, conditional_entropy_block, joint_spectrum,
                      marginal_spectrum)
 
@@ -31,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = sorted([
     "Spectrum", "CapacityError", "MonotonicityError", "NumericalError", "QTsallisError",
     "ValidationError", "ThresholdPoint",
-    "asymptotic_threshold", "entropy_sign", "threshold_curve", "threshold_for_q",
+    "asymptotic_threshold", "threshold_curve", "threshold_for_q",
     "WernerParams", "conditional_entropy_block", "joint_spectrum", "marginal_spectrum",
     *_LAZY,
 ])

@@ -108,8 +108,8 @@ def _checked_eigenvalues(stack: np.ndarray, coupled=None) -> np.ndarray:
     of 1 and no eigenvalue below ``PSD_FLOOR`` (nan fails both).  The error
     quotes the first failing trace, or the smallest eigenvalue of all.  A
     single matrix is split at its ``coupled`` block (:func:`_eigenvalues`);
-    a stack takes one ``eigvalsh``, its values as returned; a vector is the
-    diagonal of a diagonal matrix, and is its own eigenvalues, unsorted.
+    a stack takes one :func:`_solved`; a vector is the diagonal of a
+    diagonal matrix, and is its own eigenvalues, unsorted.
     """
     diagonal = stack.ndim == 1
     traces = stack.sum() if diagonal else np.trace(stack, axis1=-2, axis2=-1)
@@ -119,7 +119,7 @@ def _checked_eigenvalues(stack: np.ndarray, coupled=None) -> np.ndarray:
         raise ValidationError(f"trace is {complex(trace)!r}, expected 1")
     try:
         eigenvalues = (stack if diagonal else _eigenvalues(stack, coupled) if stack.ndim == 2
-                       else np.linalg.eigvalsh(stack))
+                       else _solved(stack))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     lowest = float(eigenvalues.min())  # nan anywhere gives nan
@@ -154,31 +154,29 @@ def _eigenvalues(entries: np.ndarray, coupled=None) -> np.ndarray:
     entries, exactly, and those of its coupled block from one
     :func:`_solved`.  The ``coupled`` indices, ascending, are those whose
     row or column may hold a nonzero off-diagonal entry; without them they
-    come from the exact zero pattern, which a matrix whose first column is
-    nonzero below the diagonal skips, as every index is coupled.
+    come from the exact zero pattern.  A block of every index is the
+    matrix itself, not a copy.
     """
     if coupled is None:
-        if np.count_nonzero(entries[1:, 0]) == len(entries) - 1:
-            return _solved(entries)
         pattern = entries != 0
         np.fill_diagonal(pattern, False)
         coupled = np.flatnonzero(pattern.any(axis=0) | pattern.any(axis=1))
     eigenvalues = np.delete(entries.diagonal().real, coupled)
     if len(coupled):
-        eigenvalues = np.concatenate(
-            (eigenvalues, _solved(entries[np.ix_(coupled, coupled)])))
+        block = entries if len(coupled) == len(entries) else entries[np.ix_(coupled, coupled)]
+        eigenvalues = np.concatenate((eigenvalues, _solved(block)))
     eigenvalues.sort()
     return eigenvalues
 
 
 def _solved(block: np.ndarray) -> np.ndarray:
-    """Ascending ``eigvalsh`` of a Hermitian block, each eigenvalue within
-    ``SPECTRUM_MERGE_SCALE`` * side * eps * the largest eigenvalue of 0 set
-    to 0: within that backward-error bound the solver cannot tell a value
-    from 0."""
+    """Ascending ``eigvalsh`` of a Hermitian block, or of each block of a
+    stack (..., s, s), each eigenvalue within ``SPECTRUM_MERGE_SCALE`` *
+    side * eps * the largest eigenvalue of its block of 0 set to 0: within
+    that backward-error bound the solver cannot tell a value from 0."""
     values = np.linalg.eigvalsh(block)
-    values[np.abs(values) <= SPECTRUM_MERGE_SCALE * len(values) * sys.float_info.epsilon
-           * values[-1]] = 0.0
+    values[np.abs(values) <= SPECTRUM_MERGE_SCALE * values.shape[-1] * sys.float_info.epsilon
+           * values[..., -1:]] = 0.0
     return values
 
 

@@ -15,7 +15,7 @@ import math
 
 from ._index import _branch, _Frozen, _order
 from .errors import MonotonicityError, ValidationError
-from .werner import WernerParams, _family, _prepared_gap
+from .werner import _family, _prepared_gap
 
 #: Root refinement stops once the bracket is this narrow in ln x.
 ROOT_RTOL = 1e-13
@@ -36,18 +36,6 @@ class ThresholdPoint(_Frozen):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "x_star", x_star)
         object.__setattr__(self, "bracket_width", bracket_width)
-
-
-def entropy_sign(params: WernerParams, q, conditioned_parties: int | None = None) -> int:
-    """Sign (-1, 0, +1) of the conditional entropy given
-    ``conditioned_parties`` parties (default n - 1), from the log domain,
-    so it holds at any q; 0 means an exact zero.  expm1(gap) / (1 - q) has
-    the sign of the gap times that of 1 - q."""
-    N, n, k = _family(params.levels, params.parties, conditioned_parties)
-    q = _order(q)
-    gap = _prepared_gap(N, n, k, q)(params.mixing)
-    sign = (gap > 0.0) - (gap < 0.0)
-    return -sign if q > 1.0 and _branch(q, 0.0)[0] is not None else sign
 
 
 def threshold_for_q(levels: int, parties: int, q,

@@ -138,9 +138,9 @@ def conditional_entropy_block(params: WernerParams, conditioned_parties: int | N
 
         (1 / (1 - q)) * [Tr rho**q / Tr rho_k**q - 1],
 
-    the von Neumann difference at the q -> 1 limit point.  Returns +/-inf
-    if the trace ratio overflows the exponential range (extreme q far from
-    the entropy zero); :func:`qtsallis.solver.entropy_sign` holds there.
+    the von Neumann difference at the q -> 1 limit point.  Its sign holds
+    at every q: where the trace ratio overflows the exponential range
+    (extreme q far from the entropy zero), it is +/-inf with the sign of 1 - q.
     """
     N, n, k = _family(params.levels, params.parties, conditioned_parties)
     q = _order(q)

@@ -1,6 +1,6 @@
 """Gap evaluations per threshold over a fixed sample of the whole domain.
 
-    PYTHONPATH=src python tests/solver_budget.py [count]
+    python tests/solver_budget.py [count]
 
 Draws ``count`` queries (default 5000) from ``random.Random(7)``: N in
 [2, 16], n in [2, n_max] with N**n < 2**63, k in [1, n - 1] and q
@@ -17,10 +17,14 @@ import math
 import random
 import statistics
 import sys
+from pathlib import Path
 from unittest import mock
 
-from qtsallis import solver, threshold_for_q
-from qtsallis._index import _Frozen
+# the checkout's own package, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from qtsallis import solver, threshold_for_q  # noqa: E402
+from qtsallis._index import _Frozen  # noqa: E402
 
 #: Largest median and largest single count of gap evaluations allowed.
 MEDIAN_BUDGET, WORST_BUDGET = 4, 20

@@ -1,6 +1,6 @@
 """Source size and public surface of the package.
 
-    PYTHONPATH=src python tests/source_lines.py
+    python tests/source_lines.py
 
 For each module of ``src/qtsallis/`` and in total, prints its lines as
 ``wc -l`` counts them, its code lines and its docstring lines, then the
@@ -11,9 +11,13 @@ string constant, and all its lines count as docstring lines.
 """
 
 import ast
+import sys
 from pathlib import Path
 
-import qtsallis
+# the checkout's own package, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import qtsallis  # noqa: E402
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:

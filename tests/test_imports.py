@@ -51,7 +51,7 @@ def test_all_keeps_its_names():
         "ThresholdPoint", "ValidationError", "VerificationReport", "WernerParams",
         "asymptotic_threshold", "compose_pseudoadditive", "conditional_entropy_block",
         "conditional_entropy_def", "conditional_entropy_ratio", "default_family_grid",
-        "default_order_grid", "entropy_sign", "escort", "joint_spectrum", "marginal_spectrum",
+        "default_order_grid", "escort", "joint_spectrum", "marginal_spectrum",
         "partial_trace", "q_expectation", "quantum_conditional", "quantum_tsallis",
         "spectrum_of", "tensor_product", "threshold_curve", "threshold_for_q",
         "tripartite_chain", "tsallis_entropy", "verify_family", "verify_separable_witness",

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -861,6 +862,21 @@ def test_witness_states_have_coherences(monkeypatch):
         return [m for m in matrices if (m - np.diag(np.diag(m))).any()]
 
     assert coherent(joints) and coherent(traced)
+
+
+def test_every_eigendecomposition_is_solved_in_one_place(monkeypatch):
+    # family members and witness stacks alike reach the solver through the zero rule
+    solver, callers = np.linalg.eigvalsh, set()
+
+    def recording(matrix):
+        caller = sys._getframe(1).f_code
+        callers.add((caller.co_filename, caller.co_name))
+        return solver(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    verify_family(default_family_grid(64), (0.5, 2.0))
+    verify_separable_witness(50, 0)
+    assert callers == {(quantum.__file__, "_solved")}
 
 
 @pytest.mark.parametrize("q", [2, 10, 100])

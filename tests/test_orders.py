@@ -10,10 +10,9 @@ import pytest
 
 from qtsallis import (JointDist, Spectrum, ValidationError, WernerParams,
                       compose_pseudoadditive, conditional_entropy_block,
-                      conditional_entropy_def, conditional_entropy_ratio, entropy_sign,
-                      escort, q_expectation, quantum_conditional, quantum_tsallis,
-                      threshold_curve, threshold_for_q, tripartite_chain, tsallis_entropy,
-                      verify_family)
+                      conditional_entropy_def, conditional_entropy_ratio, escort,
+                      q_expectation, quantum_conditional, quantum_tsallis, threshold_curve,
+                      threshold_for_q, tripartite_chain, tsallis_entropy, verify_family)
 from qtsallis.cli import main
 
 BAD_ORDERS = (0, -1.0, math.nan, math.inf, 1e308)
@@ -42,7 +41,6 @@ PUBLIC_CALLS = {
     "quantum_tsallis": lambda q: quantum_tsallis(_JOINT, q),
     "quantum_conditional": lambda q: quantum_conditional(_JOINT, _MARGINAL, q),
     "conditional_entropy_block": lambda q: conditional_entropy_block(_MEMBER, 1, q),
-    "entropy_sign": lambda q: entropy_sign(_MEMBER, q),
     "threshold_for_q": lambda q: threshold_for_q(2, 3, q),
     "threshold_curve": lambda q: threshold_curve(2, 3, [q]),
     "verify_family": lambda q: verify_family([_MEMBER], [q]),
@@ -86,8 +84,6 @@ def test_an_index_and_its_float_give_the_same_bits(name):
 def test_a_bad_party_count_comes_before_a_bad_order():
     with pytest.raises(ValidationError, match="^conditioned party count"):
         conditional_entropy_block(_MEMBER, 3, math.nan)
-    with pytest.raises(ValidationError, match="^conditioned party count"):
-        entropy_sign(_MEMBER, math.nan, 0)
 
 
 @pytest.mark.parametrize("call", [conditional_entropy_def, conditional_entropy_ratio,

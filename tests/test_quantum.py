@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 
 import mpmath
@@ -143,6 +144,27 @@ def test_stacked_check_keeps_a_tiny_negative_eigenvalue():
     npt.assert_array_equal(eigenvalues[2], DensityMatrix((3,), members[2]).eigenvalues)
 
 
+def test_stacked_eigenvalues_take_the_zero_rule():
+    # |a><a| (x) rho_B couples every index and has rank dim_b: a stack of them meets the
+    # solver's zero rule as each member alone does, bit for bit
+    rng = np.random.default_rng(12)
+    dims, members = (3, 4), []
+    for _ in range(5):
+        a = rng.standard_normal(dims[0])
+        a /= np.linalg.norm(a)
+        basis, _ = np.linalg.qr(rng.standard_normal((dims[1], dims[1])))
+        rho_b = basis @ np.diag(rng.dirichlet(np.ones(dims[1]))) @ basis.T
+        members.append(np.kron(np.outer(a, a), (rho_b + rho_b.T) / 2))
+    stack = np.stack(members)
+    assert np.count_nonzero(stack) == stack.size
+    eigenvalues = quantum._checked_eigenvalues(stack)
+    for row, member in zip(eigenvalues, members):
+        npt.assert_array_equal(row, DensityMatrix(dims, member).eigenvalues)
+        bound = quantum.SPECTRUM_MERGE_SCALE * len(row) * np.finfo(float).eps * row[-1]
+        near = np.abs(row) <= bound
+        assert near.sum() == 8 and not row[near].any()
+
+
 def _uniform_with(side, where, shift):
     """The maximally mixed side x side state with ``shift`` added at ``where``."""
     m = np.eye(side) / side
@@ -224,6 +246,22 @@ def test_split_eigenvalues_match_the_whole_matrix(sizes, zeros, complex_entries,
     rho = DensityMatrix((len(m),), m)
     whole = np.linalg.eigvalsh(rho.entries)
     npt.assert_allclose(rho.eigenvalues, whole, rtol=0, atol=1e-14 * whole[-1])
+
+
+def test_fully_coupled_state_is_solved_without_a_copy():
+    # every index coupled: the block is the state itself, so a caller's state costs its
+    # copy and the boolean zero pattern, one eighth of a float64 state, and nothing more
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((256, 256))
+    m = g @ g.T
+    m /= np.trace(m)
+    tracemalloc.start()
+    try:
+        DensityMatrix((256,), m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * m.nbytes
 
 
 @pytest.mark.parametrize("seed", range(6))

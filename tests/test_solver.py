@@ -1,6 +1,8 @@
 """Boundary location, monotone curves, and large-q limits."""
 
+import itertools
 import math
+import random
 import statistics
 
 import mpmath
@@ -11,13 +13,13 @@ from hypothesis import strategies as st
 
 from qtsallis import (CapacityError, MonotonicityError, Spectrum, ThresholdPoint,
                       ValidationError, WernerParams, asymptotic_threshold,
-                      conditional_entropy_block, entropy_sign, joint_spectrum,
+                      conditional_entropy_block, joint_spectrum,
                       marginal_spectrum, partial_trace, quantum_tsallis, spectrum_of,
                       threshold_curve, threshold_for_q, werner_density)
 from qtsallis import solver, werner
 from qtsallis._index import LIMIT_WINDOW, _branch, _conditional, _entropy_from_gap, _log_trace
 from qtsallis.solver import _rises
-from helpers import NEAR_ONE, WIDE_FAMILIES, mp_conditional_renyi, mp_threshold
+from helpers import NEAR_ONE, WIDE_FAMILIES, mp_conditional, mp_conditional_renyi, mp_threshold
 from solver_budget import (FOOTPRINT_BUDGET, MEDIAN_BUDGET, WORST_BUDGET, counted_threshold,
                            domain_queries, footprint)
 
@@ -46,38 +48,76 @@ whole_orders = st.one_of(st.floats(math.log(0.05), math.log(1e6)).map(math.exp),
                          st.sampled_from(NEAR_ONE))
 
 
-# -- entropy_sign --------------------------------------------------------
+# -- the sign of the conditional entropy ----------------------------------
+
+def sign_of(params, q, k=None):
+    """Sign (-1, 0, +1) of the conditional entropy given k parties."""
+    value = conditional_entropy_block(params, k, q)
+    return (value > 0.0) - (value < 0.0)
+
+
+def gap_sign(params, q, k=None):
+    """The same sign from the log domain: that of the closed-form gap,
+    reversed for q > 1 off the limit point, where 1 - q < 0."""
+    levels, parties, k = werner._family(params.levels, params.parties, k)
+    gap = werner._prepared_gap(levels, parties, k, q)(params.mixing)
+    sign = (gap > 0.0) - (gap < 0.0)
+    return -sign if q > 1.0 and _branch(q, 0.0)[0] is not None else sign
+
+
+#: Families and orders on which the ported sign checks run, at every k.
+SIGN_FAMILIES = ((2, 2), (2, 3), (3, 4), (5, 7), (2, 62))
+SIGN_ORDERS = (0.5, 1.0, 2.0, 50.0, 1e6)
+
 
 def test_sign_positive_at_maximally_mixed():
-    assert entropy_sign(WernerParams(2, 3, 0.0), 5.0) == 1
+    for levels, parties in SIGN_FAMILIES:
+        for k, q in itertools.product([None, *range(1, parties)], SIGN_ORDERS):
+            assert sign_of(WernerParams(levels, parties, 0.0), q, k) == 1, (levels, parties, k, q)
 
 
 def test_sign_negative_at_pure_point():
-    assert entropy_sign(WernerParams(2, 3, 1.0), 5.0) == -1
+    for levels, parties in SIGN_FAMILIES:
+        for k, q in itertools.product([None, *range(1, parties)], SIGN_ORDERS):
+            assert sign_of(WernerParams(levels, parties, 1.0), q, k) == -1, (levels, parties, k, q)
 
 
 @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 10.0, 100.0])
 def test_sign_matches_direct_value(q):
-    for x in np.linspace(0.0, 1.0, 21):
-        params = WernerParams(2, 3, float(x))
-        sign = entropy_sign(params, q)
-        value = conditional_entropy_block(params, None, q)
-        if sign == 0:
-            assert abs(value) < 1e-12
-        else:
-            assert (value > 0) == (sign > 0)
+    # against the conditional entropy at 30 digits, on a grid that no root is near
+    with mpmath.workdps(30):
+        for x in np.linspace(0.0, 1.0, 21):
+            exact = mp_conditional(2, 3, 2, q, float(x))
+            assert sign_of(WernerParams(2, 3, float(x)), q) == (exact > 0) - (exact < 0)
 
 
 def test_sign_flips_across_boundary():
-    point = threshold_for_q(2, 3, 50.0)
-    below = entropy_sign(WernerParams(2, 3, point.x_star - 1e-9), 50.0)
-    above = entropy_sign(WernerParams(2, 3, point.x_star + 1e-9), 50.0)
-    assert {below, above} == {1, -1} or 0 in (below, above)
+    for levels, parties in SIGN_FAMILIES:
+        for k, q in itertools.product([None, *range(1, parties)], (50.0, 1e6)):
+            x_star = threshold_for_q(levels, parties, q, k).x_star
+            below = sign_of(WernerParams(levels, parties, x_star * (1 - 1e-9)), q, k)
+            above = sign_of(WernerParams(levels, parties, min(x_star * (1 + 1e-9), 1.0)), q, k)
+            assert (below, above) == (1, -1), (levels, parties, k, q)
 
 
 def test_sign_stable_at_extreme_order():
-    assert entropy_sign(WernerParams(2, 3, 0.19), 1e6) == 1
-    assert entropy_sign(WernerParams(2, 3, 0.21), 1e6) == -1
+    assert sign_of(WernerParams(2, 3, 0.19), 1e6) == 1
+    assert sign_of(WernerParams(2, 3, 0.21), 1e6) == -1
+
+
+def test_value_keeps_the_sign_of_its_gap():
+    # 20 000 queries over the whole domain and order range: expm1(gap) / (1 - q) neither
+    # underflows to 0 nor overflows to the wrong sign
+    rng = random.Random(35)
+    for _ in range(20_000):
+        parties = rng.randint(2, 62)
+        levels = rng.randint(2, _max_levels(parties))
+        k = rng.randint(1, parties - 1)
+        x = rng.random() if rng.random() < 0.8 else float(rng.randint(0, 1))
+        q = 1.0 if rng.random() < 0.01 else math.exp(rng.uniform(math.log(1e-3),
+                                                                 math.log(1e300)))
+        params = WernerParams(levels, parties, x)
+        assert sign_of(params, q, k) == gap_sign(params, q, k), (levels, parties, k, x, q)
 
 
 # -- threshold_for_q -----------------------------------------------------
@@ -121,8 +161,8 @@ def test_threshold_bracket_properties():
         point = threshold_for_q(2, 3, q)
         assert point.x_star is not None
         assert point.bracket_width <= 1e-12
-        below = entropy_sign(WernerParams(2, 3, point.x_star - 1e-9), q)
-        above = entropy_sign(WernerParams(2, 3, point.x_star + 1e-9), q)
+        below = sign_of(WernerParams(2, 3, point.x_star - 1e-9), q)
+        above = sign_of(WernerParams(2, 3, point.x_star + 1e-9), q)
         assert below != above or 0 in (below, above)
 
 
@@ -135,7 +175,7 @@ def test_sign_changes_once_above_large_q_bound(family, q):
     levels, parties, k = family
     x_inf = asymptotic_threshold(levels, parties, k)
     xs = [x_inf * x_inf ** -(i / 1023) for i in range(1, 1023)]
-    signs = [entropy_sign(WernerParams(levels, parties, x), q, k)
+    signs = [sign_of(WernerParams(levels, parties, x), q, k)
              for x in [x_inf, *xs, 1.0]]
     assert signs[0] == 1 and signs[-1] == -1
     assert signs == sorted(signs, reverse=True) and signs.count(0) <= 1
@@ -482,7 +522,7 @@ def test_none_conditions_on_all_but_one():
             assert threshold_for_q(levels, parties, q, None) \
                 == threshold_for_q(levels, parties, q, parties - 1)
             params = WernerParams(levels, parties, 0.3)
-            assert entropy_sign(params, q, None) == entropy_sign(params, q, parties - 1)
+            assert sign_of(params, q, None) == sign_of(params, q, parties - 1)
 
 
 def test_asymptote_block_range_validation():
