@@ -1,9 +1,10 @@
 """The :class:`Spectrum` record and the rules that every layer shares:
 the one check of an entropic index q (:func:`_order`, after which every
 layer passes a plain float), integral counts, probabilities, and the one
-q-trace rule (limit point and branch, log q-trace kernel, gap -> entropy
-step) behind every classical, dense and closed-form entropy.  Plain Python
-on floats, so the closed-form path loads neither numpy nor ``dataclasses``."""
+q-trace rule (the one limit point q = 1, the far or near branch, the log
+q-trace kernel, the gap -> entropy step) behind every classical, dense and
+closed-form entropy.  Plain Python on floats, so the closed-form path
+loads neither numpy nor ``dataclasses``."""
 
 from __future__ import annotations
 
@@ -11,8 +12,6 @@ import math
 
 from .errors import ValidationError
 
-#: |q - 1| at or below this is treated as the q -> 1 limit.
-LIMIT_WINDOW = 1e-9
 #: Probability vectors must sum to 1 within this before renormalization.
 PROB_SUM_TOL = 1e-12
 #: Most negative eigenvalue tolerated before positivity is rejected.
@@ -138,23 +137,23 @@ def _probabilities(values: list[float]) -> list[float]:
     return [v / total for v in values]
 
 
-def _branch(q: float, log_count: float) -> tuple[float | None, bool]:
-    """The order (None at the limit point, |q - 1| <= ``LIMIT_WINDOW``) and
-    the branch in which :func:`_log_trace` takes every q-trace of a
-    conditional whose joint has total multiplicity exp(``log_count``): far
-    (the logaddexp) where |q - 1| ``log_count`` > 1; nearer q = 1 its terms
-    would cancel."""
-    return None if abs(q - 1.0) <= LIMIT_WINDOW else q, abs(q - 1.0) * log_count > 1.0
+def _far(q: float, log_count: float) -> bool:
+    """Whether :func:`_log_trace` takes every q-trace of a conditional whose
+    joint has total multiplicity exp(``log_count``) in its far branch (the
+    logaddexp), as it does where |q - 1| ``log_count`` > 1; nearer q = 1
+    those terms would cancel.  Elementwise on an array of log counts."""
+    return abs(q - 1.0) * log_count > 1.0
 
 
-def _log_trace(levels, q: float | None, far: bool) -> float:
+def _log_trace(levels, q: float, far: bool) -> float:
     """ln sum m v**q over (eigenvalue v, multiplicity m) levels with
-    sum m v = 1, zeros skipped; for q None (the limit point), -sum m v ln v.
+    sum m v = 1, zeros skipped; at the limit point q = 1, -sum m v ln v.
     ``far`` takes a running max-shifted logaddexp of ln m + q ln v.
     Otherwise this is log1p(sum m v expm1((q - 1) ln v)), whose terms all
-    have the sign of 1 - q, so nothing cancels next to q = 1; a term whose
-    expm1 overflows (a subnormal v at small q) is exp(ln m + q ln v) - m v."""
-    if q is None:
+    have the sign of 1 - q, so nothing cancels however near q is to 1; a
+    term whose expm1 overflows (a subnormal v at small q) is
+    exp(ln m + q ln v) - m v."""
+    if q == 1.0:
         return -math.fsum(m * v * math.log(v) for v, m in levels if v > 0.0)
     if far:
         peak, total = -math.inf, 0.0  # total: sum of exp(term - peak)
@@ -178,27 +177,24 @@ def _log_trace(levels, q: float | None, far: bool) -> float:
 def _conditional(joint, marginal, q: float, log_count: float) -> float:
     """[Tr joint**q / Tr marginal**q - 1] / (1 - q) of two level lists, from
     log q-traces in the branch of the joint's total multiplicity
-    exp(``log_count``); at the limit point, the von Neumann difference."""
-    order, far = _branch(q, log_count)
-    gap = _log_trace(joint, order, far) - _log_trace(marginal, order, far)
-    return _entropy_from_gap(gap, order)
+    exp(``log_count``); at q = 1, the von Neumann difference."""
+    far = _far(q, log_count)
+    return _entropy_from_gap(_log_trace(joint, q, far) - _log_trace(marginal, q, far), q)
 
 
-def _entropy_from_gap(gap: float, order: float | None) -> float:
-    """expm1(gap) / (1 - q) for a gap of log q-traces at the ``order`` of
-    :func:`_branch`, +/-inf where expm1 overflows; at the limit point
-    (``order`` None) the gap is the von Neumann value itself."""
-    if order is None:
+def _entropy_from_gap(gap: float, q: float) -> float:
+    """expm1(gap) / (1 - q) for a gap of log q-traces, +/-inf where expm1
+    overflows; at q = 1 the gap is the von Neumann value itself."""
+    if q == 1.0:
         return gap
     try:
-        return math.expm1(gap) / (1.0 - order)
+        return math.expm1(gap) / (1.0 - q)
     except OverflowError:
-        return math.copysign(math.inf, 1.0 - order)
+        return math.copysign(math.inf, 1.0 - q)
 
 
 def _entropy_of(p: list[float], q: float) -> float:
     """Order-q entropy of a probability vector, from multiplicity-1 levels in
     the branch that the count of nonzero entries picks (zeros change nothing)."""
     live = [(v, 1) for v in p if v > 0.0]
-    order, far = _branch(q, math.log(len(live)))
-    return _entropy_from_gap(_log_trace(live, order, far), order)
+    return _entropy_from_gap(_log_trace(live, q, _far(q, math.log(len(live)))), q)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._index import _branch, _conditional, _count, _entropy_of, _order, _probabilities
+from ._index import _conditional, _count, _entropy_of, _order, _probabilities
 from .errors import NumericalError, ValidationError
 
 #: Bound between each chain link's definition and ratio forms, relative to
@@ -103,9 +103,8 @@ def escort(p, q) -> ProbDist:
     The uniform distribution is a fixed point for every q, and q = 1 is
     the identity.
     """
-    dist = _as_prob(p)
-    order = _branch(_order(q), 0.0)[0]
-    return dist if order is None else ProbDist(_escort_weights(dist.p, order))
+    dist, q = _as_prob(p), _order(q)
+    return dist if q == 1.0 else ProbDist(_escort_weights(dist.p, q))
 
 
 def _escort_weights(mass: np.ndarray, q: float) -> np.ndarray:
@@ -135,8 +134,7 @@ def _conditional_from_matrix(mat: np.ndarray, q: float) -> float:
     """
     row_mass = mat.sum(axis=1)
     rows = np.nonzero(row_mass > 0.0)[0]
-    order = _branch(q, 0.0)[0]
-    weights = row_mass[rows] if order is None else _escort_weights(row_mass[rows], order)
+    weights = row_mass[rows] if q == 1.0 else _escort_weights(row_mass[rows], q)
     acc = 0.0
     for weight, i in zip(weights, rows):
         acc += weight * _entropy_of((mat[i] / row_mass[i]).tolist(), q)
@@ -183,11 +181,10 @@ def compose_pseudoadditive(entropy_first, entropy_second_given_first, q) -> floa
 
     Reduces to plain addition at the q -> 1 limit point.
     """
-    order = _branch(_order(q), 0.0)[0]
+    q = _order(q)
     s1 = float(entropy_first)
     s2 = float(entropy_second_given_first)
-    one_minus_q = 0.0 if order is None else 1.0 - order
-    return s1 + s2 + one_minus_q * s1 * s2
+    return s1 + s2 + (1.0 - q) * s1 * s2
 
 
 @dataclass(frozen=True)
@@ -237,11 +234,10 @@ def tripartite_chain(joint: JointDist, q) -> ChainDecomposition:
     residual = abs(s_abc - chained)
 
     rel = max(CHAIN_TOL, 8.0 * q * sys.float_info.epsilon)
-    limit = _branch(q, 0.0)[0] is None
     for name, direct, ratio in (
             ("S_q(A|B,C)", s_a_given_bc, _given(joint.p, pair_bc.reshape(-1), q)),
             ("S_q(B|C)", s_b_given_c, _given(pair_bc.reshape(-1), pair_bc.sum(axis=0), q))):
-        size = 1.0 if limit else min(1.0, 2.0 / abs(1.0 - q) + abs(ratio))
+        size = 1.0 if q == 1.0 else min(1.0, 2.0 / abs(1.0 - q) + abs(ratio))
         if abs(direct - ratio) > rel * size:
             raise NumericalError(
                 f"chain link drifted: {name} by definition {direct!r} vs ratio form {ratio!r}")

@@ -17,7 +17,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._index import Spectrum, _branch, _count, _entropy_from_gap, _Frozen, _log_trace, _order
+from ._index import Spectrum, _count, _entropy_from_gap, _far, _Frozen, _log_trace, _order
 from .errors import ValidationError
 from .quantum import (DensityMatrix, _checked_eigenvalues, _entropies_from_gaps, _log_traces,
                       _logged, _refuse_above_cap, _trace_out)
@@ -251,14 +251,14 @@ def verify_family(params_grid, q_grid) -> VerificationReport:
                                             marginal_spectrum(params, m), np.sort(diagonal), rows))
         log_count = math.log(params.total_dim)
         for q, by_k in names.items():
-            order, far = _branch(q, log_count)
-            joint_trace = _log_trace(joint, order, far)
-            closed_trace = _log_trace(closed_joint, order, far)
+            far = _far(q, log_count)
+            joint_trace = _log_trace(joint, q, far)
+            closed_trace = _log_trace(closed_joint, q, far)
             for (closed, marginal), (name, gap_name) in zip(reversed(marginals), by_k):
-                gap = joint_trace - _log_trace(marginal, order, far)
-                closed_gap = closed_trace - _log_trace(closed, order, far)
-                oracle_value = _entropy_from_gap(gap, order)
-                closed_value = _entropy_from_gap(closed_gap, order)
+                gap = joint_trace - _log_trace(marginal, q, far)
+                closed_gap = closed_trace - _log_trace(closed, q, far)
+                oracle_value = _entropy_from_gap(gap, q)
+                closed_value = _entropy_from_gap(closed_gap, q)
                 rows.append(_row(case, name, closed_value, oracle_value))
                 if math.isinf(closed_value) and math.isinf(oracle_value):
                     rows.append(_row(case, gap_name, closed_gap, gap))
@@ -305,16 +305,16 @@ def _witness_rows(cases, log_counts: np.ndarray, joint: np.ndarray,
     joint, marginals = _logged(joint), _logged(marginals)
     gaps = np.empty((len(WITNESS_ORDERS), *marginals[0].shape[:-1]))
     for gap, q in zip(gaps, WITNESS_ORDERS):
-        order, far = _branch(q, log_counts)
+        far = _far(q, log_counts)
         if far.all() or not far.any():
             groups = [(bool(far[0]), slice(None))]
         else:
             groups = [(True, far), (False, ~far)]
         for branch, group in groups:
             gap[:, group] = (
-                _log_traces(tuple(part[group] for part in joint), order, branch)
-                - _log_traces(tuple(part[:, group] for part in marginals), order, branch))
-        gap[:] = _entropies_from_gaps(gap, order)
+                _log_traces(tuple(part[group] for part in joint), q, branch)
+                - _log_traces(tuple(part[:, group] for part in marginals), q, branch))
+        gap[:] = _entropies_from_gaps(gap, q)
     values, oracle = gaps[:, 0], gaps[:, 1]
     with np.errstate(invalid="ignore"):  # _deviation, element by element: nan fails
         devs = np.where(values == oracle, 0.0, np.abs(values - oracle) / np.maximum(

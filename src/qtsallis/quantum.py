@@ -216,14 +216,14 @@ def _logged(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return values, live, np.log(values, out=np.zeros_like(values), where=live)
 
 
-def _log_traces(logged: tuple[np.ndarray, np.ndarray, np.ndarray], q: float | None,
+def _log_traces(logged: tuple[np.ndarray, np.ndarray, np.ndarray], q: float,
                 far: bool) -> np.ndarray:
     """:func:`qtsallis._index._log_trace` of each row of a :func:`_logged`
-    stack, each value of multiplicity 1, in the order and branch given.
+    stack, each value of multiplicity 1, at the order and in the branch given.
     Sums run in numpy's order, not ``math.fsum``'s, so a value can differ
     from the scalar kernel's by a few ulps."""
     values, live, logs = logged  # zeros get no weight below
-    if q is None:
+    if q == 1.0:
         return -np.sum(values * logs, axis=-1)
     if far:
         terms = q * logs
@@ -237,13 +237,13 @@ def _log_traces(logged: tuple[np.ndarray, np.ndarray, np.ndarray], q: float | No
     return np.log1p(np.sum(excess, axis=-1))
 
 
-def _entropies_from_gaps(gaps: np.ndarray, order: float | None) -> np.ndarray:
+def _entropies_from_gaps(gaps: np.ndarray, q: float) -> np.ndarray:
     """:func:`qtsallis._index._entropy_from_gap` of each gap of an array,
     with no warning where expm1 overflows."""
-    if order is None:
+    if q == 1.0:
         return gaps
     with np.errstate(over="ignore"):
-        return np.expm1(gaps) / (1.0 - order)
+        return np.expm1(gaps) / (1.0 - q)
 
 
 def quantum_tsallis(spectrum: Spectrum, q) -> float:

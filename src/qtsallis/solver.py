@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from ._index import _branch, _Frozen, _order
+from ._index import _Frozen, _order
 from .errors import MonotonicityError, ValidationError
 from .werner import _family, _prepared_gap
 
@@ -68,16 +68,13 @@ def threshold_for_q(levels: int, parties: int, q,
     gap = _prepared_gap(N, n, k, q)
     x_inf = _x_inf(N, n, k)
     low = math.log(x_inf)
-    limit = _branch(q, 0.0)[0] is None  # the branch takes no order at the limit point
     x = math.nan
-    if limit:
-        pass
-    elif q > 1.0:
+    if q > 1.0:
         scale, rest = N ** (1.0 / q), N ** (n - k)
         free = N**n - 1 - scale * (N ** (k - 1) - 1) * rest
         if free > 0.0:
             x = (scale * rest - 1.0) / free
-    else:
+    elif q < 1.0:
         free = (N**n - 1) * N ** (-n * q) - (N**k - N) * N ** (-k * q)
         if free > 0.0:
             v = (N ** (1.0 - q) - 1.0) / free
@@ -85,8 +82,8 @@ def threshold_for_q(levels: int, parties: int, q,
                 x = 1.0 - v ** (1.0 / q)
     t0 = math.log(max(x, x_inf) if 0.0 < x <= 1.0 else 0.5 * (x_inf + 1.0))
     g0 = gap(x_inf if t0 == low else math.exp(t0))
-    # below the root the entropy is positive, and so is the gap for q < 1 and at the limit point
-    rising = (g0 > 0.0) == (q < 1.0 or limit)
+    # below the root the entropy is positive, and so is the gap for q <= 1
+    rising = (g0 > 0.0) == (q <= 1.0)
     end = 0.0 if rising else low
     span, way = abs(end - t0), 1.0 if rising else -1.0
     step = 0.5 * ROOT_RTOL  # the least step, in ln x

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from ._index import (MULTIPLICITY_CAP, Spectrum, _branch, _count, _entropy_from_gap, _Frozen,
+from ._index import (MULTIPLICITY_CAP, Spectrum, _count, _entropy_from_gap, _far, _Frozen,
                      _log_trace, _order)
 from .errors import CapacityError, ValidationError
 
@@ -111,7 +111,7 @@ def _family(levels, parties, conditioned_parties: int | None) -> tuple[int, int,
 
 def _prepared_gap(levels: int, parties: int, k: int, q: float):
     """ln Tr rho**q - ln Tr rho_k**q of the family given k parties, as a
-    function of the mixing weight x; at the limit point, the von Neumann
+    function of the mixing weight x; at q = 1, the von Neumann
     difference S(rho) - S(rho_k).  The conditional entropy is
     expm1(gap) / (1 - q).  N, n and k are valid family ints and q a checked
     order (:func:`_family`, :func:`qtsallis._index._order`).  Both log
@@ -121,11 +121,10 @@ def _prepared_gap(levels: int, parties: int, k: int, q: float):
     """
     dim, base = levels ** parties, levels ** k
     joint, marginal = (dim, 1, 1.0 / dim), (base, levels, 1.0 / (base // levels))
-    order, far = _branch(q, math.log(dim))
+    far = _far(q, math.log(dim))
 
     def gap(x: float) -> float:
-        return (_log_trace(_levels(joint, x), order, far)
-                - _log_trace(_levels(marginal, x), order, far))
+        return _log_trace(_levels(joint, x), q, far) - _log_trace(_levels(marginal, x), q, far)
 
     return gap
 
@@ -144,4 +143,4 @@ def conditional_entropy_block(params: WernerParams, conditioned_parties: int | N
     """
     N, n, k = _family(params.levels, params.parties, conditioned_parties)
     q = _order(q)
-    return _entropy_from_gap(_prepared_gap(N, n, k, q)(params.mixing), _branch(q, 0.0)[0])
+    return _entropy_from_gap(_prepared_gap(N, n, k, q)(params.mixing), q)

@@ -6,14 +6,23 @@ import mpmath
 import numpy as np
 
 from qtsallis import DensityMatrix, JointDist, ProbDist, tensor_product
-from qtsallis._index import LIMIT_WINDOW
 from qtsallis.oracle import _ghz_indices
 
 #: Orders next to the limit point, on both sides, and the limit point itself.
-NEAR_ONE = (1.0,) + tuple(1.0 + sign * gap for gap in (1.5e-9, 1e-6, 1e-3, 1e-2)
+NEAR_ONE = (1.0,) + tuple(1.0 + sign * gap for gap in (1e-15, 1e-12, 1.5e-9, 1e-6, 1e-3, 1e-2)
                           for sign in (-1, 1))
 #: (N, n, k) from dense scale up to N**n near 2**62.
 WIDE_FAMILIES = ((2, 3, 2), (5, 7, 3), (1000, 6, 5), (3, 39, 38), (2, 62, 61), (2, 62, 1))
+
+
+def max_levels(parties):
+    """Largest N with N**parties < 2**63."""
+    levels = int(2 ** (63 / parties))
+    while levels ** parties >= 2**63:
+        levels -= 1
+    while (levels + 1) ** parties < 2**63:
+        levels += 1
+    return levels
 
 
 def random_prob(rng, size):
@@ -106,8 +115,8 @@ def mp_tsallis(levels, q):
 def mp_classical_conditional(mat, q):
     """Conditional entropy of the second subsystem of the joint array ``mat``
     given the first, in ratio form [Tr p_AB**q / Tr p_A**q - 1] / (1 - q)
-    (the Shannon difference within ``LIMIT_WINDOW`` of q = 1), to 50 digits
-    on its float entries normalized exactly.  Returned with the size of its
+    (the Shannon difference at q = 1), to 50 digits on its float entries
+    normalized exactly.  Returned with the size of its
     terms: (Tr p_AB**q / Tr p_A**q + 1) / |1 - q| where |q - 1| >= 0.1,
     and S_AB + S_A + 1 (Shannon) nearer q = 1.  The 1 is there because float
     entries sum to 1 only within an ulp: an entry next to 1 fixes the value
@@ -118,7 +127,7 @@ def mp_classical_conditional(mat, q):
         joint = [(v / total, 1) for row in rows for v in row]
         marginal = [(mpmath.fsum(row) / total, 1) for row in rows]
         near_size = mp_von_neumann(joint) + mp_von_neumann(marginal) + 1
-        if abs(q - 1.0) <= LIMIT_WINDOW:
+        if q == 1.0:
             return mp_von_neumann(joint) - mp_von_neumann(marginal), near_size
         gap = mp_log_trace(joint, q) - mp_log_trace(marginal, q)
         value = mpmath.expm1(gap) / (1 - mpmath.mpf(q))

@@ -12,7 +12,7 @@ from qtsallis import (JointDist, NumericalError, ProbDist,
                       ValidationError, classical, compose_pseudoadditive,
                       conditional_entropy_def, conditional_entropy_ratio,
                       escort, q_expectation, tripartite_chain, tsallis_entropy)
-from qtsallis._index import _branch, _order
+from qtsallis._index import _far, _order
 from qtsallis.cli import main
 from helpers import (NEAR_ONE, mp_classical_conditional, mp_tsallis, random_joint,
                      random_prob, shannon)
@@ -49,12 +49,15 @@ def test_index_rejects_nonpositive():
             _order(bad)
 
 
-@pytest.mark.parametrize("q,expected", [
-    (1.0, True), (1.0 + 1e-10, True), (1.0 - 1e-10, True),
-    (1.0 + 1e-8, False), (2.0, False),
+@pytest.mark.parametrize("q,count,far", [
+    (1.0 - 1e-10, 2**62, False), (1.0, 2**62, False), (1.0 + 1e-10, 2**62, False),
+    (2.0, 2, False), (2.0, 3, True), (0.5, 8, True), (1e6, 2, True),
 ])
-def test_index_limit_point_window(q, expected):
-    assert (_branch(q, 0.0)[0] is None) is expected
+def test_index_far_branch_flag(q, count, far):
+    """The far branch serves |q - 1| ln count > 1, nowhere next to q = 1
+    (q = 1 itself included), and the flag runs elementwise on an array."""
+    assert _far(q, math.log(count)) is far
+    assert _far(q, np.log([1, count])).tolist() == [False, far]
 
 
 # -- ProbDist / JointDist validation ------------------------------------
@@ -136,7 +139,8 @@ def test_entropy_direct_value():
 def test_entropy_limit_matches_shannon():
     p = [0.8, 0.2]
     assert tsallis_entropy(p, 1.0) == pytest.approx(shannon(p), abs=1e-15)
-    assert tsallis_entropy(p, 1.0 + 1e-10) == pytest.approx(shannon(p), abs=1e-15)
+    near = mp_tsallis([(v, 1) for v in p], 1.0 + 1e-10)
+    assert tsallis_entropy(p, 1.0 + 1e-10) == pytest.approx(float(near), rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("q", [1.0, 1.0 - 1e-6, 1.0 + 1e-6])

@@ -87,11 +87,6 @@ def test_unknown_attribute_is_named():
     assert not hasattr(qtsallis, "no_such_name")
 
 
-def test_classical_keeps_index_names():
-    from qtsallis import _index
-    assert _index.LIMIT_WINDOW == 1e-9
-
-
 # -- numpy-free paths -----------------------------------------------------
 
 @pytest.mark.parametrize("call", [

@@ -20,7 +20,7 @@ from qtsallis import (Comparison, DensityMatrix, ValidationError, VerificationRe
                       quantum_conditional, spectrum_of, verify_family, verify_separable_witness,
                       werner_density)
 from qtsallis import oracle, quantum, werner
-from qtsallis._index import Spectrum, _branch, _conditional
+from qtsallis._index import Spectrum, _conditional, _far
 from qtsallis.oracle import (AGREEMENT_TOL, NONNEG_FLOOR, STRUCTURE_TOL, WITNESS_ORDERS,
                              _deviation, _marginal_diagonals, _witness_rows)
 from helpers import record_eigvalsh
@@ -777,7 +777,7 @@ def test_witness_takes_two_log_traces_per_order_and_branch(trials, monkeypatch):
     assert report.passed
     sides = {math.prod(map(int, c.case.split(",")[1][len("dims="):].split("x")))
              for c in reported}
-    groups = {(q, _branch(q, math.log(side))[1]) for q in WITNESS_ORDERS for side in sides}
+    groups = {(q, _far(q, math.log(side))) for q in WITNESS_ORDERS for side in sides}
     assert sorted(traces) == sorted(2 * list(groups))
     assert len(traces) <= 2 * 2 * len(WITNESS_ORDERS)
     assert len(reported) == 8 * trials
@@ -825,13 +825,13 @@ def test_whole_batch_witness_matches_the_per_shape_log_traces(trials, seed, monk
     near_at_half = set()
     for (dims, group), (joint, closed, traced) in zip(members.items(), zip(*[iter(stacks)] * 3)):
         for q in WITNESS_ORDERS:
-            order, far = _branch(q, math.log(joint.shape[-1]))
+            far = _far(q, math.log(joint.shape[-1]))
             if q == 0.5:
                 near_at_half.add(not far)
             values, oracle_values = quantum._entropies_from_gaps(
-                quantum._log_traces(quantum._logged(joint), order, far)
-                - quantum._log_traces(quantum._logged(np.stack((closed, traced))), order, far),
-                order).tolist()
+                quantum._log_traces(quantum._logged(joint), q, far)
+                - quantum._log_traces(quantum._logged(np.stack((closed, traced))), q, far),
+                q).tolist()
             for trial, value, oracle_value in zip(group, values, oracle_values):
                 row = by_trial[trial][1][f"separable_conditional[q={q:g}]"]
                 for got, want in ((row.closed_form, value), (row.oracle, oracle_value)):

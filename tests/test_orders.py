@@ -18,7 +18,7 @@ from qtsallis.cli import main
 BAD_ORDERS = (0, -1.0, math.nan, math.inf, 1e308)
 ORDER_MESSAGE = "entropic index must lie in (0, 1e300]"
 ORDER_PATTERN = re.escape(ORDER_MESSAGE)
-#: Both sides of 1, the limit point and a point inside its window, and large q.
+#: Both sides of 1, the limit point and an order right next to it, and large q.
 ORDERS = (0.3, 1.0, 1.0 + 1e-10, 2.0, 50.0)
 
 _P = np.array([0.1, 0.2, 0.0, 0.3, 0.4])

@@ -18,7 +18,7 @@ from qtsallis import (CapacityError, DensityMatrix, Spectrum, ValidationError,
                       quantum_conditional, quantum_tsallis, spectrum_of,
                       tensor_product, tsallis_entropy, werner_density, WernerParams)
 from qtsallis import _index, quantum, werner
-from qtsallis._index import LIMIT_WINDOW, _branch, _entropy_from_gap, _log_trace
+from qtsallis._index import _entropy_from_gap, _far, _log_trace
 from helpers import (ghz_vector, mp_log_trace, mp_tsallis, random_density, random_separable,
                      record_eigvalsh)
 
@@ -639,7 +639,7 @@ def test_spectrum_refuses_a_multiplicity_above_the_cap(levels):
 def log_q_trace(spectrum, q):
     """ln sum m v**q of a spectrum by the shared kernel, in the branch that
     its total multiplicity picks."""
-    return _log_trace(spectrum.levels, q, _branch(q, math.log(spectrum.total_multiplicity))[1])
+    return _log_trace(spectrum.levels, q, _far(q, math.log(spectrum.total_multiplicity)))
 
 
 def test_q_trace_direct():
@@ -647,10 +647,20 @@ def test_q_trace_direct():
 
 
 def test_q_trace_normalization_at_one():
+    # at q = 1 the kernel gives the von Neumann entropy in place of
+    # ln Tr rho = 0; next to it, ln Tr rho**q = ln(1 + (1 - q) S_q) keeps
+    # the sign of 1 - q and lies within |q - 1| ln 5 (8 ulps) of 0
     rng = np.random.default_rng(8)
     for _ in range(10):
         spec = spectrum_of(random_density(rng, (5,)))
-        assert log_q_trace(spec, 1.0) == pytest.approx(0.0, abs=1e-12)
+        for far in (False, True):
+            assert _log_trace(spec.levels, 1.0, far) == pytest.approx(
+                float(mp_tsallis(spec.levels, 1.0)), rel=1e-15, abs=0)
+        for q in (1.0 - 1e-15, 1.0 + 1e-15):
+            value = log_q_trace(spec, q)
+            assert 0.0 < value / (1.0 - q) <= math.log(5), (q, value)
+            assert math.expm1(value) / (1.0 - q) == pytest.approx(
+                float(mp_tsallis(spec.levels, q)), rel=1e-15, abs=0)
 
 
 def test_q_trace_dominant_level_asymptote():
@@ -690,11 +700,11 @@ def eigenvalue_stacks(draw):
     return np.array(rows)
 
 
-#: Orders log-uniform in (1e-3, 1e6], the limit point and either side of its window.
+#: Orders log-uniform in (1e-3, 1e6], the limit point and either side of it.
 witness_orders = st.one_of(
     st.floats(math.log(1e-3), math.log(1e6), exclude_min=True).map(
         lambda t: min(math.exp(t), 1e6)),
-    st.sampled_from([1.0, 1.0 - 2 * LIMIT_WINDOW, 1.0 + 2 * LIMIT_WINDOW]))
+    st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12]))
 
 
 @given(eigenvalue_stacks(), witness_orders)
@@ -708,20 +718,18 @@ def test_log_traces_match_the_scalar_kernel_row_by_row(stack, q):
     and padded with exact zeros to side 16 as the witness pads them.  The
     near branch is compared wherever it is well conditioned, ln sum v**q
     >= -1 (always at q <= 1, where its terms are nonnegative).  Beyond
-    that its log1p meets a sum next to -1, and
-    :func:`_branch` sends no such row there: it picks the near branch only
-    where (q - 1) ln(side) <= 1, so that sum v**q >= 1/e on every row of
-    that side or less."""
-    order = _branch(q, 0.0)[0]
+    that its log1p meets a sum next to -1, and :func:`_far` sends no such
+    row there: it picks the near branch only where (q - 1) ln(side) <= 1,
+    so that sum v**q >= 1/e on every row of that side or less."""
 
     def scalar(row, far):
-        return _log_trace([(v, 1) for v in reversed(row)], order, far)
+        return _log_trace([(v, 1) for v in reversed(row)], q, far)
 
     conditioned = [scalar(row, True) >= -1.0 for row in stack.tolist()]
     for far, rows in ((True, stack), (False, stack[conditioned])):
-        traces = quantum._log_traces(quantum._logged(rows), order, far)
+        traces = quantum._log_traces(quantum._logged(rows), q, far)
         padded = quantum._log_traces(
-            quantum._logged(np.pad(rows, ((0, 0), (0, 16 - rows.shape[1])))), order, far)
+            quantum._logged(np.pad(rows, ((0, 0), (0, 16 - rows.shape[1])))), q, far)
         assert traces.shape == padded.shape == (len(rows),)
         for row, value, padded_value in zip(rows.tolist(), traces.tolist(), padded.tolist()):
             expected = scalar(row, far)
@@ -738,24 +746,23 @@ def test_log_traces_match_the_scalar_kernel_row_by_row(stack, q):
 ENTROPY_GAPS = [800.0, -800.0, 709.0, 710.0, -3.5, -1e-300, -0.0, 0.0, 1e-300, 0.25, 2.0]
 
 
-@pytest.mark.parametrize("q", [0.5, 2.0, 100.0, 1.0, 1.0 + LIMIT_WINDOW / 2])
+@pytest.mark.parametrize("q", [0.5, 2.0, 100.0, 1.0, 1.0 + 5e-10, 1.0 - 1e-12, 1.0 + 1e-12])
 def test_entropies_from_gaps_match_the_scalar_step(q):
     """The witness's array step against :func:`_entropy_from_gap`, element by
     element: an overflowing expm1 gives an infinity with the sign of 1 - q
     and no warning, zeros keep their sign, the limit point passes the gap
     through, and every other value is within two ulps of the scalar's, since
     numpy's expm1 is not the C library's."""
-    order = _branch(q, 0.0)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values = quantum._entropies_from_gaps(np.array(ENTROPY_GAPS), order).tolist()
+        values = quantum._entropies_from_gaps(np.array(ENTROPY_GAPS), q).tolist()
     for gap, value in zip(ENTROPY_GAPS, values):
-        expected = _entropy_from_gap(gap, order)
-        if order is None or not math.isfinite(expected) or expected == 0.0:
+        expected = _entropy_from_gap(gap, q)
+        if q == 1.0 or not math.isfinite(expected) or expected == 0.0:
             assert value.hex() == expected.hex(), (gap, value, expected)
         else:
             assert abs(value - expected) <= 4.5e-16 * abs(expected), (gap, value, expected)
-    if order is not None:
+    if q != 1.0:
         assert values[0] == math.copysign(math.inf, 1.0 - q)
         assert values[1] == -1.0 / (1.0 - q)
 
@@ -785,7 +792,8 @@ def test_quantum_tsallis_von_neumann_limit():
     spec = Spectrum(((0.7, 1), (0.3, 1)))
     expected = -(0.7 * math.log(0.7) + 0.3 * math.log(0.3))
     assert quantum_tsallis(spec, 1.0) == pytest.approx(expected, abs=1e-15)
-    assert quantum_tsallis(spec, 1.0 + 1e-10) == pytest.approx(expected, abs=1e-15)
+    near = mp_tsallis(spec.levels, 1.0 + 1e-10)
+    assert quantum_tsallis(spec, 1.0 + 1e-10) == pytest.approx(float(near), rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("q", [1.0 - 1e-6, 1.0 + 1e-6, 1.0 - 1e-8, 1.0 + 1e-8])

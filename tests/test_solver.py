@@ -17,30 +17,19 @@ from qtsallis import (CapacityError, MonotonicityError, Spectrum, ThresholdPoint
                       marginal_spectrum, partial_trace, quantum_tsallis, spectrum_of,
                       threshold_curve, threshold_for_q, werner_density)
 from qtsallis import solver, werner
-from qtsallis._index import LIMIT_WINDOW, _branch, _conditional, _entropy_from_gap, _log_trace
+from qtsallis._index import _conditional, _entropy_from_gap, _far, _log_trace
 from qtsallis.solver import _rises
-from helpers import NEAR_ONE, WIDE_FAMILIES, mp_conditional, mp_conditional_renyi, mp_threshold
+from helpers import (NEAR_ONE, WIDE_FAMILIES, max_levels, mp_conditional, mp_conditional_renyi,
+                     mp_threshold)
 from solver_budget import (FOOTPRINT_BUDGET, MEDIAN_BUDGET, WORST_BUDGET, counted_threshold,
                            domain_queries, footprint)
 
 
-def _max_levels(parties):
-    """Largest N with N**parties < 2**63."""
-    levels = int(2 ** (63 / parties))
-    while levels ** parties >= 2**63:
-        levels -= 1
-    while (levels + 1) ** parties < 2**63:
-        levels += 1
-    return levels
-
-
 #: (N, n, k) over the whole domain N**n < 2**63, k in 1..n-1.
 families = st.integers(2, 62).flatmap(lambda parties: st.tuples(
-    st.integers(2, _max_levels(parties)), st.just(parties), st.integers(1, parties - 1)))
-#: Log-uniform q over [0.1, 1e6], outside the q -> 1 limit-point window,
-#: where the order-q root gives way to the von Neumann one.
-orders = st.floats(math.log(0.1), math.log(1e6)).map(math.exp) \
-    .filter(lambda q: abs(q - 1.0) > LIMIT_WINDOW)
+    st.integers(2, max_levels(parties)), st.just(parties), st.integers(1, parties - 1)))
+#: Log-uniform q over [0.1, 1e6].
+orders = st.floats(math.log(0.1), math.log(1e6)).map(math.exp)
 #: The same orders, and the limit point with the orders right next to it.
 all_orders = st.one_of(orders, st.sampled_from(NEAR_ONE))
 #: Log-uniform q over [0.05, 1e6], the limit point and its neighbours.
@@ -58,11 +47,11 @@ def sign_of(params, q, k=None):
 
 def gap_sign(params, q, k=None):
     """The same sign from the log domain: that of the closed-form gap,
-    reversed for q > 1 off the limit point, where 1 - q < 0."""
+    reversed for q > 1, where 1 - q < 0."""
     levels, parties, k = werner._family(params.levels, params.parties, k)
     gap = werner._prepared_gap(levels, parties, k, q)(params.mixing)
     sign = (gap > 0.0) - (gap < 0.0)
-    return -sign if q > 1.0 and _branch(q, 0.0)[0] is not None else sign
+    return -sign if q > 1.0 else sign
 
 
 #: Families and orders on which the ported sign checks run, at every k.
@@ -111,7 +100,7 @@ def test_value_keeps_the_sign_of_its_gap():
     rng = random.Random(35)
     for _ in range(20_000):
         parties = rng.randint(2, 62)
-        levels = rng.randint(2, _max_levels(parties))
+        levels = rng.randint(2, max_levels(parties))
         k = rng.randint(1, parties - 1)
         x = rng.random() if rng.random() < 0.8 else float(rng.randint(0, 1))
         q = 1.0 if rng.random() < 0.01 else math.exp(rng.uniform(math.log(1e-3),
@@ -273,10 +262,10 @@ def test_prepared_gap_is_the_one_q_trace_rule(family, q, x):
     joint = werner._levels(werner._side(levels, parties, 1), x)
     marginal = werner._levels(werner._side(levels, k, levels), x)
     log_count = math.log(levels ** parties)
-    order, far = _branch(q, log_count)
+    far = _far(q, log_count)
     gap = werner._prepared_gap(levels, parties, k, q)(x)
-    assert gap == _log_trace(joint, order, far) - _log_trace(marginal, order, far)
-    assert _entropy_from_gap(gap, order) == _conditional(joint, marginal, q, log_count)
+    assert gap == _log_trace(joint, q, far) - _log_trace(marginal, q, far)
+    assert _entropy_from_gap(gap, q) == _conditional(joint, marginal, q, log_count)
 
 
 @given(families, st.one_of(st.sampled_from((0.0, 5e-324, 1e-16, 1.0 - 1e-16, 1.0)),
@@ -329,7 +318,7 @@ def test_root_rests_on_a_verified_bracket(family, q):
         assert math.log(hi) - math.log(lo) <= solver.ROOT_RTOL + 4e-16
         assert point.bracket_width == pytest.approx(
             point.x_star * (math.log(hi) - math.log(lo)), rel=1e-2, abs=1e-16 * point.x_star)
-    bisected = _bisected_root(gap, x_inf, q < 1.0 or _branch(q, 0.0)[0] is None)
+    bisected = _bisected_root(gap, x_inf, q <= 1.0)
     assert point.x_star == pytest.approx(bisected, rel=1e-12, abs=0)
 
 
